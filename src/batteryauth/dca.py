@@ -7,7 +7,8 @@ The chain is clean -> differentiate -> smooth -> resample:
    bounded away from zero.
 2. ``raw_differential_capacity`` forms (Q[i+1]-Q[i])/(V[i+1]-V[i]) at
    midpoint voltages.
-3. ``savgol_smooth`` runs a Savitzky-Golay filter (mirror padding).
+3. ``savgol_smooth`` runs a Savitzky-Golay filter (mirror padding), in
+   numpy alone.
 4. ``resample_uniform`` interpolates onto a uniform voltage grid of fixed
    length so every cycle yields the same feature-extractor input shape.
 
@@ -16,9 +17,10 @@ Smoothing happens on the cleaned native grid, before resampling.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
-from scipy.signal import savgol_coeffs, savgol_filter
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import AllPointsDropped, BadWindow, DegenerateVoltageRange, TooShortCycle
 from .records import CycleRecord, SampleMeta
@@ -110,6 +112,12 @@ def savgol_smooth(series: DcaSeries, window: int, polyorder: int) -> DcaSeries:
     Each interior point becomes the center value of the least-squares
     polynomial fit of the given degree over the window, which reproduces
     polynomials of degree <= polyorder exactly away from the edges.
+    Mirror padding reflects about the end samples without repeating them.
+    The weights are symmetric, so each output is the center term plus the
+    weighted pair sums (x[i-j] + x[i+j]), added from the outermost pair
+    inward. That is the summation order of scipy.signal.savgol_filter
+    whenever its weights come out symmetric to machine epsilon (every
+    polyorder <= 3), and there the two agree bit for bit.
     """
     n = len(series)
     if window % 2 == 0:
@@ -120,17 +128,40 @@ def savgol_smooth(series: DcaSeries, window: int, polyorder: int) -> DcaSeries:
         raise BadWindow(f"window {window} exceeds series length {n}")
     if not np.all(np.isfinite(series.dqdv)):
         raise BadWindow("cannot smooth non-finite values; run clean_dca before differentiating")
-    smoothed = savgol_filter(series.dqdv, window_length=window, polyorder=polyorder, mode="mirror")
+    weights = savgol_weights(window, polyorder)
+    half = window // 2
+    # row k is the series shifted by offset k - half
+    shifted = sliding_window_view(np.pad(series.dqdv, half, mode="reflect"), n)
+    left = shifted[:half]  # offsets -half .. -1
+    right = shifted[:half:-1]  # offsets +half .. +1
+    terms = np.empty((half + 1, n))
+    np.multiply(shifted[half], weights[half], out=terms[0])
+    np.multiply(left + right, weights[:half, None], out=terms[1:])
+    # a reduction over the leading axis adds the rows in order
+    smoothed = terms.sum(axis=0)
     return replace(series, dqdv=smoothed, stage="smoothed")
 
 
+@lru_cache(maxsize=64)
 def savgol_weights(window: int, polyorder: int) -> np.ndarray:
-    """The filter's convolution weights (exposed for verification)."""
+    """The filter's weights; weight j applies to sample offset j - window//2.
+
+    Least-squares solution for the value at offset 0 of a degree-polyorder
+    polynomial: the first row of the pseudo-inverse of the Vandermonde
+    matrix of the offsets. The returned array is read-only and shared.
+    """
     if window % 2 == 0 or window <= polyorder:
         raise BadWindow(f"bad window/polyorder pair ({window}, {polyorder})")
-    # savgol_coeffs returns weights ordered for convolution; flip to map
-    # weight j onto sample offset j - window//2.
-    return savgol_coeffs(window, polyorder)[::-1]
+    half = window // 2
+    # solved over offsets from high to low, as scipy.signal.savgol_coeffs
+    # does, then flipped: same rounding, so bit-identical weights
+    offsets = np.arange(half, -half - 1, -1, dtype=float)
+    vandermonde = offsets ** np.arange(polyorder + 1)[:, None]
+    unit = np.zeros(polyorder + 1)
+    unit[0] = 1.0
+    weights = np.linalg.lstsq(vandermonde, unit, rcond=None)[0][::-1].copy()
+    weights.flags.writeable = False
+    return weights
 
 
 def resample_uniform(series: DcaSeries, n: int = DEFAULT_RESAMPLE_N) -> DcaSeries:

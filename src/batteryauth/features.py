@@ -210,13 +210,20 @@ def cwt_positions(n: int, count: int = CWT_POSITIONS) -> np.ndarray:
 
 # === whole-channel extraction ===
 
+# Skewness and kurtosis divide by var**1.5 and var**2. Outside this range
+# those powers underflow to 0 or overflow, so both are left undefined
+# (nan, imputed like the zero-variance case).
+_MOMENT_VAR_MIN = float(np.sqrt(np.finfo(float).tiny))
+_MOMENT_VAR_MAX = float(np.sqrt(np.finfo(float).max))
+
+
 def _basic_block(x: np.ndarray) -> List[float]:
     n = len(x)
     mu = float(x.mean())
     var = float(x.var())
     std = float(np.sqrt(var))
     centered = x - mu
-    if var > 0:
+    if _MOMENT_VAR_MIN <= var <= _MOMENT_VAR_MAX:
         m3 = float((centered**3).mean())
         m4 = float((centered**4).mean())
         skew = m3 / var**1.5

@@ -7,7 +7,6 @@ raises SingularCovariance with a hint to raise r.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from ..errors import SingularCovariance
 
@@ -47,6 +46,10 @@ def fit(Xs: np.ndarray, y: np.ndarray, k: int, hp: dict, seed: int):
 
 
 def log_posteriors(params: dict, Xs: np.ndarray) -> np.ndarray:
+    # numpy has no triangular solve; importing here keeps scipy out of
+    # every process that never scores a QDA model
+    from scipy.linalg import solve_triangular
+
     k, d = params["means"].shape
     out = np.zeros((len(Xs), k))
     for c in range(k):

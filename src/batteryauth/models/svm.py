@@ -14,9 +14,9 @@ raw decision margins are exposed separately.
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from ..errors import UnsupportedKind
+from .neighbors import squared_distances
 
 TOL = 1e-3
 UPDATE_CAP_FACTOR = 10
@@ -28,7 +28,7 @@ def _kernel(a: np.ndarray, b: np.ndarray, kind: str, gamma: float) -> np.ndarray
     if kind == "linear":
         return a @ b.T
     if kind == "rbf":
-        return np.exp(-gamma * cdist(a, b, metric="sqeuclidean"))
+        return np.exp(-gamma * squared_distances(a, b))
     raise UnsupportedKind(f"unknown SVM kernel {kind!r}")
 
 

@@ -1,9 +1,11 @@
 """Hypothesis-test feature selection.
 
 Each feature gets a two-sided Mann-Whitney U p-value against the binary
-target. Multiclass targets run one-vs-rest per class; the feature's
-p-value is the smallest class p-value times the class count (Bonferroni),
-capped at 1. The Benjamini-Yekutieli step-up procedure then controls the
+target: exact when a group has at most 8 samples and the feature has no
+ties, asymptotic (tie-corrected) otherwise, as scipy's default chooses.
+Multiclass targets run one-vs-rest per class; the feature's p-value is
+the smallest class p-value times the class count (Bonferroni), capped at
+1. The Benjamini-Yekutieli step-up procedure then controls the
 false discovery rate over all features. Zero-variance features are always
 rejected, and if nothing survives, the single smallest-p feature is kept
 so downstream models always have input.
@@ -14,12 +16,12 @@ from dataclasses import dataclass
 from typing import Tuple, Union
 
 import numpy as np
-from scipy.stats import mannwhitneyu
 
 from .errors import BadInterval, SingleClass, TooFewSamples
 from .features import FeatureMatrix, labels_for
 
 MIN_SAMPLES_PER_CLASS = 5
+EXACT_MAX_GROUP = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,10 +58,25 @@ def benjamini_yekutieli(p_values: np.ndarray, fdr: float) -> np.ndarray:
     return keep
 
 
-def _mwu_p(feature: np.ndarray, group1: np.ndarray) -> float:
-    x1 = feature[group1]
-    x0 = feature[~group1]
-    return float(mannwhitneyu(x0, x1, alternative="two-sided").pvalue)
+def _mwu_p(values: np.ndarray, group1: np.ndarray, tied: np.ndarray) -> np.ndarray:
+    """Two-sided Mann-Whitney p-value of every column, rest vs group1.
+
+    Columns go to scipy in one batched call per method. scipy's automatic
+    choice looks for ties across a whole batch, so the method is chosen
+    here per column instead: the same choice a one-column call makes.
+    """
+    from scipy.stats import mannwhitneyu
+
+    x1 = values[group1]
+    x0 = values[~group1]
+    exact = ~tied & (min(len(x0), len(x1)) <= EXACT_MAX_GROUP)
+    p = np.empty(values.shape[1])
+    for cols, method in ((~exact, "asymptotic"), (exact, "exact")):
+        if cols.any():
+            p[cols] = mannwhitneyu(
+                x0[:, cols], x1[:, cols], alternative="two-sided", method=method
+            ).pvalue
+    return p
 
 
 def select_features(
@@ -89,18 +106,17 @@ def select_features(
     if not 0 < fdr < 1:
         raise BadInterval(f"fdr level must lie in (0, 1), got {fdr}")
 
-    n_features = values.shape[1]
-    p_values = np.ones(n_features)
+    p_values = np.ones(values.shape[1])
     variance = values.var(axis=0)
-    for f in range(n_features):
-        if variance[f] == 0:
-            continue
-        col = values[:, f]
-        if len(classes) == 2:
-            p_values[f] = _mwu_p(col, y == classes[1])
-        else:
-            best = min(_mwu_p(col, y == c) for c in classes)
-            p_values[f] = min(1.0, best * len(classes))
+    tested = variance != 0
+    live = values[:, tested]
+    ordered = np.sort(live, axis=0)
+    tied = (ordered[1:] == ordered[:-1]).any(axis=0)
+    if len(classes) == 2:
+        p_values[tested] = _mwu_p(live, y == classes[1], tied)
+    else:
+        best = np.min([_mwu_p(live, y == c, tied) for c in classes], axis=0)
+        p_values[tested] = np.minimum(1.0, best * len(classes))
 
     keep = benjamini_yekutieli(p_values, fdr)
     keep &= variance > 0

@@ -94,6 +94,22 @@ class TestSavgol:
             oracle = np.linalg.solve(A.T @ A, A.T)[0]
             assert np.abs(savgol_weights(window, order) - oracle).max() < 1e-9
 
+    @pytest.mark.parametrize("window", [5, 7, 21, 51])
+    @pytest.mark.parametrize("polyorder", [0, 1, 2, 3])
+    def test_matches_scipy_reference(self, window, polyorder):
+        # scipy is a test-only reference here; the package smooths in numpy
+        from scipy.signal import savgol_coeffs, savgol_filter
+
+        rng = np.random.default_rng(window * 10 + polyorder)
+        for n in (window, 400):
+            x = 50.0 * rng.standard_normal(n).cumsum()
+            bound = 1e-12 * np.abs(x).max()
+            got = savgol_smooth(_series(np.arange(n, dtype=float), x), window, polyorder).dqdv
+            ref = savgol_filter(x, window_length=window, polyorder=polyorder, mode="mirror")
+            assert np.abs(got - ref).max() <= bound
+            ref_weights = savgol_coeffs(window, polyorder)[::-1]
+            assert np.abs(savgol_weights(window, polyorder) - ref_weights).max() <= bound
+
     def test_polynomial_reproduced_in_interior(self):
         x = np.linspace(0.0, 1.0, 101)
         poly = 0.3 - 1.2 * x + 0.7 * x**2 + 2.1 * x**3

@@ -211,6 +211,23 @@ class TestExtraction:
         assert vec.imputed_count >= len(AUTOCORR_LAGS)      # nan -> 0 for each lag
         assert np.isfinite(vec.values).all()
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            # var > 0, but var**2 underflows to 0 and var**1.5 is subnormal
+            [0.0] * 15 + [2.4e-107],
+            # var**1.5 and var**2 overflow a float
+            [1e150, -3e150] * 8,
+        ],
+    )
+    def test_moments_at_extreme_scale_are_imputed(self, data):
+        cat = catalog_default(1)
+        vec = extract_features([np.array(data)], cat)
+        assert np.isfinite(vec.values).all()
+        by_name = {e.name: vec.values[i] for i, e in enumerate(cat.entries)}
+        assert by_name["skewness"] == 0.0 and by_name["kurtosis"] == 0.0
+        assert vec.imputed_count >= 2
+
     def test_channel_count_mismatch(self):
         with pytest.raises(CatalogMismatch):
             extract_features([np.arange(16.0)], catalog_default(2))

@@ -34,6 +34,7 @@ from batteryauth.models import (
     save_model,
     train,
 )
+from batteryauth.models.neighbors import squared_distances
 
 CATALOG = "v1:ch1"
 
@@ -253,6 +254,33 @@ class TestKnn:
         y = np.array([1, 0, 0])
         m = _train("KNN", {"k": 3, "weights": "distance"}, X, y)
         assert predict(m, np.array([[0.0]]))[0] == 1
+
+    def test_exact_match_at_distance_zero_wins_vote(self):
+        # the query repeats a class-1 training row; four class-0 rows sit
+        # 1e-9 away, so any rounding residue in the self-distance (as the
+        # expanded form |a|^2 + |b|^2 - 2ab leaves) would hand them the vote
+        rng = np.random.default_rng(11)
+        X = 1e3 * rng.standard_normal((12, 40))
+        y = np.zeros(12, dtype=int)
+        y[0] = 1
+        X[1:5] = X[0] + 1e-9 * rng.standard_normal((4, 40))
+        m = _train("KNN", {"k": 5, "weights": "distance"}, X, y)
+        labels, scores = predict(m, X[:1]), predict_scores(m, X[:1])
+        assert labels[0] == 1
+        assert scores[0].tolist() == [0.0, 1.0]
+
+    def test_distances_follow_the_difference_form(self):
+        rng = np.random.default_rng(12)
+        a = rng.standard_normal((3, 25)) * 7.0
+        b = np.vstack([a[1], rng.standard_normal((4, 25))])
+        got = squared_distances(a, b)
+        assert got[1, 0] == 0.0
+        for i in range(len(a)):
+            for j in range(len(b)):
+                acc = 0.0
+                for ai, bj in zip(a[i], b[j]):
+                    acc += (ai - bj) * (ai - bj)
+                assert got[i, j] == acc
 
     def test_k_larger_than_train_clamps(self):
         X = np.array([[0.0], [1.0], [2.0], [3.0]])

@@ -109,6 +109,40 @@ class TestSelectFeatures:
             assert mask.p_values[j] == pytest.approx(expected, rel=1e-9)
         assert mask.keep[0] and not mask.keep[1:].any()
 
+    @staticmethod
+    def _small_group_data(sizes, seed):
+        """Columns 0-3 tied, 4-7 untied, 8 constant; the first group has <= 8."""
+        rng = rng_from(seed, "small-group")
+        y = np.repeat(np.arange(len(sizes)), sizes)
+        X = rng.standard_normal((len(y), 9))
+        X[:, :4] = np.round(X[:, :4] * 2.0)
+        X[:, 2] += y
+        X[:, 5] += 1.5 * (y == 0)
+        X[:, 8] = 0.25
+        return X, y
+
+    def test_p_values_equal_per_column_calls_small_group_binary(self):
+        # a group of <= 8 samples makes scipy choose the exact method for
+        # untied columns and the asymptotic one for tied columns; a batched
+        # screen must keep that choice per column, to the last bit
+        X, y = self._small_group_data((7, 15), seed=1)
+        mask = select_features(X, y, fdr=0.05)
+        for j in range(8):
+            ref = scipy.stats.mannwhitneyu(X[y == 0, j], X[y == 1, j], alternative="two-sided").pvalue
+            assert mask.p_values[j] == ref, j
+        assert mask.p_values[8] == 1.0
+
+    def test_p_values_equal_per_column_calls_small_group_multiclass(self):
+        X, y = self._small_group_data((6, 10, 12), seed=2)
+        mask = select_features(X, y, fdr=0.05)
+        for j in range(8):
+            per_class = [
+                scipy.stats.mannwhitneyu(X[y == c, j], X[y != c, j], alternative="two-sided").pvalue
+                for c in range(3)
+            ]
+            assert mask.p_values[j] == min(1.0, 3 * min(per_class)), j
+        assert mask.p_values[8] == 1.0
+
     def test_zero_variance_always_rejected(self):
         X, y = self._binary_data(n=40, d=5, informative=2, seed=7)
         X[:, 4] = 3.14
