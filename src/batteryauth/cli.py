@@ -3,12 +3,13 @@
 Three subcommands. ``run`` drives the whole pipeline from one JSON
 config (generate or ingest data, process, extract, select, train with
 grid search, evaluate, write reports and model files). ``authenticate``
-applies a saved model to a sample CSV. ``bench`` measures per-sample
-inference latency and serialized model size.
+applies a saved model to a sample CSV. ``bench`` measures model load
+time, per-sample inference latency and serialized model size.
 
 Exit codes: 0 success, 2 configuration/validation error, 1 runtime
-error. Failures print one module-qualified line to stderr, never a raw
-traceback.
+error, 141 (128 + SIGPIPE) when the reader of standard output goes away
+(``batteryauth authenticate ... | head -1``). Failures print one
+module-qualified line to stderr, never a raw traceback.
 """
 from __future__ import annotations
 
@@ -247,9 +248,11 @@ def cmd_authenticate(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     if args.repeats < 1:
         raise ConfigError(f"--repeats must be >= 1, got {args.repeats}")
-    print("kind,task,samples,repeats,median_ms_per_sample,model_size_kb")
+    print("kind,task,samples,repeats,median_ms_per_sample,model_size_kb,load_ms")
     for model_path in args.model:
+        t0 = time.perf_counter()
         model = load_model(model_path)
+        load_ms = (time.perf_counter() - t0) * 1000.0
         X, _ = _features_for_samples(model, args.sample)
         predict(model, X[:1])           # warm-up outside the timed region
         times_ms = []
@@ -260,7 +263,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 times_ms.append((time.perf_counter() - t0) * 1000.0)
         median_ms = statistics.median(times_ms)
         size_kb = os.path.getsize(model_path) / 1024.0
-        print(f"{model.kind},{model.task},{len(X)},{args.repeats},{median_ms:.3f},{size_kb:.1f}")
+        print(f"{model.kind},{model.task},{len(X)},{args.repeats},{median_ms:.3f},{size_kb:.1f},{load_ms:.3f}")
     return 0
 
 
@@ -286,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_auth.add_argument("--json", action="store_true", help="machine-readable output")
     p_auth.set_defaults(func=cmd_authenticate)
 
-    p_bench = sub.add_parser("bench", help="measure inference latency and model size")
+    p_bench = sub.add_parser("bench", help="measure load time, inference latency and model size")
     p_bench.add_argument("--model", required=True, nargs="+", help="one or more saved model files")
     p_bench.add_argument("--sample", required=True, help="CSV with samples to time against")
     p_bench.add_argument("--repeats", type=int, default=3, help="timing repetitions (>= 1)")
@@ -297,7 +300,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed the pipe; point stdout at devnull so the flush at
+        # interpreter exit cannot fail again (Python docs, "Note on SIGPIPE")
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ConfigError, BadSpec) as exc:
         print(f"{type(exc).__module__}.{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tree import Tree, build_tree, tree_from_jsonable, tree_predict, tree_to_jsonable
+from .tree import NodeTable, grow_trees, tree_from_jsonable, tree_to_jsonable
 
 LEARNING_RATE = 1.0
 # alpha for a zero-error stump: ln((1-eps)/eps) with eps = 1e-15
@@ -20,11 +20,13 @@ def fit(Xs: np.ndarray, y: np.ndarray, k: int, hp: dict, seed: int):
     n = len(Xs)
     n_estimators = int(hp["n_estimators"])
     w = np.full(n, 1.0 / n)
+    all_rows = [np.arange(n)]
     stumps: list = []
     alphas: list = []
     for _ in range(n_estimators):
-        stump = build_tree(Xs, y, n_classes=k, criterion="gini", max_depth=1, sample_weight=w)
-        pred = tree_predict(stump, Xs)
+        (stump,) = grow_trees(Xs, y, n_classes=k, samples=all_rows, criterion="gini",
+                              max_depth=1, sample_weight=w)
+        pred = NodeTable.from_trees([stump]).labels(Xs)[:, 0]
         miss = pred != y
         err = float(w[miss].sum())
         if err <= 0.0:
@@ -43,19 +45,23 @@ def fit(Xs: np.ndarray, y: np.ndarray, k: int, hp: dict, seed: int):
         alphas.append(float(alpha))
         w = w * np.exp(alpha * miss)
         w = w / w.sum()
-    return {"stumps": stumps, "alphas": np.asarray(alphas, dtype=float)}, True
+    return _params(stumps, np.asarray(alphas, dtype=float)), True
+
+
+def _params(stumps: list, alphas: np.ndarray) -> dict:
+    return {"stumps": stumps, "alphas": alphas, "table": NodeTable.from_trees(stumps)}
 
 
 def predict(params: dict, Xs: np.ndarray, k: int, hp: dict):
     alphas = params["alphas"]
-    scores = np.zeros((len(Xs), k))
+    labels = params["table"].labels(Xs)                          # (n, stumps)
     if alphas.sum() <= 0.0:
-        labels = tree_predict(params["stumps"][0], Xs)
-        scores[np.arange(len(Xs)), labels] = 1.0
-        return labels, scores
-    for stump, alpha in zip(params["stumps"], alphas):
-        labels = tree_predict(stump, Xs)
-        scores[np.arange(len(Xs)), labels] += alpha
+        scores = np.zeros((len(Xs), k))
+        scores[np.arange(len(Xs)), labels[:, 0]] = 1.0
+        return labels[:, 0], scores
+    # a running sum over the stump axis adds each class's alphas in stump order
+    votes = np.where(labels[:, None, :] == np.arange(k)[:, None], alphas, 0.0)   # (n, k, stumps)
+    scores = np.cumsum(votes, axis=2)[:, :, -1]
     scores = scores / scores.sum(axis=1, keepdims=True)
     return np.argmax(scores, axis=1), scores
 
@@ -78,7 +84,7 @@ def state_to_jsonable(params: dict) -> dict:
 
 
 def state_from_jsonable(state: dict) -> dict:
-    return {
-        "stumps": [tree_from_jsonable(s) for s in state["stumps"]],
-        "alphas": np.asarray(state["alphas"], dtype=float),
-    }
+    return _params(
+        [tree_from_jsonable(s) for s in state["stumps"]],
+        np.asarray(state["alphas"], dtype=float),
+    )

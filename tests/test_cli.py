@@ -1,9 +1,13 @@
 """End-to-end command-line checks, all in-process through main()."""
+import fcntl
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import batteryauth
 from batteryauth.cli import main
 from batteryauth.io_csv import write_cycle_csv, write_eis_csv
 from batteryauth.synth import (
@@ -225,6 +229,34 @@ class TestAuthenticate:
         assert main(["authenticate", "--model", str(bad), "--sample", cycle_sample]) == 1
         assert "FormatVersionMismatch" in capsys.readouterr().err
 
+    def test_closed_pipe_exits_141_quietly(self, run_artifacts, tmp_path):
+        # `authenticate ... | head -1`: the reader takes the first line and
+        # closes its end while the command still has lines to write
+        out_dir, _, _ = run_artifacts
+        model = os.path.join(out_dir, "model_ident_model_identification_KNN.json")
+        recs = [gen_cycle(SPECS[i % 2], soh_percent=93.0, n_points=128, seed=2000 + i,
+                          cell_id=f"probe-{i}") for i in range(400)]
+        sample = tmp_path / "many.csv"
+        sample.write_text(write_cycle_csv(recs), encoding="utf-8")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(batteryauth.__file__)))
+        env = dict(os.environ, PYTHONUNBUFFERED="1")
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        read_fd, write_fd = os.pipe()
+        # a one-page pipe: the 400 lines cannot all be written before the close
+        fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, 4096)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "batteryauth.cli", "authenticate", "--model", model,
+             "--sample", str(sample)],
+            stdout=write_fd, stderr=subprocess.PIPE, env=env,
+        )
+        os.close(write_fd)
+        with os.fdopen(read_fd, "rb") as reader:
+            first = reader.readline()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 141
+        assert first.startswith(b"probe-0/0: ")
+        assert err == b""
+
     def test_missing_sample_exits_2(self, run_artifacts, tmp_path, capsys):
         out_dir, _, _ = run_artifacts
         model = os.path.join(out_dir, "model_ident_model_identification_KNN.json")
@@ -238,11 +270,12 @@ class TestBench:
         model = os.path.join(out_dir, "model_ident_model_identification_KNN.json")
         assert main(["bench", "--model", model, "--sample", cycle_sample, "--repeats", "2"]) == 0
         lines = capsys.readouterr().out.strip().split("\n")
-        assert lines[0] == "kind,task,samples,repeats,median_ms_per_sample,model_size_kb"
-        kind, task, samples, repeats, median_ms, size_kb = lines[1].split(",")
+        assert lines[0] == "kind,task,samples,repeats,median_ms_per_sample,model_size_kb,load_ms"
+        kind, task, samples, repeats, median_ms, size_kb, load_ms = lines[1].split(",")
         assert kind == "KNN" and task == "identification"
         assert samples == "2" and repeats == "2"
         assert float(median_ms) > 0 and float(size_kb) > 0
+        assert float(load_ms) > 0
 
     def test_multiple_models_one_row_each(self, run_artifacts, cycle_sample, capsys):
         out_dir, _, _ = run_artifacts

@@ -4,6 +4,7 @@ Closed-form oracles are recomputed with scalar math inside the tests so
 each implementation is checked against an independent derivation, not
 against itself.
 """
+import hashlib
 import math
 
 import numpy as np
@@ -35,6 +36,7 @@ from batteryauth.models import (
     train,
 )
 from batteryauth.models.neighbors import squared_distances
+from batteryauth.models.tree import _class_sum, grow_trees
 
 CATALOG = "v1:ch1"
 
@@ -478,3 +480,270 @@ class TestImportances:
         m = _train("RandomForest", {"criterion": "gini", "n_estimators": 15}, X, y)
         raw = raw_importances(m)
         assert raw.argmax() == 2
+
+
+def _golden_data():
+    """Fixed 3-class data with ties, a constant column and duplicate rows
+    (some with conflicting labels)."""
+    rng = np.random.default_rng(31337)
+    n, d = 54, 8
+    X = rng.standard_normal((n, d))
+    X[:, 1] = np.round(X[:, 1], 0)
+    X[:, 4] = 2.5
+    X[:, 6] = np.round(X[:, 6] * 2, 0) / 2
+    X[40:46] = X[30:36]
+    y = ((X[:, 0] + 0.7 * X[:, 2] + 0.4 * rng.standard_normal(n)) > 0).astype(int)
+    y[X[:, 3] > 0.9] = 2
+    y[40:43] = (y[30:33] + 1) % 3
+    return X, y
+
+
+class TestGoldenTreeModels:
+    """sha256 of saved tree-kind model files, and of their labels and scores
+    on a fixed probe, as this code produced them. A change to split search,
+    RNG draw order, tie-breaking or vote summation shows up here."""
+
+    CASES = [
+        ("RandomForest", {"criterion": "gini", "n_estimators": 25},
+         "ac22565b19d5d8dd91d427379b888bb8a8023bf6bb3df7826664a54841d5ca92",
+         "a94bb8b8c74e266dc6c43bc3be49d2d25389be850f9963b9672721b4deb5e384"),
+        ("RandomForest", {"criterion": "entropy", "n_estimators": 25},
+         "ef5431668a378008c9929c31ed4668f2bb1c03f6ad04f5886d3a124debee6da7",
+         "12b3970783df1391b89df5571f1c6e2398aac74d530f221ef4ad367d0ed2c7b0"),
+        ("DecisionTree", {"criterion": "gini", "max_depth": 4},
+         "0d93c1420dab1e79237e66177702ce5d0c87f6dd43582bcdec6af2e33cad282f",
+         "db8aac58afd1b3ef47c3f3b43959212b0456a8273f157fc27f763bc45a4f99a3"),
+        ("DecisionTree", {"criterion": "entropy", "max_depth": None},
+         "cfa4f4cb87d52e44017a18532cd9e37372f37f08b80c7ee0714d1abedc84d3d0",
+         "9cec7b7bdb6ca728f57dad4b29e57bc523cae3f0f86c697e93c1e8cc0471cc82"),
+        ("DecisionTree", {"criterion": "gini", "max_depth": None},
+         "bf8111745b581829abf8484edd9831245150ae6fef744a9dc7340f91e81c63b1",
+         "431d0bd35d964130eb72f2c1ad6f33aa16b062fa3a3e8f7da5d6a0fbca37383a"),
+        ("AdaBoost", {"n_estimators": 12},
+         "316909f3770f5c5aaa6bd860eb50902c2aac9316b5d32f10c4c6ee3d4b2e80a0",
+         "def185d513a4e1472ca86151bdffc50983a1c8098b431942b340dffa9a1b0e7e"),
+    ]
+
+    @pytest.mark.parametrize("kind,hp,file_sha,output_sha", CASES,
+                             ids=[f"{k}-{'-'.join(map(str, hp.values()))}" for k, hp, _, _ in CASES])
+    def test_model_file_and_outputs_are_pinned(self, kind, hp, file_sha, output_sha, tmp_path):
+        X, y = _golden_data()
+        m = _train(kind, hp, X, y, seed=5, names=("a", "b", "c"))
+        if kind == "AdaBoost":
+            assert len(m.params["alphas"]) >= 3
+        path = tmp_path / "model.json"
+        save_model(m, str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == file_sha
+        probe = np.vstack([X, np.random.default_rng(4).standard_normal((40, 8)) * 1.5])
+        for model in (m, load_model(str(path))):
+            blob = predict_scores(model, probe).tobytes() + predict(model, probe).astype(np.int64).tobytes()
+            assert hashlib.sha256(blob).hexdigest() == output_sha
+
+
+# --- tree engine oracles -------------------------------------------------
+
+def _bf_impurity(counts, criterion):
+    total = sum(counts)
+    if criterion == "gini":
+        return 1.0 - sum((c / total) ** 2 for c in counts)
+    return -sum((c / total) * math.log2(c / total) for c in counts if c > 0)
+
+
+def _bf_counts(y, w, rows, k):
+    counts = [0.0] * k
+    for r in rows:
+        counts[int(y[r])] += float(w[r])
+    return counts
+
+
+def _bf_candidates(X, y, w, rows, k, criterion):
+    """(decrease, feature, threshold) of every feature and every boundary
+    between distinct values, scored with scalar float math."""
+    counts = _bf_counts(y, w, rows, k)
+    node_w = sum(counts)
+    parent = _bf_impurity(counts, criterion)
+    candidates = []
+    for f in range(X.shape[1]):
+        values = sorted({float(X[r, f]) for r in rows})
+        for lo, hi in zip(values, values[1:]):
+            thr = lo + 0.5 * (hi - lo)
+            if not lo <= thr < hi:
+                thr = lo
+            lc = _bf_counts(y, w, [r for r in rows if X[r, f] <= thr], k)
+            rc = _bf_counts(y, w, [r for r in rows if X[r, f] > thr], k)
+            child = (sum(lc) * _bf_impurity(lc, criterion)
+                     + sum(rc) * _bf_impurity(rc, criterion)) / node_w
+            candidates.append((parent - child, f, thr))
+    return candidates
+
+
+def _near_best(candidates):
+    """Splits whose decrease ties the best one up to rounding. Splits that
+    tie in exact arithmetic can differ in the last bits, so the engine's
+    earliest-position rule cannot be replayed with other float math."""
+    top = max(c[0] for c in candidates)
+    return top, {(f, thr) for dec, f, thr in candidates if dec >= top - 1e-12}
+
+
+def _check_brute_force(tree, X, y, w, k, criterion, max_depth=None):
+    """Walk the grown tree in pre-order and check every node against the
+    brute-force enumeration: class sums, leaf decisions, and a split that is
+    among the best ones at a midpoint between distinct values."""
+    seen = []
+
+    def visit(node, rows, depth):
+        assert node == len(seen)                      # pre-order ids
+        seen.append(node)
+        counts = _bf_counts(y, w, rows, k)
+        assert np.allclose(tree.counts[node], counts, rtol=1e-12, atol=0)
+        splittable = (sum(1 for c in counts if c != 0) > 1 and len(rows) >= 2
+                      and (max_depth is None or depth < max_depth))
+        candidates = _bf_candidates(X, y, w, rows, k, criterion) if splittable else []
+        if tree.feature[node] < 0:
+            # a leaf: no split beats the 1e-12 floor (up to rounding)
+            assert not candidates or _near_best(candidates)[0] <= 2e-12
+            return
+        top, near = _near_best(candidates)
+        f, thr = int(tree.feature[node]), float(tree.threshold[node])
+        assert top > 1e-12 and (f, thr) in near
+        visit(int(tree.left[node]), [r for r in rows if X[r, f] <= thr], depth + 1)
+        visit(int(tree.right[node]), [r for r in rows if X[r, f] > thr], depth + 1)
+
+    visit(0, list(range(len(X))), 0)
+    assert len(seen) == tree.n_nodes
+
+
+def _oracle_data(seed, n=24, k=3):
+    """Small data with ties, duplicate rows (conflicting labels) and a
+    constant column."""
+    rng = np.random.default_rng(seed)
+    X = np.round(rng.standard_normal((n, 4)), 1)
+    X[:, 2] = np.round(X[:, 2])
+    X[:, 3] = 0.7
+    X[n - 4:] = X[:4]
+    y = rng.integers(0, k, n)
+    y[n - 4:n - 2] = (y[:2] + 1) % k
+    return X, y
+
+
+class TestTreeEngineOracle:
+    CASES = [(seed, crit, weighted, k) for seed in (0, 1, 2) for crit in ("gini", "entropy")
+             for weighted in (False, True) for k in (2, 3)]
+
+    @pytest.mark.parametrize("seed,criterion,weighted,k", CASES)
+    def test_root_and_tree_match_brute_force(self, seed, criterion, weighted, k):
+        X, y = _oracle_data(seed, k=k)
+        w = np.random.default_rng(seed + 50).uniform(0.2, 2.0, len(X)) if weighted else None
+        (tree,) = grow_trees(X, y, k, [np.arange(len(X))], criterion=criterion, sample_weight=w)
+        bw = np.ones(len(X)) if w is None else w
+        top, near = _near_best(_bf_candidates(X, y, bw, list(range(len(X))), k, criterion))
+        if len(near) == 1:
+            assert near == {(int(tree.feature[0]), float(tree.threshold[0]))}
+        _check_brute_force(tree, X, y, bw, k, criterion)
+
+    def test_max_depth_caps_the_brute_force_tree(self):
+        X, y = _oracle_data(3)
+        (tree,) = grow_trees(X, y, 3, [np.arange(len(X))], criterion="gini", max_depth=2)
+        _check_brute_force(tree, X, y, np.ones(len(X)), 3, "gini", max_depth=2)
+        assert tree.n_nodes == 7
+
+    def test_constant_candidates_retry_on_all_features(self):
+        # only column 1 varies; a one-feature draw of a constant column must
+        # fall back to the full search instead of leafing the node
+        rng = np.random.default_rng(8)
+        X = np.zeros((16, 4))
+        X[:, 0], X[:, 2], X[:, 3] = 1.0, -2.0, 0.5
+        X[:, 1] = np.round(rng.standard_normal(16), 1)
+        y = (X[:, 1] > 0).astype(int)
+        seed = next(s for s in range(100)
+                    if np.random.default_rng(s).choice(4, size=1, replace=False)[0] != 1)
+        (tree,) = grow_trees(X, y, 2, [np.arange(16)], max_features=1,
+                             rngs=[np.random.default_rng(seed)])
+        assert tree.feature[0] == 1
+        _check_brute_force(tree, X, y, np.ones(16), 2, "gini")
+
+    def test_class_sums_follow_numpy_order(self):
+        # the search adds class slabs in the order numpy's pairwise sum adds
+        # a contiguous axis, so its sums equal a per-node sum(axis=-1) bit
+        # for bit (sequential below 8 classes, eight running sums above)
+        rng = np.random.default_rng(4)
+        for k in list(range(1, 20)) + [64, 129, 300]:
+            a = rng.random((k, 40)) * 10.0 ** rng.integers(-8, 8, (k, 40))
+            assert (_class_sum(a) == np.ascontiguousarray(a.T).sum(axis=-1)).all(), k
+
+    @pytest.mark.parametrize("criterion,weighted", [("gini", False), ("entropy", True)])
+    def test_lockstep_equals_one_at_a_time(self, criterion, weighted):
+        # bootstrap samples of different lengths give nodes of mixed sizes in
+        # every step, so padding is exercised from the root on
+        rng = np.random.default_rng(21)
+        X = np.round(rng.standard_normal((60, 9)), 1)
+        X[:, 4] = 0.0
+        y = rng.integers(0, 3, 60)
+        w = rng.uniform(0.1, 3.0, 60) if weighted else None
+        T = 9
+
+        def streams():
+            return [np.random.default_rng([77, t]) for t in range(T)]
+
+        sizes = [5, 60, 12, 33, 2, 47, 60, 8, 21]
+        samples = [r.integers(0, 60, size=s) for r, s in zip(streams(), sizes)]
+        rngs = streams()
+        for r, s in zip(rngs, sizes):
+            r.integers(0, 60, size=s)                    # same stream position
+        together = grow_trees(X, y, 3, samples, criterion=criterion, max_features=3,
+                              rngs=rngs, sample_weight=w)
+        rngs = streams()
+        for r, s in zip(rngs, sizes):
+            r.integers(0, 60, size=s)
+        alone = [grow_trees(X, y, 3, [samples[t]], criterion=criterion, max_features=3,
+                            rngs=[rngs[t]], sample_weight=w)[0] for t in range(T)]
+        assert len({t.n_nodes for t in together}) > 2
+        for a, b in zip(together, alone):
+            for field in ("feature", "threshold", "left", "right", "counts", "importances"):
+                assert getattr(a, field).tobytes() == getattr(b, field).tobytes(), field
+
+
+def _walk(tree, x):
+    node = 0
+    while tree.feature[node] >= 0:
+        node = tree.left[node] if x[tree.feature[node]] <= tree.threshold[node] else tree.right[node]
+    return node
+
+
+class TestNodeTablePredict:
+    """The one-table walk against a per-tree, per-row reference walk."""
+
+    def _fit(self, kind, hp):
+        X, y = _golden_data()
+        m = _train(kind, hp, X, y, seed=5, names=("a", "b", "c"))
+        probe = np.vstack([X, np.random.default_rng(6).standard_normal((30, 8)) * 2.0])
+        return m, probe, m.standardizer.transform(probe)
+
+    @pytest.mark.parametrize("criterion", ["gini", "entropy"])
+    def test_forest_votes(self, criterion):
+        m, probe, Xs = self._fit("RandomForest", {"criterion": criterion, "n_estimators": 15})
+        votes = np.zeros((len(Xs), 3))
+        for i, x in enumerate(Xs):
+            for tree in m.params["trees"]:
+                votes[i, int(np.argmax(tree.counts[_walk(tree, x)]))] += 1.0
+        assert (predict(m, probe) == m.classes[np.argmax(votes, axis=1)]).all()
+        assert (predict_scores(m, probe) == votes / votes.sum(axis=1, keepdims=True)).all()
+
+    def test_decision_tree_leaf_fractions(self):
+        m, probe, Xs = self._fit("DecisionTree", {"criterion": "gini", "max_depth": None})
+        tree = m.params["tree"]
+        counts = np.array([tree.counts[_walk(tree, x)] for x in Xs])
+        assert (predict(m, probe) == m.classes[np.argmax(counts, axis=1)]).all()
+        assert (predict_scores(m, probe) == counts / counts.sum(axis=1, keepdims=True)).all()
+
+    def test_adaboost_alphas_in_stump_order(self):
+        # past 8 stumps, numpy's pairwise sum would add them in another order
+        m, probe, Xs = self._fit("AdaBoost", {"n_estimators": 40})
+        assert len(m.params["alphas"]) == 40
+        scores = np.zeros((len(Xs), 3))
+        for i, x in enumerate(Xs):
+            for stump, alpha in zip(m.params["stumps"], m.params["alphas"]):
+                scores[i, int(np.argmax(stump.counts[_walk(stump, x)]))] += alpha
+        scores = scores / scores.sum(axis=1, keepdims=True)
+        assert (predict(m, probe) == m.classes[np.argmax(scores, axis=1)]).all()
+        assert (predict_scores(m, probe) == scores).all()
