@@ -10,7 +10,7 @@ the contract because grid-search ties break by position.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -39,6 +39,10 @@ GRID_DIMENSIONS: Dict[str, Tuple[str, ...]] = {
     "RandomForest": ("criterion", "n_estimators"),
     "SVM": ("kernel", "C", "gamma"),
 }
+
+# A kind's fit at a smaller value of its prefix dimension is the start of
+# its fit at a larger one; ``prefix_model`` cuts it out.
+PREFIX_DIMENSIONS: Dict[str, str] = {"AdaBoost": "n_estimators"}
 
 DEFAULT_GRIDS: Dict[str, Dict[str, list]] = {
     "AdaBoost": {"n_estimators": [50, 100, 200]},
@@ -228,6 +232,17 @@ def train(
         converged=converged,
         task=task,
     )
+
+
+def prefix_model(model: TrainedModel, hyperparams: dict) -> TrainedModel:
+    """The model ``train`` gives at ``hyperparams``, cut from ``model``, which
+    was trained on the same data at hyperparameters that differ at most in
+    a larger value of the kind's prefix dimension."""
+    dim = PREFIX_DIMENSIONS.get(model.kind)
+    if dim is None or hyperparams[dim] == model.hyperparams[dim]:
+        return model
+    params = _MODULES[model.kind].prefix(model.params, hyperparams[dim])
+    return replace(model, hyperparams=hyperparams, params=params)
 
 
 def _prepare_input(model: TrainedModel, X: np.ndarray) -> np.ndarray:

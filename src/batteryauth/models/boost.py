@@ -4,6 +4,12 @@ Round m fits a weighted stump, scores its weighted error e_m, assigns it
 weight alpha_m = ln((1-e_m)/e_m) + ln(K-1), and upweights misclassified
 samples by exp(alpha_m). Boosting stops early on a perfect stump (capped
 alpha) or when a stump is no better than chance (alpha <= 0).
+
+The seed is not used, and round m depends only on the rounds before it,
+so the first n stumps and alphas of a fit at N >= n rounds are the fit
+at n rounds, early stops included. ``prefix`` cuts that fit out, and
+``predict`` gives it bit-identical scores: its running sum adds the
+alphas in stump order whatever the ensemble's length.
 """
 from __future__ import annotations
 
@@ -50,6 +56,11 @@ def fit(Xs: np.ndarray, y: np.ndarray, k: int, hp: dict, seed: int):
 
 def _params(stumps: list, alphas: np.ndarray) -> dict:
     return {"stumps": stumps, "alphas": alphas, "table": NodeTable.from_trees(stumps)}
+
+
+def prefix(params: dict, n: int) -> dict:
+    """The fitted state of a fit at ``n`` rounds, cut from a longer fit."""
+    return _params(params["stumps"][:n], params["alphas"][:n])
 
 
 def predict(params: dict, Xs: np.ndarray, k: int, hp: dict):

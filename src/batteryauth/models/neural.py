@@ -76,12 +76,8 @@ def fit(Xs: np.ndarray, y: np.ndarray, k: int, hp: dict, seed: int):
             eps = 1e-12
             losses.append(float(-(tb * np.log(probs + eps)).sum() / m))
             dz2 = (probs - tb) / m
-            grads = [
-                xb.T @ ((dz2 @ w2.T) * _act_grad(z1, a1, activation)),
-                ((dz2 @ w2.T) * _act_grad(z1, a1, activation)).sum(axis=0),
-                a1.T @ dz2,
-                dz2.sum(axis=0),
-            ]
+            dz1 = (dz2 @ w2.T) * _act_grad(z1, a1, activation)
+            grads = [xb.T @ dz1, dz1.sum(axis=0), a1.T @ dz2, dz2.sum(axis=0)]
             params = [w1, b1, w2, b2]
             if solver == "sgd":
                 for p, g, v in zip(params, grads, velocity):
@@ -90,13 +86,15 @@ def fit(Xs: np.ndarray, y: np.ndarray, k: int, hp: dict, seed: int):
                     p += v
             else:
                 adam_t += 1
+                correct1 = 1 - ADAM_BETA1**adam_t
+                correct2 = 1 - ADAM_BETA2**adam_t
                 for p, g, m1, v1 in zip(params, grads, adam_m, adam_v):
                     m1 *= ADAM_BETA1
                     m1 += (1 - ADAM_BETA1) * g
                     v1 *= ADAM_BETA2
                     v1 += (1 - ADAM_BETA2) * g**2
-                    mhat = m1 / (1 - ADAM_BETA1**adam_t)
-                    vhat = v1 / (1 - ADAM_BETA2**adam_t)
+                    mhat = m1 / correct1
+                    vhat = v1 / correct2
                     p -= ADAM_LR * mhat / (np.sqrt(vhat) + ADAM_EPS)
         epoch_loss = float(np.mean(losses))
         if epoch_loss > best_loss - LOSS_TOL:

@@ -5,10 +5,21 @@ parameters, seed, catalog_version}. ``parameters`` nests the class table,
 task tag, convergence flag, and the kind-specific fitted state (KNN keeps
 its training matrix inline). Floats survive the round trip exactly
 (shortest-repr JSON), so a loaded model predicts bit-identically.
+
+``save_model`` writes the bytes ``json.dump(..., sort_keys=True)`` would,
+but streams them: dicts key by key in sorted order, lists of containers
+item by item, and every other value (a flat list or a scalar) as one
+``json.dumps`` call, which runs the C encoder (``json.dump`` to a file
+always runs the pure-Python one). The whole document is never held as
+one string. The file is written under a temporary name in the target
+directory and moved into place with ``os.replace``, so an interrupted
+write leaves the previous file, never a truncated one.
 """
 from __future__ import annotations
 
 import json
+import os
+import threading
 
 from ..errors import FormatVersionMismatch, UnsupportedKind
 from .base import KINDS, Standardizer, TrainedModel, normalize_hyperparams
@@ -83,10 +94,39 @@ def model_from_json_dict(data: dict) -> TrainedModel:
     )
 
 
+def _write_json(obj, write) -> None:
+    """Write ``obj`` as ``json.dump(obj, fh, sort_keys=True)`` would."""
+    if isinstance(obj, dict):
+        write("{")
+        for i, key in enumerate(sorted(obj)):
+            # json.dump turns int, float, bool and None keys into their JSON text
+            name = key if isinstance(key, str) else json.dumps(key)
+            write(f"{', ' if i else ''}{json.dumps(name)}: ")
+            _write_json(obj[key], write)
+        write("}")
+    elif isinstance(obj, (list, tuple)) and obj and isinstance(obj[0], (dict, list, tuple)):
+        write("[")
+        for i, item in enumerate(obj):
+            if i:
+                write(", ")
+            _write_json(item, write)
+        write("]")
+    else:
+        write(json.dumps(obj, sort_keys=True))
+
+
 def save_model(model: TrainedModel, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_json_dict(model), fh, sort_keys=True)
-        fh.write("\n")
+    folder, name = os.path.split(path)
+    tmp = os.path.join(folder, f".{name}.{os.getpid()}-{threading.get_ident()}.tmp")
+    try:
+        with open(tmp, "x", encoding="utf-8") as fh:
+            _write_json(model_to_json_dict(model), fh.write)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_model(path: str) -> TrainedModel:

@@ -6,6 +6,12 @@ refit on the full training data. Candidate model seeds derive from
 (spec.seed, candidate index), so concurrent evaluation cannot change
 results. A candidate whose training raises scores -inf; if all do, the
 search fails with GridExhausted.
+
+The candidates of a kind with a prefix dimension (AdaBoost, whose grid
+varies only ``n_estimators``) share one fit per fold, at the largest
+value; each is scored on its prefix of that fit (``prefix_model``), which
+is the model it would have trained alone. Every other candidate is fitted
+alone. The pool runs one group of candidates that share fits per task.
 """
 from __future__ import annotations
 
@@ -17,7 +23,15 @@ import numpy as np
 from ..errors import BatteryAuthError, ClassTooSmall, GridExhausted
 from ..parallel import ordered_map
 from ..seeding import child_seed, rng_from
-from .base import ModelSpec, TrainedModel, enumerate_grid, predict, train
+from .base import (
+    PREFIX_DIMENSIONS,
+    ModelSpec,
+    TrainedModel,
+    enumerate_grid,
+    predict,
+    prefix_model,
+    train,
+)
 
 DEFAULT_FOLDS = 5
 
@@ -69,6 +83,16 @@ class CandidateResult:
     error: Optional[str] = None
 
 
+def _shared_fits(kind: str, candidates: List[dict]) -> List[List[int]]:
+    """Candidate indices per fit a fold needs. A prefix kind's grid varies
+    only its prefix dimension, so all its candidates share one fit (the
+    largest value last); any other candidate is fitted alone."""
+    dim = PREFIX_DIMENSIONS.get(kind)
+    if dim is None:
+        return [[ci] for ci in range(len(candidates))]
+    return [sorted(range(len(candidates)), key=lambda ci: candidates[ci][dim])]
+
+
 def grid_search(
     spec: ModelSpec,
     X: np.ndarray,
@@ -84,31 +108,35 @@ def grid_search(
     y = np.asarray(y)
     candidates = enumerate_grid(spec)
     folds = stratified_kfold(y, k=k, seed=spec.seed)
+    groups = _shared_fits(spec.kind, candidates)
 
-    def evaluate(item) -> CandidateResult:
-        ci, hp = item
-        cand_seed = child_seed(spec.seed, "candidate", ci)
-        scores = []
+    def evaluate(members: List[int]) -> List[CandidateResult]:
+        """Results of candidates that share one fit per fold."""
+        top = members[-1]
+        per_fold = []
+        error = None
         try:
             for trn, val in folds:
-                model = train(spec, hp, X[trn], y[trn], seed=cand_seed)
-                scores.append(macro_f1(y[val], predict(model, X[val])))
+                model = train(spec, candidates[top], X[trn], y[trn],
+                              seed=child_seed(spec.seed, "candidate", top))
+                per_fold.append([macro_f1(y[val], predict(prefix_model(model, candidates[ci]), X[val]))
+                                 for ci in members])
         except BatteryAuthError as exc:
-            return CandidateResult(
+            error = f"{type(exc).__name__}: {exc}"
+        out = []
+        for pos, ci in enumerate(members):
+            scores = tuple(fold[pos] for fold in per_fold)
+            out.append(CandidateResult(
                 index=ci,
-                hyperparams=hp,
-                mean_score=float("-inf"),
-                fold_scores=tuple(scores),
-                error=f"{type(exc).__name__}: {exc}",
-            )
-        return CandidateResult(
-            index=ci,
-            hyperparams=hp,
-            mean_score=float(np.mean(scores)),
-            fold_scores=tuple(scores),
-        )
+                hyperparams=candidates[ci],
+                mean_score=float("-inf") if error else float(np.mean(scores)),
+                fold_scores=scores,
+                error=error,
+            ))
+        return out
 
-    results = ordered_map(evaluate, list(enumerate(candidates)), threads=threads)
+    grouped = ordered_map(evaluate, groups, threads=threads)
+    results = sorted((r for group in grouped for r in group), key=lambda r: r.index)
     best = max(range(len(results)), key=lambda i: (results[i].mean_score, -i))
     if not np.isfinite(results[best].mean_score):
         details = "; ".join(r.error or "?" for r in results)

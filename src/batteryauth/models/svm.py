@@ -46,7 +46,7 @@ def _take_step(i, j, alpha, t, E, b, K, C):
     if lo >= hi:
         return None
     aj_old, ai_old = alpha[j], alpha[i]
-    aj = np.clip(aj_old + t[j] * (E[i] - E[j]) / eta, lo, hi)
+    aj = min(max(aj_old + t[j] * (E[i] - E[j]) / eta, lo), hi)
     if abs(aj - aj_old) < _MIN_STEP:
         return None
     ai = ai_old + t[i] * t[j] * (aj_old - aj)

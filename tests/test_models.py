@@ -5,6 +5,7 @@ each implementation is checked against an independent derivation, not
 against itself.
 """
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -35,7 +36,9 @@ from batteryauth.models import (
     save_model,
     train,
 )
+from batteryauth.models.base import prefix_model
 from batteryauth.models.neighbors import squared_distances
+from batteryauth.models.persist import _write_json
 from batteryauth.models.tree import _class_sum, grow_trees
 
 CATALOG = "v1:ch1"
@@ -199,6 +202,28 @@ class TestAdaBoost:
         m = _train("AdaBoost", {"n_estimators": 50}, X, y)
         assert len(m.params["alphas"]) == 1
         assert (predict(m, X) == y).all()
+
+    @pytest.mark.parametrize("data", ["two-class", "three-class", "chance"])
+    def test_prefix_equals_fit_alone(self, data):
+        if data == "chance":
+            # XOR: every stump errs on half the weight, so round 1 keeps one
+            # stump at alpha 0 and stops
+            X = np.tile([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]], (2, 1))
+            y = np.tile([0, 1, 1, 0], 2)
+        else:
+            X, y = _golden_data()
+            if data == "two-class":
+                y = (y > 0).astype(int)
+        full = _train("AdaBoost", {"n_estimators": 130}, X, y, seed=1)
+        rounds = len(full.params["alphas"])
+        assert rounds == {"two-class": 130, "three-class": 117, "chance": 1}[data]
+        probe = np.vstack([X, np.random.default_rng(6).standard_normal((30, X.shape[1]))])
+        for n in sorted({1, 2, 3, 50, rounds - 1, rounds, rounds + 1, 130} & set(range(1, 131))):
+            alone = _train("AdaBoost", {"n_estimators": n}, X, y, seed=1)
+            cut = prefix_model(full, {"n_estimators": n})
+            assert model_to_json_dict(cut) == model_to_json_dict(alone)
+            assert np.array_equal(predict(cut, probe), predict(alone, probe))
+            assert np.array_equal(predict_scores(cut, probe), predict_scores(alone, probe))
 
     def test_scores_normalized(self):
         X, y = _blobs(centers=(0.0, 2.0, 4.0))
@@ -445,6 +470,62 @@ class TestPersistence:
         with pytest.raises(FormatVersionMismatch):
             load_model(str(path))
 
+    @pytest.mark.parametrize("kind,hp", ALL, ids=[k for k, _ in ALL])
+    def test_streamed_file_equals_json_dump(self, kind, hp, tmp_path):
+        X, y = _blobs(n_per=15, centers=(0.0, 2.5, 5.0))
+        self._assert_json_dump_bytes(_train(kind, hp, X, y, seed=2), tmp_path)
+
+    def test_streamed_file_equals_json_dump_masked_and_no_support_vectors(self, tmp_path):
+        rng = np.random.default_rng(8)
+        X_full = rng.standard_normal((30, 5))
+        mask = np.array([True, False, True, True, False])
+        y = (X_full[:, 0] > 0).astype(int)
+        masked = _train("RandomForest", {"criterion": "gini", "n_estimators": 3},
+                        X_full[:, mask], y, mask=mask)
+        self._assert_json_dump_bytes(masked, tmp_path)
+        # one class: every SMO pair has an empty box, so no alpha moves
+        bare = _train("SVM", {"kernel": "linear", "C": 1.0, "gamma": "scale"},
+                      X_full, np.zeros(30, dtype=int), names=("only",))
+        assert len(bare.params["machines"][0]["sv"]) == 0
+        self._assert_json_dump_bytes(bare, tmp_path)
+
+    @staticmethod
+    def _assert_json_dump_bytes(model, tmp_path):
+        path = tmp_path / "streamed.json"
+        save_model(model, str(path))
+        with open(tmp_path / "dumped.json", "w", encoding="utf-8") as fh:
+            json.dump(model_to_json_dict(model), fh, sort_keys=True)
+            fh.write("\n")
+        assert path.read_bytes() == (tmp_path / "dumped.json").read_bytes()
+
+    def test_writer_matches_json_on_odd_values(self):
+        doc = {
+            "z": [[], [[]], [{}], {}, [1, [2.5, "x"]], [[1, 2], 3]],
+            "a": {"nested": {"b": [{"k": (1, 2)}], "a": ()}, "s": "\u00e9\u2603\n\"",
+                  "f": [float("nan"), float("inf"), -0.0]},
+            # keys of one type each: json sorts keys before it converts them
+            "k": [{3: "x", 1: [[2]]}, {1.5: None, -0.5: [[]]}, {True: [[1]], False: 0},
+                  {None: [[None]]}],
+            "m": (("t", 1), [2**70, -1e-310, 1e300]),
+        }
+        pieces = []
+        _write_json(doc, pieces.append)
+        assert "".join(pieces) == json.dumps(doc, sort_keys=True)
+
+    def test_interrupted_write_keeps_old_file(self, tmp_path):
+        X, y = _blobs(n_per=10)
+        m = _train("NeuralNet", {"hidden": 4, "activation": "tanh", "solver": "adam"}, X, y)
+        path = tmp_path / "model.json"
+        save_model(m, str(path))
+        before = path.read_bytes()
+        # sorted first in the state, so the envelope is half written when it fails
+        m.params["activation"] = object()
+        with pytest.raises(TypeError):
+            save_model(m, str(path))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+        assert load_model(str(path)).params["activation"] == "tanh"
+
 
 class TestMaskedPrediction:
     def test_auto_mask_accepts_full_width_rows(self):
@@ -537,6 +618,70 @@ class TestGoldenTreeModels:
         probe = np.vstack([X, np.random.default_rng(4).standard_normal((40, 8)) * 1.5])
         for model in (m, load_model(str(path))):
             blob = predict_scores(model, probe).tobytes() + predict(model, probe).astype(np.int64).tobytes()
+            assert hashlib.sha256(blob).hexdigest() == output_sha
+
+
+class TestGoldenSolverModels:
+    """sha256 of saved SVM, NeuralNet, QDA and AdaBoost model files, and of
+    their labels and scores (SVM: decision margins) on a fixed probe, as
+    this code produced them. Two classes are the golden data's class 0
+    against the rest. The 3-class AdaBoost fit stops early (117 of 200
+    rounds); the 2-class one runs all 200."""
+
+    CASES = [
+        ("SVM", 2, {"kernel": "linear", "C": 1.0, "gamma": "scale"},
+         "61f103ed5a737915779130812d216b65ae1bb845b9330637c9fb0c4904435f41",
+         "d9563fde08337aebd417088fabb1e69b45f8cb1482cf6e8ff1d7ef4cbf1b702f"),
+        ("SVM", 2, {"kernel": "rbf", "C": 1.0, "gamma": "scale"},
+         "ce67169fa4d91ef65d55a2aafbe14b98f1a1cd2c77008d58e8dd99291ce84f16",
+         "d63131e99cdc4f763675f122e98ed45e0244261a40f95a93e26f66b3a3806540"),
+        ("SVM", 3, {"kernel": "linear", "C": 0.1, "gamma": "scale"},
+         "276b6a69879981ec9ed457c29d1d8da3741fb5a5b9139d8b606743aa724cfe4d",
+         "bcd30ebdbc02fd89059059ea3b3e3c162d2b39bc64472b7496881170e95a0474"),
+        ("SVM", 3, {"kernel": "rbf", "C": 10.0, "gamma": 0.1},
+         "c6709a8e83cba056616e5b9a2ef1081102bf4cf5b43333970382906b8b08aa29",
+         "dcef466743826253d093fa2c2c4b312dee5121c53c6b77f2958c5e90a194a15c"),
+        ("NeuralNet", 3, {"hidden": 8, "activation": "relu", "solver": "adam"},
+         "688a836d4d28559cf768ae439c20a486136348241031406eba31fca8cc818583",
+         "7bf38d3c53078fb07792743393b2f54538fbf8607b33ecfaf1b5b79295b11047"),
+        ("NeuralNet", 3, {"hidden": 8, "activation": "relu", "solver": "sgd"},
+         "f8f3ceee756bf6d403332dd2a8fe12ff5cf3707ddc0c7db44161c563eaec2ca0",
+         "3d9ac4a013b7496b1180eba9f26aec168542d86d16356ecb0232207ad5ce2e04"),
+        ("NeuralNet", 3, {"hidden": 8, "activation": "tanh", "solver": "adam"},
+         "dcc38379781250bd806ec145feefdd06318d80b107cbf77d888957a50a92266c",
+         "6b754be18c279a7cf62e3b04f460d6094d5857c84cf6f8e72945a312ee3d7090"),
+        ("NeuralNet", 3, {"hidden": 8, "activation": "tanh", "solver": "sgd"},
+         "854710a6a0a9f19aacd28dd4f8fd5993a039ab5fbbcaa3861f59ce16c5d250ff",
+         "7a8ddcfd97ead9cc4d6302c87069213bc4b7fcb06dd1da5c8f4757cdaf274bb8"),
+        ("QDA", 3, {"reg": 0.1},
+         "a31e04cbd1bdf50a61a192c73897219c3a299e4faec703b0ae8f22e3fc12247d",
+         "470e41b631c9dcba0760f4f9ea3a0728bfb2c59ebb83eb1d958af8deecda6d9e"),
+        ("AdaBoost", 3, {"n_estimators": 200},
+         "eaf2f82f2cb4676f3ccd4f6f64821e74f301ca2da8d261cad120d83d8b3547e2",
+         "0c4eb60e5f3ed8ed12f9a337f90eecdcd36ec3ec644f34cb827a9cd0885236f7"),
+        ("AdaBoost", 2, {"n_estimators": 200},
+         "84f7bfa2590c489ebe95a98e7c71edeb6632dadb50293191b2c896be79ab2b70",
+         "036e508c014250b508eeaa3e95247b89d37126a42b3f229ca07e405666c2edf0"),
+    ]
+
+    @pytest.mark.parametrize(
+        "kind,n_classes,hp,file_sha,output_sha", CASES,
+        ids=[f"{k}-{c}cls-{'-'.join(map(str, hp.values()))}" for k, c, hp, _, _ in CASES])
+    def test_model_file_and_outputs_are_pinned(self, kind, n_classes, hp, file_sha,
+                                               output_sha, tmp_path):
+        X, y = _golden_data()
+        if n_classes == 2:
+            y = (y > 0).astype(int)
+        m = _train(kind, hp, X, y, seed=5, names=("a", "b", "c")[:n_classes])
+        if kind == "AdaBoost":
+            assert len(m.params["alphas"]) == (117 if n_classes == 3 else 200)
+        path = tmp_path / "model.json"
+        save_model(m, str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == file_sha
+        probe = np.vstack([X, np.random.default_rng(4).standard_normal((40, 8)) * 1.5])
+        for model in (m, load_model(str(path))):
+            scores = decision_margins(model, probe) if kind == "SVM" else predict_scores(model, probe)
+            blob = scores.tobytes() + predict(model, probe).astype(np.int64).tobytes()
             assert hashlib.sha256(blob).hexdigest() == output_sha
 
 

@@ -9,14 +9,17 @@ import pytest
 
 from batteryauth.errors import ClassTooSmall, GridExhausted
 from batteryauth.models import (
+    CandidateResult,
     enumerate_grid,
     grid_search,
     macro_f1,
     make_spec,
+    model_to_json_dict,
     predict,
     stratified_kfold,
     train,
 )
+from batteryauth.models import boost
 from batteryauth.seeding import child_seed
 
 
@@ -169,3 +172,61 @@ class TestGridSearch:
         assert winner.class_names == ("left", "right")
         assert winner.task == "authentication"
         assert np.array_equal(winner.mask, mask)
+
+
+def _adaboost_data(name):
+    """'early': one 3-fold training set stops boosting at 18 rounds, between
+    the grid's 7 and 50; 'full': every fold runs all 50 rounds."""
+    if name == "early":
+        rng = np.random.default_rng(45)
+        X = rng.integers(0, 3, (18, 2)).astype(float)
+        return X, rng.integers(0, 2, 18)
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((40, 3))
+    return X, (X[:, 0] + 0.3 * X[:, 1] > 0).astype(int)
+
+
+class TestAdaBoostPrefixSharing:
+    """AdaBoost candidates share one fit per fold at the largest n_estimators;
+    each must score exactly as if it had been trained alone."""
+
+    @pytest.mark.parametrize("threads", [1, 4])
+    @pytest.mark.parametrize("grid", [[1, 2, 7, 50], [50, 7, 2, 1]])
+    @pytest.mark.parametrize("data", ["early", "full"])
+    def test_results_equal_candidates_trained_alone(self, data, grid, threads, monkeypatch):
+        X, y = _adaboost_data(data)
+        spec = make_spec("AdaBoost", grid={"n_estimators": grid}, seed=3)
+        candidates = enumerate_grid(spec)
+        folds = stratified_kfold(y, k=3, seed=spec.seed)
+        reference, rounds = [], []
+        for ci, hp in enumerate(candidates):
+            scores = []
+            for trn, val in folds:
+                m = train(spec, hp, X[trn], y[trn], seed=child_seed(spec.seed, "candidate", ci))
+                scores.append(macro_f1(y[val], predict(m, X[val])))
+                if hp["n_estimators"] == 50:
+                    rounds.append(len(m.params["alphas"]))
+            reference.append(CandidateResult(index=ci, hyperparams=hp,
+                                             mean_score=float(np.mean(scores)),
+                                             fold_scores=tuple(scores)))
+        if data == "early":
+            assert 18 in rounds
+        else:
+            assert rounds == [50, 50, 50]
+        best = max(range(len(reference)), key=lambda i: (reference[i].mean_score, -i))
+        alone = train(spec, candidates[best], X, y, seed=child_seed(spec.seed, "candidate", best))
+
+        fitted = []
+        fit = boost.fit
+
+        def counting_fit(Xs, y_enc, k, hp, seed):
+            fitted.append((len(Xs), hp["n_estimators"]))
+            return fit(Xs, y_enc, k, hp, seed)
+
+        monkeypatch.setattr(boost, "fit", counting_fit)
+        winner, results = grid_search(spec, X, y, k=3, threads=threads)
+        assert results == reference
+        # one fit per fold at the largest n_estimators, then the winner's refit
+        assert sorted(fitted[:-1]) == sorted((len(trn), 50) for trn, _ in folds)
+        assert fitted[-1] == (len(X), candidates[best]["n_estimators"])
+        assert model_to_json_dict(winner) == model_to_json_dict(alone)
