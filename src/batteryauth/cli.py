@@ -29,7 +29,7 @@ from . import __version__
 from .config import RunConfig, load_config
 from .dca import process_cycle
 from .eis import process_spectrum
-from .errors import BadSpec, BatteryAuthError, ConfigError, DimensionMismatch
+from .errors import BadSpec, BatteryAuthError, ConfigError, DimensionMismatch, EmptyDataset
 from .evaluate import (
     EvalConfig,
     merge_reports,
@@ -204,6 +204,8 @@ def _features_for_samples(model: TrainedModel, sample_path: str) -> Tuple[np.nda
         raise DimensionMismatch(
             f"model was trained on catalog {model.catalog_version}, sample extracts {catalog.version}"
         )
+    if not rows:
+        raise EmptyDataset(f"sample file {sample_path} holds no records")
     return np.stack(rows), names
 
 

@@ -203,11 +203,3 @@ def process_cycle(cycle: CycleRecord, config: DcaConfig = DcaConfig()) -> DcaSer
         )
     smoothed = savgol_smooth(series, window=window, polyorder=config.savgol_polyorder)
     return resample_uniform(smoothed, n=config.resample_n)
-
-
-def series_to_csv(series: DcaSeries) -> str:
-    """Two-column export (grid_voltage,dqdv) for plotting."""
-    lines = ["grid_voltage,dqdv"]
-    for v, y in zip(series.grid_voltage, series.dqdv):
-        lines.append(f"{v!r},{y!r}")
-    return "\n".join(lines) + "\n"

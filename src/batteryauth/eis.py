@@ -49,11 +49,3 @@ def resample_logfreq(spectrum: EisSpectrum, m: int = DEFAULT_RESAMPLE_M) -> Nyqu
 
 def process_spectrum(spectrum: EisSpectrum, config: EisConfig = EisConfig()) -> NyquistChannels:
     return resample_logfreq(spectrum, m=config.resample_m)
-
-
-def channels_to_csv(channels: NyquistChannels) -> str:
-    """Three-column export (log10_freq,re_z,neg_im_z)."""
-    lines = ["log10_freq,re_z,neg_im_z"]
-    for lf, re, nim in zip(channels.log_freq_grid, channels.re_z, channels.neg_im_z):
-        lines.append(f"{lf!r},{re!r},{nim!r}")
-    return "\n".join(lines) + "\n"

@@ -15,12 +15,10 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, UnsupportedKind
+from .errors import DimensionMismatch
 from .models import TrainedModel, predict, raw_importances
 from .models.search import macro_f1
 from .seeding import rng_from
-
-TREE_KINDS = ("DecisionTree", "RandomForest", "AdaBoost")
 
 
 @dataclass(frozen=True)
@@ -46,8 +44,6 @@ def mdi_importance(model: TrainedModel) -> ImportanceResult:
     UnsupportedKind. A model whose trees never split has no signal to
     distribute, so the weights fall back to uniform.
     """
-    if model.kind not in TREE_KINDS:
-        raise UnsupportedKind(f"MDI needs a tree-based model, got {model.kind!r}")
     raw = raw_importances(model)
     total = raw.sum()
     if total <= 0:

@@ -17,7 +17,6 @@ imputed to 0 and counted per vector.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -400,70 +399,3 @@ def matrix_from_spectra(
 
     vectors = ordered_map(one, data.records, threads=threads)
     return _build_matrix(vectors, data.records, data, catalog)
-
-
-# === persistence ===
-
-def matrix_to_csv(matrix: FeatureMatrix) -> str:
-    """Header = feature names + label columns; one row per sample."""
-    header = list(matrix.feature_names) + ["battery_model", "architecture"]
-    lines = [",".join(header)]
-    for i in range(len(matrix)):
-        row = [repr(float(v)) for v in matrix.values[i]]
-        row.append(matrix.model_names[matrix.model_id[i]])
-        row.append(matrix.arch_names[matrix.arch_id[i]])
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
-
-
-def _meta_to_dict(meta: SampleMeta) -> dict:
-    return {
-        "dataset_id": meta.dataset_id,
-        "cell_id": meta.cell_id,
-        "battery_model": meta.battery_model,
-        "architecture": meta.architecture,
-        "soc_percent": meta.soc_percent,
-        "soh_percent": meta.soh_percent,
-        "temperature_c": meta.temperature_c,
-        "cycle_index": meta.cycle_index,
-    }
-
-
-def save_matrix(matrix: FeatureMatrix, path_base: str) -> None:
-    """Write `<base>.npz` (values + labels) and `<base>.json` sidecar."""
-    np.savez_compressed(
-        path_base + ".npz",
-        values=matrix.values,
-        model_id=matrix.model_id,
-        arch_id=matrix.arch_id,
-        imputed_counts=matrix.imputed_counts,
-    )
-    sidecar = {
-        "catalog_version": matrix.catalog_version,
-        "feature_names": list(matrix.feature_names),
-        "model_names": list(matrix.model_names),
-        "arch_names": list(matrix.arch_names),
-        "metas": [_meta_to_dict(m) for m in matrix.metas],
-        "total_imputed": int(matrix.imputed_counts.sum()),
-    }
-    with open(path_base + ".json", "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
-def load_matrix(path_base: str) -> FeatureMatrix:
-    arrays = np.load(path_base + ".npz")
-    with open(path_base + ".json", "r", encoding="utf-8") as fh:
-        sidecar = json.load(fh)
-    metas = tuple(SampleMeta(**{k: v for k, v in m.items()}) for m in sidecar["metas"])
-    return FeatureMatrix(
-        values=arrays["values"],
-        model_id=arrays["model_id"],
-        arch_id=arrays["arch_id"],
-        metas=metas,
-        catalog_version=sidecar["catalog_version"],
-        feature_names=tuple(sidecar["feature_names"]),
-        model_names=tuple(sidecar["model_names"]),
-        arch_names=tuple(sidecar["arch_names"]),
-        imputed_counts=arrays["imputed_counts"],
-    )

@@ -1,4 +1,4 @@
-"""CSV adapters for cycle and EIS data, plus the catalog JSON export.
+"""CSV adapters for cycle and EIS data.
 
 CSV is the only external data format. Column names are fixed lower-case,
 comma-delimited, decimal point, UTF-8. Cycle files need ``voltage`` and
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from typing import List, Optional, Sequence
 
 from .errors import MissingColumn, NonFiniteValue
@@ -22,10 +21,8 @@ from .records import (
     DEFAULT_MIN_SWEEP_LEN,
     DEFAULT_MONOTONIC_TOL,
     CycleRecord,
-    DatasetCatalog,
     EisSpectrum,
     SampleMeta,
-    catalog_to_json_dict,
     make_cycle,
     make_spectrum,
     validate_cycle,
@@ -198,7 +195,3 @@ def write_eis_csv(spectra: Sequence[EisSpectrum]) -> str:
         for f, zr, zi in zip(spec.frequency, spec.z_real, spec.z_imag):
             writer.writerow(head + [repr(float(f)), repr(float(zr)), repr(float(zi))])
     return out.getvalue()
-
-
-def write_catalog_json(catalog: DatasetCatalog) -> str:
-    return json.dumps(catalog_to_json_dict(catalog), sort_keys=True, indent=2) + "\n"

@@ -2,9 +2,7 @@
 
 from .base import (
     DEFAULT_GRIDS,
-    GRID_DIMENSIONS,
     KINDS,
-    PROBABILISTIC_KINDS,
     ModelSpec,
     Standardizer,
     TrainedModel,
@@ -29,9 +27,7 @@ from .search import CandidateResult, grid_search, macro_f1, stratified_kfold
 
 __all__ = [
     "DEFAULT_GRIDS",
-    "GRID_DIMENSIONS",
     "KINDS",
-    "PROBABILISTIC_KINDS",
     "FORMAT_VERSION",
     "CandidateResult",
     "ModelSpec",

@@ -2,10 +2,11 @@
 
 Eight classifier kinds share one interface. ``train`` fits the
 standardizer on the training matrix, transforms, and dispatches to the
-kind's fitter; ``predict`` reverses the path. Hyperparameter value grids
-below are fixed defaults and fully overridable per spec; enumeration
-order (itertools.product over the documented dimension order) is part of
-the contract because grid-search ties break by position.
+kind's fitter; ``predict`` reverses the path. Each kind's module holds
+its default hyperparameter grid, fully overridable per spec; enumeration
+order (itertools.product over the grid's key order) is part of the
+contract because grid-search ties break by position. Adding a kind is
+one module plus one ``_MODULES`` entry.
 """
 from __future__ import annotations
 
@@ -18,47 +19,12 @@ import numpy as np
 from ..errors import ConfigError, DimensionMismatch, NonFiniteValue, UnsupportedKind
 from . import boost, dtree, forest, naive_bayes, neighbors, neural, qda, svm
 
-KINDS = (
-    "AdaBoost",
-    "DecisionTree",
-    "GaussianNB",
-    "KNN",
-    "NeuralNet",
-    "QDA",
-    "RandomForest",
-    "SVM",
-)
-
-GRID_DIMENSIONS: Dict[str, Tuple[str, ...]] = {
-    "AdaBoost": ("n_estimators",),
-    "DecisionTree": ("criterion", "max_depth"),
-    "GaussianNB": ("var_smoothing",),
-    "KNN": ("k", "weights"),
-    "NeuralNet": ("hidden", "activation", "solver"),
-    "QDA": ("reg",),
-    "RandomForest": ("criterion", "n_estimators"),
-    "SVM": ("kernel", "C", "gamma"),
-}
-
-# A kind's fit at a smaller value of its prefix dimension is the start of
-# its fit at a larger one; ``prefix_model`` cuts it out.
-PREFIX_DIMENSIONS: Dict[str, str] = {"AdaBoost": "n_estimators"}
-
-DEFAULT_GRIDS: Dict[str, Dict[str, list]] = {
-    "AdaBoost": {"n_estimators": [50, 100, 200]},
-    "DecisionTree": {"criterion": ["gini", "entropy"], "max_depth": [4, 8, 16, None]},
-    "GaussianNB": {"var_smoothing": [1e-9, 1e-7, 1e-5]},
-    "KNN": {"k": [1, 3, 5, 9], "weights": ["uniform", "distance"]},
-    "NeuralNet": {
-        "hidden": [50, 100, 200],
-        "activation": ["relu", "tanh"],
-        "solver": ["sgd", "adam"],
-    },
-    "QDA": {"reg": [0.0, 0.1, 0.5]},
-    "RandomForest": {"criterion": ["gini", "entropy"], "n_estimators": [100, 200]},
-    "SVM": {"kernel": ["linear", "rbf"], "C": [0.1, 1.0, 10.0], "gamma": ["scale", 0.01, 0.1]},
-}
-
+# The one table keyed by kind name. A kind module declares what is
+# particular to it: ``fit`` and ``predict``; ``GRID``, its default grid,
+# whose key order is the dimension order; and, where they apply,
+# ``COUNTS`` (hyperparameters that are ints >= 1), ``check`` (other bounds),
+# ``PREFIX`` with ``prefix``, ``with_table`` (state derived at load),
+# ``raw_importances`` and ``decision_values``.
 _MODULES = {
     "AdaBoost": boost,
     "DecisionTree": dtree,
@@ -69,17 +35,8 @@ _MODULES = {
     "RandomForest": forest,
     "SVM": svm,
 }
-
-# kinds whose per-class scores sum to 1
-PROBABILISTIC_KINDS = (
-    "AdaBoost",
-    "DecisionTree",
-    "GaussianNB",
-    "KNN",
-    "NeuralNet",
-    "QDA",
-    "RandomForest",
-)
+KINDS = tuple(_MODULES)
+DEFAULT_GRIDS: Dict[str, Dict[str, list]] = {kind: m.GRID for kind, m in _MODULES.items()}
 
 
 @dataclass(frozen=True)
@@ -94,7 +51,7 @@ class ModelSpec:
             return base
         merged = dict(base)
         for key, values in self.grid.items():
-            if key not in GRID_DIMENSIONS[self.kind]:
+            if key not in base:
                 raise ConfigError(f"{self.kind} grid has no dimension {key!r}")
             if not isinstance(values, (list, tuple)) or len(values) == 0:
                 raise ConfigError(f"{self.kind} grid dimension {key!r} must be a non-empty list")
@@ -112,38 +69,26 @@ def make_spec(kind: str, grid: Optional[dict] = None, seed: int = 0) -> ModelSpe
 
 def enumerate_grid(spec: ModelSpec) -> List[dict]:
     """All hyperparameter combinations in the documented order."""
-    dims = GRID_DIMENSIONS[spec.kind]
     grid = spec.resolved_grid()
     combos = []
-    for values in itertools.product(*(grid[d] for d in dims)):
-        combos.append(normalize_hyperparams(spec.kind, dict(zip(dims, values))))
+    for values in itertools.product(*grid.values()):
+        combos.append(normalize_hyperparams(spec.kind, dict(zip(grid, values))))
     return combos
 
 
 def normalize_hyperparams(kind: str, hp: dict) -> dict:
-    """Coerce JSON-sourced values to their native types and bounds-check."""
+    """Coerce JSON-sourced values to their native types and bounds-check.
+    A count may be null where the kind's default grid offers null."""
+    module = _MODULES[kind]
     out = dict(hp)
-    ints = {
-        "AdaBoost": ("n_estimators",),
-        "DecisionTree": (),
-        "KNN": ("k",),
-        "NeuralNet": ("hidden",),
-        "RandomForest": ("n_estimators",),
-    }.get(kind, ())
-    for key in ints:
+    for key in getattr(module, "COUNTS", ()):
+        if out.get(key) is None and None in module.GRID[key]:
+            continue
         out[key] = int(out[key])
         if out[key] < 1:
             raise ConfigError(f"{kind}.{key} must be >= 1, got {out[key]}")
-    if kind == "DecisionTree" and out.get("max_depth") is not None:
-        out["max_depth"] = int(out["max_depth"])
-        if out["max_depth"] < 1:
-            raise ConfigError(f"DecisionTree.max_depth must be >= 1 or null")
-    if kind == "GaussianNB" and float(out["var_smoothing"]) < 0:
-        raise ConfigError("GaussianNB.var_smoothing must be >= 0")
-    if kind == "QDA" and not 0 <= float(out["reg"]) <= 1:
-        raise ConfigError("QDA.reg must lie in [0, 1]")
-    if kind == "SVM" and float(out["C"]) <= 0:
-        raise ConfigError("SVM.C must be > 0")
+    if hasattr(module, "check"):
+        module.check(out)
     return out
 
 
@@ -234,11 +179,17 @@ def train(
     )
 
 
+def prefix_dimension(kind: str) -> Optional[str]:
+    """The dimension at whose smaller values a fit is the start of the fit
+    at a larger one, if the kind has one."""
+    return getattr(_MODULES[kind], "PREFIX", None)
+
+
 def prefix_model(model: TrainedModel, hyperparams: dict) -> TrainedModel:
     """The model ``train`` gives at ``hyperparams``, cut from ``model``, which
     was trained on the same data at hyperparameters that differ at most in
     a larger value of the kind's prefix dimension."""
-    dim = PREFIX_DIMENSIONS.get(model.kind)
+    dim = prefix_dimension(model.kind)
     if dim is None or hyperparams[dim] == model.hyperparams[dim]:
         return model
     params = _MODULES[model.kind].prefix(model.params, hyperparams[dim])
@@ -278,15 +229,17 @@ def predict_scores(model: TrainedModel, X: np.ndarray) -> Optional[np.ndarray]:
 
 
 def decision_margins(model: TrainedModel, X: np.ndarray) -> Optional[np.ndarray]:
-    """SVM decision values for diagnostics; None for other kinds."""
-    if model.kind != "SVM":
+    """Decision values for diagnostics (SVM); None for kinds without them."""
+    module = _MODULES[model.kind]
+    if not hasattr(module, "decision_values"):
         return None
     Xs = _prepare_input(model, X)
-    return svm.decision_values(model.params, Xs, len(model.classes), model.hyperparams)
+    return module.decision_values(model.params, Xs, len(model.classes), model.hyperparams)
 
 
 def raw_importances(model: TrainedModel) -> np.ndarray:
-    """Unnormalized impurity-decrease sums for tree-based kinds."""
-    if model.kind not in ("DecisionTree", "RandomForest", "AdaBoost"):
+    """Unnormalized impurity-decrease sums, for kinds that record them."""
+    module = _MODULES[model.kind]
+    if not hasattr(module, "raw_importances"):
         raise UnsupportedKind(f"{model.kind} has no impurity importances")
-    return _MODULES[model.kind].raw_importances(model.params)
+    return module.raw_importances(model.params)

@@ -15,7 +15,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tree import NodeTable, grow_trees, tree_from_jsonable, tree_to_jsonable
+from .tree import NodeTable, grow_trees
+
+GRID = {"n_estimators": [50, 100, 200]}
+COUNTS = ("n_estimators",)
 
 LEARNING_RATE = 1.0
 # alpha for a zero-error stump: ln((1-eps)/eps) with eps = 1e-15
@@ -51,16 +54,20 @@ def fit(Xs: np.ndarray, y: np.ndarray, k: int, hp: dict, seed: int):
         alphas.append(float(alpha))
         w = w * np.exp(alpha * miss)
         w = w / w.sum()
-    return _params(stumps, np.asarray(alphas, dtype=float)), True
+    return with_table({"stumps": stumps, "alphas": np.asarray(alphas, dtype=float)}), True
 
 
-def _params(stumps: list, alphas: np.ndarray) -> dict:
-    return {"stumps": stumps, "alphas": alphas, "table": NodeTable.from_trees(stumps)}
+def with_table(state: dict) -> dict:
+    return {**state, "table": NodeTable.from_trees(state["stumps"])}
+
+
+# a fit at fewer rounds is the start of a fit at more
+PREFIX = "n_estimators"
 
 
 def prefix(params: dict, n: int) -> dict:
     """The fitted state of a fit at ``n`` rounds, cut from a longer fit."""
-    return _params(params["stumps"][:n], params["alphas"][:n])
+    return with_table({"stumps": params["stumps"][:n], "alphas": params["alphas"][:n]})
 
 
 def predict(params: dict, Xs: np.ndarray, k: int, hp: dict):
@@ -85,17 +92,3 @@ def raw_importances(params: dict) -> np.ndarray:
     if total <= 0:
         return stacked.mean(axis=0)
     return (alphas[:, None] * stacked).sum(axis=0) / total
-
-
-def state_to_jsonable(params: dict) -> dict:
-    return {
-        "stumps": [tree_to_jsonable(s) for s in params["stumps"]],
-        "alphas": params["alphas"].tolist(),
-    }
-
-
-def state_from_jsonable(state: dict) -> dict:
-    return _params(
-        [tree_from_jsonable(s) for s in state["stumps"]],
-        np.asarray(state["alphas"], dtype=float),
-    )

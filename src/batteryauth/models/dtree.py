@@ -8,7 +8,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tree import NodeTable, grow_trees, tree_from_jsonable, tree_to_jsonable
+from .tree import NodeTable, grow_trees
+
+GRID = {"criterion": ["gini", "entropy"], "max_depth": [4, 8, 16, None]}
+COUNTS = ("max_depth",)
 
 
 def fit(Xs: np.ndarray, y: np.ndarray, k: int, hp: dict, seed: int):
@@ -21,11 +24,11 @@ def fit(Xs: np.ndarray, y: np.ndarray, k: int, hp: dict, seed: int):
         criterion=hp["criterion"],
         max_depth=None if max_depth is None else int(max_depth),
     )
-    return _params(tree), True
+    return with_table({"tree": tree}), True
 
 
-def _params(tree) -> dict:
-    return {"tree": tree, "table": NodeTable.from_trees([tree])}
+def with_table(state: dict) -> dict:
+    return {**state, "table": NodeTable.from_trees([state["tree"]])}
 
 
 def predict(params: dict, Xs: np.ndarray, k: int, hp: dict):
@@ -37,11 +40,3 @@ def predict(params: dict, Xs: np.ndarray, k: int, hp: dict):
 
 def raw_importances(params: dict) -> np.ndarray:
     return params["tree"].importances.copy()
-
-
-def state_to_jsonable(params: dict) -> dict:
-    return {"tree": tree_to_jsonable(params["tree"])}
-
-
-def state_from_jsonable(state: dict) -> dict:
-    return _params(tree_from_jsonable(state["tree"]))

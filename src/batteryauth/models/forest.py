@@ -17,7 +17,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..seeding import rng_from
-from .tree import NodeTable, grow_trees, tree_from_jsonable, tree_to_jsonable
+from .tree import NodeTable, grow_trees
+
+GRID = {"criterion": ["gini", "entropy"], "n_estimators": [100, 200]}
+COUNTS = ("n_estimators",)
 
 
 def fit(Xs: np.ndarray, y: np.ndarray, k: int, hp: dict, seed: int):
@@ -34,11 +37,11 @@ def fit(Xs: np.ndarray, y: np.ndarray, k: int, hp: dict, seed: int):
         max_features=max(1, int(round(np.sqrt(d)))),
         rngs=rngs,
     )
-    return _params(trees), True
+    return with_table({"trees": trees}), True
 
 
-def _params(trees: list) -> dict:
-    return {"trees": trees, "table": NodeTable.from_trees(trees)}
+def with_table(state: dict) -> dict:
+    return {**state, "table": NodeTable.from_trees(state["trees"])}
 
 
 def predict(params: dict, Xs: np.ndarray, k: int, hp: dict):
@@ -52,11 +55,3 @@ def raw_importances(params: dict) -> np.ndarray:
     """Per-feature impurity-decrease sums averaged over trees (unnormalized)."""
     stacked = np.stack([tree.importances for tree in params["trees"]])
     return stacked.mean(axis=0)
-
-
-def state_to_jsonable(params: dict) -> dict:
-    return {"trees": [tree_to_jsonable(t) for t in params["trees"]]}
-
-
-def state_from_jsonable(state: dict) -> dict:
-    return _params([tree_from_jsonable(t) for t in state["trees"]])

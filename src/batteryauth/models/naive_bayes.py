@@ -9,7 +9,16 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..errors import ConfigError
+
 _VAR_FLOOR = 1e-300
+
+GRID = {"var_smoothing": [1e-9, 1e-7, 1e-5]}
+
+
+def check(hp: dict) -> None:
+    if float(hp["var_smoothing"]) < 0:
+        raise ConfigError("GaussianNB.var_smoothing must be >= 0")
 
 
 def fit(Xs: np.ndarray, y: np.ndarray, k: int, hp: dict, seed: int):
@@ -44,18 +53,3 @@ def predict(params: dict, Xs: np.ndarray, k: int, hp: dict):
     scores /= scores.sum(axis=1, keepdims=True)
     return np.argmax(logpost, axis=1), scores
 
-
-def state_to_jsonable(params: dict) -> dict:
-    return {
-        "means": params["means"].tolist(),
-        "variances": params["variances"].tolist(),
-        "log_priors": params["log_priors"].tolist(),
-    }
-
-
-def state_from_jsonable(state: dict) -> dict:
-    return {
-        "means": np.asarray(state["means"], dtype=float),
-        "variances": np.asarray(state["variances"], dtype=float),
-        "log_priors": np.asarray(state["log_priors"], dtype=float),
-    }

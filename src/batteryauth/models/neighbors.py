@@ -13,6 +13,9 @@ import numpy as np
 # an 800-row SVM kernel on 137 features would otherwise take 700 MB.
 _BLOCK_VALUES = 1 << 20
 
+GRID = {"k": [1, 3, 5, 9], "weights": ["uniform", "distance"]}
+COUNTS = ("k",)
+
 
 def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances between the rows of a and b, (len(a), len(b)).
@@ -59,13 +62,3 @@ def predict(params: dict, Xs: np.ndarray, k: int, hp: dict):
         scores[i] = vote / vote.sum()
     return np.argmax(scores, axis=1), scores
 
-
-def state_to_jsonable(params: dict) -> dict:
-    return {"train_x": params["train_x"].tolist(), "train_y": params["train_y"].tolist()}
-
-
-def state_from_jsonable(state: dict) -> dict:
-    return {
-        "train_x": np.asarray(state["train_x"], dtype=float),
-        "train_y": np.asarray(state["train_y"], dtype=int),
-    }

@@ -23,6 +23,9 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
+GRID = {"hidden": [50, 100, 200], "activation": ["relu", "tanh"], "solver": ["sgd", "adam"]}
+COUNTS = ("hidden",)
+
 
 def _glorot(rng, fan_in, fan_out):
     limit = np.sqrt(6.0 / (fan_in + fan_out))
@@ -113,22 +116,3 @@ def predict(params: dict, Xs: np.ndarray, k: int, hp: dict):
     scores = _softmax(a1 @ params["w2"] + params["b2"])
     return np.argmax(scores, axis=1), scores
 
-
-def state_to_jsonable(params: dict) -> dict:
-    return {
-        "w1": params["w1"].tolist(),
-        "b1": params["b1"].tolist(),
-        "w2": params["w2"].tolist(),
-        "b2": params["b2"].tolist(),
-        "activation": params["activation"],
-    }
-
-
-def state_from_jsonable(state: dict) -> dict:
-    return {
-        "w1": np.asarray(state["w1"], dtype=float),
-        "b1": np.asarray(state["b1"], dtype=float),
-        "w2": np.asarray(state["w2"], dtype=float),
-        "b2": np.asarray(state["b2"], dtype=float),
-        "activation": state["activation"],
-    }

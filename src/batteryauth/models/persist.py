@@ -6,6 +6,17 @@ task tag, convergence flag, and the kind-specific fitted state (KNN keeps
 its training matrix inline). Floats survive the round trip exactly
 (shortest-repr JSON), so a loaded model predicts bit-identically.
 
+One codec serves every kind's state. Saving, an array is written as
+nested lists (``tolist``), a ``Tree`` as a dict of its fields, dicts
+and lists are walked, and a ``NodeTable`` is skipped. Loading, a list
+of numbers (nested or empty) becomes an array, and its dtype comes from
+the JSON number form: ``tolist`` and ``json`` write every float with a
+``.`` or an exponent, so int arrays load as int64 and float arrays as
+float64. A dict with exactly the ``Tree`` fields becomes a ``Tree``.
+Tables derived from the state are never saved; a kind that has them
+rebuilds them at load (``with_table``). A missing or malformed field
+raises FormatVersionMismatch naming it.
+
 ``save_model`` writes the bytes ``json.dump(..., sort_keys=True)`` would,
 but streams them: dicts key by key in sorted order, lists of containers
 item by item, and every other value (a flat list or a scalar) as one
@@ -20,29 +31,43 @@ from __future__ import annotations
 import json
 import os
 import threading
-
-from ..errors import FormatVersionMismatch, UnsupportedKind
-from .base import KINDS, Standardizer, TrainedModel, normalize_hyperparams
-from . import boost, dtree, forest, naive_bayes, neighbors, neural, qda, svm
+from dataclasses import fields
+from functools import partial
 
 import numpy as np
 
+from ..errors import FormatVersionMismatch, UnsupportedKind
+from .base import _MODULES, KINDS, Standardizer, TrainedModel, normalize_hyperparams
+from .tree import NodeTable, Tree
+
 FORMAT_VERSION = "1"
 
-_STATE_CODECS = {
-    "AdaBoost": boost,
-    "DecisionTree": dtree,
-    "GaussianNB": naive_bayes,
-    "KNN": neighbors,
-    "NeuralNet": neural,
-    "QDA": qda,
-    "RandomForest": forest,
-    "SVM": svm,
-}
+_TREE_FIELDS = {f.name for f in fields(Tree)}
+
+
+def _encode(value):
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, Tree):
+        value = vars(value)
+    if isinstance(value, dict):
+        return {key: _encode(v) for key, v in value.items() if not isinstance(v, NodeTable)}
+    if isinstance(value, list):
+        return [_encode(v) for v in value]
+    return value
+
+
+def _decode(value):
+    if isinstance(value, dict):
+        if value.keys() == _TREE_FIELDS:
+            return Tree(**{key: np.asarray(v) for key, v in value.items()})
+        return {key: _decode(v) for key, v in value.items()}
+    if isinstance(value, list):
+        return [_decode(v) for v in value] if value and isinstance(value[0], dict) else np.asarray(value)
+    return value
 
 
 def model_to_json_dict(model: TrainedModel) -> dict:
-    codec = _STATE_CODECS[model.kind]
     return {
         "format_version": FORMAT_VERSION,
         "kind": model.kind,
@@ -57,11 +82,30 @@ def model_to_json_dict(model: TrainedModel) -> dict:
             "class_names": list(model.class_names),
             "task": model.task,
             "converged": bool(model.converged),
-            "state": codec.state_to_jsonable(model.params),
+            "state": _encode(model.params),
         },
         "seed": int(model.seed),
         "catalog_version": model.catalog_version,
     }
+
+
+_ABSENT = object()
+
+
+def _field(data: dict, path: str, convert=lambda v: v, default=_ABSENT):
+    """``convert`` of the value at the dotted ``path`` (``default`` when the
+    last key is absent and a default is given)."""
+    try:
+        *parents, last = path.split(".")
+        for key in parents:
+            data = data[key]
+        if default is not _ABSENT and last not in data:
+            return default
+        return convert(data[last])
+    except (LookupError, TypeError, ValueError) as exc:
+        raise FormatVersionMismatch(
+            f"model field {path!r} is missing or malformed ({type(exc).__name__}: {exc})"
+        ) from exc
 
 
 def model_from_json_dict(data: dict) -> TrainedModel:
@@ -70,27 +114,26 @@ def model_from_json_dict(data: dict) -> TrainedModel:
         raise FormatVersionMismatch(
             f"model format_version {version!r} not supported (expected {FORMAT_VERSION!r})"
         )
-    kind = data["kind"]
+    kind = data.get("kind")
     if kind not in KINDS:
         raise UnsupportedKind(f"unknown model kind {kind!r} in model file")
-    codec = _STATE_CODECS[kind]
-    parameters = data["parameters"]
-    mask = data.get("mask")
+    restore = getattr(_MODULES[kind], "with_table", dict)
+    floats = partial(np.asarray, dtype=float)
     return TrainedModel(
         kind=kind,
-        hyperparams=normalize_hyperparams(kind, data["hyperparams"]),
+        hyperparams=_field(data, "hyperparams", lambda hp: normalize_hyperparams(kind, hp)),
         standardizer=Standardizer(
-            mean=np.asarray(data["standardizer"]["mean"], dtype=float),
-            scale=np.asarray(data["standardizer"]["scale"], dtype=float),
+            mean=_field(data, "standardizer.mean", floats),
+            scale=_field(data, "standardizer.scale", floats),
         ),
-        mask=None if mask is None else np.asarray(mask, dtype=bool),
-        params=codec.state_from_jsonable(parameters["state"]),
-        seed=int(data["seed"]),
-        catalog_version=data["catalog_version"],
-        classes=np.asarray(parameters["classes"]),
-        class_names=tuple(parameters.get("class_names", ())),
-        converged=bool(parameters.get("converged", True)),
-        task=parameters.get("task", "identification"),
+        mask=_field(data, "mask", lambda m: None if m is None else np.asarray(m, dtype=bool), None),
+        params=_field(data, "parameters.state", lambda state: restore(_decode(state))),
+        seed=_field(data, "seed", int),
+        catalog_version=_field(data, "catalog_version"),
+        classes=_field(data, "parameters.classes", np.asarray),
+        class_names=_field(data, "parameters.class_names", tuple, ()),
+        converged=_field(data, "parameters.converged", bool, True),
+        task=_field(data, "parameters.task", default="identification"),
     )
 
 

@@ -8,7 +8,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import SingularCovariance
+from ..errors import ConfigError, SingularCovariance
+
+GRID = {"reg": [0.0, 0.1, 0.5]}
+
+
+def check(hp: dict) -> None:
+    if not 0 <= float(hp["reg"]) <= 1:
+        raise ConfigError("QDA.reg must lie in [0, 1]")
 
 
 def fit(Xs: np.ndarray, y: np.ndarray, k: int, hp: dict, seed: int):
@@ -72,20 +79,3 @@ def predict(params: dict, Xs: np.ndarray, k: int, hp: dict):
     scores /= scores.sum(axis=1, keepdims=True)
     return np.argmax(logpost, axis=1), scores
 
-
-def state_to_jsonable(params: dict) -> dict:
-    return {
-        "means": params["means"].tolist(),
-        "chols": params["chols"].tolist(),
-        "log_dets": params["log_dets"].tolist(),
-        "log_priors": params["log_priors"].tolist(),
-    }
-
-
-def state_from_jsonable(state: dict) -> dict:
-    return {
-        "means": np.asarray(state["means"], dtype=float),
-        "chols": np.asarray(state["chols"], dtype=float),
-        "log_dets": np.asarray(state["log_dets"], dtype=float),
-        "log_priors": np.asarray(state["log_priors"], dtype=float),
-    }

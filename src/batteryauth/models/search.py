@@ -24,11 +24,11 @@ from ..errors import BatteryAuthError, ClassTooSmall, GridExhausted
 from ..parallel import ordered_map
 from ..seeding import child_seed, rng_from
 from .base import (
-    PREFIX_DIMENSIONS,
     ModelSpec,
     TrainedModel,
     enumerate_grid,
     predict,
+    prefix_dimension,
     prefix_model,
     train,
 )
@@ -87,7 +87,7 @@ def _shared_fits(kind: str, candidates: List[dict]) -> List[List[int]]:
     """Candidate indices per fit a fold needs. A prefix kind's grid varies
     only its prefix dimension, so all its candidates share one fit (the
     largest value last); any other candidate is fitted alone."""
-    dim = PREFIX_DIMENSIONS.get(kind)
+    dim = prefix_dimension(kind)
     if dim is None:
         return [[ci] for ci in range(len(candidates))]
     return [sorted(range(len(candidates)), key=lambda ci: candidates[ci][dim])]

@@ -15,13 +15,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import UnsupportedKind
+from ..errors import ConfigError, UnsupportedKind
 from .neighbors import squared_distances
 
 TOL = 1e-3
 UPDATE_CAP_FACTOR = 10
 _MIN_STEP = 1e-8
 _SV_CUTOFF = 1e-12
+
+GRID = {"kernel": ["linear", "rbf"], "C": [0.1, 1.0, 10.0], "gamma": ["scale", 0.01, 0.1]}
+
+
+def check(hp: dict) -> None:
+    if float(hp["C"]) <= 0:
+        raise ConfigError("SVM.C must be > 0")
 
 
 def _kernel(a: np.ndarray, b: np.ndarray, kind: str, gamma: float) -> np.ndarray:
@@ -152,34 +159,3 @@ def decision_values(params: dict, Xs: np.ndarray, k: int, hp: dict) -> np.ndarra
 def predict(params: dict, Xs: np.ndarray, k: int, hp: dict):
     return np.argmax(decision_values(params, Xs, k, hp), axis=1), None
 
-
-def state_to_jsonable(params: dict) -> dict:
-    return {
-        "gamma_value": params["gamma_value"],
-        "machines": [
-            {
-                "class_id": m["class_id"],
-                "sv": m["sv"].tolist(),
-                "coef": m["coef"].tolist(),
-                "b": m["b"],
-            }
-            for m in params["machines"]
-        ],
-    }
-
-
-def state_from_jsonable(state: dict) -> dict:
-    machines = []
-    for m in state["machines"]:
-        sv = np.asarray(m["sv"], dtype=float)
-        if sv.ndim == 1:
-            sv = sv.reshape(0, 0)
-        machines.append(
-            {
-                "class_id": int(m["class_id"]),
-                "sv": sv,
-                "coef": np.asarray(m["coef"], dtype=float),
-                "b": float(m["b"]),
-            }
-        )
-    return {"gamma_value": float(state["gamma_value"]), "machines": machines}

@@ -59,14 +59,15 @@ BATCH_ELEMENTS = 1 << 14
 
 @dataclass(eq=False)
 class Tree:
-    """Flat node arrays; feature == -1 marks a leaf."""
+    """Flat node arrays; feature == -1 marks a leaf. Grown trees hold int32
+    ids, loaded ones int64 (a JSON integer list loads as int64)."""
 
-    feature: np.ndarray      # (nodes,) int32
+    feature: np.ndarray      # (nodes,) int32 grown, int64 loaded
     threshold: np.ndarray    # (nodes,) float64
-    left: np.ndarray         # (nodes,) int32
-    right: np.ndarray        # (nodes,) int32
-    counts: np.ndarray       # (nodes, k) class weight sums
-    importances: np.ndarray  # (d,) raw impurity-decrease sums
+    left: np.ndarray         # (nodes,) int32 grown, int64 loaded
+    right: np.ndarray        # (nodes,) int32 grown, int64 loaded
+    counts: np.ndarray       # (nodes, k) float64 class weight sums
+    importances: np.ndarray  # (d,) float64 raw impurity-decrease sums
 
     @property
     def n_nodes(self) -> int:
@@ -379,24 +380,3 @@ class NodeTable:
         """(n, T) majority class of the leaf each row reaches in each tree."""
         return self.majority[self.apply(X)]
 
-
-def tree_to_jsonable(tree: Tree) -> dict:
-    return {
-        "feature": tree.feature.tolist(),
-        "threshold": tree.threshold.tolist(),
-        "left": tree.left.tolist(),
-        "right": tree.right.tolist(),
-        "counts": tree.counts.tolist(),
-        "importances": tree.importances.tolist(),
-    }
-
-
-def tree_from_jsonable(data: dict) -> Tree:
-    return Tree(
-        feature=np.asarray(data["feature"], dtype=np.int32),
-        threshold=np.asarray(data["threshold"], dtype=float),
-        left=np.asarray(data["left"], dtype=np.int32),
-        right=np.asarray(data["right"], dtype=np.int32),
-        counts=np.asarray(data["counts"], dtype=float),
-        importances=np.asarray(data["importances"], dtype=float),
-    )

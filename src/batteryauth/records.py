@@ -223,8 +223,3 @@ def build_catalog(records: Sequence[Record]) -> DatasetCatalog:
         model_labels.setdefault(m, len(model_labels))
         arch_labels.setdefault(a, len(arch_labels))
     return DatasetCatalog(records=tuple(records), model_labels=model_labels, arch_labels=arch_labels)
-
-
-def catalog_to_json_dict(catalog: DatasetCatalog) -> dict:
-    """Export the label maps as {"models": [...], "architectures": [...]}."""
-    return {"models": list(catalog.model_names), "architectures": list(catalog.arch_names)}

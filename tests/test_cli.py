@@ -5,11 +5,14 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import batteryauth
 from batteryauth.cli import main
+from batteryauth.errors import ConfigError, FormatVersionMismatch
 from batteryauth.io_csv import write_cycle_csv, write_eis_csv
+from batteryauth.models import load_model, make_spec, model_to_json_dict, train
 from batteryauth.synth import (
     SohDrift,
     SyntheticCellSpec,
@@ -291,3 +294,67 @@ class TestBench:
         model = os.path.join(out_dir, "model_ident_model_identification_KNN.json")
         assert main(["bench", "--model", model, "--sample", cycle_sample, "--repeats", "0"]) == 2
         assert "--repeats" in capsys.readouterr().err
+
+
+class TestEmptySample:
+    @pytest.mark.parametrize("command", ["authenticate", "bench"])
+    def test_header_only_sample_exits_1(self, run_artifacts, cycle_sample, command,
+                                        tmp_path, capsys):
+        out_dir, _, _ = run_artifacts
+        model = os.path.join(out_dir, "model_ident_model_identification_KNN.json")
+        with open(cycle_sample, encoding="utf-8") as fh:
+            header = fh.readline()
+        empty = tmp_path / "header_only.csv"
+        empty.write_text(header, encoding="utf-8")
+        assert main([command, "--model", model, "--sample", str(empty)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("batteryauth.errors.EmptyDataset: ")
+
+
+def _tiny_model(kind, hp):
+    X = np.array([[0.0, 1.0], [0.2, 0.9], [3.0, 0.1], [3.1, 0.0]])
+    return train(make_spec(kind), hp, X, np.array([0, 0, 1, 1]), catalog_version="v1:ch1",
+                 class_names=("a", "b"))
+
+
+def _knn_envelope():
+    return model_to_json_dict(_tiny_model("KNN", {"k": 1, "weights": "uniform"}))
+
+
+def _svm_with_text_c():
+    env = model_to_json_dict(_tiny_model("SVM", {"kernel": "linear", "C": 1.0, "gamma": "scale"}))
+    env["hyperparams"]["C"] = "x"
+    return env
+
+
+def _state_removed():
+    env = _knn_envelope()
+    del env["parameters"]["state"]
+    return env
+
+
+class TestMalformedModel:
+    CASES = [
+        ("kind-only", lambda: {"format_version": "1", "kind": "KNN"}, "'hyperparams'"),
+        ("svm-text-C", _svm_with_text_c, "'hyperparams'"),
+        ("no-state", _state_removed, "'parameters.state'"),
+    ]
+
+    @pytest.mark.parametrize("make,field", [c[1:] for c in CASES], ids=[c[0] for c in CASES])
+    def test_names_the_field_and_exits_1(self, make, field, cycle_sample, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(make()), encoding="utf-8")
+        with pytest.raises(FormatVersionMismatch, match=field):
+            load_model(str(path))
+        assert main(["authenticate", "--model", str(path), "--sample", cycle_sample]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"batteryauth.errors.FormatVersionMismatch: model field {field}")
+
+    def test_library_errors_pass_through(self, tmp_path):
+        env = _knn_envelope()
+        env["hyperparams"]["k"] = 0
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(env), encoding="utf-8")
+        with pytest.raises(ConfigError, match="KNN.k must be >= 1"):
+            load_model(str(path))

@@ -16,7 +16,6 @@ from batteryauth.dca import (
     resample_uniform,
     savgol_smooth,
     savgol_weights,
-    series_to_csv,
 )
 from batteryauth.errors import AllPointsDropped, BadWindow, DegenerateVoltageRange
 from batteryauth.records import make_cycle
@@ -193,13 +192,6 @@ class TestFullChain:
         v = np.linspace(3.0, 4.2, 20)
         series = process_cycle(make_cycle(v, np.linspace(0, 1, 20)), DcaConfig(resample_n=32))
         assert len(series.grid_voltage) == 32
-
-    def test_series_csv_header(self):
-        v = np.linspace(3.0, 4.2, 20)
-        series = process_cycle(make_cycle(v, np.linspace(0, 1, 20)), DcaConfig(resample_n=16))
-        text = series_to_csv(series)
-        assert text.splitlines()[0] == "grid_voltage,dqdv"
-        assert len(text.splitlines()) == 17
 
 
 @settings(max_examples=30, deadline=None)

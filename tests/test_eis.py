@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from batteryauth.eis import EisConfig, channels_to_csv, process_spectrum, resample_logfreq
+from batteryauth.eis import EisConfig, process_spectrum, resample_logfreq
 from batteryauth.errors import DegenerateFrequencyRange
 from batteryauth.records import make_spectrum
 from batteryauth.synth import demo_specs, gen_eis
@@ -50,9 +50,3 @@ class TestResample:
         for spec in demo_specs(0.0):
             out = process_spectrum(gen_eis(spec, n_freq=64, seed=0))
             assert out.neg_im_z.min() >= -1e-9
-
-    def test_csv_export_shape(self):
-        out = process_spectrum(gen_eis(demo_specs(0.0)[0], n_freq=64, seed=0), EisConfig(resample_m=16))
-        lines = channels_to_csv(out).splitlines()
-        assert lines[0] == "log10_freq,re_z,neg_im_z"
-        assert len(lines) == 17

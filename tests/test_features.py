@@ -33,10 +33,7 @@ from batteryauth.features import (
     labels_for,
     matrix_from_cycles,
     matrix_take,
-    matrix_to_csv,
-    load_matrix,
     ricker_kernel,
-    save_matrix,
 )
 from batteryauth.synth import demo_specs, gen_dataset
 
@@ -289,17 +286,3 @@ class TestMatrix:
         assert sub.values.shape == (3, 137)
         assert list(sub.model_id) == [int(matrix.model_id[i]) for i in (0, 5, 7)]
         assert sub.model_names == matrix.model_names
-
-    def test_csv_header(self, matrix):
-        lines = matrix_to_csv(matrix).splitlines()
-        assert lines[0].endswith("battery_model,architecture")
-        assert len(lines) == 19
-
-    def test_save_load_round_trip(self, matrix, tmp_path):
-        base = str(tmp_path / "m")
-        save_matrix(matrix, base)
-        back = load_matrix(base)
-        assert np.array_equal(back.values, matrix.values)
-        assert np.array_equal(back.model_id, matrix.model_id)
-        assert back.feature_names == matrix.feature_names
-        assert back.catalog_version == matrix.catalog_version

@@ -36,10 +36,11 @@ from batteryauth.models import (
     save_model,
     train,
 )
-from batteryauth.models.base import prefix_model
+from batteryauth.explain import mdi_importance
+from batteryauth.models.base import _MODULES, prefix_model
 from batteryauth.models.neighbors import squared_distances
 from batteryauth.models.persist import _write_json
-from batteryauth.models.tree import _class_sum, grow_trees
+from batteryauth.models.tree import NodeTable, Tree, _class_sum, grow_trees
 
 CATALOG = "v1:ch1"
 
@@ -683,6 +684,118 @@ class TestGoldenSolverModels:
             scores = decision_margins(model, probe) if kind == "SVM" else predict_scores(model, probe)
             blob = scores.tobytes() + predict(model, probe).astype(np.int64).tobytes()
             assert hashlib.sha256(blob).hexdigest() == output_sha
+
+
+class TestGoldenInstanceModels:
+    """sha256 of saved KNN and GaussianNB model files, and of their labels
+    and scores on the probe, recorded before the shared state codec. KNN
+    with distance weights meets exact matches: the probe holds the
+    training rows."""
+
+    CASES = [
+        ("KNN", 3, {"k": 3, "weights": "uniform"},
+         "5784297192831515f7a73d822942930a85a283966804afc2f438f0f73a0f955b",
+         "fe32562ac37c2cb8754282b8d89293fc9251080518d44a89d7f4dc85b15c7e45"),
+        ("KNN", 3, {"k": 5, "weights": "distance"},
+         "51e1fdd688b4d581bc825a16aeabce769d3a12015f028d186c3a5778ddc0bfa7",
+         "0752d657f508df3febacecbd09549f94d9939a3a94a9d3acd0402519900c2932"),
+        ("KNN", 2, {"k": 1, "weights": "distance"},
+         "3d07eafc8f610fb7d43fe4b7bc14962a8e07421f1eb9b963df996fab9934673f",
+         "5bdee09b709d64abb5aa17f9dae220667be1a9e7fbf8f14332fb022636a385cd"),
+        ("GaussianNB", 3, {"var_smoothing": 1e-9},
+         "0834f91708329f17e4b2eadbf9f23f21da13914619faa2fda254b944e02e49db",
+         "028db630ba6b5461b976b7e79b6db56f0bdaa4cffd9617d04f1f03734fd653dc"),
+        ("GaussianNB", 2, {"var_smoothing": 1e-5},
+         "0726aab30811b448099d26df121143e8b03af2a2502e9b61ef9b1f68517b5ad1",
+         "c2b50a492b65ad54c4da5844e29673aaf106f739fd8cdedaf1fa4dbd7f06369a"),
+    ]
+
+    @pytest.mark.parametrize(
+        "kind,n_classes,hp,file_sha,output_sha", CASES,
+        ids=[f"{k}-{c}cls-{'-'.join(map(str, hp.values()))}" for k, c, hp, _, _ in CASES])
+    def test_model_file_and_outputs_are_pinned(self, kind, n_classes, hp, file_sha,
+                                               output_sha, tmp_path):
+        X, y = _golden_data()
+        if n_classes == 2:
+            y = (y > 0).astype(int)
+        m = _train(kind, hp, X, y, seed=5, names=("a", "b", "c")[:n_classes])
+        path = tmp_path / "model.json"
+        save_model(m, str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == file_sha
+        probe = np.vstack([X, np.random.default_rng(4).standard_normal((40, 8)) * 1.5])
+        for model in (m, load_model(str(path))):
+            blob = predict_scores(model, probe).tobytes() + predict(model, probe).astype(np.int64).tobytes()
+            assert hashlib.sha256(blob).hexdigest() == output_sha
+
+
+def _assert_same_state(a, b, where="state"):
+    """Equal values, and equal dtype kinds for arrays, throughout two states."""
+    if isinstance(a, np.ndarray):
+        assert isinstance(b, np.ndarray) and a.dtype.kind == b.dtype.kind, where
+        assert np.array_equal(a, b), where
+    elif isinstance(a, (Tree, NodeTable)):
+        assert type(b) is type(a), where
+        _assert_same_state(vars(a), vars(b), where)
+    elif isinstance(a, dict):
+        assert a.keys() == b.keys(), where
+        for key in a:
+            _assert_same_state(a[key], b[key], f"{where}.{key}")
+    elif isinstance(a, list):
+        assert isinstance(b, list) and len(a) == len(b), where
+        for i, (x, z) in enumerate(zip(a, b)):
+            _assert_same_state(x, z, f"{where}[{i}]")
+    else:
+        assert type(a) is type(b) and a == b, where
+
+
+class TestKindRegistry:
+    ALL = TestPersistence.ALL
+
+    def test_every_kind_is_exercised(self):
+        assert sorted(kind for kind, _ in self.ALL) == sorted(KINDS)
+
+    @pytest.mark.parametrize("kind,hp", ALL, ids=[k for k, _ in ALL])
+    def test_state_round_trips_with_dtype_kinds(self, kind, hp, tmp_path):
+        X, y = _blobs(n_per=15, centers=(0.0, 2.5, 5.0))
+        m = _train(kind, hp, X, y, seed=2)
+        path = str(tmp_path / "model.json")
+        save_model(m, path)
+        _assert_same_state(m.params, load_model(path).params)
+
+    def test_integer_state_loads_as_integers(self, tmp_path):
+        X, y = _blobs(n_per=15, centers=(0.0, 2.5, 5.0))
+        path = str(tmp_path / "m.json")
+        save_model(_train("KNN", {"k": 3, "weights": "uniform"}, X, y), path)
+        knn = load_model(path).params
+        save_model(_train("DecisionTree", {"criterion": "gini", "max_depth": None}, X, y), path)
+        tree = load_model(path).params["tree"]
+        assert [a.dtype.kind for a in (knn["train_y"], tree.feature, tree.left, tree.right)] == ["i"] * 4
+        # whole-number floats (class weight sums) stay floats
+        assert knn["train_x"].dtype.kind == tree.counts.dtype.kind == "f"
+
+    def test_svm_without_support_vectors_loads_empty(self, tmp_path):
+        X = np.random.default_rng(8).standard_normal((30, 5))
+        bare = _train("SVM", {"kernel": "linear", "C": 1.0, "gamma": "scale"},
+                      X, np.zeros(30, dtype=int), names=("only",))
+        path = str(tmp_path / "m.json")
+        save_model(bare, path)
+        machine = load_model(path).params["machines"][0]
+        assert len(machine["sv"]) == len(machine["coef"]) == 0
+        assert machine["b"] == bare.params["machines"][0]["b"]
+
+    @pytest.mark.parametrize("kind,hp", ALL, ids=[k for k, _ in ALL])
+    def test_mdi_exactly_where_the_module_has_raw_importances(self, kind, hp):
+        X, y = _blobs(n_per=15, centers=(0.0, 2.5, 5.0))
+        m = _train(kind, hp, X, y, seed=2)
+        if hasattr(_MODULES[kind], "raw_importances"):
+            assert mdi_importance(m).values.sum() == pytest.approx(1.0)
+        else:
+            with pytest.raises(UnsupportedKind):
+                mdi_importance(m)
+
+    def test_importance_kinds_are_the_tree_kinds(self):
+        with_mdi = {k for k in KINDS if hasattr(_MODULES[k], "raw_importances")}
+        assert with_mdi == {"AdaBoost", "DecisionTree", "RandomForest"}
 
 
 # --- tree engine oracles -------------------------------------------------

@@ -14,14 +14,12 @@ from batteryauth.errors import (
 from batteryauth.io_csv import (
     parse_cycle_csv,
     parse_eis_csv,
-    write_catalog_json,
     write_cycle_csv,
     write_eis_csv,
 )
 from batteryauth.records import (
     SampleMeta,
     build_catalog,
-    catalog_to_json_dict,
     make_cycle,
     make_spectrum,
     records_equal,
@@ -122,12 +120,6 @@ class TestCatalog:
     def test_empty_dataset(self):
         with pytest.raises(EmptyDataset):
             build_catalog([])
-
-    def test_json_dict_shape(self):
-        cat = build_catalog([make_cycle([3.0, 4.0], [0.0, 1.0], meta=_meta())])
-        d = catalog_to_json_dict(cat)
-        assert d == {"models": ["m1"], "architectures": ["a1"]}
-        assert write_catalog_json(cat).endswith("\n")
 
 
 class TestCycleCsv:
