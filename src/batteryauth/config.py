@@ -15,7 +15,7 @@ from .dca import DcaConfig
 from .eis import EisConfig
 from .errors import BatteryAuthError, ConfigError
 from .evaluate import BALANCE_LEVELS
-from .models import make_spec, ModelSpec
+from .models import ModelSpec, enumerate_grid, make_spec
 
 PIPELINES = ("dca", "eis")
 TASKS = ("identification", "authentication")
@@ -166,9 +166,11 @@ def _parse_models(items, base_seed: int) -> Tuple[ModelSpec, ...]:
         grid = _get(item, "grid", dict, path + ".", None)
         seed = _get(item, "seed", int, path + ".", base_seed)
         try:
-            specs.append(make_spec(kind, grid=grid, seed=seed))
+            spec = make_spec(kind, grid=grid, seed=seed)
+            enumerate_grid(spec)  # every grid point converts and is in bounds
         except BatteryAuthError as exc:
             raise ConfigError(f"{path}: {exc}") from exc
+        specs.append(spec)
     return tuple(specs)
 
 

@@ -18,6 +18,7 @@ imputed to 0 and counted per vector.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -183,14 +184,20 @@ def feature_fft_coefficient(x: Sequence[float], k: int) -> Tuple[float, float]:
     return float(np.abs(coeff)), float(np.angle(coeff))
 
 
+@lru_cache(maxsize=64)
 def ricker_kernel(width: float) -> np.ndarray:
-    """Ricker (Mexican hat) wavelet sampled at integer offsets |t| <= 8*width."""
+    """Ricker (Mexican hat) wavelet sampled at integer offsets |t| <= 8*width.
+
+    The returned array is read-only and shared.
+    """
     if width <= 0:
         raise BadWidth(f"wavelet width must be > 0, got {width}")
     half = int(np.ceil(8 * width))
     t = np.arange(-half, half + 1, dtype=float)
     amp = 2.0 / (np.sqrt(3.0 * width) * np.pi**0.25)
-    return amp * (1.0 - t**2 / width**2) * np.exp(-(t**2) / (2.0 * width**2))
+    kernel = amp * (1.0 - t**2 / width**2) * np.exp(-(t**2) / (2.0 * width**2))
+    kernel.setflags(write=False)
+    return kernel
 
 
 def feature_cwt_coefficient(x: Sequence[float], width: float, position: int) -> float:
@@ -214,14 +221,12 @@ def cwt_positions(n: int, count: int = CWT_POSITIONS) -> np.ndarray:
 # (nan, imputed like the zero-variance case).
 _MOMENT_VAR_MIN = float(np.sqrt(np.finfo(float).tiny))
 _MOMENT_VAR_MAX = float(np.sqrt(np.finfo(float).max))
+_QUANTILE_Q = np.array(QUANTILE_QS)
 
 
-def _basic_block(x: np.ndarray) -> List[float]:
+def _basic_block(x: np.ndarray, mu: float, var: float, centered: np.ndarray) -> List[float]:
     n = len(x)
-    mu = float(x.mean())
-    var = float(x.var())
     std = float(np.sqrt(var))
-    centered = x - mu
     if _MOMENT_VAR_MIN <= var <= _MOMENT_VAR_MAX:
         m3 = float((centered**3).mean())
         m4 = float((centered**4).mean())
@@ -246,14 +251,40 @@ def _basic_block(x: np.ndarray) -> List[float]:
     ]
 
 
+def _quantiles(x: np.ndarray) -> List[float]:
+    """feature_quantile for every q, in one call where that keeps the bits.
+
+    Partitioning for all q at once can leave a different one of several
+    equal samples at a given rank than partitioning for one q. Equal
+    samples differ in their bits only as -0.0 and 0.0, so a series holding
+    both takes one call per q.
+    """
+    zero_signs = np.signbit(x[x == 0])
+    if zero_signs.any() and not zero_signs.all():
+        return [float(np.quantile(x, q, method="linear")) for q in QUANTILE_QS]
+    return np.quantile(x, _QUANTILE_Q, method="linear").tolist()
+
+
 def _channel_block(x: np.ndarray) -> np.ndarray:
+    """The 137 values of one channel, in catalog order (nan where undefined).
+
+    One pass: the moments and the centred series feed the basic block and
+    every autocorrelation lag, one quantile call covers all q, and the FFT
+    and CWT read off whole arrays. Each entry equals its single-value
+    calculator bit for bit.
+    """
     n = len(x)
     if n == 0:
         raise EmptySeries("cannot extract features from an empty channel")
-    out: List[float] = _basic_block(x)
-    out.extend(float(np.quantile(x, q, method="linear")) for q in QUANTILE_QS)
+    mu = float(x.mean())
+    var = float(x.var())
+    centered = x - mu
+    out: List[float] = _basic_block(x, mu, var, centered)
+    out.extend(_quantiles(x))
     out.extend(
-        feature_autocorrelation(x, lag) if lag < n else float("nan") for lag in AUTOCORR_LAGS
+        float(np.dot(centered[:-lag], centered[lag:])) / ((n - lag) * var)
+        if lag < n and var != 0 else float("nan")
+        for lag in AUTOCORR_LAGS
     )
     out.extend(float(feature_number_peaks(x, s)) for s in PEAK_SUPPORTS)
     lo, hi = float(x.min()), float(x.max())
@@ -265,15 +296,13 @@ def _channel_block(x: np.ndarray) -> np.ndarray:
         out.extend(float(c) for c in counts)
     else:
         out.extend([float("nan")] * RANGE_BINS)
-    fft = np.fft.fft(x)
-    for k in FFT_KS:
-        out.append(float(np.abs(fft[k])) if k < n else float("nan"))
-    for k in FFT_KS:
-        out.append(float(np.angle(fft[k])) if k < n else float("nan"))
+    coeffs = np.fft.fft(x)[: len(FFT_KS)]
+    missing = [float("nan")] * (len(FFT_KS) - len(coeffs))
+    out.extend(np.abs(coeffs).tolist() + missing)
+    out.extend(np.angle(coeffs).tolist() + missing)
     positions = cwt_positions(n)
     for w in CWT_WIDTHS:
-        conv = np.convolve(x, ricker_kernel(w), mode="same")
-        out.extend(float(conv[p]) for p in positions)
+        out.extend(np.convolve(x, ricker_kernel(w), mode="same")[positions].tolist())
     return np.asarray(out, dtype=float)
 
 

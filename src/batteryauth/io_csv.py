@@ -13,7 +13,10 @@ from __future__ import annotations
 
 import csv
 import io
-from typing import List, Optional, Sequence
+import math
+from typing import List, NoReturn, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .errors import MissingColumn, NonFiniteValue
 from .records import (
@@ -33,14 +36,18 @@ _CYCLE_REQUIRED = ("voltage", "capacity")
 _EIS_REQUIRED = ("frequency", "z_real", "z_imag")
 _META_STR_COLS = ("dataset_id", "cell_id", "battery_model", "architecture")
 _META_NUM_COLS = ("soc_percent", "soh_percent", "temperature_c")
+# every column that shapes a record's meta or its group key
+_META_COLS = _META_STR_COLS + _META_NUM_COLS + ("cycle_index",)
 
 
-def _parse_float(value: str, column: str, row_num: int) -> float:
+def _parse_float(value: Optional[str], column: str, row_num: int) -> float:
+    if value is None:
+        raise MissingColumn(f"row {row_num}: no {column} value (the row is shorter than the header)")
     try:
         x = float(value)
     except ValueError:
         raise NonFiniteValue(f"row {row_num}: column {column!r} is not a number: {value!r}")
-    if x != x or x in (float("inf"), float("-inf")):
+    if not math.isfinite(x):
         raise NonFiniteValue(f"row {row_num}: non-finite {column} value {value!r}")
     return x
 
@@ -58,34 +65,126 @@ def _parse_opt_int(value: Optional[str], column: str, row_num: int) -> Optional[
         x = float(value)
     except ValueError:
         raise NonFiniteValue(f"row {row_num}: column {column!r} is not an integer: {value!r}")
+    if not math.isfinite(x):
+        raise NonFiniteValue(f"row {row_num}: non-finite {column} value {value!r}")
     if x != int(x):
         raise NonFiniteValue(f"row {row_num}: column {column!r} must be integral: {value!r}")
     return int(x)
 
 
-def _reader(text: str, required: Sequence[str]):
-    reader = csv.DictReader(io.StringIO(text))
-    if reader.fieldnames is None:
+def _read_columns(text: str, required: Sequence[str], wanted: Sequence[str]) -> Tuple[int, dict]:
+    """Check the header, then read the data rows once and transpose them.
+
+    Returns the row count and {name: column} for every required or wanted
+    column the header has. As with ``csv.DictReader``, blank lines are
+    skipped, the last of duplicate column names wins, and a row shorter
+    than the header reads None where it has no field.
+    """
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader, None)
+    if header is None:
         raise MissingColumn("empty CSV: no header row")
     for col in required:
-        if col not in reader.fieldnames:
+        if col not in header:
             raise MissingColumn(f"CSV header lacks required column {col!r}")
-    return reader
+    rows = [row for row in reader if row]
+    if not rows:
+        return 0, {}
+    width = len(header)
+    if min(map(len, rows)) < width:
+        rows = [row + [None] * (width - len(row)) for row in rows]
+    table = list(zip(*rows))
+    position = {name: i for i, name in enumerate(header)}
+    return len(rows), {c: table[position[c]] for c in (*required, *wanted) if c in position}
 
 
-def _row_meta(row: dict, defaults: SampleMeta, row_num: int, cycle_index) -> SampleMeta:
+def _float_columns(columns: dict, names: Sequence[str]) -> Optional[List[np.ndarray]]:
+    """The named columns as float arrays, or None if any value is missing,
+    not a number or not finite."""
+    try:
+        arrays = [np.array(list(map(float, columns[c]))) for c in names]
+    except (TypeError, ValueError):
+        return None
+    return arrays if all(np.isfinite(a).all() for a in arrays) else None
+
+
+def _fields_meta(fields: dict, defaults: SampleMeta, row_num: int) -> Tuple[SampleMeta, Optional[int]]:
+    """The meta and the cycle index that one row's metadata fields give."""
+    cycle_index = _parse_opt_int(fields.get("cycle_index"), "cycle_index", row_num)
     kwargs = {}
     for col in _META_STR_COLS:
-        val = row.get(col)
+        val = fields.get(col)
         if val:
             kwargs[col] = val
     for col in _META_NUM_COLS:
-        val = _parse_opt_float(row.get(col), col, row_num)
+        val = _parse_opt_float(fields.get(col), col, row_num)
         if val is not None:
             kwargs[col] = val
     if cycle_index is not None:
         kwargs["cycle_index"] = cycle_index
-    return defaults.with_overrides(**kwargs) if kwargs else defaults
+    return (defaults.with_overrides(**kwargs) if kwargs else defaults), cycle_index
+
+
+def _raise_first_error(columns: dict, numeric: Sequence[str], n: int) -> NoReturn:
+    """Raise the error a row-by-row parse meets first: rows in file order;
+    in a row the numeric columns, then cycle_index, then the numeric meta."""
+    optional = [c for c in ("cycle_index",) + _META_NUM_COLS if c in columns]
+    for i in range(n):
+        row_num = i + 2
+        for col in numeric:
+            _parse_float(columns[col][i], col, row_num)
+        _fields_meta({c: columns[c][i] for c in optional}, SampleMeta(), row_num)
+    raise AssertionError("the row check accepted rows the column parse rejected")
+
+
+def _read_groups(
+    text: str, numeric: Sequence[str], grouping: Sequence[str], defaults: SampleMeta, key_of
+) -> List[Tuple[tuple, SampleMeta, List[np.ndarray]]]:
+    """Parse the rows and gather them into records.
+
+    Rows with the same metadata fields share one meta, built once.
+    ``key_of(fields, meta, cycle_index)`` names each row's record. Records
+    appear in first-row order with their first row's meta; rows inside a
+    record keep file order. Returns (key, meta, numeric arrays) per record.
+    """
+    n, columns = _read_columns(text, numeric, _META_COLS + tuple(grouping))
+    if n == 0:
+        return []
+    names = [c for c in _META_COLS + tuple(grouping) if c in columns]
+    # rows are told apart by the metadata columns that vary; each row maps
+    # to the first row with the same fields
+    varying = [columns[c] for c in names if len(set(columns[c])) > 1]
+    first_row: dict = {}
+    if varying:
+        ids = [first_row.setdefault(t, i) for i, t in enumerate(zip(*varying))]
+    else:
+        first_row, ids = {(): 0}, [0] * n
+    firsts = list(first_row.values())
+    fields = [{c: columns[c][r] for c in names} for r in firsts]
+    arrays = _float_columns(columns, numeric)
+    try:
+        metas = [_fields_meta(f, defaults, r + 2) for f, r in zip(fields, firsts)]
+    except NonFiniteValue:
+        metas = None
+    if arrays is None or metas is None:
+        _raise_first_error(columns, numeric, n)
+
+    group_ids: dict = {}
+    heads = []
+    group_at = np.zeros(n, dtype=int)
+    for r, f, (meta, cycle_index) in zip(firsts, fields, metas):
+        key = key_of(f, meta, cycle_index)
+        g = group_ids.setdefault(key, len(group_ids))
+        if g == len(heads):
+            heads.append((key, meta))
+        group_at[r] = g
+    if len(heads) == 1:
+        return [(heads[0][0], heads[0][1], arrays)]
+    row_group = group_at[ids]
+    order = np.argsort(row_group, kind="stable")
+    bounds = np.cumsum(np.bincount(row_group))[:-1]
+    parts = [np.split(a[order], bounds) for a in arrays]
+    return [(key, meta, [p[g] for p in parts]) for g, (key, meta) in enumerate(heads)]
 
 
 def parse_cycle_csv(
@@ -99,21 +198,13 @@ def parse_cycle_csv(
     Groups appear in first-row order; rows inside a group keep file order.
     Pass ``min_len=0`` to accept arbitrarily short cycles (test use only).
     """
-    reader = _reader(text, _CYCLE_REQUIRED)
-    groups: dict = {}
-    for row_num, row in enumerate(reader, start=2):
-        v = _parse_float(row["voltage"], "voltage", row_num)
-        q = _parse_float(row["capacity"], "capacity", row_num)
-        cycle_index = _parse_opt_int(row.get("cycle_index"), "cycle_index", row_num)
-        kind = row.get("cycle_kind") or "charge"
-        meta = _row_meta(row, meta_defaults, row_num, cycle_index)
-        key = (meta.cell_id, cycle_index, kind)
-        if key not in groups:
-            groups[key] = (meta, kind, [], [])
-        groups[key][2].append(v)
-        groups[key][3].append(q)
+    groups = _read_groups(
+        text, _CYCLE_REQUIRED, ("cycle_kind",), meta_defaults,
+        lambda fields, meta, cycle_index: (
+            meta.cell_id, cycle_index, fields.get("cycle_kind") or "charge"),
+    )
     records = []
-    for meta, kind, volts, caps in groups.values():
+    for (_, _, kind), meta, (volts, caps) in groups:
         rec = make_cycle(volts, caps, cycle_kind=kind, meta=meta)
         records.append(validate_cycle(rec, min_len=min_len, monotonic_tol=monotonic_tol))
     return records
@@ -129,23 +220,13 @@ def parse_eis_csv(
     Without a ``sweep_id`` column, grouping falls back to (cell_id,
     cycle_index). Rows within a sweep are sorted by ascending frequency.
     """
-    reader = _reader(text, _EIS_REQUIRED)
-    groups: dict = {}
-    for row_num, row in enumerate(reader, start=2):
-        f = _parse_float(row["frequency"], "frequency", row_num)
-        zr = _parse_float(row["z_real"], "z_real", row_num)
-        zi = _parse_float(row["z_imag"], "z_imag", row_num)
-        cycle_index = _parse_opt_int(row.get("cycle_index"), "cycle_index", row_num)
-        meta = _row_meta(row, meta_defaults, row_num, cycle_index)
-        sweep = row.get("sweep_id") or ""
-        key = (sweep, meta.cell_id, cycle_index)
-        if key not in groups:
-            groups[key] = (meta, [], [], [])
-        groups[key][1].append(f)
-        groups[key][2].append(zr)
-        groups[key][3].append(zi)
+    groups = _read_groups(
+        text, _EIS_REQUIRED, ("sweep_id",), meta_defaults,
+        lambda fields, meta, cycle_index: (
+            fields.get("sweep_id") or "", meta.cell_id, cycle_index),
+    )
     spectra = []
-    for meta, freqs, res, ims in groups.values():
+    for _, meta, (freqs, res, ims) in groups:
         spec = make_spectrum(freqs, res, ims, meta=meta)
         spectra.append(validate_spectrum(spec, min_len=min_len))
     return spectra

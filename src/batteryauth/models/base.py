@@ -72,7 +72,11 @@ def enumerate_grid(spec: ModelSpec) -> List[dict]:
     grid = spec.resolved_grid()
     combos = []
     for values in itertools.product(*grid.values()):
-        combos.append(normalize_hyperparams(spec.kind, dict(zip(grid, values))))
+        hp = dict(zip(grid, values))
+        try:
+            combos.append(normalize_hyperparams(spec.kind, hp))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{spec.kind} grid point {hp} does not convert: {exc}") from exc
     return combos
 
 

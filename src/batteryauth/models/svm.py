@@ -150,9 +150,9 @@ def decision_values(params: dict, Xs: np.ndarray, k: int, hp: dict) -> np.ndarra
         else:
             f = np.full(len(Xs), m["b"])
         out[:, m["class_id"]] = f
-    if len(params["machines"]) == 1:
-        c = params["machines"][0]["class_id"]
-        out[:, 1 - c] = -out[:, c]
+    if k == 2:
+        # one machine, for class 1; class 0 takes its negated margin
+        out[:, 0] = -out[:, 1]
     return out
 
 

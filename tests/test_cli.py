@@ -161,6 +161,17 @@ class TestRun:
         assert "ConfigError" in err
         assert "dca.savgol_window" in err
 
+    @pytest.mark.parametrize("model", [
+        {"kind": "SVM", "grid": {"C": ["x"]}},
+        {"kind": "KNN", "grid": {"k": ["x"]}},
+    ])
+    def test_grid_value_that_does_not_convert_exits_2(self, spec_file, tmp_path, capsys, model):
+        cfg_path = _write(tmp_path, "cfg.json", _config(spec_file, models=[model]))
+        assert main(["run", "--config", cfg_path, "--output-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"batteryauth.errors.ConfigError: models[0]: {model['kind']} grid point")
+
     def test_missing_config_exits_2(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "absent.json")]) == 2
         assert "cannot read config" in capsys.readouterr().err
@@ -309,6 +320,45 @@ class TestEmptySample:
         assert main([command, "--model", model, "--sample", str(empty)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("batteryauth.errors.EmptyDataset: ")
+
+
+class TestBadSampleRows:
+    """Rows that used to end `authenticate` with a stray builtins exception."""
+
+    CASES = [
+        ("cycle-short-row", "cycles", lambda rows: rows[:-1] + [",".join(rows[-1].split(",")[:3])],
+         "MissingColumn: row"),
+        ("cycle-nan-index", "cycles", lambda rows: rows[:-1] + [_set_field(rows, "cycle_index", "nan")],
+         "NonFiniteValue: row"),
+        ("cycle-huge-index", "cycles", lambda rows: rows[:-1] + [_set_field(rows, "cycle_index", "1e400")],
+         "NonFiniteValue: row"),
+        ("eis-short-row", "sweeps", lambda rows: rows[:-1] + [",".join(rows[-1].split(",")[:3])],
+         "MissingColumn: row"),
+        ("eis-inf-index", "sweeps", lambda rows: rows[:-1] + [_set_field(rows, "cycle_index", "inf")],
+         "NonFiniteValue: row"),
+    ]
+
+    @pytest.mark.parametrize("which,edit,expected", [c[1:] for c in CASES], ids=[c[0] for c in CASES])
+    def test_exits_1_with_one_error_line(self, run_artifacts, cycle_sample, eis_sample, tmp_path,
+                                         capsys, which, edit, expected):
+        out_dir, _, _ = run_artifacts
+        model = os.path.join(out_dir, "model_ident_model_identification_KNN.json")
+        source = cycle_sample if which == "cycles" else eis_sample
+        with open(source, encoding="utf-8") as fh:
+            rows = fh.read().splitlines()
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(edit(rows)) + "\n", encoding="utf-8")
+        assert main(["authenticate", "--model", model, "--sample", str(bad)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"batteryauth.errors.{expected} {len(rows)}:")
+
+
+def _set_field(rows, column, value):
+    """The last row with one field replaced."""
+    fields = rows[-1].split(",")
+    fields[rows[0].split(",").index(column)] = value
+    return ",".join(fields)
 
 
 def _tiny_model(kind, hp):

@@ -178,6 +178,12 @@ class TestModels:
             config_from_json_dict(_base(models=[{"kind": "KNN", "grid": {"neighbors": [3]}}]))
         assert "models[0]" in str(err.value)
 
+    @pytest.mark.parametrize("kind,grid", [("SVM", {"C": ["x"]}), ("KNN", {"k": ["x"]})])
+    def test_grid_value_that_does_not_convert(self, kind, grid):
+        with pytest.raises(ConfigError) as err:
+            config_from_json_dict(_base(models=[{"kind": "KNN"}, {"kind": kind, "grid": grid}]))
+        assert str(err.value).startswith(f"models[1]: {kind} grid point")
+
     def test_unknown_model_key(self):
         with pytest.raises(ConfigError) as err:
             config_from_json_dict(_base(models=[{"kind": "KNN", "seeed": 3}]))

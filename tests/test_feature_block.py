@@ -1,0 +1,162 @@
+"""The one-pass channel block against the single-value calculators.
+
+``_channel_block`` computes a channel's 137 values together. Each entry
+must equal, bit for bit, what the matching single-value calculator gives
+for the same series; the basic statistics must equal the per-statistic
+formulas the block used before it shared its moments. The feature
+matrices of the benchmark preset are pinned by sha256.
+"""
+import hashlib
+import math
+import os
+
+import numpy as np
+import pytest
+
+from batteryauth.dca import process_cycle
+from batteryauth.eis import process_spectrum
+from batteryauth.features import (
+    _channel_block,
+    catalog_default,
+    cwt_positions,
+    feature_autocorrelation,
+    feature_cwt_coefficient,
+    feature_fft_coefficient,
+    feature_number_peaks,
+    feature_quantile,
+    feature_range_count,
+    matrix_from_cycles,
+    matrix_from_spectra,
+    ricker_kernel,
+)
+from batteryauth.synth import gen_dataset, gen_eis_dataset, specs_from_json
+
+PRESET = os.path.join(os.path.dirname(__file__), "..", "perfbench", "presets", "hard_cells.json")
+
+# sha256 of FeatureMatrix.values (float64, C order) on the preset, recorded
+# with the per-entry extraction that preceded the one-pass block
+DCA_MATRIX_SHA = "ed9530cd730c5ee2b0b71acd98c97e114eba771ea20d40230dae60e107661e95"
+EIS_MATRIX_SHA = "e197e34f3af0fbeb358301f37745a727e9858c252b481042af36917a7606f73a"
+
+
+@pytest.fixture(scope="module")
+def preset_data():
+    with open(PRESET, encoding="utf-8") as fh:
+        specs = specs_from_json(fh.read())
+    dca = gen_dataset(specs, cells_per_spec=2, cycles_per_cell=6, seed=7, n_points=256)
+    eis = gen_eis_dataset(specs, cells_per_spec=2, sweeps_per_cell=5, seed=7)
+    return dca, eis
+
+
+def _basic_reference(x):
+    """The basic statistics as the block computed them one by one."""
+    n = len(x)
+    mu = float(x.mean())
+    var = float(x.var())
+    centered = x - mu
+    if math.sqrt(np.finfo(float).tiny) <= var <= math.sqrt(np.finfo(float).max):
+        skew = float((centered**3).mean()) / var**1.5
+        kurt = float((centered**4).mean()) / var**2 - 3.0
+    else:
+        skew = kurt = float("nan")
+    mac = float(np.abs(np.diff(x)).mean()) if n > 1 else 0.0
+    if n > 1:
+        t = np.arange(n, dtype=float)
+        tc = t - t.mean()
+        slope = float(np.dot(tc, centered) / np.dot(tc, tc))
+    else:
+        slope = 0.0
+    return [mu, float(np.sqrt(var)), var, skew, kurt, float(x.min()), float(x.max()),
+            float(np.median(x)), float(np.dot(x, x)), mac, slope,
+            float(np.count_nonzero(x > mu)), float(np.count_nonzero(x < mu))]
+
+
+def _reference(x, entry):
+    """The single-value calculator's value for one catalog entry (nan where
+    the block leaves the entry undefined)."""
+    n = len(x)
+    nan = float("nan")
+    if entry.family == "quantile":
+        return feature_quantile(x, entry.params[0])
+    if entry.family == "autocorrelation":
+        lag = entry.params[0]
+        return feature_autocorrelation(x, lag) if lag < n else nan
+    if entry.family == "number_peaks":
+        return float(feature_number_peaks(x, entry.params[0]))
+    if entry.family == "range_count":
+        b, bins = entry.params
+        lo, hi = float(x.min()), float(x.max())
+        if not hi > lo:
+            return nan
+        edges = np.linspace(lo, hi, bins + 1)
+        edges[-1] = np.nextafter(hi, np.inf)
+        return float(feature_range_count(x, edges[b], edges[b + 1]))
+    if entry.family in ("fft_abs", "fft_angle"):
+        k = entry.params[0]
+        if k >= n:
+            return nan
+        return feature_fft_coefficient(x, k)[0 if entry.family == "fft_abs" else 1]
+    if entry.family == "cwt":
+        w, p = entry.params
+        return feature_cwt_coefficient(x, w, int(cwt_positions(n)[p]))
+    raise AssertionError(entry.family)
+
+
+def _assert_same(got, want, label):
+    if math.isnan(want):
+        assert math.isnan(got), label
+    else:
+        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), (
+            label, got, want)
+
+
+def _check_block(x):
+    block = _channel_block(x)
+    entries = catalog_default(1).entries
+    assert block.shape == (len(entries),)
+    basic = _basic_reference(x)
+    for i, entry in enumerate(entries):
+        want = basic[i] if i < len(basic) else _reference(x, entry)
+        _assert_same(float(block[i]), float(want), (entry.name, len(x)))
+
+
+def _series(preset_data):
+    dca, eis = preset_data
+    out = [process_cycle(r).dqdv for r in dca.records]
+    for r in eis.records:
+        ch = process_spectrum(r)
+        out += [ch.re_z, ch.neg_im_z]
+    rng = np.random.default_rng(3)
+    out += [
+        np.full(64, 2.5),                           # constant: undefined moments and lags
+        np.array([4.0]),                            # length 1
+        rng.standard_normal(5),                     # length 5: most lags and bins missing
+        rng.standard_normal(2),
+        rng.standard_normal(512) * 1e200,           # powers overflow
+        np.round(rng.standard_normal(300) * 3),     # ties
+        np.tile([1.0, -1.0], 40),                   # alternating
+        np.array([0.0] * 15 + [2.4e-107]),          # powers underflow
+        np.array([0.0, -0.0, 1.0, -0.0, 0.0, 2.0, -1.0, -0.0] * 3),   # both signed zeros
+    ]
+    return out
+
+
+def test_every_entry_equals_its_calculator(preset_data):
+    series = _series(preset_data)
+    assert len(series) >= 145
+    with np.errstate(over="ignore", invalid="ignore"):      # the 1e200 series
+        for x in series:
+            _check_block(np.asarray(x, dtype=float))
+
+
+def test_cached_kernels_are_read_only():
+    with pytest.raises(ValueError):
+        ricker_kernel(5)[0] = 0
+
+
+def test_preset_feature_matrices_are_pinned(preset_data):
+    dca, eis = preset_data
+    for matrix, sha in ((matrix_from_cycles(dca), DCA_MATRIX_SHA),
+                        (matrix_from_spectra(eis), EIS_MATRIX_SHA)):
+        values = np.ascontiguousarray(matrix.values, dtype="<f8")
+        assert hashlib.sha256(values.tobytes()).hexdigest() == sha

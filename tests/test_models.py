@@ -89,6 +89,16 @@ class TestSpecAndGrid:
         with pytest.raises(ConfigError):
             enumerate_grid(make_spec("QDA", grid={"reg": [1.5]}))
 
+    @pytest.mark.parametrize("kind,grid", [
+        ("SVM", {"C": ["x"]}),            # a float hyperparameter
+        ("SVM", {"C": [None]}),
+        ("KNN", {"k": ["x"]}),            # a count
+        ("KNN", {"k": [[3]]}),
+    ])
+    def test_grid_value_that_does_not_convert(self, kind, grid):
+        with pytest.raises(ConfigError, match=f"{kind} grid point"):
+            enumerate_grid(make_spec(kind, grid=grid))
+
     def test_all_kinds_have_default_grids(self):
         assert set(DEFAULT_GRIDS) == set(KINDS)
         assert len(KINDS) == 8
@@ -402,6 +412,25 @@ class TestSvm:
         m = _train("SVM", {"kernel": "rbf", "C": 10.0, "gamma": "scale"}, X, y)
         assert decision_margins(m, X).shape == (45, 3)
         assert (predict(m, X) == y).mean() >= 0.95
+
+
+class TestSingleClass:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_trains_on_one_label_and_predicts_it(self, kind):
+        X, _ = _blobs(n_per=10)
+        y = np.full(len(X), 3)
+        hp = enumerate_grid(make_spec(kind))[0]
+        m = train(make_spec(kind), hp, X, y, catalog_version=CATALOG, class_names=("only",))
+        assert list(m.classes) == [3]
+        assert (predict(m, X) == 3).all()
+        scores = predict_scores(m, X)
+        if scores is not None:
+            assert scores.shape == (len(X), 1)
+
+    def test_svm_one_class_margins_have_one_column(self):
+        X, _ = _blobs(n_per=10)
+        m = _train("SVM", {"kernel": "linear", "C": 1.0, "gamma": "scale"}, X, np.zeros(len(X), int))
+        assert decision_margins(m, X).shape == (len(X), 1)
 
 
 class TestTrainValidation:
