@@ -178,8 +178,6 @@ def _read_groups(
         if g == len(heads):
             heads.append((key, meta))
         group_at[r] = g
-    if len(heads) == 1:
-        return [(heads[0][0], heads[0][1], arrays)]
     row_group = group_at[ids]
     order = np.argsort(row_group, kind="stable")
     bounds = np.cumsum(np.bincount(row_group))[:-1]

@@ -75,7 +75,7 @@ def enumerate_grid(spec: ModelSpec) -> List[dict]:
         hp = dict(zip(grid, values))
         try:
             combos.append(normalize_hyperparams(spec.kind, hp))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"{spec.kind} grid point {hp} does not convert: {exc}") from exc
     return combos
 

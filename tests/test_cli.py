@@ -164,6 +164,7 @@ class TestRun:
     @pytest.mark.parametrize("model", [
         {"kind": "SVM", "grid": {"C": ["x"]}},
         {"kind": "KNN", "grid": {"k": ["x"]}},
+        {"kind": "KNN", "grid": {"k": [1e400]}},
     ])
     def test_grid_value_that_does_not_convert_exits_2(self, spec_file, tmp_path, capsys, model):
         cfg_path = _write(tmp_path, "cfg.json", _config(spec_file, models=[model]))

@@ -178,7 +178,9 @@ class TestModels:
             config_from_json_dict(_base(models=[{"kind": "KNN", "grid": {"neighbors": [3]}}]))
         assert "models[0]" in str(err.value)
 
-    @pytest.mark.parametrize("kind,grid", [("SVM", {"C": ["x"]}), ("KNN", {"k": ["x"]})])
+    @pytest.mark.parametrize("kind,grid", [
+        ("SVM", {"C": ["x"]}), ("KNN", {"k": ["x"]}), ("KNN", {"k": [1e400]}),
+    ])
     def test_grid_value_that_does_not_convert(self, kind, grid):
         with pytest.raises(ConfigError) as err:
             config_from_json_dict(_base(models=[{"kind": "KNN"}, {"kind": kind, "grid": grid}]))

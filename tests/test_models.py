@@ -94,6 +94,7 @@ class TestSpecAndGrid:
         ("SVM", {"C": [None]}),
         ("KNN", {"k": ["x"]}),            # a count
         ("KNN", {"k": [[3]]}),
+        ("KNN", {"k": [1e400]}),          # inf: int() overflows
     ])
     def test_grid_value_that_does_not_convert(self, kind, grid):
         with pytest.raises(ConfigError, match=f"{kind} grid point"):
