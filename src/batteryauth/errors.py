@@ -39,6 +39,10 @@ class EmptyDataset(BatteryAuthError):
     pass
 
 
+class MalformedCsv(BatteryAuthError):
+    pass
+
+
 # === dca / eis processing ===
 
 class AllPointsDropped(BatteryAuthError):

@@ -18,7 +18,7 @@ from typing import List, NoReturn, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import MissingColumn, NonFiniteValue
+from .errors import MalformedCsv, MissingColumn, NonFiniteValue
 from .records import (
     DEFAULT_MIN_CYCLE_LEN,
     DEFAULT_MIN_SWEEP_LEN,
@@ -78,16 +78,21 @@ def _read_columns(text: str, required: Sequence[str], wanted: Sequence[str]) -> 
     Returns the row count and {name: column} for every required or wanted
     column the header has. As with ``csv.DictReader``, blank lines are
     skipped, the last of duplicate column names wins, and a row shorter
-    than the header reads None where it has no field.
+    than the header reads None where it has no field. A line the csv
+    module cannot read (say, a field over ``csv.field_size_limit()``)
+    raises MalformedCsv with its line number.
     """
     reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header is None:
-        raise MissingColumn("empty CSV: no header row")
-    for col in required:
-        if col not in header:
-            raise MissingColumn(f"CSV header lacks required column {col!r}")
-    rows = [row for row in reader if row]
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise MissingColumn("empty CSV: no header row")
+        for col in required:
+            if col not in header:
+                raise MissingColumn(f"CSV header lacks required column {col!r}")
+        rows = [row for row in reader if row]
+    except csv.Error as exc:
+        raise MalformedCsv(f"line {reader.line_num}: {exc}") from exc
     if not rows:
         return 0, {}
     width = len(header)

@@ -21,7 +21,8 @@ from . import boost, dtree, forest, naive_bayes, neighbors, neural, qda, svm
 
 # The one table keyed by kind name. A kind module declares what is
 # particular to it: ``fit`` and ``predict``; ``GRID``, its default grid,
-# whose key order is the dimension order; and, where they apply,
+# whose key order is the dimension order; ``STATE``, the names of the
+# fields its fitted state saves; and, where they apply,
 # ``COUNTS`` (hyperparameters that are ints >= 1), ``check`` (other bounds),
 # ``PREFIX`` with ``prefix``, ``with_table`` (state derived at load),
 # ``raw_importances`` and ``decision_values``.

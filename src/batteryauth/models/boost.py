@@ -19,6 +19,7 @@ from .tree import NodeTable, grow_trees
 
 GRID = {"n_estimators": [50, 100, 200]}
 COUNTS = ("n_estimators",)
+STATE = ("stumps", "alphas")
 
 LEARNING_RATE = 1.0
 # alpha for a zero-error stump: ln((1-eps)/eps) with eps = 1e-15

@@ -12,6 +12,7 @@ from .tree import NodeTable, grow_trees
 
 GRID = {"criterion": ["gini", "entropy"], "max_depth": [4, 8, 16, None]}
 COUNTS = ("max_depth",)
+STATE = ("tree",)
 
 
 def fit(Xs: np.ndarray, y: np.ndarray, k: int, hp: dict, seed: int):

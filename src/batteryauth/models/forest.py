@@ -21,6 +21,7 @@ from .tree import NodeTable, grow_trees
 
 GRID = {"criterion": ["gini", "entropy"], "n_estimators": [100, 200]}
 COUNTS = ("n_estimators",)
+STATE = ("trees",)
 
 
 def fit(Xs: np.ndarray, y: np.ndarray, k: int, hp: dict, seed: int):

@@ -14,6 +14,7 @@ from ..errors import ConfigError
 _VAR_FLOOR = 1e-300
 
 GRID = {"var_smoothing": [1e-9, 1e-7, 1e-5]}
+STATE = ("means", "variances", "log_priors")
 
 
 def check(hp: dict) -> None:

@@ -15,6 +15,7 @@ _BLOCK_VALUES = 1 << 20
 
 GRID = {"k": [1, 3, 5, 9], "weights": ["uniform", "distance"]}
 COUNTS = ("k",)
+STATE = ("train_x", "train_y")
 
 
 def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:

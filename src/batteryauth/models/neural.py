@@ -25,6 +25,7 @@ ADAM_EPS = 1e-8
 
 GRID = {"hidden": [50, 100, 200], "activation": ["relu", "tanh"], "solver": ["sgd", "adam"]}
 COUNTS = ("hidden",)
+STATE = ("w1", "b1", "w2", "b2", "activation")
 
 
 def _glorot(rng, fan_in, fan_out):

@@ -14,8 +14,9 @@ the JSON number form: ``tolist`` and ``json`` write every float with a
 ``.`` or an exponent, so int arrays load as int64 and float arrays as
 float64. A dict with exactly the ``Tree`` fields becomes a ``Tree``.
 Tables derived from the state are never saved; a kind that has them
-rebuilds them at load (``with_table``). A missing or malformed field
-raises FormatVersionMismatch naming it.
+rebuilds them at load (``with_table``). A missing or malformed field,
+among them each state field the kind declares in ``STATE``, raises
+FormatVersionMismatch naming it.
 
 ``save_model`` writes the bytes ``json.dump(..., sort_keys=True)`` would,
 but streams them: dicts key by key in sorted order, lists of containers
@@ -117,7 +118,14 @@ def model_from_json_dict(data: dict) -> TrainedModel:
     kind = data.get("kind")
     if kind not in KINDS:
         raise UnsupportedKind(f"unknown model kind {kind!r} in model file")
-    restore = getattr(_MODULES[kind], "with_table", dict)
+    module = _MODULES[kind]
+    restore = getattr(module, "with_table", dict)
+
+    def state(saved: dict) -> dict:
+        for name in module.STATE:
+            _field(data, f"parameters.state.{name}")
+        return restore(_decode(saved))
+
     floats = partial(np.asarray, dtype=float)
     return TrainedModel(
         kind=kind,
@@ -127,7 +135,7 @@ def model_from_json_dict(data: dict) -> TrainedModel:
             scale=_field(data, "standardizer.scale", floats),
         ),
         mask=_field(data, "mask", lambda m: None if m is None else np.asarray(m, dtype=bool), None),
-        params=_field(data, "parameters.state", lambda state: restore(_decode(state))),
+        params=_field(data, "parameters.state", state),
         seed=_field(data, "seed", int),
         catalog_version=_field(data, "catalog_version"),
         classes=_field(data, "parameters.classes", np.asarray),

@@ -11,6 +11,7 @@ import numpy as np
 from ..errors import ConfigError, SingularCovariance
 
 GRID = {"reg": [0.0, 0.1, 0.5]}
+STATE = ("means", "chols", "log_dets", "log_priors")
 
 
 def check(hp: dict) -> None:

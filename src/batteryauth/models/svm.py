@@ -24,6 +24,7 @@ _MIN_STEP = 1e-8
 _SV_CUTOFF = 1e-12
 
 GRID = {"kernel": ["linear", "rbf"], "C": [0.1, 1.0, 10.0], "gamma": ["scale", 0.01, 0.1]}
+STATE = ("machines", "gamma_value")
 
 
 def check(hp: dict) -> None:

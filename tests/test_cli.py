@@ -337,6 +337,10 @@ class TestBadSampleRows:
          "MissingColumn: row"),
         ("eis-inf-index", "sweeps", lambda rows: rows[:-1] + [_set_field(rows, "cycle_index", "inf")],
          "NonFiniteValue: row"),
+        # longer than csv.field_size_limit(), which the csv module refuses
+        ("cycle-huge-field", "cycles",
+         lambda rows: rows[:-1] + [_set_field(rows, "voltage", "0." + "1" * 200000)],
+         "MalformedCsv: line"),
     ]
 
     @pytest.mark.parametrize("which,edit,expected", [c[1:] for c in CASES], ids=[c[0] for c in CASES])
@@ -384,11 +388,18 @@ def _state_removed():
     return env
 
 
+def _train_x_removed():
+    env = _knn_envelope()
+    del env["parameters"]["state"]["train_x"]
+    return env
+
+
 class TestMalformedModel:
     CASES = [
         ("kind-only", lambda: {"format_version": "1", "kind": "KNN"}, "'hyperparams'"),
         ("svm-text-C", _svm_with_text_c, "'hyperparams'"),
         ("no-state", _state_removed, "'parameters.state'"),
+        ("no-train-x", _train_x_removed, "'parameters.state.train_x'"),
     ]
 
     @pytest.mark.parametrize("make,field", [c[1:] for c in CASES], ids=[c[0] for c in CASES])

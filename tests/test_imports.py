@@ -1,8 +1,9 @@
 """Import guard: the package and the scoring path load numpy but no scipy.
 
 Each check runs in a fresh interpreter (same executable, same package on
-the path) and lists the scipy modules present once it is done. Only
-feature selection and QDA scoring may load scipy, on first use.
+the path) and lists the scipy modules present once it is done. Only QDA
+scoring may load scipy, on first use; a `run` with the Mann-Whitney
+screen on loads none.
 """
 import json
 import os
@@ -81,4 +82,27 @@ def test_authenticate_loads_no_scipy(saved_models, kind):
     code = "from batteryauth.cli import main\nassert main(sys.argv[1:]) == 0"
     stdout, loaded = _probe(code, "authenticate", "--model", model, "--sample", sample, "--json")
     assert json.loads(stdout)["model_kind"] == kind
+    assert loaded == []
+
+
+def test_selection_run_loads_no_scipy(tmp_path):
+    """A small EIS run with feature selection on, RandomForest and KNN."""
+    (tmp_path / "cells.json").write_text(specs_to_json(demo_specs()[:2]), encoding="utf-8")
+    cfg = {
+        "pipeline": "eis",
+        "synth": {"specs": str(tmp_path / "cells.json"), "cells_per_spec": 3,
+                  "records_per_cell": 4, "seed": 4},
+        "selection": {"enabled": True},
+        "models": [
+            {"kind": "RandomForest", "grid": {"criterion": ["gini"], "n_estimators": [5]}},
+            {"kind": "KNN", "grid": {"k": [1], "weights": ["uniform"]}},
+        ],
+        "eval": {"seed": 1, "folds": 3, "targets": ["model"], "balances": [50]},
+    }
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg), encoding="utf-8")
+    out = tmp_path / "out"
+    code = "from batteryauth.cli import main\nassert main(sys.argv[1:]) == 0"
+    _, loaded = _probe(code, "run", "--config", str(tmp_path / "cfg.json"), "--output-dir", str(out))
+    kept = json.loads((out / "report.json").read_text(encoding="utf-8"))["selection_kept"]
+    assert kept and all(count >= 1 for count in kept.values())
     assert loaded == []

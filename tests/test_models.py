@@ -488,6 +488,23 @@ class TestPersistence:
         assert set(env["parameters"]) == {"classes", "class_names", "task", "converged", "state"}
         assert env["format_version"] == "1"
 
+    @pytest.mark.parametrize("kind,hp", ALL, ids=[k for k, _ in ALL])
+    def test_declared_state_fields_are_the_saved_ones(self, kind, hp, tmp_path):
+        X, y = _blobs(n_per=15, centers=(0.0, 2.5, 5.0))
+        path = str(tmp_path / f"{kind}.json")
+        save_model(_train(kind, hp, X, y, seed=2), path)
+        with open(path, encoding="utf-8") as fh:
+            state = json.load(fh)["parameters"]["state"]
+        assert sorted(state) == sorted(_MODULES[kind].STATE)
+
+    @pytest.mark.parametrize("kind,field", [(k, f) for k, _ in ALL for f in _MODULES[k].STATE])
+    def test_missing_state_field_is_named(self, kind, field):
+        X, y = _blobs(n_per=15, centers=(0.0, 2.5, 5.0))
+        env = model_to_json_dict(_train(kind, dict(self.ALL)[kind], X, y, seed=2))
+        del env["parameters"]["state"][field]
+        with pytest.raises(FormatVersionMismatch, match=f"'parameters.state.{field}'"):
+            model_from_json_dict(env)
+
     def test_unknown_format_version(self):
         X, y = _blobs(n_per=8)
         env = model_to_json_dict(_train("GaussianNB", {"var_smoothing": 1e-9}, X, y))
