@@ -11,7 +11,7 @@ from collections import Counter
 
 import numpy as np
 
-from batteryauth.features import catalog_default, matrix_from_cycles
+from batteryauth.features import catalog_default, labels_for, matrix_from_cycles
 from batteryauth.selection import select_features
 from batteryauth.synth import demo_specs, gen_dataset
 
@@ -27,7 +27,7 @@ matrix = matrix_from_cycles(data)
 print(f"\nmatrix: {matrix.values.shape[0]} samples x {matrix.values.shape[1]} features "
       f"({len(specs)} cell types)")
 
-mask = select_features(matrix, "model", fdr=0.05)
+mask = select_features(matrix.values, labels_for(matrix, "model")[0], fdr=0.05)
 print(f"\nscreened for the 5-way cell-type task at FDR 0.05:")
 print(f"  kept {int(mask.keep.sum())} of {len(mask.keep)} features")
 
@@ -39,7 +39,7 @@ for family, count in sorted(kept_families.items(), key=lambda kv: -kv[1]):
     print(f"    {family:18s} {count}/{families[family]}")
 
 # The architecture task pools cell types, so its survivor set differs.
-arch_mask = select_features(matrix, "architecture", fdr=0.05)
+arch_mask = select_features(matrix.values, labels_for(matrix, "architecture")[0], fdr=0.05)
 both = int((mask.keep & arch_mask.keep).sum())
 print(f"\narchitecture task keeps {int(arch_mask.keep.sum())}; "
       f"{both} features survive both screens")

@@ -14,7 +14,9 @@ module-qualified line to stderr, never a raw traceback.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
+import io
 import json
 import os
 import statistics
@@ -27,9 +29,7 @@ import numpy as np
 
 from . import __version__
 from .config import RunConfig, load_config
-from .dca import process_cycle
-from .eis import process_spectrum
-from .errors import BadSpec, BatteryAuthError, ConfigError, DimensionMismatch, EmptyDataset
+from .errors import BadSpec, BatteryAuthError, ConfigError, DimensionMismatch, EmptyDataset, MalformedCsv
 from .evaluate import (
     EvalConfig,
     merge_reports,
@@ -37,10 +37,9 @@ from .evaluate import (
     run_authentication,
     run_identification,
 )
-from .features import catalog_default, extract_features, matrix_from_cycles, matrix_from_spectra
+from .features import matrix_from_cycles, matrix_from_spectra
 from .io_csv import parse_cycle_csv, parse_eis_csv
 from .models import TrainedModel, decision_margins, load_model, predict, predict_scores, save_model
-from .parallel import resolve_threads
 from .records import build_catalog
 from .synth import demo_specs, gen_dataset, gen_eis_dataset, specs_from_json
 
@@ -58,17 +57,21 @@ def _safe_name(text: str) -> str:
     return "".join(c if c.isalnum() or c in "-_" else "_" for c in text)
 
 
+def _read_text(path: str, what: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+
+
 # === run ===
 
 def _load_specs(cfg: RunConfig):
     assert cfg.synth is not None
     if cfg.synth.specs_path == "demo":
         return demo_specs()
-    try:
-        with open(cfg.synth.specs_path, "r", encoding="utf-8") as fh:
-            return specs_from_json(fh.read())
-    except OSError as exc:
-        raise ConfigError(f"cannot read cell-spec file {cfg.synth.specs_path}: {exc}") from exc
+    return specs_from_json(_read_text(cfg.synth.specs_path, "cell-spec file"))
 
 
 def _build_dataset(cfg: RunConfig):
@@ -89,11 +92,7 @@ def _build_dataset(cfg: RunConfig):
             seed=cfg.synth.seed,
             n_freq=cfg.synth.n_freq,
         )
-    try:
-        with open(cfg.input_path, "r", encoding="utf-8") as fh:  # type: ignore[arg-type]
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read input {cfg.input_path}: {exc}") from exc
+    text = _read_text(cfg.input_path, "input")  # type: ignore[arg-type]
     records = parse_cycle_csv(text) if cfg.pipeline == "dca" else parse_eis_csv(text)
     return build_catalog(records)
 
@@ -102,13 +101,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     if args.output_dir:
         cfg = replace(cfg, output_dir=args.output_dir)
-    threads = resolve_threads(args.threads if args.threads else cfg.threads)
-
     data = _build_dataset(cfg)
     if cfg.pipeline == "dca":
-        matrix = matrix_from_cycles(data, cfg.dca, threads=threads)
+        matrix = matrix_from_cycles(data, cfg.dca, threads=cfg.threads)
     else:
-        matrix = matrix_from_spectra(data, cfg.eis, threads=threads)
+        matrix = matrix_from_spectra(data, cfg.eis, threads=cfg.threads)
 
     eval_cfg = EvalConfig(
         seed=cfg.eval.seed,
@@ -119,7 +116,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         selection_enabled=cfg.selection.enabled,
         selection_fdr=cfg.selection.fdr,
         undersample_before_split=cfg.eval.undersample,
-        threads=threads,
+        threads=cfg.threads,
         snapshot=cfg.snapshot,
     )
     sink: dict = {}
@@ -170,43 +167,33 @@ def cmd_run(args: argparse.Namespace) -> int:
 # === authenticate ===
 
 def _features_for_samples(model: TrainedModel, sample_path: str) -> Tuple[np.ndarray, List[str]]:
-    """Extract full-catalog feature rows for every record in the sample CSV.
+    """Full-catalog feature rows and names for every record in the sample CSV.
 
-    The parser is chosen by the CSV header, so feeding the wrong record
-    kind to a model surfaces as a width error, not a parse error.
+    Records go through the same ``matrix_from_*`` path as in ``run``, with
+    the default processing settings. The parser is chosen by the CSV
+    header, so feeding the wrong record kind to a model surfaces as a
+    catalog error, not a parse error.
     """
+    text = _read_text(sample_path, "sample file")
     try:
-        with open(sample_path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read sample file {sample_path}: {exc}") from exc
-    header = text.splitlines()[0] if text.strip() else ""
-    columns = {c.strip() for c in header.split(",")}
-    if "frequency" in columns and "z_real" in columns:
-        catalog = catalog_default(2)
-        rows, names = [], []
-        for spectrum in parse_eis_csv(text):
-            ch = process_spectrum(spectrum)
-            rows.append(extract_features([ch.re_z, ch.neg_im_z], catalog).values)
-            names.append(f"{spectrum.meta.cell_id}/{spectrum.meta.cycle_index}")
-    elif "voltage" in columns:
-        catalog = catalog_default(1)
-        rows, names = [], []
-        for cycle in parse_cycle_csv(text):
-            series = process_cycle(cycle)
-            rows.append(extract_features([series.dqdv], catalog).values)
-            names.append(f"{cycle.meta.cell_id}/{cycle.meta.cycle_index}")
-    else:
+        columns = {c.strip() for c in next(csv.reader(io.StringIO(text)), [])}
+    except csv.Error as exc:
+        raise MalformedCsv(f"line 1: {exc}") from exc
+    eis = "frequency" in columns and "z_real" in columns
+    if not eis and "voltage" not in columns:
         raise DimensionMismatch(
             "sample CSV is neither a cycle file (voltage/capacity) nor an EIS file (frequency/z_real/z_imag)"
         )
-    if model.catalog_version != catalog.version:
-        raise DimensionMismatch(
-            f"model was trained on catalog {model.catalog_version}, sample extracts {catalog.version}"
-        )
-    if not rows:
+    records = parse_eis_csv(text) if eis else parse_cycle_csv(text)
+    if not records:
         raise EmptyDataset(f"sample file {sample_path} holds no records")
-    return np.stack(rows), names
+    data = build_catalog(records)
+    matrix = matrix_from_spectra(data) if eis else matrix_from_cycles(data)
+    if model.catalog_version != matrix.catalog_version:
+        raise DimensionMismatch(
+            f"model was trained on catalog {model.catalog_version}, sample extracts {matrix.catalog_version}"
+        )
+    return matrix.values, [f"{m.cell_id}/{m.cycle_index}" for m in matrix.metas]
 
 
 def _score_rows(model: TrainedModel, X: np.ndarray, labels: np.ndarray) -> List[Optional[float]]:
@@ -282,7 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run a full experiment from a JSON config")
     p_run.add_argument("--config", required=True, help="path to the run-config JSON file")
     p_run.add_argument("--output-dir", default=None, help="override config output_dir")
-    p_run.add_argument("--threads", type=int, default=None, help="override config thread count")
     p_run.set_defaults(func=cmd_run)
 
     p_auth = sub.add_parser("authenticate", help="apply a saved model to a sample CSV")

@@ -427,6 +427,123 @@ def _task_name(target: str, mode: str) -> str:
     return f"{prefix}_{mode}"
 
 
+def _labelled_sets(matrix: FeatureMatrix, config: EvalConfig, target: str, mode: str):
+    """Every labelled set of rows a task fits on for one target, in report order.
+
+    Yields (legit label, balance, rows, labels, class names, split seed).
+    Identification fits one set, with no legit label or balance;
+    authentication fits one scenario per (legit label, balance level).
+    """
+    if mode == "identification":
+        work = (
+            undersample(matrix, seed=child_seed(config.seed, "undersample", target), target=target)
+            if config.undersample_before_split
+            else matrix
+        )
+        y, names = labels_for(work, target)
+        yield None, None, work, y, names, child_seed(config.seed, "split", target)
+        return
+    y_all, names = labels_for(matrix, target)
+    present = np.unique(y_all)
+    if len(present) < 2:
+        raise SingleClass(f"authentication needs >= 2 {target} labels")
+    for legit_id in present:
+        legit_name = names[int(legit_id)]
+        for balance in config.balances:
+            scen_seed = child_seed(config.seed, "scenario", target, int(legit_id), balance)
+            sub, y_bin = make_auth_scenario(
+                matrix, int(legit_id), balance, seed=scen_seed, target=target
+            )
+            split_seed = child_seed(config.seed, "authsplit", target, int(legit_id), balance)
+            yield legit_name, balance, sub, y_bin, ("counterfeit", legit_name), split_seed
+
+
+def _run_task(
+    matrix: FeatureMatrix,
+    specs: Sequence[ModelSpec],
+    config: EvalConfig,
+    model_sink: Optional[dict],
+    mode: str,
+) -> EvalReport:
+    """The chain both tasks share, run on every labelled set of rows.
+
+    Optionally screen the features, split stratified, grid-search each
+    spec on the train part and score its predictions on the test part.
+    """
+    results: list = []
+    selection_kept: Dict[str, int] = {}
+    for target in config.targets:
+        task = _task_name(target, mode)
+        for legit, balance, sub, y, class_names, split_seed in _labelled_sets(
+            matrix, config, target, mode
+        ):
+            key = task if mode == "identification" else f"{task}:{legit}:{balance}"
+            mask = None
+            if config.selection_enabled:
+                sel = select_features(sub.values, y, fdr=config.selection_fdr)
+                mask = sel.keep
+            selection_kept[key] = int(mask.sum()) if mask is not None else -1
+            X = sub.values[:, mask] if mask is not None else sub.values
+            train_idx, test_idx = split_train_test(y, ratio=config.train_ratio, seed=split_seed)
+            for spec in specs:
+                model, cv = grid_search(
+                    spec,
+                    X[train_idx],
+                    y[train_idx],
+                    k=config.folds,
+                    threads=config.threads,
+                    mask=mask,
+                    catalog_version=matrix.catalog_version,
+                    class_names=class_names,
+                    task=mode,
+                )
+                if model_sink is not None:
+                    prefix = "ident" if mode == "identification" else "auth"
+                    model_sink[f"{prefix}:{key}:{spec.kind}"] = model
+                y_hat = predict(model, X[test_idx])
+                if mode == "identification":
+                    cm = confusion_matrix(y[test_idx], y_hat, k=len(class_names))
+                    results.append(
+                        IdentResult(
+                            task=task,
+                            target=target,
+                            kind=spec.kind,
+                            hyperparams=model.hyperparams,
+                            metric_set=metrics_from_matrix(cm),
+                            confusion=tuple(tuple(int(v) for v in row) for row in cm),
+                            class_names=class_names,
+                            converged=model.converged,
+                            cv=tuple(_cv_summary(cv)),
+                        )
+                    )
+                else:
+                    counts = confusion_binary(y[test_idx], y_hat)
+                    results.append(
+                        AuthResult(
+                            task=task,
+                            target=target,
+                            kind=spec.kind,
+                            legit_label=legit,
+                            balance=int(balance),
+                            hyperparams=model.hyperparams,
+                            metric_set=metrics(counts),
+                            counts=counts,
+                            converged=model.converged,
+                        )
+                    )
+    ident = mode == "identification"
+    return EvalReport(
+        schema_version=SCHEMA_VERSION,
+        tasks=tuple(_task_name(t, mode) for t in config.targets),
+        ident_results=tuple(results) if ident else (),
+        auth_results=() if ident else tuple(results),
+        seed=config.seed,
+        catalog_version=matrix.catalog_version,
+        selection_kept=selection_kept,
+        config_snapshot=dict(config.snapshot),
+    )
+
+
 def run_identification(
     matrix: FeatureMatrix,
     specs: Sequence[ModelSpec],
@@ -439,64 +556,7 @@ def run_identification(
     under "ident:<task>:<kind>" so callers can persist them without a
     second training pass.
     """
-    ident_results: List[IdentResult] = []
-    selection_kept: Dict[str, int] = {}
-    for target in config.targets:
-        task = _task_name(target, "identification")
-        work = (
-            undersample(matrix, seed=child_seed(config.seed, "undersample", target), target=target)
-            if config.undersample_before_split
-            else matrix
-        )
-        y, names = labels_for(work, target)
-        mask = None
-        if config.selection_enabled:
-            sel = select_features(work, target, fdr=config.selection_fdr)
-            mask = sel.keep
-        selection_kept[task] = int(mask.sum()) if mask is not None else -1
-        X = work.values[:, mask] if mask is not None else work.values
-        train_idx, test_idx = split_train_test(
-            y, ratio=config.train_ratio, seed=child_seed(config.seed, "split", target)
-        )
-        for spec in specs:
-            model, cv = grid_search(
-                spec,
-                X[train_idx],
-                y[train_idx],
-                k=config.folds,
-                threads=config.threads,
-                mask=mask,
-                catalog_version=work.catalog_version,
-                class_names=names,
-                task="identification",
-            )
-            if model_sink is not None:
-                model_sink[f"ident:{task}:{spec.kind}"] = model
-            y_hat = predict(model, X[test_idx])
-            cm = confusion_matrix(y[test_idx], y_hat, k=len(names))
-            ident_results.append(
-                IdentResult(
-                    task=task,
-                    target=target,
-                    kind=spec.kind,
-                    hyperparams=model.hyperparams,
-                    metric_set=metrics_from_matrix(cm),
-                    confusion=tuple(tuple(int(v) for v in row) for row in cm),
-                    class_names=names,
-                    converged=model.converged,
-                    cv=tuple(_cv_summary(cv)),
-                )
-            )
-    return EvalReport(
-        schema_version=SCHEMA_VERSION,
-        tasks=tuple(_task_name(t, "identification") for t in config.targets),
-        ident_results=tuple(ident_results),
-        auth_results=(),
-        seed=config.seed,
-        catalog_version=matrix.catalog_version,
-        selection_kept=selection_kept,
-        config_snapshot=dict(config.snapshot),
-    )
+    return _run_task(matrix, specs, config, model_sink, "identification")
 
 
 def run_authentication(
@@ -510,72 +570,7 @@ def run_authentication(
     Winners land in ``model_sink`` (when given) under
     "auth:<task>:<label>:<balance>:<kind>".
     """
-    auth_results: List[AuthResult] = []
-    selection_kept: Dict[str, int] = {}
-    for target in config.targets:
-        task = _task_name(target, "authentication")
-        y_all, names = labels_for(matrix, target)
-        present = np.unique(y_all)
-        if len(present) < 2:
-            raise SingleClass(f"authentication needs >= 2 {target} labels")
-        for legit_id in present:
-            legit_name = names[int(legit_id)]
-            for balance in config.balances:
-                scen_seed = child_seed(config.seed, "scenario", target, int(legit_id), balance)
-                sub, y_bin = make_auth_scenario(
-                    matrix, int(legit_id), balance, seed=scen_seed, target=target
-                )
-                mask = None
-                if config.selection_enabled:
-                    sel = select_features(sub.values, y_bin, fdr=config.selection_fdr)
-                    mask = sel.keep
-                key = f"{task}:{legit_name}:{balance}"
-                selection_kept[key] = int(mask.sum()) if mask is not None else -1
-                X = sub.values[:, mask] if mask is not None else sub.values
-                train_idx, test_idx = split_train_test(
-                    y_bin,
-                    ratio=config.train_ratio,
-                    seed=child_seed(config.seed, "authsplit", target, int(legit_id), balance),
-                )
-                for spec in specs:
-                    model, _cv = grid_search(
-                        spec,
-                        X[train_idx],
-                        y_bin[train_idx],
-                        k=config.folds,
-                        threads=config.threads,
-                        mask=mask,
-                        catalog_version=matrix.catalog_version,
-                        class_names=("counterfeit", legit_name),
-                        task="authentication",
-                    )
-                    if model_sink is not None:
-                        model_sink[f"auth:{task}:{legit_name}:{balance}:{spec.kind}"] = model
-                    y_hat = predict(model, X[test_idx])
-                    counts = confusion_binary(y_bin[test_idx], y_hat)
-                    auth_results.append(
-                        AuthResult(
-                            task=task,
-                            target=target,
-                            kind=spec.kind,
-                            legit_label=legit_name,
-                            balance=int(balance),
-                            hyperparams=model.hyperparams,
-                            metric_set=metrics(counts),
-                            counts=counts,
-                            converged=model.converged,
-                        )
-                    )
-    return EvalReport(
-        schema_version=SCHEMA_VERSION,
-        tasks=tuple(_task_name(t, "authentication") for t in config.targets),
-        ident_results=(),
-        auth_results=tuple(auth_results),
-        seed=config.seed,
-        catalog_version=matrix.catalog_version,
-        selection_kept=selection_kept,
-        config_snapshot=dict(config.snapshot),
-    )
+    return _run_task(matrix, specs, config, model_sink, "authentication")
 
 
 def merge_reports(a: EvalReport, b: EvalReport) -> EvalReport:

@@ -15,7 +15,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import BadInterval, DimensionMismatch
 from .models import TrainedModel, predict, raw_importances
 from .models.search import macro_f1
 from .seeding import rng_from
@@ -74,7 +74,7 @@ def permutation_importance(
             f"X has {X.shape[1] if X.ndim == 2 else 'non-2d'} columns, model expects {model.input_width}"
         )
     if repeats < 1:
-        raise ValueError("repeats must be >= 1")
+        raise BadInterval(f"repeats must be >= 1, got {repeats}")
     baseline = macro_f1(y, predict(model, X))
     drops = np.zeros(X.shape[1])
     for j in range(X.shape[1]):

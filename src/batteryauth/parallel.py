@@ -6,26 +6,11 @@ thread count, including 1.
 """
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, List, Sequence, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
-
-THREADS_ENV_VAR = "BATTERYAUTH_THREADS"
-
-
-def resolve_threads(configured: int) -> int:
-    """Apply the environment override (the only env knob) to a config value."""
-    raw = os.environ.get(THREADS_ENV_VAR)
-    if raw is not None:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    return max(1, int(configured))
-
 
 def ordered_map(fn: Callable[[T], R], items: Sequence[T], threads: int = 1) -> List[R]:
     """Map fn over items, in-order results, optionally on a thread pool."""

@@ -24,12 +24,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Tuple, Union
+from typing import Tuple
 
 import numpy as np
 
 from .errors import BadInterval, SingleClass, TooFewSamples
-from .features import FeatureMatrix, labels_for
 
 MIN_SAMPLES_PER_CLASS = 5
 EXACT_MAX_GROUP = 8
@@ -234,23 +233,10 @@ def _mwu_p(ranks: np.ndarray, tie_term: np.ndarray, rest: np.ndarray) -> np.ndar
     return np.clip(p, 0.0, 1.0)
 
 
-def select_features(
-    matrix: Union[FeatureMatrix, np.ndarray],
-    target: Union[str, np.ndarray] = "model",
-    fdr: float = 0.05,
-) -> SelectionMask:
-    """Mann-Whitney U + Benjamini-Yekutieli mask over the catalog features.
-
-    `matrix` may be a FeatureMatrix (with target "model"/"architecture")
-    or a plain (n, F) array with an explicit label vector as `target`.
-    """
-    if isinstance(matrix, FeatureMatrix):
-        values = matrix.values
-        y = labels_for(matrix, target)[0] if isinstance(target, str) else np.asarray(target)
-    else:
-        if isinstance(target, str):
-            raise SingleClass("a plain array needs an explicit label vector")
-        values, y = np.asarray(matrix, dtype=float), np.asarray(target)
+def select_features(values: np.ndarray, y: np.ndarray, fdr: float = 0.05) -> SelectionMask:
+    """Mann-Whitney U + Benjamini-Yekutieli mask over the columns of an
+    (n, F) feature array, against the label vector ``y``."""
+    values, y = np.asarray(values, dtype=float), np.asarray(y)
     classes, counts = np.unique(y, return_counts=True)
     if len(classes) < 2:
         raise SingleClass("feature selection needs at least 2 classes")

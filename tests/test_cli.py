@@ -1,5 +1,7 @@
 """End-to-end command-line checks, all in-process through main()."""
+import csv
 import fcntl
+import io
 import json
 import os
 import subprocess
@@ -11,13 +13,17 @@ import pytest
 import batteryauth
 from batteryauth.cli import main
 from batteryauth.errors import ConfigError, FormatVersionMismatch
+from batteryauth.features import matrix_from_cycles, matrix_from_spectra
 from batteryauth.io_csv import write_cycle_csv, write_eis_csv
-from batteryauth.models import load_model, make_spec, model_to_json_dict, train
+from batteryauth.models import load_model, make_spec, model_to_json_dict, predict, train
 from batteryauth.synth import (
     SohDrift,
     SyntheticCellSpec,
     gen_cycle,
+    gen_dataset,
     gen_eis,
+    gen_eis_dataset,
+    specs_from_json,
     specs_to_json,
 )
 
@@ -71,6 +77,11 @@ def _config(spec_file, **overrides):
     }
     cfg.update(overrides)
     return cfg
+
+
+def _without_config(report: dict) -> dict:
+    del report["config"], report["provenance"]["config_sha256"]
+    return report
 
 
 def _write(tmp_path, name, payload):
@@ -127,16 +138,22 @@ class TestRun:
                 second = fh.read()
             assert first == second, name
 
-    def test_thread_env_override_keeps_bytes(self, run_artifacts, tmp_path, monkeypatch):
-        out_dir, cfg_path, _ = run_artifacts
+    def test_config_threads_keep_bytes(self, run_artifacts, spec_file, tmp_path):
+        out_dir, _, _ = run_artifacts
         out3 = str(tmp_path / "out3")
-        monkeypatch.setenv("BATTERYAUTH_THREADS", "4")
+        cfg_path = _write(tmp_path, "cfg4.json", _config(spec_file, threads=4))
         assert main(["run", "--config", cfg_path, "--output-dir", out3]) == 0
-        with open(os.path.join(out_dir, "report.json"), "rb") as fh:
-            first = fh.read()
-        with open(os.path.join(out3, "report.json"), "rb") as fh:
-            third = fh.read()
-        assert first == third
+        names = sorted(os.listdir(out_dir))
+        assert sorted(os.listdir(out3)) == names
+        for name in names:
+            with open(os.path.join(out_dir, name), "rb") as fh:
+                first = fh.read()
+            with open(os.path.join(out3, name), "rb") as fh:
+                third = fh.read()
+            if name == "report.json":
+                # the config snapshot and its hash carry the thread count itself
+                first, third = (_without_config(json.loads(b)) for b in (first, third))
+            assert first == third, name
 
     def test_config_output_dir_used_without_flag(self, spec_file, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -230,6 +247,22 @@ class TestAuthenticate:
         for r in payload["results"]:
             assert r["score"] is None or 0.0 <= r["score"] <= 1.0
 
+    def test_quoted_header_reads_like_plain(self, run_artifacts, cycle_sample, tmp_path, capsys):
+        out_dir, _, _ = run_artifacts
+        model = os.path.join(out_dir, "model_ident_model_identification_KNN.json")
+        with open(cycle_sample, encoding="utf-8") as fh:
+            header, body = fh.read().split("\n", 1)
+        quoted = io.StringIO()
+        csv.writer(quoted, quoting=csv.QUOTE_ALL, lineterminator="\n").writerow(header.split(","))
+        assert quoted.getvalue().startswith('"dataset_id","cell_id",')
+        quoted_sample = tmp_path / "quoted.csv"
+        quoted_sample.write_text(quoted.getvalue() + body, encoding="utf-8")
+        outputs = []
+        for sample in (cycle_sample, str(quoted_sample)):
+            assert main(["authenticate", "--model", model, "--sample", sample, "--json"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
     def test_wrong_record_kind_exits_1(self, run_artifacts, eis_sample, capsys):
         out_dir, _, _ = run_artifacts
         model = os.path.join(out_dir, "model_ident_model_identification_KNN.json")
@@ -277,6 +310,62 @@ class TestAuthenticate:
         model = os.path.join(out_dir, "model_ident_model_identification_KNN.json")
         assert main(["authenticate", "--model", model, "--sample", str(tmp_path / "nope.csv")]) == 2
         assert "cannot read sample file" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def eis_run(spec_file, tmp_path_factory):
+    """An EIS `run` (selection on by default) that saves authentication models."""
+    tmp_path = tmp_path_factory.mktemp("eis-run")
+    cfg = _config(spec_file, pipeline="eis")
+    cfg["synth"] = dict(cfg["synth"], n_freq=32)
+    cfg["eval"] = dict(cfg["eval"], tasks=["authentication"])
+    out_dir = str(tmp_path / "out")
+    cfg_path = _write(tmp_path, "cfg.json", cfg)
+    assert main(["run", "--config", cfg_path, "--output-dir", out_dir]) == 0
+    return out_dir, cfg["synth"]
+
+
+class TestAuthenticateReplaysRun:
+    """`authenticate` on records of a run's dataset, written to CSV, gives the
+    labels the saved model predicts on that run's own feature rows."""
+
+    @staticmethod
+    def _authenticate(model_path, records_csv, tmp_path, capsys):
+        sample = tmp_path / "records.csv"
+        sample.write_text(records_csv, encoding="utf-8")
+        assert main(["authenticate", "--model", model_path, "--sample", str(sample), "--json"]) == 0
+        return [r["label"] for r in json.loads(capsys.readouterr().out)["results"]]
+
+    def test_dca_identification_model(self, run_artifacts, spec_file, tmp_path, capsys):
+        out_dir, _, _ = run_artifacts
+        synth = _config(spec_file)["synth"]
+        with open(spec_file, encoding="utf-8") as fh:
+            specs = specs_from_json(fh.read())
+        data = gen_dataset(specs, cells_per_spec=synth["cells_per_spec"],
+                           cycles_per_cell=synth["records_per_cell"], seed=synth["seed"],
+                           n_points=synth["n_points"])
+        path = os.path.join(out_dir, "model_ident_model_identification_KNN.json")
+        model = load_model(path)
+        expected = [model.class_names[int(v)] for v in predict(model, matrix_from_cycles(data).values)]
+        assert set(expected) == {"red", "blue"}
+        assert self._authenticate(path, write_cycle_csv(data.records), tmp_path, capsys) == expected
+
+    def test_eis_authentication_model(self, eis_run, spec_file, tmp_path, capsys):
+        out_dir, synth = eis_run
+        with open(spec_file, encoding="utf-8") as fh:
+            specs = specs_from_json(fh.read())
+        data = gen_eis_dataset(specs, cells_per_spec=synth["cells_per_spec"],
+                               sweeps_per_cell=synth["records_per_cell"], seed=synth["seed"],
+                               n_freq=synth["n_freq"])
+        path = os.path.join(out_dir, "model_auth_model_authentication_red_50_KNN.json")
+        model = load_model(path)
+        assert model.mask is not None and not model.mask.all()
+        expected = [
+            "authenticated" if int(v) == 1 else "not_authenticated"
+            for v in predict(model, matrix_from_spectra(data).values)
+        ]
+        assert set(expected) == {"authenticated", "not_authenticated"}
+        assert self._authenticate(path, write_eis_csv(data.records), tmp_path, capsys) == expected
 
 
 class TestBench:

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from batteryauth.errors import DimensionMismatch, UnsupportedKind
+from batteryauth.errors import BadInterval, DimensionMismatch, UnsupportedKind
 from batteryauth.explain import ImportanceResult, mdi_importance, permutation_importance
 from batteryauth.models import make_spec, train
 
@@ -99,7 +99,7 @@ class TestPermutation:
     def test_repeats_validated(self, one_signal_data):
         X, y = one_signal_data
         m = _fit("KNN", {"k": 5, "weights": "uniform"}, X, y)
-        with pytest.raises(ValueError):
+        with pytest.raises(BadInterval, match="repeats must be >= 1"):
             permutation_importance(m, X, y, repeats=0)
 
 

@@ -8,7 +8,7 @@ import pytest
 import scipy.stats
 
 from batteryauth.errors import BadInterval, SingleClass, TooFewSamples
-from batteryauth.features import matrix_from_cycles
+from batteryauth.features import labels_for, matrix_from_cycles
 from batteryauth.seeding import rng_from
 from batteryauth.selection import benjamini_yekutieli, select_features
 from batteryauth.synth import demo_specs, gen_dataset
@@ -179,7 +179,7 @@ class TestSelectFeatures:
     def test_accepts_feature_matrix_with_target_name(self):
         data = gen_dataset(demo_specs(0.05)[:3], cells_per_spec=2, cycles_per_cell=3, seed=5, n_points=128)
         matrix = matrix_from_cycles(data)
-        mask = select_features(matrix, "model", fdr=0.05)
+        mask = select_features(matrix.values, labels_for(matrix, "model")[0], fdr=0.05)
         assert len(mask.keep) == 137
         assert mask.keep.sum() >= 1
 
