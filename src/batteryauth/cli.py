@@ -28,16 +28,10 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import __version__
-from .config import RunConfig, load_config
+from .config import RunConfig, load_config, read_text
 from .errors import BadSpec, BatteryAuthError, ConfigError, DimensionMismatch, EmptyDataset, MalformedCsv
-from .evaluate import (
-    EvalConfig,
-    merge_reports,
-    report_to_csv,
-    run_authentication,
-    run_identification,
-)
-from .features import matrix_from_cycles, matrix_from_spectra
+from .evaluate import merge_reports, report_to_csv, run_authentication, run_identification
+from .features import catalog_default, matrix_from_cycles, matrix_from_spectra
 from .io_csv import parse_cycle_csv, parse_eis_csv
 from .models import TrainedModel, decision_margins, load_model, predict, predict_scores, save_model
 from .records import build_catalog
@@ -57,21 +51,13 @@ def _safe_name(text: str) -> str:
     return "".join(c if c.isalnum() or c in "-_" else "_" for c in text)
 
 
-def _read_text(path: str, what: str) -> str:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
-
-
 # === run ===
 
 def _load_specs(cfg: RunConfig):
     assert cfg.synth is not None
     if cfg.synth.specs_path == "demo":
         return demo_specs()
-    return specs_from_json(_read_text(cfg.synth.specs_path, "cell-spec file"))
+    return specs_from_json(read_text(cfg.synth.specs_path, "cell-spec file"))
 
 
 def _build_dataset(cfg: RunConfig):
@@ -92,7 +78,7 @@ def _build_dataset(cfg: RunConfig):
             seed=cfg.synth.seed,
             n_freq=cfg.synth.n_freq,
         )
-    text = _read_text(cfg.input_path, "input")  # type: ignore[arg-type]
+    text = read_text(cfg.input_path, "input")  # type: ignore[arg-type]
     records = parse_cycle_csv(text) if cfg.pipeline == "dca" else parse_eis_csv(text)
     return build_catalog(records)
 
@@ -107,24 +93,12 @@ def cmd_run(args: argparse.Namespace) -> int:
     else:
         matrix = matrix_from_spectra(data, cfg.eis, threads=cfg.threads)
 
-    eval_cfg = EvalConfig(
-        seed=cfg.eval.seed,
-        train_ratio=cfg.eval.train_ratio,
-        folds=cfg.eval.folds,
-        targets=cfg.eval.targets,
-        balances=cfg.eval.balances,
-        selection_enabled=cfg.selection.enabled,
-        selection_fdr=cfg.selection.fdr,
-        undersample_before_split=cfg.eval.undersample,
-        threads=cfg.threads,
-        snapshot=cfg.snapshot,
-    )
     sink: dict = {}
     reports = []
-    if "identification" in cfg.eval.tasks:
-        reports.append(run_identification(matrix, cfg.models, eval_cfg, model_sink=sink))
-    if "authentication" in cfg.eval.tasks:
-        reports.append(run_authentication(matrix, cfg.models, eval_cfg, model_sink=sink))
+    if "identification" in cfg.tasks:
+        reports.append(run_identification(matrix, cfg.models, cfg.eval, model_sink=sink))
+    if "authentication" in cfg.tasks:
+        reports.append(run_authentication(matrix, cfg.models, cfg.eval, model_sink=sink))
     report = reports[0] if len(reports) == 1 else merge_reports(reports[0], reports[1])
 
     os.makedirs(cfg.output_dir, exist_ok=True)
@@ -170,11 +144,11 @@ def _features_for_samples(model: TrainedModel, sample_path: str) -> Tuple[np.nda
     """Full-catalog feature rows and names for every record in the sample CSV.
 
     Records go through the same ``matrix_from_*`` path as in ``run``, with
-    the default processing settings. The parser is chosen by the CSV
-    header, so feeding the wrong record kind to a model surfaces as a
-    catalog error, not a parse error.
+    the default processing settings. The CSV header picks the parser and
+    the catalog, so a sample of the wrong record kind is refused as a
+    catalog error before any record is parsed.
     """
-    text = _read_text(sample_path, "sample file")
+    text = read_text(sample_path, "sample file")
     try:
         columns = {c.strip() for c in next(csv.reader(io.StringIO(text)), [])}
     except csv.Error as exc:
@@ -184,15 +158,16 @@ def _features_for_samples(model: TrainedModel, sample_path: str) -> Tuple[np.nda
         raise DimensionMismatch(
             "sample CSV is neither a cycle file (voltage/capacity) nor an EIS file (frequency/z_real/z_imag)"
         )
+    version = catalog_default(2 if eis else 1).version
+    if model.catalog_version != version:
+        raise DimensionMismatch(
+            f"model was trained on catalog {model.catalog_version}, sample extracts {version}"
+        )
     records = parse_eis_csv(text) if eis else parse_cycle_csv(text)
     if not records:
         raise EmptyDataset(f"sample file {sample_path} holds no records")
     data = build_catalog(records)
     matrix = matrix_from_spectra(data) if eis else matrix_from_cycles(data)
-    if model.catalog_version != matrix.catalog_version:
-        raise DimensionMismatch(
-            f"model was trained on catalog {model.catalog_version}, sample extracts {matrix.catalog_version}"
-        )
     return matrix.values, [f"{m.cell_id}/{m.cycle_index}" for m in matrix.metas]
 
 

@@ -8,18 +8,17 @@ instead of silently running with defaults.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .dca import DcaConfig
 from .eis import EisConfig
 from .errors import BatteryAuthError, ConfigError
-from .evaluate import BALANCE_LEVELS
+from .evaluate import BALANCE_LEVELS, TARGETS, EvalConfig
 from .models import ModelSpec, enumerate_grid, make_spec
 
 PIPELINES = ("dca", "eis")
 TASKS = ("identification", "authentication")
-TARGETS = ("architecture", "model")
 DEFAULT_MODEL_KINDS = ("RandomForest",)
 
 
@@ -34,35 +33,24 @@ class SynthConfig:
 
 
 @dataclass(frozen=True)
-class SelectionConfig:
-    enabled: bool
-    fdr: float = 0.05
-
-
-@dataclass(frozen=True)
-class EvalSection:
-    seed: int = 0
-    train_ratio: float = 0.8
-    folds: int = 5
-    balances: Tuple[int, ...] = BALANCE_LEVELS
-    tasks: Tuple[str, ...] = TASKS
-    targets: Tuple[str, ...] = TARGETS
-    undersample: bool = True
-
-
-@dataclass(frozen=True)
 class RunConfig:
     pipeline: str
     output_dir: str
-    threads: int
     input_path: Optional[str]
     synth: Optional[SynthConfig]
     dca: DcaConfig
     eis: EisConfig
-    selection: SelectionConfig
     models: Tuple[ModelSpec, ...]
-    eval: EvalSection
-    snapshot: dict = field(default_factory=dict)
+    tasks: Tuple[str, ...]
+    eval: EvalConfig    # the "eval" and "selection" sections, the thread count and the snapshot
+
+    @property
+    def threads(self) -> int:
+        return self.eval.threads
+
+    @property
+    def snapshot(self) -> dict:
+        return self.eval.snapshot
 
 
 def _reject_unknown(data: dict, allowed: set, path: str) -> None:
@@ -95,13 +83,13 @@ def _positive(value, key: str, path: str):
 
 
 def _parse_dca(data: dict) -> DcaConfig:
-    path = "dca."
+    path, d = "dca.", DcaConfig()
     _reject_unknown(data, {"eps_volts", "savgol_window", "savgol_polyorder", "resample_n"}, "dca")
     cfg = DcaConfig(
-        eps_volts=_positive(_get(data, "eps_volts", float, path, 1e-4), "eps_volts", path),
-        savgol_window=_get(data, "savgol_window", int, path, 51),
-        savgol_polyorder=_get(data, "savgol_polyorder", int, path, 3),
-        resample_n=_get(data, "resample_n", int, path, 512),
+        eps_volts=_positive(_get(data, "eps_volts", float, path, d.eps_volts), "eps_volts", path),
+        savgol_window=_get(data, "savgol_window", int, path, d.savgol_window),
+        savgol_polyorder=_get(data, "savgol_polyorder", int, path, d.savgol_polyorder),
+        resample_n=_get(data, "resample_n", int, path, d.resample_n),
     )
     if cfg.savgol_window < 3 or cfg.savgol_window % 2 == 0:
         raise ConfigError(f"dca.savgol_window: must be odd and >= 3, got {cfg.savgol_window}")
@@ -116,41 +104,31 @@ def _parse_dca(data: dict) -> DcaConfig:
 
 def _parse_eis(data: dict) -> EisConfig:
     _reject_unknown(data, {"resample_m"}, "eis")
-    m = _get(data, "resample_m", int, "eis.", 128)
+    m = _get(data, "resample_m", int, "eis.", EisConfig().resample_m)
     if m < 8:
         raise ConfigError(f"eis.resample_m: must be >= 8, got {m}")
     return EisConfig(resample_m=m)
 
 
 def _parse_synth(data: dict) -> SynthConfig:
-    path = "synth."
+    path, d = "synth.", SynthConfig()
     _reject_unknown(
         data,
         {"specs", "cells_per_spec", "records_per_cell", "n_points", "n_freq", "seed"},
         "synth",
     )
     return SynthConfig(
-        specs_path=_get(data, "specs", str, path, "demo"),
-        cells_per_spec=_positive(_get(data, "cells_per_spec", int, path, 10), "cells_per_spec", path),
-        records_per_cell=_positive(
-            _get(data, "records_per_cell", int, path, 20), "records_per_cell", path
+        specs_path=_get(data, "specs", str, path, d.specs_path),
+        cells_per_spec=_positive(
+            _get(data, "cells_per_spec", int, path, d.cells_per_spec), "cells_per_spec", path
         ),
-        n_points=_positive(_get(data, "n_points", int, path, 512), "n_points", path),
-        n_freq=_positive(_get(data, "n_freq", int, path, 128), "n_freq", path),
-        seed=_get(data, "seed", int, path, 7),
+        records_per_cell=_positive(
+            _get(data, "records_per_cell", int, path, d.records_per_cell), "records_per_cell", path
+        ),
+        n_points=_positive(_get(data, "n_points", int, path, d.n_points), "n_points", path),
+        n_freq=_positive(_get(data, "n_freq", int, path, d.n_freq), "n_freq", path),
+        seed=_get(data, "seed", int, path, d.seed),
     )
-
-
-def _parse_selection(data: dict, pipeline: str) -> SelectionConfig:
-    _reject_unknown(data, {"enabled", "fdr"}, "selection")
-    # impedance features benefit from pruning; differential-capacity runs
-    # keep the full catalog unless asked otherwise
-    default_enabled = pipeline == "eis"
-    enabled = _get(data, "enabled", bool, "selection.", default_enabled)
-    fdr = _get(data, "fdr", float, "selection.", 0.05)
-    if not 0.0 < fdr < 1.0:
-        raise ConfigError(f"selection.fdr: must be in (0, 1), got {fdr}")
-    return SelectionConfig(enabled=enabled, fdr=fdr)
 
 
 def _parse_models(items, base_seed: int) -> Tuple[ModelSpec, ...]:
@@ -174,45 +152,49 @@ def _parse_models(items, base_seed: int) -> Tuple[ModelSpec, ...]:
     return tuple(specs)
 
 
-def _parse_eval(data: dict) -> EvalSection:
-    path = "eval."
-    _reject_unknown(
-        data,
-        {"seed", "train_ratio", "folds", "balances", "tasks", "targets", "undersample"},
-        "eval",
-    )
-    ratio = _get(data, "train_ratio", float, path, 0.8)
+def _choices(data: dict, key: str, allowed: tuple, default: tuple) -> tuple:
+    """eval.<key> as a non-empty tuple of distinct members of ``allowed``."""
+    values = _get(data, key, list, "eval.", list(default))
+    for v in values:
+        if v not in allowed:
+            raise ConfigError(f"eval.{key}: {v!r} not in {list(allowed)}")
+    if not values:
+        raise ConfigError(f"eval.{key}: must not be empty")
+    if len(set(values)) < len(values):
+        raise ConfigError(f"eval.{key}: duplicate entries in {values}")
+    return tuple(values)
+
+
+def _parse_eval(
+    data: dict, selection: dict, pipeline: str, threads: int, snapshot: dict
+) -> Tuple[Tuple[str, ...], EvalConfig]:
+    """The tasks to run, and the protocol settings of the eval and selection sections."""
+    path, d = "eval.", EvalConfig()
+    _reject_unknown(data, {"seed", "train_ratio", "folds", "balances", "tasks", "targets"}, "eval")
+    _reject_unknown(selection, {"enabled", "fdr"}, "selection")
+    ratio = _get(data, "train_ratio", float, path, d.train_ratio)
     if not 0.5 <= ratio < 1.0:
         raise ConfigError(f"eval.train_ratio: must be in [0.5, 1), got {ratio}")
-    folds = _get(data, "folds", int, path, 5)
+    folds = _get(data, "folds", int, path, d.folds)
     if folds < 2:
         raise ConfigError(f"eval.folds: must be >= 2, got {folds}")
-    balances = _get(data, "balances", list, path, list(BALANCE_LEVELS))
-    for b in balances:
-        if b not in BALANCE_LEVELS:
-            raise ConfigError(f"eval.balances: {b} not in {list(BALANCE_LEVELS)}")
-    if not balances:
-        raise ConfigError("eval.balances: must not be empty")
-    tasks = _get(data, "tasks", list, path, list(TASKS))
-    for t in tasks:
-        if t not in TASKS:
-            raise ConfigError(f"eval.tasks: {t!r} not in {list(TASKS)}")
-    if not tasks:
-        raise ConfigError("eval.tasks: must not be empty")
-    targets = _get(data, "targets", list, path, list(TARGETS))
-    for t in targets:
-        if t not in TARGETS:
-            raise ConfigError(f"eval.targets: {t!r} not in {list(TARGETS)}")
-    if not targets:
-        raise ConfigError("eval.targets: must not be empty")
-    return EvalSection(
-        seed=_get(data, "seed", int, path, 0),
+    # impedance features benefit from pruning; differential-capacity runs
+    # keep the full catalog unless asked otherwise
+    enabled = _get(selection, "enabled", bool, "selection.", pipeline == "eis")
+    fdr = _get(selection, "fdr", float, "selection.", d.selection_fdr)
+    if not 0.0 < fdr < 1.0:
+        raise ConfigError(f"selection.fdr: must be in (0, 1), got {fdr}")
+    balances = _choices(data, "balances", BALANCE_LEVELS, d.balances)
+    return _choices(data, "tasks", TASKS, TASKS), EvalConfig(
+        seed=_get(data, "seed", int, path, d.seed),
         train_ratio=ratio,
         folds=folds,
+        targets=_choices(data, "targets", TARGETS, d.targets),
         balances=tuple(int(b) for b in balances),
-        tasks=tuple(tasks),
-        targets=tuple(targets),
-        undersample=_get(data, "undersample", bool, path, True),
+        selection_enabled=enabled,
+        selection_fdr=fdr,
+        threads=threads,
+        snapshot=snapshot,
     )
 
 
@@ -230,7 +212,7 @@ def config_from_json_dict(data: dict) -> RunConfig:
     if pipeline not in PIPELINES:
         raise ConfigError(f"pipeline: must be one of {list(PIPELINES)}, got {pipeline!r}")
     output_dir = _get(data, "output_dir", str, "", "out")
-    threads = _get(data, "threads", int, "", 1)
+    threads = _get(data, "threads", int, "", EvalConfig().threads)
     if threads < 1:
         raise ConfigError(f"threads: must be >= 1, got {threads}")
 
@@ -246,31 +228,40 @@ def config_from_json_dict(data: dict) -> RunConfig:
     if input_path is not None and synth is not None:
         raise ConfigError("'input' and 'synth' sections are mutually exclusive")
 
-    eval_section = _parse_eval(_get(data, "eval", dict, "", {}) or {})
+    tasks, eval_cfg = _parse_eval(
+        _get(data, "eval", dict, "", {}) or {},
+        _get(data, "selection", dict, "", {}) or {},
+        pipeline,
+        threads,
+        data,
+    )
     models_items = data.get("models")
     if models_items is None:
         models_items = [{"kind": k} for k in DEFAULT_MODEL_KINDS]
     return RunConfig(
         pipeline=pipeline,
         output_dir=output_dir,
-        threads=threads,
         input_path=input_path,
         synth=synth,
         dca=_parse_dca(_get(data, "dca", dict, "", {}) or {}),
         eis=_parse_eis(_get(data, "eis", dict, "", {}) or {}),
-        selection=_parse_selection(_get(data, "selection", dict, "", {}) or {}, pipeline),
-        models=_parse_models(models_items, eval_section.seed),
-        eval=eval_section,
-        snapshot=data,
+        models=_parse_models(models_items, eval_cfg.seed),
+        tasks=tasks,
+        eval=eval_cfg,
     )
 
 
-def load_config(path: str) -> RunConfig:
+def read_text(path: str, what: str) -> str:
+    """The UTF-8 text of a file the run names; a file that cannot be read is a ConfigError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def load_config(path: str) -> RunConfig:
+    text = read_text(path, "config")
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -30,6 +30,7 @@ from .seeding import child_seed, rng_from
 from .selection import select_features
 
 BALANCE_LEVELS = (50, 40, 30, 20)
+TARGETS = ("architecture", "model")
 SCHEMA_VERSION = "1"
 
 
@@ -150,16 +151,10 @@ def metrics_from_matrix(cm: np.ndarray) -> MetricSet:
 
 # === sampling operations ===
 
-def split_train_test(
-    y: np.ndarray, ratio: float = 0.8, seed: int = 0, stratified: bool = True
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Disjoint, exhaustive (train, test) indices; per-class 80/20 when stratified."""
+def split_train_test(y: np.ndarray, ratio: float = 0.8, seed: int = 0) -> Tuple[np.ndarray, np.ndarray]:
+    """Disjoint, exhaustive (train, test) indices, split per class (80/20 by default)."""
     y = np.asarray(y)
     rng = rng_from(seed, "split")
-    if not stratified:
-        perm = rng.permutation(len(y))
-        n_train = int(round(ratio * len(y)))
-        return np.sort(perm[:n_train]), np.sort(perm[n_train:])
     test_parts = []
     for c in np.unique(y):
         members = np.flatnonzero(y == c)
@@ -413,11 +408,10 @@ class EvalConfig:
     seed: int = 0
     train_ratio: float = 0.8
     folds: int = 5
-    targets: Tuple[str, ...] = ("architecture", "model")
+    targets: Tuple[str, ...] = TARGETS
     balances: Tuple[int, ...] = BALANCE_LEVELS
     selection_enabled: bool = False
     selection_fdr: float = 0.05
-    undersample_before_split: bool = True
     threads: int = 1
     snapshot: dict = field(default_factory=dict)
 
@@ -435,11 +429,7 @@ def _labelled_sets(matrix: FeatureMatrix, config: EvalConfig, target: str, mode:
     authentication fits one scenario per (legit label, balance level).
     """
     if mode == "identification":
-        work = (
-            undersample(matrix, seed=child_seed(config.seed, "undersample", target), target=target)
-            if config.undersample_before_split
-            else matrix
-        )
+        work = undersample(matrix, seed=child_seed(config.seed, "undersample", target), target=target)
         y, names = labels_for(work, target)
         yield None, None, work, y, names, child_seed(config.seed, "split", target)
         return

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -399,11 +399,10 @@ def _build_matrix(
 def matrix_from_cycles(
     data: DatasetCatalog,
     config: DcaConfig = DcaConfig(),
-    catalog: Optional[FeatureCatalog] = None,
     threads: int = 1,
 ) -> FeatureMatrix:
     """Process every cycle record and extract the 1-channel catalog."""
-    catalog = catalog or catalog_default(1)
+    catalog = catalog_default(1)
 
     def one(rec: CycleRecord) -> FeatureVector:
         series = process_cycle(rec, config)
@@ -416,11 +415,10 @@ def matrix_from_cycles(
 def matrix_from_spectra(
     data: DatasetCatalog,
     config: EisConfig = EisConfig(),
-    catalog: Optional[FeatureCatalog] = None,
     threads: int = 1,
 ) -> FeatureMatrix:
     """Process every EIS sweep and extract the 2-channel catalog."""
-    catalog = catalog or catalog_default(2)
+    catalog = catalog_default(2)
 
     def one(rec: EisSpectrum) -> FeatureVector:
         ch = process_spectrum(rec, config)

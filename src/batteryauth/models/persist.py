@@ -181,11 +181,13 @@ def save_model(model: TrainedModel, path: str) -> None:
 
 
 def load_model(path: str) -> TrainedModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatVersionMismatch(f"model file is not valid JSON: {exc}")
+    except OSError as exc:
+        raise FormatVersionMismatch(f"cannot read model file {path}: {exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise FormatVersionMismatch(f"model file {path} is not valid UTF-8 JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise FormatVersionMismatch("model file does not hold a JSON object")
     return model_from_json_dict(data)

@@ -263,13 +263,28 @@ class TestAuthenticate:
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
 
-    def test_wrong_record_kind_exits_1(self, run_artifacts, eis_sample, capsys):
+    @pytest.mark.parametrize("header_only", [False, True])
+    def test_wrong_record_kind_exits_1(self, run_artifacts, eis_sample, header_only, tmp_path,
+                                       capsys, monkeypatch):
         out_dir, _, _ = run_artifacts
         model = os.path.join(out_dir, "model_ident_model_identification_KNN.json")
+        if header_only:
+            with open(eis_sample, encoding="utf-8") as fh:
+                header = fh.readline()
+            eis_sample = str(tmp_path / "header_only.csv")
+            with open(eis_sample, "w", encoding="utf-8") as fh:
+                fh.write(header)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("a sample of the wrong record kind is refused from its header")
+
+        # the header names the record kind, so nothing is parsed or processed
+        monkeypatch.setattr("batteryauth.cli.parse_eis_csv", refused)
+        monkeypatch.setattr("batteryauth.features.process_spectrum", refused)
         assert main(["authenticate", "--model", model, "--sample", eis_sample]) == 1
-        err = capsys.readouterr().err
-        assert "DimensionMismatch" in err
-        assert "v1:ch1" in err and "v1:ch2" in err
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("batteryauth.errors.DimensionMismatch: ")
+        assert "v1:ch1" in err[0] and "v1:ch2" in err[0]
 
     def test_corrupt_model_exits_1(self, cycle_sample, tmp_path, capsys):
         bad = tmp_path / "broken.json"
@@ -310,6 +325,56 @@ class TestAuthenticate:
         model = os.path.join(out_dir, "model_ident_model_identification_KNN.json")
         assert main(["authenticate", "--model", model, "--sample", str(tmp_path / "nope.csv")]) == 2
         assert "cannot read sample file" in capsys.readouterr().err
+
+
+NOT_UTF8 = b"\xff\xfe not utf-8\n"
+
+
+class TestUnreadableFiles:
+    """Each file a command reads: a missing or non-UTF-8 file is a library error."""
+
+    @pytest.mark.parametrize("what", ["config", "cell-spec file", "input"])
+    def test_run_input_not_utf8_exits_2(self, spec_file, what, tmp_path, capsys):
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(NOT_UTF8)
+        cfg_path = str(bad)
+        if what == "cell-spec file":
+            cfg = _config(spec_file)
+            cfg["synth"] = dict(cfg["synth"], specs=str(bad))
+            cfg_path = _write(tmp_path, "cfg.json", cfg)
+        elif what == "input":
+            cfg = {k: v for k, v in _config(spec_file).items() if k != "synth"}
+            cfg_path = _write(tmp_path, "cfg.json", dict(cfg, input={"csv": str(bad)}))
+        assert main(["run", "--config", cfg_path, "--output-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"batteryauth.errors.ConfigError: cannot read {what} {bad}: ")
+
+    def test_sample_not_utf8_exits_2(self, run_artifacts, tmp_path, capsys):
+        out_dir, _, _ = run_artifacts
+        model = os.path.join(out_dir, "model_ident_model_identification_KNN.json")
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(NOT_UTF8)
+        assert main(["authenticate", "--model", model, "--sample", str(bad)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"batteryauth.errors.ConfigError: cannot read sample file {bad}: ")
+
+    @pytest.mark.parametrize("command", ["authenticate", "bench"])
+    @pytest.mark.parametrize("content,expected", [
+        (None, "cannot read model file"),
+        (NOT_UTF8, "is not valid UTF-8 JSON"),
+    ], ids=["missing", "not-utf8"])
+    def test_model_exits_1_naming_the_path(self, cycle_sample, command, content, expected,
+                                           tmp_path, capsys):
+        path = tmp_path / "model.json"
+        if content is not None:
+            path.write_bytes(content)
+        assert main([command, "--model", str(path), "--sample", cycle_sample]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("batteryauth.errors.FormatVersionMismatch: ")
+        assert str(path) in err[0] and expected in err[0]
 
 
 @pytest.fixture(scope="module")
@@ -433,11 +498,15 @@ class TestBadSampleRows:
     ]
 
     @pytest.mark.parametrize("which,edit,expected", [c[1:] for c in CASES], ids=[c[0] for c in CASES])
-    def test_exits_1_with_one_error_line(self, run_artifacts, cycle_sample, eis_sample, tmp_path,
-                                         capsys, which, edit, expected):
-        out_dir, _, _ = run_artifacts
-        model = os.path.join(out_dir, "model_ident_model_identification_KNN.json")
-        source = cycle_sample if which == "cycles" else eis_sample
+    def test_exits_1_with_one_error_line(self, run_artifacts, eis_run, cycle_sample, eis_sample,
+                                         tmp_path, capsys, which, edit, expected):
+        # a model of the sample's own record kind, so that the rows are parsed
+        if which == "cycles":
+            model = os.path.join(run_artifacts[0], "model_ident_model_identification_KNN.json")
+            source = cycle_sample
+        else:
+            model = os.path.join(eis_run[0], "model_auth_model_authentication_red_50_KNN.json")
+            source = eis_sample
         with open(source, encoding="utf-8") as fh:
             rows = fh.read().splitlines()
         bad = tmp_path / "bad.csv"

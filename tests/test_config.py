@@ -1,12 +1,18 @@
 """Config parsing: strict keys, dotted error paths, defaults."""
+from dataclasses import replace
+
 import pytest
 
 from batteryauth.config import (
     DEFAULT_MODEL_KINDS,
+    SynthConfig,
     config_from_json_dict,
     load_config,
 )
+from batteryauth.dca import DcaConfig
+from batteryauth.eis import EisConfig
 from batteryauth.errors import ConfigError
+from batteryauth.evaluate import EvalConfig
 
 
 def _base(**overrides):
@@ -29,6 +35,19 @@ class TestTopLevel:
         assert cfg.eval.train_ratio == 0.8
         assert cfg.eval.balances == (50, 40, 30, 20)
         assert cfg.snapshot == _base()
+
+    @pytest.mark.parametrize("pipeline", ["dca", "eis"])
+    def test_minimal_config_is_every_dataclass_default(self, pipeline):
+        data = {"pipeline": pipeline, "synth": {}}
+        cfg = config_from_json_dict(data)
+        assert cfg.dca == DcaConfig()
+        assert cfg.eis == EisConfig()
+        assert cfg.synth == SynthConfig()
+        # selection defaults by pipeline; the snapshot is the document itself
+        assert cfg.eval.selection_enabled is (pipeline == "eis")
+        assert cfg.eval.snapshot is data
+        assert replace(cfg.eval, selection_enabled=False, snapshot={}) == EvalConfig()
+        assert cfg.tasks == ("identification", "authentication")
 
     def test_unknown_top_key(self):
         with pytest.raises(ConfigError) as err:
@@ -74,16 +93,16 @@ class TestTopLevel:
 class TestSelectionDefaults:
     def test_eis_enables_selection(self):
         cfg = config_from_json_dict({"pipeline": "eis", "synth": {}})
-        assert cfg.selection.enabled is True
+        assert cfg.eval.selection_enabled is True
 
     def test_dca_disables_selection(self):
         cfg = config_from_json_dict({"pipeline": "dca", "synth": {}})
-        assert cfg.selection.enabled is False
+        assert cfg.eval.selection_enabled is False
 
     def test_explicit_override_wins(self):
         cfg = config_from_json_dict(_base(selection={"enabled": True, "fdr": 0.1}))
-        assert cfg.selection.enabled is True
-        assert cfg.selection.fdr == 0.1
+        assert cfg.eval.selection_enabled is True
+        assert cfg.eval.selection_fdr == 0.1
 
     def test_fdr_range(self):
         with pytest.raises(ConfigError) as err:
@@ -133,6 +152,18 @@ class TestSectionValidation:
         for key in ("balances", "tasks", "targets"):
             with pytest.raises(ConfigError):
                 config_from_json_dict(_base(eval={key: []}))
+
+    @pytest.mark.parametrize("key,values", [
+        ("balances", [50, 50]), ("targets", ["architecture", "architecture"]),
+        ("tasks", ["identification", "identification"]),
+    ])
+    def test_duplicate_entries_rejected(self, key, values):
+        with pytest.raises(ConfigError, match=f"^eval.{key}: duplicate entries"):
+            config_from_json_dict(_base(eval={key: values}))
+
+    def test_undersample_is_not_an_option(self):
+        with pytest.raises(ConfigError, match="undersample"):
+            config_from_json_dict(_base(eval={"undersample": False}))
 
     def test_bad_task_name(self):
         with pytest.raises(ConfigError) as err:

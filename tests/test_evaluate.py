@@ -158,11 +158,6 @@ class TestSplit:
         with pytest.raises(ClassTooSmall):
             split_train_test(np.array([0, 1, 1, 1]), ratio=0.8, seed=0)
 
-    def test_unstratified_mode(self):
-        y = np.repeat([0, 1], 10)
-        trn, tst = split_train_test(y, ratio=0.8, seed=1, stratified=False)
-        assert len(trn) == 16 and len(tst) == 4
-
     def test_seeded_reproducibility(self):
         y = np.repeat([0, 1], 25)
         a = split_train_test(y, ratio=0.8, seed=9)
