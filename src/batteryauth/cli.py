@@ -87,6 +87,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     if args.output_dir:
         cfg = replace(cfg, output_dir=args.output_dir)
+    # before any work, so an unusable path costs nothing
+    try:
+        os.makedirs(cfg.output_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {cfg.output_dir}: {exc}") from exc
     data = _build_dataset(cfg)
     if cfg.pipeline == "dca":
         matrix = matrix_from_cycles(data, cfg.dca, threads=cfg.threads)
@@ -101,7 +106,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         reports.append(run_authentication(matrix, cfg.models, cfg.eval, model_sink=sink))
     report = reports[0] if len(reports) == 1 else merge_reports(reports[0], reports[1])
 
-    os.makedirs(cfg.output_dir, exist_ok=True)
     payload = report.to_json_dict()
     payload["provenance"] = {
         "config_sha256": _config_sha256(cfg.snapshot),

@@ -24,8 +24,12 @@ from . import boost, dtree, forest, naive_bayes, neighbors, neural, qda, svm
 # whose key order is the dimension order; ``STATE``, the names of the
 # fields its fitted state saves; and, where they apply,
 # ``COUNTS`` (hyperparameters that are ints >= 1), ``check`` (other bounds),
-# ``PREFIX`` with ``prefix``, ``with_table`` (state derived at load),
-# ``raw_importances`` and ``decision_values``.
+# ``SHARED`` with ``derive``, ``with_table`` (state derived at load),
+# ``raw_importances`` and ``decision_values``. ``SHARED`` names the grid
+# dimensions one fit can serve: ``derive(params, hp)`` turns a fit at the
+# largest value of each (None counts as unlimited) into state that
+# predicts as the fit at ``hp`` would, where hp differs only in those
+# dimensions. A kind that shares fits does not use its seed.
 _MODULES = {
     "AdaBoost": boost,
     "DecisionTree": dtree,
@@ -184,20 +188,19 @@ def train(
     )
 
 
-def prefix_dimension(kind: str) -> Optional[str]:
-    """The dimension at whose smaller values a fit is the start of the fit
-    at a larger one, if the kind has one."""
-    return getattr(_MODULES[kind], "PREFIX", None)
+def shared_dimensions(kind: str) -> Tuple[str, ...]:
+    """The grid dimensions over which one fit serves every value, if any."""
+    return getattr(_MODULES[kind], "SHARED", ())
 
 
-def prefix_model(model: TrainedModel, hyperparams: dict) -> TrainedModel:
-    """The model ``train`` gives at ``hyperparams``, cut from ``model``, which
-    was trained on the same data at hyperparameters that differ at most in
-    a larger value of the kind's prefix dimension."""
-    dim = prefix_dimension(model.kind)
-    if dim is None or hyperparams[dim] == model.hyperparams[dim]:
+def derived_model(model: TrainedModel, hyperparams: dict) -> TrainedModel:
+    """The model ``train`` gives at ``hyperparams``, for prediction, derived
+    from ``model``: trained on the same data at hyperparameters that differ
+    at most in the kind's shared dimensions, each at a value at least as
+    large (None is unlimited)."""
+    if hyperparams == model.hyperparams:
         return model
-    params = _MODULES[model.kind].prefix(model.params, hyperparams[dim])
+    params = _MODULES[model.kind].derive(model.params, hyperparams)
     return replace(model, hyperparams=hyperparams, params=params)
 
 

@@ -7,7 +7,7 @@ alpha) or when a stump is no better than chance (alpha <= 0).
 
 The seed is not used, and round m depends only on the rounds before it,
 so the first n stumps and alphas of a fit at N >= n rounds are the fit
-at n rounds, early stops included. ``prefix`` cuts that fit out, and
+at n rounds, early stops included. ``derive`` cuts that fit out, and
 ``predict`` gives it bit-identical scores: its running sum adds the
 alphas in stump order whatever the ensemble's length.
 """
@@ -63,11 +63,12 @@ def with_table(state: dict) -> dict:
 
 
 # a fit at fewer rounds is the start of a fit at more
-PREFIX = "n_estimators"
+SHARED = ("n_estimators",)
 
 
-def prefix(params: dict, n: int) -> dict:
-    """The fitted state of a fit at ``n`` rounds, cut from a longer fit."""
+def derive(params: dict, hp: dict) -> dict:
+    """The fitted state of a fit at ``hp``, cut from a longer fit."""
+    n = hp["n_estimators"]
     return with_table({"stumps": params["stumps"][:n], "alphas": params["alphas"][:n]})
 
 

@@ -2,13 +2,15 @@
 
 The tree is a batch of one for the lockstep engine (``tree.grow_trees``)
 and predicts through a one-tree ``tree.NodeTable``, whose node ids are
-the tree's own.
+the tree's own. A fit at a smaller ``max_depth`` is the fit at a larger
+one cut at that depth (``tree.cut``), so grid search fits each criterion
+once per fold and derives the other depths from it.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .tree import NodeTable, grow_trees
+from .tree import NodeTable, cut, grow_trees
 
 GRID = {"criterion": ["gini", "entropy"], "max_depth": [4, 8, 16, None]}
 COUNTS = ("max_depth",)
@@ -30,6 +32,19 @@ def fit(Xs: np.ndarray, y: np.ndarray, k: int, hp: dict, seed: int):
 
 def with_table(state: dict) -> dict:
     return {**state, "table": NodeTable.from_trees([state["tree"]])}
+
+
+# a fit at a smaller max_depth is a fit at a larger one, cut
+SHARED = ("max_depth",)
+
+
+def derive(params: dict, hp: dict) -> dict:
+    """State that predicts as the fit at ``hp``, from a fit at a larger
+    ``max_depth`` (None is unlimited) on the same data."""
+    max_depth = hp.get("max_depth")
+    if max_depth is None:
+        return params
+    return with_table({"tree": cut(params["tree"], int(max_depth))})
 
 
 def predict(params: dict, Xs: np.ndarray, k: int, hp: dict):

@@ -2,7 +2,8 @@
 
 Each tree draws its bootstrap sample and its per-split feature subsets
 (sqrt of the feature count) from an RNG stream derived from (seed, tree
-index), so training order and thread count cannot change the result.
+index; ``seeding.rngs_from`` derives all of them in one pass), so training
+order and thread count cannot change the result.
 All trees grow in lockstep through one engine (``tree.grow_trees``): a
 tree's rows are its bootstrap indices into the shared matrix, and its
 feature subsets are drawn in its own pre-order, so every tree equals the
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..seeding import rng_from
+from ..seeding import rngs_from
 from .tree import NodeTable, grow_trees
 
 GRID = {"criterion": ["gini", "entropy"], "n_estimators": [100, 200]}
@@ -27,7 +28,7 @@ STATE = ("trees",)
 def fit(Xs: np.ndarray, y: np.ndarray, k: int, hp: dict, seed: int):
     n, d = Xs.shape
     bootstrap = bool(hp.get("bootstrap", True))
-    rngs = [rng_from(seed, "tree", t) for t in range(int(hp["n_estimators"]))]
+    rngs = rngs_from(seed, "tree", count=int(hp["n_estimators"]))
     samples = [rng.integers(0, n, size=n) if bootstrap else np.arange(n) for rng in rngs]
     trees = grow_trees(
         Xs,

@@ -3,7 +3,9 @@
 The model stores its training matrix. Neighbor order breaks distance
 ties by training index (stable argsort), and uniform voting breaks vote
 ties by the lowest class id. With distance weighting, an exact match
-(distance zero) outvotes everything else.
+(distance zero) outvotes everything else. Predict votes for all rows at
+once. The fit does not depend on (k, weights), so grid search fits once
+per fold and scores every (k, weights) on that fit.
 """
 from __future__ import annotations
 
@@ -42,24 +44,31 @@ def fit(Xs: np.ndarray, y: np.ndarray, k: int, hp: dict, seed: int):
     return {"train_x": Xs.copy(), "train_y": y.copy()}, True
 
 
+# the fit stores the training data whatever (k, weights) is
+SHARED = ("k", "weights")
+
+
+def derive(params: dict, hp: dict) -> dict:
+    return params
+
+
 def predict(params: dict, Xs: np.ndarray, k: int, hp: dict):
-    kk = int(hp["k"])
     weights = hp["weights"]
     train_x, train_y = params["train_x"], params["train_y"]
-    kk = min(kk, len(train_x))
+    kk = min(int(hp["k"]), len(train_x))
     dists = np.sqrt(squared_distances(Xs, train_x))
-    scores = np.zeros((len(Xs), k))
-    for i in range(len(Xs)):
-        order = np.argsort(dists[i], kind="stable")[:kk]
-        nd = dists[i][order]
-        ny = train_y[order]
-        if weights == "uniform":
-            vote = np.bincount(ny, minlength=k).astype(float)
-        else:
-            if (nd == 0).any():
-                vote = np.bincount(ny[nd == 0], minlength=k).astype(float)
-            else:
-                vote = np.bincount(ny, weights=1.0 / nd, minlength=k)
-        scores[i] = vote / vote.sum()
+    rows = np.arange(len(Xs))[:, None]
+    order = np.argsort(dists, axis=1, kind="stable")[:, :kk]
+    nd = dists[rows, order]
+    w = None
+    if weights != "uniform":
+        # a row with an exact match counts its exact matches only
+        exact = nd == 0
+        w = np.where(exact.any(axis=1, keepdims=True), exact, 1.0 / np.where(exact, 1.0, nd)).ravel()
+    # one bincount over (row, class) cells adds each cell's votes in
+    # neighbour order, as a bincount per row does
+    cells = (rows * k + train_y[order]).ravel()
+    votes = np.bincount(cells, weights=w, minlength=len(Xs) * k).astype(float, copy=False)
+    votes = votes.reshape(-1, k)
+    scores = votes / votes.sum(axis=1, keepdims=True)
     return np.argmax(scores, axis=1), scores
-

@@ -7,11 +7,16 @@ refit on the full training data. Candidate model seeds derive from
 results. A candidate whose training raises scores -inf; if all do, the
 search fails with GridExhausted.
 
-The candidates of a kind with a prefix dimension (AdaBoost, whose grid
-varies only ``n_estimators``) share one fit per fold, at the largest
-value; each is scored on its prefix of that fit (``prefix_model``), which
-is the model it would have trained alone. Every other candidate is fitted
-alone. The pool runs one group of candidates that share fits per task.
+Fits are shared through one registry hook. A kind that names shared
+dimensions (``SHARED``: AdaBoost ``n_estimators``, DecisionTree
+``max_depth``, KNN ``k`` and ``weights``) has its candidates grouped by
+their values on every other dimension. Each group is fitted once per
+fold, at its largest value of each shared dimension (None counts as
+unlimited), and every member is scored on the model derived from that fit
+(``derived_model``), which predicts as the model it would have trained
+alone. A fit that raises fails every candidate it serves. A kind without
+shared dimensions fits every candidate alone. The pool runs one group per
+task.
 """
 from __future__ import annotations
 
@@ -26,10 +31,10 @@ from ..seeding import child_seed, rng_from
 from .base import (
     ModelSpec,
     TrainedModel,
+    derived_model,
     enumerate_grid,
     predict,
-    prefix_dimension,
-    prefix_model,
+    shared_dimensions,
     train,
 )
 
@@ -83,14 +88,32 @@ class CandidateResult:
     error: Optional[str] = None
 
 
+def _largest(value) -> tuple:
+    """Order of a shared dimension's values; None is unlimited."""
+    return (value is None, 0 if value is None else value)
+
+
 def _shared_fits(kind: str, candidates: List[dict]) -> List[List[int]]:
-    """Candidate indices per fit a fold needs. A prefix kind's grid varies
-    only its prefix dimension, so all its candidates share one fit (the
-    largest value last); any other candidate is fitted alone."""
-    dim = prefix_dimension(kind)
-    if dim is None:
+    """Candidate indices per fit a fold needs, the one to fit last.
+    Candidates that agree on every dimension the kind does not share form
+    one group, ordered by their shared values."""
+    shared = shared_dimensions(kind)
+    if not shared:
         return [[ci] for ci in range(len(candidates))]
-    return [sorted(range(len(candidates)), key=lambda ci: candidates[ci][dim])]
+    keys: List[dict] = []
+    groups: List[List[int]] = []
+    for ci, hp in enumerate(candidates):
+        key = {dim: value for dim, value in hp.items() if dim not in shared}
+        if key in keys:
+            groups[keys.index(key)].append(ci)
+        else:
+            keys.append(key)
+            groups.append([ci])
+
+    def order(ci: int) -> tuple:
+        return tuple(_largest(candidates[ci][dim]) for dim in shared)
+
+    return [sorted(members, key=order) for members in groups]
 
 
 def grid_search(
@@ -119,7 +142,7 @@ def grid_search(
             for trn, val in folds:
                 model = train(spec, candidates[top], X[trn], y[trn],
                               seed=child_seed(spec.seed, "candidate", top))
-                per_fold.append([macro_f1(y[val], predict(prefix_model(model, candidates[ci]), X[val]))
+                per_fold.append([macro_f1(y[val], predict(derived_model(model, candidates[ci]), X[val]))
                                  for ci in members])
         except BatteryAuthError as exc:
             error = f"{type(exc).__name__}: {exc}"

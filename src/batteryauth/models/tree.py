@@ -31,7 +31,9 @@ A batch is searched in consecutive chunks of at most BATCH_ELEMENTS
 searched alone.
 
 Sample weights are supported (boosting needs them); class counts then
-become class weight sums throughout.
+become class weight sums throughout, and a split position where either
+side's weight sum is 0 (its rows weigh 0, or their sum rounds to 0 in the
+node total minus the other side) is not scored.
 
 Prediction. ``NodeTable`` concatenates the node arrays of an ensemble,
 with child ids shifted to table positions and leaves pointing at
@@ -41,7 +43,7 @@ stored form, so the model file format does not depend on it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -163,6 +165,9 @@ def _best_splits(X, y, w, rows, feats, k, criterion, parent_imp):
     sides[:, 0] = cum[:, :, :-1]
     np.subtract(cum[:, :, -1:], sides[:, 0], out=sides[:, 1])
     weights = _class_sum(sides)                                # (2, B, n-1, m)
+    if w is not None:
+        # a side whose weight sum is 0 is no split; its impurity would be 0/0
+        valid &= (weights[0] > 0) & (weights[1] > 0)
     # positions at or past a padded node's end divide 0/0; they are masked
     with np.errstate(divide="ignore", invalid="ignore"):
         impurity = _impurity(sides, weights, criterion)
@@ -323,6 +328,26 @@ def _push(owners, parents, is_right, rows, depths, y, w, k, max_depth):
     counts, weight, split = _node_stats(y, w, rows, depths, k, max_depth)
     for i, g in enumerate(owners):
         g.stack.append((rows[i], depths[i], parents[i], is_right[i], counts[i], weight[i], split[i]))
+
+
+def cut(tree: Tree, max_depth: int) -> Tree:
+    """``tree`` with its nodes at depth ``max_depth`` made leaves.
+
+    A node's split search does not depend on max_depth, only whether it is
+    searched does, so this predicts exactly as the tree grown at
+    ``max_depth`` from the same data: every reachable node, class sums
+    included, is that tree's. The nodes below stay in the arrays,
+    unreachable, and the importances stay those of the deeper tree.
+    """
+    frontier = np.zeros(1, dtype=np.intp)
+    for _ in range(max_depth):
+        inner = frontier[tree.feature[frontier] >= 0]
+        if not len(inner):
+            return tree
+        frontier = np.concatenate([tree.left[inner], tree.right[inner]])
+    feature, left, right = tree.feature.copy(), tree.left.copy(), tree.right.copy()
+    feature[frontier] = left[frontier] = right[frontier] = -1
+    return replace(tree, feature=feature, left=left, right=right)
 
 
 @dataclass(eq=False)

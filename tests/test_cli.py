@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import batteryauth
+from batteryauth import cli
 from batteryauth.cli import main
 from batteryauth.errors import ConfigError, FormatVersionMismatch
 from batteryauth.features import matrix_from_cycles, matrix_from_spectra
@@ -189,6 +190,21 @@ class TestRun:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith(f"batteryauth.errors.ConfigError: models[0]: {model['kind']} grid point")
+
+    def test_unusable_output_dir_exits_2_before_any_work(self, spec_file, tmp_path, capsys,
+                                                         monkeypatch):
+        def no_dataset(cfg):
+            raise AssertionError("the dataset was built")
+
+        monkeypatch.setattr(cli, "_build_dataset", no_dataset)
+        occupied = tmp_path / "a-file"
+        occupied.write_text("", encoding="utf-8")
+        cfg_path = _write(tmp_path, "cfg.json", _config(spec_file))
+        for out_dir in (occupied, occupied / "below"):
+            assert main(["run", "--config", cfg_path, "--output-dir", str(out_dir)]) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1
+            assert err[0].startswith("batteryauth.errors.ConfigError: cannot create output directory")
 
     def test_missing_config_exits_2(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "absent.json")]) == 2

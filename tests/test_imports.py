@@ -1,9 +1,11 @@
 """Import guard: the package and the scoring path load numpy but no scipy.
 
 Each check runs in a fresh interpreter (same executable, same package on
-the path) and lists the scipy modules present once it is done. Only QDA
-scoring may load scipy, on first use; a `run` with the Mann-Whitney
-screen on loads none.
+the path) and lists the scipy and numpy.random modules present once it is
+done. Only QDA scoring may load scipy, on first use; a `run` with the
+Mann-Whitney screen on loads none. Importing the package and scoring with
+a forest or KNN load no numpy.random either: seeding defines its
+numpy.random subclass on first use.
 """
 import json
 import os
@@ -19,12 +21,13 @@ from batteryauth.synth import demo_specs, gen_cycle, specs_to_json
 
 _SRC = os.path.dirname(os.path.dirname(os.path.abspath(batteryauth.__file__)))
 
-# runs the given code, then prints the loaded scipy modules as a JSON list
-# on the last line of stderr
+# runs the given code, then prints the loaded scipy and numpy.random modules
+# as a JSON object of two lists on the last line of stderr
 _PROBE = """
 import json, sys
 {code}
-loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+loaded = {{p: sorted(m for m in sys.modules if m == p or m.startswith(p + "."))
+          for p in ("scipy", "numpy.random")}}
 print(json.dumps(loaded), file=sys.stderr)
 """
 
@@ -43,7 +46,7 @@ def _probe(code, *args):
 
 def test_package_import_loads_no_scipy():
     _, loaded = _probe("import batteryauth, batteryauth.cli")
-    assert loaded == []
+    assert loaded == {"scipy": [], "numpy.random": []}
 
 
 @pytest.fixture(scope="module")
@@ -82,7 +85,7 @@ def test_authenticate_loads_no_scipy(saved_models, kind):
     code = "from batteryauth.cli import main\nassert main(sys.argv[1:]) == 0"
     stdout, loaded = _probe(code, "authenticate", "--model", model, "--sample", sample, "--json")
     assert json.loads(stdout)["model_kind"] == kind
-    assert loaded == []
+    assert loaded == {"scipy": [], "numpy.random": []}
 
 
 def test_selection_run_loads_no_scipy(tmp_path):
@@ -105,4 +108,4 @@ def test_selection_run_loads_no_scipy(tmp_path):
     _, loaded = _probe(code, "run", "--config", str(tmp_path / "cfg.json"), "--output-dir", str(out))
     kept = json.loads((out / "report.json").read_text(encoding="utf-8"))["selection_kept"]
     assert kept and all(count >= 1 for count in kept.values())
-    assert loaded == []
+    assert loaded["scipy"] == []

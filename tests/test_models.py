@@ -37,7 +37,7 @@ from batteryauth.models import (
     train,
 )
 from batteryauth.explain import mdi_importance
-from batteryauth.models.base import _MODULES, prefix_model
+from batteryauth.models.base import _MODULES, derived_model
 from batteryauth.models.neighbors import squared_distances
 from batteryauth.models.persist import _write_json
 from batteryauth.models.tree import NodeTable, Tree, _class_sum, grow_trees
@@ -170,6 +170,24 @@ class TestDecisionTree:
         assert np.allclose(scores[1], [0.0, 1.0])
 
 
+    @pytest.mark.parametrize("criterion", ["gini", "entropy"])
+    def test_derived_depth_predicts_as_fit_alone(self, criterion):
+        X, y = _golden_data()
+        probe = np.vstack([X, np.random.default_rng(7).standard_normal((60, 8)) * 1.5])
+        full = _train("DecisionTree", {"criterion": criterion, "max_depth": None}, X, y)
+        depth = full.params["table"].depth
+        assert depth >= 4
+        for max_depth in range(1, depth + 2):
+            hp = {"criterion": criterion, "max_depth": max_depth}
+            alone = _train("DecisionTree", hp, X, y)
+            cut = derived_model(full, hp)
+            assert cut.hyperparams == hp
+            assert cut.params["table"].depth == alone.params["table"].depth == min(max_depth, depth)
+            assert np.array_equal(predict(cut, probe), predict(alone, probe))
+            assert np.array_equal(predict_scores(cut, probe), predict_scores(alone, probe))
+        assert derived_model(full, {"criterion": criterion, "max_depth": None}) is full
+
+
 class TestRandomForest:
     def test_single_tree_no_bootstrap_equals_tree(self):
         rng = np.random.default_rng(2)
@@ -228,11 +246,11 @@ class TestAdaBoost:
                 y = (y > 0).astype(int)
         full = _train("AdaBoost", {"n_estimators": 130}, X, y, seed=1)
         rounds = len(full.params["alphas"])
-        assert rounds == {"two-class": 130, "three-class": 117, "chance": 1}[data]
+        assert rounds == {"two-class": 130, "three-class": 130, "chance": 1}[data]
         probe = np.vstack([X, np.random.default_rng(6).standard_normal((30, X.shape[1]))])
         for n in sorted({1, 2, 3, 50, rounds - 1, rounds, rounds + 1, 130} & set(range(1, 131))):
             alone = _train("AdaBoost", {"n_estimators": n}, X, y, seed=1)
-            cut = prefix_model(full, {"n_estimators": n})
+            cut = derived_model(full, {"n_estimators": n})
             assert model_to_json_dict(cut) == model_to_json_dict(alone)
             assert np.array_equal(predict(cut, probe), predict(alone, probe))
             assert np.array_equal(predict_scores(cut, probe), predict_scores(alone, probe))
@@ -320,6 +338,44 @@ class TestKnn:
                 for ai, bj in zip(a[i], b[j]):
                     acc += (ai - bj) * (ai - bj)
                 assert got[i, j] == acc
+
+    @staticmethod
+    def _per_row_scores(model, X):
+        """Votes row by row, each a bincount in neighbour order."""
+        Xs = model.standardizer.transform(X)
+        train_x, train_y = model.params["train_x"], model.params["train_y"]
+        kk, k = min(model.hyperparams["k"], len(train_x)), len(model.classes)
+        dists = np.sqrt(squared_distances(Xs, train_x))
+        scores = np.zeros((len(Xs), k))
+        for i in range(len(Xs)):
+            order = np.argsort(dists[i], kind="stable")[:kk]
+            nd, ny = dists[i][order], train_y[order]
+            if model.hyperparams["weights"] == "uniform":
+                vote = np.bincount(ny, minlength=k).astype(float)
+            elif (nd == 0).any():
+                vote = np.bincount(ny[nd == 0], minlength=k).astype(float)
+            else:
+                vote = np.bincount(ny, weights=1.0 / nd, minlength=k)
+            scores[i] = vote / vote.sum()
+        return scores
+
+    @pytest.mark.parametrize("weights", ["uniform", "distance"])
+    @pytest.mark.parametrize("k", [1, 2, 5, 9, 40])
+    @pytest.mark.parametrize("n_classes", [3, 12])
+    def test_votes_equal_per_row_reference(self, weights, k, n_classes):
+        # rounded values give distance ties, repeated rows give ties at one
+        # distance with different labels, the probe holds the training rows
+        # (distance zero), and k = 40 exceeds the 36 training rows
+        rng = np.random.default_rng(n_classes)
+        X = np.round(rng.standard_normal((36, 3)), 1)
+        X[30:] = X[:6]
+        y = rng.integers(0, n_classes, 36)
+        y[:n_classes] = np.arange(n_classes)
+        m = _train("KNN", {"k": k, "weights": weights}, X, y)
+        probe = np.vstack([X, np.round(rng.standard_normal((40, 3)), 1)])
+        reference = self._per_row_scores(m, probe)
+        assert (predict_scores(m, probe) == reference).all()
+        assert (predict(m, probe) == m.classes[np.argmax(reference, axis=1)]).all()
 
     def test_k_larger_than_train_clamps(self):
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
@@ -673,8 +729,9 @@ class TestGoldenSolverModels:
     """sha256 of saved SVM, NeuralNet, QDA and AdaBoost model files, and of
     their labels and scores (SVM: decision margins) on a fixed probe, as
     this code produced them. Two classes are the golden data's class 0
-    against the rest. The 3-class AdaBoost fit stops early (117 of 200
-    rounds); the 2-class one runs all 200."""
+    against the rest. Both AdaBoost fits run all 200 rounds; from round 57
+    on, the 3-class fit meets split positions whose right-side weight sum
+    rounds to 0, which split search skips."""
 
     CASES = [
         ("SVM", 2, {"kernel": "linear", "C": 1.0, "gamma": "scale"},
@@ -705,8 +762,8 @@ class TestGoldenSolverModels:
          "a31e04cbd1bdf50a61a192c73897219c3a299e4faec703b0ae8f22e3fc12247d",
          "470e41b631c9dcba0760f4f9ea3a0728bfb2c59ebb83eb1d958af8deecda6d9e"),
         ("AdaBoost", 3, {"n_estimators": 200},
-         "eaf2f82f2cb4676f3ccd4f6f64821e74f301ca2da8d261cad120d83d8b3547e2",
-         "0c4eb60e5f3ed8ed12f9a337f90eecdcd36ec3ec644f34cb827a9cd0885236f7"),
+         "774f9184fd0f2e4a7c08b9fdd83fdcfa0a1bdd51e460a5f4d38eaffcaffe5ae8",
+         "b2b16134e49c47c48cbcb75ad9d44614447cb2e8d36e8813f5ba2ed8f7453a38"),
         ("AdaBoost", 2, {"n_estimators": 200},
          "84f7bfa2590c489ebe95a98e7c71edeb6632dadb50293191b2c896be79ab2b70",
          "036e508c014250b508eeaa3e95247b89d37126a42b3f229ca07e405666c2edf0"),
@@ -722,7 +779,7 @@ class TestGoldenSolverModels:
             y = (y > 0).astype(int)
         m = _train(kind, hp, X, y, seed=5, names=("a", "b", "c")[:n_classes])
         if kind == "AdaBoost":
-            assert len(m.params["alphas"]) == (117 if n_classes == 3 else 200)
+            assert len(m.params["alphas"]) == 200
         path = tmp_path / "model.json"
         save_model(m, str(path))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == file_sha
@@ -966,6 +1023,17 @@ class TestTreeEngineOracle:
                              rngs=[np.random.default_rng(seed)])
         assert tree.feature[0] == 1
         _check_brute_force(tree, X, y, np.ones(16), 2, "gini")
+
+    @pytest.mark.parametrize("y,w,threshold", [
+        ([0, 0, 1, 1], [0.0, 1.0, 1.0, 1.0], 1.5),      # a zero-weight row alone on the left
+        ([0, 0, 1, 1], [1e-300, 1.0, 1.0, 1.0], 1.5),
+        ([0, 1, 1, 0], [1.0, 1.0, 1.0, 1e-17], 0.5),    # the right side's sum rounds to 0
+    ])
+    def test_zero_weight_side_is_no_split(self, y, w, threshold):
+        X = np.array([[0.0], [1.0], [2.0], [3.0]])
+        (tree,) = grow_trees(X, np.array(y), 2, [np.arange(4)], sample_weight=np.array(w))
+        assert tree.feature[0] == 0
+        assert tree.threshold[0] == threshold
 
     def test_class_sums_follow_numpy_order(self):
         # the search adds class slabs in the order numpy's pairwise sum adds

@@ -19,7 +19,7 @@ from batteryauth.models import (
     stratified_kfold,
     train,
 )
-from batteryauth.models import boost
+from batteryauth.models import boost, dtree, neighbors
 from batteryauth.seeding import child_seed
 
 
@@ -229,4 +229,74 @@ class TestAdaBoostPrefixSharing:
         # one fit per fold at the largest n_estimators, then the winner's refit
         assert sorted(fitted[:-1]) == sorted((len(trn), 50) for trn, _ in folds)
         assert fitted[-1] == (len(X), candidates[best]["n_estimators"])
+        assert model_to_json_dict(winner) == model_to_json_dict(alone)
+
+
+def _tree_data():
+    """3 classes with label noise, so an unlimited tree grows past depth 4."""
+    rng = np.random.default_rng(17)
+    X = np.round(rng.standard_normal((60, 3)), 1)
+    y = (X[:, 0] + 0.5 * X[:, 1] > 0).astype(int) + (X[:, 2] > 0.8)
+    flip = rng.random(60) < 0.2
+    y[flip] = rng.integers(0, 3, flip.sum())
+    return X, y
+
+
+SHARED_CASES = [
+    ("DecisionTree", {"criterion": ["gini", "entropy"], "max_depth": [1, 2, 4, None]}, 2),
+    ("DecisionTree", {"criterion": ["gini", "entropy"], "max_depth": [None, 4, 2, 1]}, 2),
+    ("DecisionTree", {"criterion": ["gini"], "max_depth": [16, None]}, 1),
+    ("KNN", {"k": [1, 3, 5, 9], "weights": ["uniform", "distance"]}, 1),
+    ("KNN", {"k": [200, 1], "weights": ["distance", "uniform"]}, 1),
+]
+
+
+class TestSharedFits:
+    """DecisionTree candidates share one fit per criterion and fold (at the
+    largest max_depth), KNN candidates one fit per fold; each candidate must
+    score exactly as if it had been trained alone."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("kind,grid,groups", SHARED_CASES,
+                             ids=[f"{k}-{'-'.join(map(str, g[list(g)[-1]]))}"
+                                  for k, g, _ in SHARED_CASES])
+    def test_results_equal_candidates_trained_alone(self, kind, grid, groups, threads,
+                                                    monkeypatch):
+        X, y = _tree_data()
+        spec = make_spec(kind, grid=grid, seed=5)
+        candidates = enumerate_grid(spec)
+        folds = stratified_kfold(y, k=3, seed=spec.seed)
+        reference = []
+        for ci, hp in enumerate(candidates):
+            models = [train(spec, hp, X[trn], y[trn], seed=child_seed(spec.seed, "candidate", ci))
+                      for trn, _ in folds]
+            scores = [macro_f1(y[val], predict(m, X[val])) for m, (_, val) in zip(models, folds)]
+            reference.append(CandidateResult(index=ci, hyperparams=hp,
+                                             mean_score=float(np.mean(scores)),
+                                             fold_scores=tuple(scores)))
+            if hp.get("max_depth") == 16:
+                # the grid where 16 and None give the same tree
+                deep = train(spec, {**hp, "max_depth": None}, X[folds[0][0]], y[folds[0][0]])
+                assert model_to_json_dict(deep)["parameters"] == \
+                    model_to_json_dict(models[0])["parameters"]
+        if kind == "DecisionTree" and groups == 2:
+            assert len({r.mean_score for r in reference}) > 2
+        if kind == "KNN" and 200 in grid["k"]:
+            assert len(folds[0][0]) < 200
+
+        module = {"DecisionTree": dtree, "KNN": neighbors}[kind]
+        fitted = []
+        fit = module.fit
+
+        def counting_fit(Xs, y_enc, k, hp, seed):
+            fitted.append(len(Xs))
+            return fit(Xs, y_enc, k, hp, seed)
+
+        monkeypatch.setattr(module, "fit", counting_fit)
+        winner, results = grid_search(spec, X, y, k=3, threads=threads)
+        assert results == reference
+        # one fit per group and fold, then the winner's refit
+        assert len(fitted) == groups * len(folds) + 1
+        best = max(range(len(reference)), key=lambda i: (reference[i].mean_score, -i))
+        alone = train(spec, candidates[best], X, y, seed=child_seed(spec.seed, "candidate", best))
         assert model_to_json_dict(winner) == model_to_json_dict(alone)
