@@ -29,6 +29,8 @@ import numpy as np
 
 from . import __version__
 from .config import RunConfig, load_config, read_text
+from .dca import DcaConfig
+from .eis import EisConfig
 from .errors import BadSpec, BatteryAuthError, ConfigError, DimensionMismatch, EmptyDataset, MalformedCsv
 from .evaluate import merge_reports, report_to_csv, run_authentication, run_identification
 from .features import catalog_default, matrix_from_cycles, matrix_from_spectra
@@ -121,13 +123,15 @@ def cmd_run(args: argparse.Namespace) -> int:
         fh.write(report_to_csv(report))
 
     # identification winners always persist; authentication only the
-    # balanced (50/50) winners, to bound the file count
+    # balanced (50/50) winners, to bound the file count. Each file pins
+    # the processing its training features went through.
+    processing = cfg.dca if cfg.pipeline == "dca" else cfg.eis
     for key in sorted(sink):
         parts = key.split(":")
         if parts[0] == "auth" and parts[3] != "50":
             continue
         filename = "model_" + "_".join(_safe_name(p) for p in parts) + ".json"
-        save_model(sink[key], os.path.join(cfg.output_dir, filename))
+        save_model(replace(sink[key], processing=processing), os.path.join(cfg.output_dir, filename))
 
     for r in report.ident_results:
         print(f"{r.task} {r.kind}: macro_f1={r.metric_set.f1:.4f} accuracy={r.metric_set.accuracy:.4f}")
@@ -148,9 +152,10 @@ def _features_for_samples(model: TrainedModel, sample_path: str) -> Tuple[np.nda
     """Full-catalog feature rows and names for every record in the sample CSV.
 
     Records go through the same ``matrix_from_*`` path as in ``run``, with
-    the default processing settings. The CSV header picks the parser and
-    the catalog, so a sample of the wrong record kind is refused as a
-    catalog error before any record is parsed.
+    the processing settings the model file pins (the defaults when it
+    pins none). The CSV header picks the parser and the catalog, so a
+    sample of the wrong record kind is refused as a catalog error before
+    any record is parsed.
     """
     text = read_text(sample_path, "sample file")
     try:
@@ -163,15 +168,17 @@ def _features_for_samples(model: TrainedModel, sample_path: str) -> Tuple[np.nda
             "sample CSV is neither a cycle file (voltage/capacity) nor an EIS file (frequency/z_real/z_imag)"
         )
     version = catalog_default(2 if eis else 1).version
-    if model.catalog_version != version:
+    processing = model.processing or (EisConfig() if eis else DcaConfig())
+    if model.catalog_version != version or isinstance(processing, EisConfig) != eis:
         raise DimensionMismatch(
-            f"model was trained on catalog {model.catalog_version}, sample extracts {version}"
+            f"model was trained on catalog {model.catalog_version} with {type(processing).__name__}, "
+            f"sample extracts {version}"
         )
     records = parse_eis_csv(text) if eis else parse_cycle_csv(text)
     if not records:
         raise EmptyDataset(f"sample file {sample_path} holds no records")
     data = build_catalog(records)
-    matrix = matrix_from_spectra(data) if eis else matrix_from_cycles(data)
+    matrix = matrix_from_spectra(data, processing) if eis else matrix_from_cycles(data, processing)
     return matrix.values, [f"{m.cell_id}/{m.cycle_index}" for m in matrix.metas]
 
 

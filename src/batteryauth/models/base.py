@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
+from ..dca import DcaConfig
+from ..eis import EisConfig
 from ..errors import ConfigError, DimensionMismatch, NonFiniteValue, UnsupportedKind
 from . import boost, dtree, forest, naive_bayes, neighbors, neural, qda, svm
 
@@ -135,6 +137,8 @@ class TrainedModel:
     class_names: Tuple[str, ...] = ()
     converged: bool = True
     task: str = "identification"
+    # the processing that made the training features; None when unknown
+    processing: Optional[Union[DcaConfig, EisConfig]] = None
 
     @property
     def input_width(self) -> int:

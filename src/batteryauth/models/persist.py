@@ -1,54 +1,65 @@
-"""Versioned JSON envelope for trained models.
+"""Versioned JSON envelope for trained models, format 2.
 
 Layout: {format_version, kind, hyperparams, standardizer, mask,
-parameters, seed, catalog_version}. ``parameters`` nests the class table,
-task tag, convergence flag, and the kind-specific fitted state (KNN keeps
-its training matrix inline). Floats survive the round trip exactly
-(shortest-repr JSON), so a loaded model predicts bit-identically.
+parameters, seed, catalog_version, processing}. ``parameters`` nests the
+class table, task tag, convergence flag, and the kind-specific fitted
+state (KNN keeps its training matrix inline). ``processing`` is the
+pipeline and the ``DcaConfig``/``EisConfig`` field values that made the
+training features (``{"pipeline": "dca", "config": {...}}``), or null
+for a model trained outside ``run``.
 
-One codec serves every kind's state. Saving, an array is written as
-nested lists (``tolist``), a ``Tree`` as a dict of its fields, dicts
-and lists are walked, and a ``NodeTable`` is skipped. Loading, a list
-of numbers (nested or empty) becomes an array, and its dtype comes from
-the JSON number form: ``tolist`` and ``json`` write every float with a
-``.`` or an exponent, so int arrays load as int64 and float arrays as
-float64. A dict with exactly the ``Tree`` fields becomes a ``Tree``.
-Tables derived from the state are never saved; a kind that has them
-rebuilds them at load (``with_table``). A missing or malformed field,
-among them each state field the kind declares in ``STATE``, raises
-FormatVersionMismatch naming it.
+One codec serves every array in the envelope: the standardizer, the
+mask, the classes and every array of the state. An array is written as
+``{"dtype": "<f8", "shape": [...], "data": "..."}``, with ``data`` the
+base64 of its little-endian bytes in C order, the idea of numpy's NPY
+format (NEP 1). Loading, a dict with exactly those keys becomes an array
+of that dtype and shape, so a round trip is exact by construction: a
+loaded model predicts with the very arrays the trained one held, grown
+``Tree`` ids stay int32. A ``Tree`` is written as a dict of its fields,
+dicts and lists are walked, and a ``NodeTable`` is skipped; a dict with
+exactly the ``Tree`` fields loads as a ``Tree``. Tables derived from the
+state are never saved; a kind that has them rebuilds them at load
+(``with_table``). A missing or malformed field, among them each state
+field the kind declares in ``STATE``, raises FormatVersionMismatch naming
+it, and so does an envelope of any other format version.
 
-``save_model`` writes the bytes ``json.dump(..., sort_keys=True)`` would,
-but streams them: dicts key by key in sorted order, lists of containers
-item by item, and every other value (a flat list or a scalar) as one
-``json.dumps`` call, which runs the C encoder (``json.dump`` to a file
-always runs the pure-Python one). The whole document is never held as
-one string. The file is written under a temporary name in the target
-directory and moved into place with ``os.replace``, so an interrupted
-write leaves the previous file, never a truncated one.
+``save_model`` writes ``json.dumps(envelope, sort_keys=True)`` and a
+newline in one call of the C encoder. The file is written under a
+temporary name in the target directory and moved into place with
+``os.replace``, so an interrupted write leaves the previous file, never a
+truncated one.
 """
 from __future__ import annotations
 
+import base64
 import json
 import os
 import threading
-from dataclasses import fields
-from functools import partial
+from dataclasses import asdict, fields
 
 import numpy as np
 
+from ..dca import DcaConfig
+from ..eis import EisConfig
 from ..errors import FormatVersionMismatch, UnsupportedKind
 from .base import _MODULES, KINDS, Standardizer, TrainedModel, normalize_hyperparams
 from .tree import NodeTable, Tree
 
-FORMAT_VERSION = "1"
+FORMAT_VERSION = "2"
 
+_ARRAY_KEYS = {"dtype", "shape", "data"}
 _TREE_FIELDS = {f.name for f in fields(Tree)}
+_PIPELINES = {"dca": DcaConfig, "eis": EisConfig}
 
 
 def _encode(value):
     if isinstance(value, np.ndarray):
-        return value.tolist()
+        little = value.astype(value.dtype.newbyteorder("<"), copy=False)
+        return {
+            "dtype": little.dtype.str,
+            "shape": list(value.shape),
+            "data": base64.b64encode(little.tobytes()).decode("ascii"),
+        }
     if isinstance(value, Tree):
         value = vars(value)
     if isinstance(value, dict):
@@ -60,26 +71,48 @@ def _encode(value):
 
 def _decode(value):
     if isinstance(value, dict):
-        if value.keys() == _TREE_FIELDS:
-            return Tree(**{key: np.asarray(v) for key, v in value.items()})
-        return {key: _decode(v) for key, v in value.items()}
+        if value.keys() == _ARRAY_KEYS:
+            raw = bytearray(base64.b64decode(value["data"], validate=True))
+            return np.frombuffer(raw, dtype=np.dtype(value["dtype"])).reshape(value["shape"])
+        decoded = {key: _decode(v) for key, v in value.items()}
+        return Tree(**decoded) if decoded.keys() == _TREE_FIELDS else decoded
     if isinstance(value, list):
-        return [_decode(v) for v in value] if value and isinstance(value[0], dict) else np.asarray(value)
+        return [_decode(v) for v in value]
     return value
 
 
+def _array(saved) -> np.ndarray:
+    array = _decode(saved)
+    if not isinstance(array, np.ndarray):
+        raise TypeError(f"expected an array, got {type(array).__name__}")
+    return array
+
+
+def _processing(saved):
+    """The ``DcaConfig``/``EisConfig`` of a saved processing block (None
+    stays None); every field must be present, with its default's type."""
+    if saved is None:
+        return None
+    config = _PIPELINES[saved["pipeline"]]
+    values, defaults = saved["config"], asdict(config())
+    if set(values) != set(defaults) or any(type(values[k]) is not type(v) for k, v in defaults.items()):
+        raise ValueError(f"expected the {config.__name__} fields {sorted(defaults)}, got {values!r}")
+    return config(**values)
+
+
 def model_to_json_dict(model: TrainedModel) -> dict:
+    processing = model.processing
     return {
         "format_version": FORMAT_VERSION,
         "kind": model.kind,
         "hyperparams": model.hyperparams,
         "standardizer": {
-            "mean": model.standardizer.mean.tolist(),
-            "scale": model.standardizer.scale.tolist(),
+            "mean": _encode(model.standardizer.mean),
+            "scale": _encode(model.standardizer.scale),
         },
-        "mask": None if model.mask is None else model.mask.astype(int).tolist(),
+        "mask": None if model.mask is None else _encode(model.mask),
         "parameters": {
-            "classes": model.classes.tolist(),
+            "classes": _encode(model.classes),
             "class_names": list(model.class_names),
             "task": model.task,
             "converged": bool(model.converged),
@@ -87,6 +120,10 @@ def model_to_json_dict(model: TrainedModel) -> dict:
         },
         "seed": int(model.seed),
         "catalog_version": model.catalog_version,
+        "processing": None if processing is None else {
+            "pipeline": "dca" if isinstance(processing, DcaConfig) else "eis",
+            "config": asdict(processing),
+        },
     }
 
 
@@ -126,53 +163,32 @@ def model_from_json_dict(data: dict) -> TrainedModel:
             _field(data, f"parameters.state.{name}")
         return restore(_decode(saved))
 
-    floats = partial(np.asarray, dtype=float)
     return TrainedModel(
         kind=kind,
         hyperparams=_field(data, "hyperparams", lambda hp: normalize_hyperparams(kind, hp)),
         standardizer=Standardizer(
-            mean=_field(data, "standardizer.mean", floats),
-            scale=_field(data, "standardizer.scale", floats),
+            mean=_field(data, "standardizer.mean", _array),
+            scale=_field(data, "standardizer.scale", _array),
         ),
-        mask=_field(data, "mask", lambda m: None if m is None else np.asarray(m, dtype=bool), None),
+        mask=_field(data, "mask", lambda m: None if m is None else _array(m), None),
         params=_field(data, "parameters.state", state),
         seed=_field(data, "seed", int),
         catalog_version=_field(data, "catalog_version"),
-        classes=_field(data, "parameters.classes", np.asarray),
+        classes=_field(data, "parameters.classes", _array),
         class_names=_field(data, "parameters.class_names", tuple, ()),
         converged=_field(data, "parameters.converged", bool, True),
         task=_field(data, "parameters.task", default="identification"),
+        processing=_field(data, "processing", _processing),
     )
 
 
-def _write_json(obj, write) -> None:
-    """Write ``obj`` as ``json.dump(obj, fh, sort_keys=True)`` would."""
-    if isinstance(obj, dict):
-        write("{")
-        for i, key in enumerate(sorted(obj)):
-            # json.dump turns int, float, bool and None keys into their JSON text
-            name = key if isinstance(key, str) else json.dumps(key)
-            write(f"{', ' if i else ''}{json.dumps(name)}: ")
-            _write_json(obj[key], write)
-        write("}")
-    elif isinstance(obj, (list, tuple)) and obj and isinstance(obj[0], (dict, list, tuple)):
-        write("[")
-        for i, item in enumerate(obj):
-            if i:
-                write(", ")
-            _write_json(item, write)
-        write("]")
-    else:
-        write(json.dumps(obj, sort_keys=True))
-
-
 def save_model(model: TrainedModel, path: str) -> None:
+    text = json.dumps(model_to_json_dict(model), sort_keys=True) + "\n"
     folder, name = os.path.split(path)
     tmp = os.path.join(folder, f".{name}.{os.getpid()}-{threading.get_ident()}.tmp")
     try:
         with open(tmp, "x", encoding="utf-8") as fh:
-            _write_json(model_to_json_dict(model), fh.write)
-            fh.write("\n")
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

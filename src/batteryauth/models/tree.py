@@ -61,13 +61,13 @@ BATCH_ELEMENTS = 1 << 14
 
 @dataclass(eq=False)
 class Tree:
-    """Flat node arrays; feature == -1 marks a leaf. Grown trees hold int32
-    ids, loaded ones int64 (a JSON integer list loads as int64)."""
+    """Flat node arrays; feature == -1 marks a leaf. Ids are int32, grown
+    and loaded alike (a saved array keeps its dtype)."""
 
-    feature: np.ndarray      # (nodes,) int32 grown, int64 loaded
+    feature: np.ndarray      # (nodes,) int32
     threshold: np.ndarray    # (nodes,) float64
-    left: np.ndarray         # (nodes,) int32 grown, int64 loaded
-    right: np.ndarray        # (nodes,) int32 grown, int64 loaded
+    left: np.ndarray         # (nodes,) int32
+    right: np.ndarray        # (nodes,) int32
     counts: np.ndarray       # (nodes, k) float64 class weight sums
     importances: np.ndarray  # (d,) float64 raw impurity-decrease sums
 

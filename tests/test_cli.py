@@ -13,10 +13,12 @@ import pytest
 import batteryauth
 from batteryauth import cli
 from batteryauth.cli import main
+from batteryauth.dca import DcaConfig
+from batteryauth.eis import EisConfig
 from batteryauth.errors import ConfigError, FormatVersionMismatch
 from batteryauth.features import matrix_from_cycles, matrix_from_spectra
 from batteryauth.io_csv import write_cycle_csv, write_eis_csv
-from batteryauth.models import load_model, make_spec, model_to_json_dict, predict, train
+from batteryauth.models import decision_margins, load_model, make_spec, model_to_json_dict, predict, train
 from batteryauth.synth import (
     SohDrift,
     SyntheticCellSpec,
@@ -60,9 +62,8 @@ def spec_file(tmp_path_factory):
 
 
 def _config(spec_file, **overrides):
-    # sample scoring in `authenticate` processes with the default chain, so
-    # the run sticks to default dca processing too; output_dir is always
-    # overridden on the command line to keep the snapshot fixed
+    # output_dir is always overridden on the command line to keep the
+    # snapshot fixed
     cfg = {
         "pipeline": "dca",
         "output_dir": "unused-out",
@@ -448,6 +449,54 @@ class TestAuthenticateReplaysRun:
         assert set(expected) == {"authenticated", "not_authenticated"}
         assert self._authenticate(path, write_eis_csv(data.records), tmp_path, capsys) == expected
 
+    @pytest.mark.parametrize("pipeline,section,processing", [
+        ("dca", {"savgol_window": 21, "savgol_polyorder": 2}, DcaConfig(savgol_window=21, savgol_polyorder=2)),
+        ("eis", {"resample_m": 16}, EisConfig(resample_m=16)),
+    ], ids=["dca-savgol-21-2", "eis-resample-16"])
+    def test_non_default_processing_is_replayed(self, pipeline, section, processing, spec_file,
+                                                tmp_path, capsys):
+        """A model trained with non-default processing scores a sample with
+        that processing: labels and scores (SVM margins, which move with
+        every feature value) equal the model's own on the run's feature
+        rows, which the default processing would not give."""
+        cfg = _config(spec_file, pipeline=pipeline, **{pipeline: section},
+                      models=[{"kind": "SVM", "grid": {"kernel": ["linear"], "C": [1.0], "gamma": ["scale"]}}])
+        cfg["synth"] = dict(cfg["synth"], n_freq=32)
+        out_dir = str(tmp_path / "out")
+        assert main(["run", "--config", _write(tmp_path, "cfg.json", cfg), "--output-dir", out_dir]) == 0
+        capsys.readouterr()
+        with open(spec_file, encoding="utf-8") as fh:
+            specs = specs_from_json(fh.read())
+        synth = cfg["synth"]
+        if pipeline == "dca":
+            data = gen_dataset(specs, cells_per_spec=synth["cells_per_spec"],
+                               cycles_per_cell=synth["records_per_cell"], seed=synth["seed"],
+                               n_points=synth["n_points"])
+            rows, default_rows, csv_text = (matrix_from_cycles(data, processing).values,
+                                            matrix_from_cycles(data).values, write_cycle_csv(data.records))
+        else:
+            data = gen_eis_dataset(specs, cells_per_spec=synth["cells_per_spec"],
+                                   sweeps_per_cell=synth["records_per_cell"], seed=synth["seed"],
+                                   n_freq=synth["n_freq"])
+            rows, default_rows, csv_text = (matrix_from_spectra(data, processing).values,
+                                            matrix_from_spectra(data).values, write_eis_csv(data.records))
+        path = os.path.join(out_dir, "model_ident_model_identification_SVM.json")
+        model = load_model(path)
+        assert model.processing == processing
+
+        def outputs(X):
+            labels = predict(model, X)
+            scores = decision_margins(model, X)
+            return [(model.class_names[int(v)], float(scores[i, int(v)])) for i, v in enumerate(labels)]
+
+        expected = outputs(rows)
+        assert expected != outputs(default_rows)
+        sample = tmp_path / "records.csv"
+        sample.write_text(csv_text, encoding="utf-8")
+        assert main(["authenticate", "--model", path, "--sample", str(sample), "--json"]) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert [(r["label"], r["score"]) for r in results] == expected
+
 
 class TestBench:
     def test_csv_output(self, run_artifacts, cycle_sample, capsys):
@@ -570,7 +619,7 @@ def _train_x_removed():
 
 class TestMalformedModel:
     CASES = [
-        ("kind-only", lambda: {"format_version": "1", "kind": "KNN"}, "'hyperparams'"),
+        ("kind-only", lambda: {"format_version": "2", "kind": "KNN"}, "'hyperparams'"),
         ("svm-text-C", _svm_with_text_c, "'hyperparams'"),
         ("no-state", _state_removed, "'parameters.state'"),
         ("no-train-x", _train_x_removed, "'parameters.state.train_x'"),

@@ -4,6 +4,7 @@ Closed-form oracles are recomputed with scalar math inside the tests so
 each implementation is checked against an independent derivation, not
 against itself.
 """
+import base64
 import hashlib
 import json
 import math
@@ -11,6 +12,8 @@ import math
 import numpy as np
 import pytest
 
+from batteryauth.dca import DcaConfig
+from batteryauth.eis import EisConfig
 from batteryauth.errors import (
     ConfigError,
     DimensionMismatch,
@@ -39,7 +42,7 @@ from batteryauth.models import (
 from batteryauth.explain import mdi_importance
 from batteryauth.models.base import _MODULES, derived_model
 from batteryauth.models.neighbors import squared_distances
-from batteryauth.models.persist import _write_json
+from batteryauth.models.persist import _decode, _encode
 from batteryauth.models.tree import NodeTable, Tree, _class_sum, grow_trees
 
 CATALOG = "v1:ch1"
@@ -539,10 +542,11 @@ class TestPersistence:
         env = model_to_json_dict(_train("DecisionTree", {"criterion": "gini", "max_depth": 2}, X, y))
         assert set(env) == {
             "format_version", "kind", "hyperparams", "standardizer",
-            "mask", "parameters", "seed", "catalog_version",
+            "mask", "parameters", "seed", "catalog_version", "processing",
         }
         assert set(env["parameters"]) == {"classes", "class_names", "task", "converged", "state"}
-        assert env["format_version"] == "1"
+        assert env["format_version"] == "2"
+        assert env["processing"] is None
 
     @pytest.mark.parametrize("kind,hp", ALL, ids=[k for k, _ in ALL])
     def test_declared_state_fields_are_the_saved_ones(self, kind, hp, tmp_path):
@@ -561,11 +565,13 @@ class TestPersistence:
         with pytest.raises(FormatVersionMismatch, match=f"'parameters.state.{field}'"):
             model_from_json_dict(env)
 
-    def test_unknown_format_version(self):
+    @pytest.mark.parametrize("version", ["1", "99"])
+    def test_unknown_format_version(self, version):
+        """Format 1 files (arrays as number lists) are refused too, naming 2."""
         X, y = _blobs(n_per=8)
         env = model_to_json_dict(_train("GaussianNB", {"var_smoothing": 1e-9}, X, y))
-        env["format_version"] = "99"
-        with pytest.raises(FormatVersionMismatch):
+        env["format_version"] = version
+        with pytest.raises(FormatVersionMismatch, match="expected '2'"):
             model_from_json_dict(env)
 
     def test_invalid_json_file(self, tmp_path):
@@ -575,46 +581,30 @@ class TestPersistence:
             load_model(str(path))
 
     @pytest.mark.parametrize("kind,hp", ALL, ids=[k for k, _ in ALL])
-    def test_streamed_file_equals_json_dump(self, kind, hp, tmp_path):
+    def test_file_equals_json_dumps(self, kind, hp, tmp_path):
         X, y = _blobs(n_per=15, centers=(0.0, 2.5, 5.0))
-        self._assert_json_dump_bytes(_train(kind, hp, X, y, seed=2), tmp_path)
+        self._assert_json_dumps_bytes(_train(kind, hp, X, y, seed=2), tmp_path)
 
-    def test_streamed_file_equals_json_dump_masked_and_no_support_vectors(self, tmp_path):
+    def test_file_equals_json_dumps_masked_and_no_support_vectors(self, tmp_path):
         rng = np.random.default_rng(8)
         X_full = rng.standard_normal((30, 5))
         mask = np.array([True, False, True, True, False])
         y = (X_full[:, 0] > 0).astype(int)
         masked = _train("RandomForest", {"criterion": "gini", "n_estimators": 3},
                         X_full[:, mask], y, mask=mask)
-        self._assert_json_dump_bytes(masked, tmp_path)
+        self._assert_json_dumps_bytes(masked, tmp_path)
         # one class: every SMO pair has an empty box, so no alpha moves
         bare = _train("SVM", {"kernel": "linear", "C": 1.0, "gamma": "scale"},
                       X_full, np.zeros(30, dtype=int), names=("only",))
         assert len(bare.params["machines"][0]["sv"]) == 0
-        self._assert_json_dump_bytes(bare, tmp_path)
+        self._assert_json_dumps_bytes(bare, tmp_path)
 
     @staticmethod
-    def _assert_json_dump_bytes(model, tmp_path):
-        path = tmp_path / "streamed.json"
+    def _assert_json_dumps_bytes(model, tmp_path):
+        path = tmp_path / "model.json"
         save_model(model, str(path))
-        with open(tmp_path / "dumped.json", "w", encoding="utf-8") as fh:
-            json.dump(model_to_json_dict(model), fh, sort_keys=True)
-            fh.write("\n")
-        assert path.read_bytes() == (tmp_path / "dumped.json").read_bytes()
-
-    def test_writer_matches_json_on_odd_values(self):
-        doc = {
-            "z": [[], [[]], [{}], {}, [1, [2.5, "x"]], [[1, 2], 3]],
-            "a": {"nested": {"b": [{"k": (1, 2)}], "a": ()}, "s": "\u00e9\u2603\n\"",
-                  "f": [float("nan"), float("inf"), -0.0]},
-            # keys of one type each: json sorts keys before it converts them
-            "k": [{3: "x", 1: [[2]]}, {1.5: None, -0.5: [[]]}, {True: [[1]], False: 0},
-                  {None: [[None]]}],
-            "m": (("t", 1), [2**70, -1e-310, 1e300]),
-        }
-        pieces = []
-        _write_json(doc, pieces.append)
-        assert "".join(pieces) == json.dumps(doc, sort_keys=True)
+        expected = json.dumps(model_to_json_dict(model), sort_keys=True) + "\n"
+        assert path.read_bytes() == expected.encode("utf-8")
 
     def test_interrupted_write_keeps_old_file(self, tmp_path):
         X, y = _blobs(n_per=10)
@@ -622,7 +612,7 @@ class TestPersistence:
         path = tmp_path / "model.json"
         save_model(m, str(path))
         before = path.read_bytes()
-        # sorted first in the state, so the envelope is half written when it fails
+        # not JSON: the encoder fails before the temporary file is opened
         m.params["activation"] = object()
         with pytest.raises(TypeError):
             save_model(m, str(path))
@@ -630,41 +620,143 @@ class TestPersistence:
         assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
         assert load_model(str(path)).params["activation"] == "tanh"
 
-
-class TestMaskedPrediction:
-    def test_auto_mask_accepts_full_width_rows(self):
-        rng = np.random.default_rng(10)
-        X_full = rng.standard_normal((30, 6))
-        mask = np.array([True, False, True, False, False, True])
-        y = (X_full[:, 0] > 0).astype(int)
-        m = _train("DecisionTree", {"criterion": "gini", "max_depth": None},
-                   X_full[:, mask], y, mask=mask)
-        probe_full = rng.standard_normal((10, 6))
-        a = predict(m, probe_full)
-        b = predict(m, probe_full[:, mask])
-        assert np.array_equal(a, b)
-
-    def test_wrong_width_raises(self):
+    def test_failed_move_keeps_old_file_and_no_temporary(self, tmp_path, monkeypatch):
         X, y = _blobs(n_per=10)
+        path = tmp_path / "model.json"
+        save_model(_train("GaussianNB", {"var_smoothing": 1e-9}, X, y), str(path))
+        before = path.read_bytes()
+
+        def refuse(src, dst):
+            raise OSError("disk went away")
+
+        monkeypatch.setattr("batteryauth.models.persist.os.replace", refuse)
+        with pytest.raises(OSError, match="disk went away"):
+            save_model(_train("GaussianNB", {"var_smoothing": 1e-5}, X, y), str(path))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+
+
+def _round_trip(array):
+    """``array`` through the array codec and JSON text, as a file holds it."""
+    return _decode(json.loads(json.dumps(_encode(array))))
+
+
+class TestArrayCodec:
+    """Arrays load with the dtype, shape and bytes they were saved with."""
+
+    VALUES = {
+        # nan, +-inf, -0.0, the smallest subnormal and a mid-range subnormal
+        "float64": np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1.5e-310, 1 / 3, -1e300]),
+        "int32": np.array([np.iinfo(np.int32).min, -1, 0, 7, np.iinfo(np.int32).max], dtype=np.int32),
+        "int64": np.array([np.iinfo(np.int64).min, -1, 0, 2**53 + 1, np.iinfo(np.int64).max]),
+        "bool": np.array([True, False, False, True, True]),
+    }
+    SHAPES = [(0,), (), (2, 0, 3), (2, 3, 4), (9,)]
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=str)
+    @pytest.mark.parametrize("dtype", sorted(VALUES))
+    def test_round_trip_is_exact(self, dtype, shape):
+        array = np.resize(self.VALUES[dtype], shape)
+        assert array.shape == shape
+        back = _round_trip(array)
+        assert back.dtype == array.dtype and back.shape == array.shape
+        assert np.array_equal(back, array, equal_nan=True)
+        if array.dtype.kind == "f":
+            assert np.array_equal(np.signbit(back), np.signbit(array))
+        assert back.tobytes() == array.tobytes()
+        back[...] = array          # loaded arrays are writable
+
+    def test_big_endian_and_strided_arrays(self):
+        values = np.arange(12.0).reshape(3, 4)
+        for array in (values.astype(">f8"), values.T, values[::2, ::-1], np.asfortranarray(values)):
+            back = _round_trip(array)
+            assert back.dtype == np.dtype("<f8") and back.shape == array.shape
+            assert np.array_equal(back, array)
+
+    def test_saved_form_is_dtype_shape_and_base64(self):
+        saved = _encode(np.array([[1.0, -0.0]]))
+        assert saved == {"dtype": "<f8", "shape": [1, 2],
+                         "data": base64.b64encode(np.array([1.0, -0.0], "<f8").tobytes()).decode()}
+
+    def test_grown_tree_keeps_int32_ids_after_load(self, tmp_path):
+        X, y = _blobs(n_per=15, centers=(0.0, 2.5, 5.0))
         m = _train("DecisionTree", {"criterion": "gini", "max_depth": None}, X, y)
-        with pytest.raises(DimensionMismatch):
-            predict(m, np.zeros((2, 5)))
+        path = str(tmp_path / "m.json")
+        save_model(m, path)
+        for tree in (m.params["tree"], load_model(path).params["tree"]):
+            assert [a.dtype for a in (tree.feature, tree.left, tree.right)] == [np.int32] * 3
+            assert tree.threshold.dtype == tree.counts.dtype == np.float64
+
+    def test_envelope_arrays_keep_dtypes(self, tmp_path):
+        rng = np.random.default_rng(8)
+        mask = np.array([True, False, True])
+        m = _train("KNN", {"k": 1, "weights": "uniform"}, rng.standard_normal((12, 2)),
+                   np.repeat([0, 1], 6), mask=mask)
+        path = str(tmp_path / "m.json")
+        save_model(m, path)
+        back = load_model(path)
+        assert back.mask.dtype == bool and np.array_equal(back.mask, mask)
+        assert back.classes.dtype == m.classes.dtype
+        assert back.standardizer.mean.tobytes() == m.standardizer.mean.tobytes()
+        assert back.standardizer.scale.tobytes() == m.standardizer.scale.tobytes()
+
+    @pytest.mark.parametrize("path,keys,change", [
+        ("standardizer.mean", ("standardizer", "mean"), lambda a: a.update(data="not base64!")),
+        ("standardizer.scale", ("standardizer", "scale"), lambda a: a.update(shape=[5])),
+        ("parameters.classes", ("parameters", "classes"), lambda a: a.update(dtype="|O")),
+        ("parameters.state", ("parameters", "state", "means"), lambda a: a.update(data=a["data"][:-4])),
+    ], ids=["base64", "shape", "object-dtype", "short-data"])
+    def test_malformed_array_names_the_field(self, path, keys, change):
+        X, y = _blobs(n_per=8)
+        env = model_to_json_dict(_train("GaussianNB", {"var_smoothing": 1e-9}, X, y))
+        target = env
+        for key in keys:
+            target = target[key]
+        change(target)
+        with pytest.raises(FormatVersionMismatch, match=f"'{path}'"):
+            model_from_json_dict(env)
+
+    def test_non_array_where_an_array_belongs_names_the_field(self):
+        X, y = _blobs(n_per=8)
+        env = model_to_json_dict(_train("GaussianNB", {"var_smoothing": 1e-9}, X, y))
+        env["standardizer"]["mean"] = [0.0, 0.0, 0.0]
+        with pytest.raises(FormatVersionMismatch, match="'standardizer.mean'"):
+            model_from_json_dict(env)
 
 
-class TestImportances:
-    def test_tree_kinds_only(self):
-        X, y = _blobs(n_per=10)
-        m = _train("KNN", {"k": 1, "weights": "uniform"}, X, y)
-        with pytest.raises(UnsupportedKind):
-            raw_importances(m)
+class TestProcessingBlock:
+    def _model(self, processing):
+        X, y = _blobs(n_per=8)
+        m = _train("GaussianNB", {"var_smoothing": 1e-9}, X, y)
+        m.processing = processing
+        return m
 
-    def test_informative_feature_accumulates(self):
-        rng = np.random.default_rng(12)
-        X = rng.standard_normal((80, 5))
-        y = (X[:, 2] > 0).astype(int)
-        m = _train("RandomForest", {"criterion": "gini", "n_estimators": 15}, X, y)
-        raw = raw_importances(m)
-        assert raw.argmax() == 2
+    @pytest.mark.parametrize("processing", [
+        DcaConfig(savgol_window=21, savgol_polyorder=2), DcaConfig(), EisConfig(resample_m=64), None,
+    ], ids=repr)
+    def test_round_trip(self, processing, tmp_path):
+        path = str(tmp_path / "m.json")
+        save_model(self._model(processing), path)
+        assert load_model(path).processing == processing
+
+    def test_saved_form(self):
+        env = model_to_json_dict(self._model(EisConfig(resample_m=64)))
+        assert env["processing"] == {"pipeline": "eis", "config": {"resample_m": 64}}
+
+    @pytest.mark.parametrize("change", [
+        lambda env: env["processing"].update(pipeline="xrd"),
+        lambda env: env["processing"]["config"].pop("resample_n"),
+        lambda env: env["processing"]["config"].update(extra=1),
+        lambda env: env["processing"]["config"].update(savgol_window=21.0),
+        lambda env: env["processing"]["config"].update(eps_volts="0.001"),
+        lambda env: env["processing"].pop("config"),
+        lambda env: env.pop("processing"),
+    ], ids=["pipeline", "missing", "extra", "float-window", "text-eps", "no-config", "no-block"])
+    def test_malformed_block_names_the_field(self, change):
+        env = model_to_json_dict(self._model(DcaConfig()))
+        change(env)
+        with pytest.raises(FormatVersionMismatch, match="'processing'"):
+            model_from_json_dict(env)
 
 
 def _golden_data():
@@ -686,26 +778,28 @@ def _golden_data():
 class TestGoldenTreeModels:
     """sha256 of saved tree-kind model files, and of their labels and scores
     on a fixed probe, as this code produced them. A change to split search,
-    RNG draw order, tie-breaking or vote summation shows up here."""
+    RNG draw order, tie-breaking or vote summation shows up here. File pins
+    are those of model format 2; the output pins, checked on the trained
+    and the loaded model, predate it."""
 
     CASES = [
         ("RandomForest", {"criterion": "gini", "n_estimators": 25},
-         "ac22565b19d5d8dd91d427379b888bb8a8023bf6bb3df7826664a54841d5ca92",
+         "ddde6324d976c477f695a45c65d188c4b9a8a3b5ac45af6361021ba84c745bda",
          "a94bb8b8c74e266dc6c43bc3be49d2d25389be850f9963b9672721b4deb5e384"),
         ("RandomForest", {"criterion": "entropy", "n_estimators": 25},
-         "ef5431668a378008c9929c31ed4668f2bb1c03f6ad04f5886d3a124debee6da7",
+         "5a0d8db91222bd1b168c6c01b3642ee5cc28a2d16493f94f995b483f5ed51206",
          "12b3970783df1391b89df5571f1c6e2398aac74d530f221ef4ad367d0ed2c7b0"),
         ("DecisionTree", {"criterion": "gini", "max_depth": 4},
-         "0d93c1420dab1e79237e66177702ce5d0c87f6dd43582bcdec6af2e33cad282f",
+         "fafbc2223e88c0abec2f9755baa99caa63d72e7d83acea8555ed33de05e7b558",
          "db8aac58afd1b3ef47c3f3b43959212b0456a8273f157fc27f763bc45a4f99a3"),
         ("DecisionTree", {"criterion": "entropy", "max_depth": None},
-         "cfa4f4cb87d52e44017a18532cd9e37372f37f08b80c7ee0714d1abedc84d3d0",
+         "a13993084d43dcf10fd84a5aca40743ae42cb87741a78a776841523009f0fa9c",
          "9cec7b7bdb6ca728f57dad4b29e57bc523cae3f0f86c697e93c1e8cc0471cc82"),
         ("DecisionTree", {"criterion": "gini", "max_depth": None},
-         "bf8111745b581829abf8484edd9831245150ae6fef744a9dc7340f91e81c63b1",
+         "98d2d1500b2ba75a19ffd53fd73bb6603e193fa331ff366edfecc9118c54dd28",
          "431d0bd35d964130eb72f2c1ad6f33aa16b062fa3a3e8f7da5d6a0fbca37383a"),
         ("AdaBoost", {"n_estimators": 12},
-         "316909f3770f5c5aaa6bd860eb50902c2aac9316b5d32f10c4c6ee3d4b2e80a0",
+         "43e4f0d40311194a734472b56fe1ea1e8cc98ebb3746005b237a2a9c273722a5",
          "def185d513a4e1472ca86151bdffc50983a1c8098b431942b340dffa9a1b0e7e"),
     ]
 
@@ -731,41 +825,42 @@ class TestGoldenSolverModels:
     this code produced them. Two classes are the golden data's class 0
     against the rest. Both AdaBoost fits run all 200 rounds; from round 57
     on, the 3-class fit meets split positions whose right-side weight sum
-    rounds to 0, which split search skips."""
+    rounds to 0, which split search skips. File pins are those of model
+    format 2; the output pins predate it."""
 
     CASES = [
         ("SVM", 2, {"kernel": "linear", "C": 1.0, "gamma": "scale"},
-         "61f103ed5a737915779130812d216b65ae1bb845b9330637c9fb0c4904435f41",
+         "19a154f943368934a61ec7afc2acc1db0bb502321d5bac830c22b1729632e830",
          "d9563fde08337aebd417088fabb1e69b45f8cb1482cf6e8ff1d7ef4cbf1b702f"),
         ("SVM", 2, {"kernel": "rbf", "C": 1.0, "gamma": "scale"},
-         "ce67169fa4d91ef65d55a2aafbe14b98f1a1cd2c77008d58e8dd99291ce84f16",
+         "28630e9b174bb6725b49515e0847c5acd9a044e404a6221088f99dff38ec5adb",
          "d63131e99cdc4f763675f122e98ed45e0244261a40f95a93e26f66b3a3806540"),
         ("SVM", 3, {"kernel": "linear", "C": 0.1, "gamma": "scale"},
-         "276b6a69879981ec9ed457c29d1d8da3741fb5a5b9139d8b606743aa724cfe4d",
+         "cc68a1ab290b571bb20202cd9e82fb5dbe43d5c6899cbb2cf1c34df65c78c468",
          "bcd30ebdbc02fd89059059ea3b3e3c162d2b39bc64472b7496881170e95a0474"),
         ("SVM", 3, {"kernel": "rbf", "C": 10.0, "gamma": 0.1},
-         "c6709a8e83cba056616e5b9a2ef1081102bf4cf5b43333970382906b8b08aa29",
+         "8210018521e2d95a3c249a1b012177ea0b9382ed9976fdc5cd5534d9f7acc770",
          "dcef466743826253d093fa2c2c4b312dee5121c53c6b77f2958c5e90a194a15c"),
         ("NeuralNet", 3, {"hidden": 8, "activation": "relu", "solver": "adam"},
-         "688a836d4d28559cf768ae439c20a486136348241031406eba31fca8cc818583",
+         "5e28024b8785c739a010dc7267a22f61efc59089045c8ac28a3bef14b6c24056",
          "7bf38d3c53078fb07792743393b2f54538fbf8607b33ecfaf1b5b79295b11047"),
         ("NeuralNet", 3, {"hidden": 8, "activation": "relu", "solver": "sgd"},
-         "f8f3ceee756bf6d403332dd2a8fe12ff5cf3707ddc0c7db44161c563eaec2ca0",
+         "b989d4e28499c72b443db33024fed7f3d4c1baf02781dacac90a136588c8d4f0",
          "3d9ac4a013b7496b1180eba9f26aec168542d86d16356ecb0232207ad5ce2e04"),
         ("NeuralNet", 3, {"hidden": 8, "activation": "tanh", "solver": "adam"},
-         "dcc38379781250bd806ec145feefdd06318d80b107cbf77d888957a50a92266c",
+         "c793fe64c076c8d8589482f3dd1cef80916e87259677d2a53d5ef18dd6d7eac5",
          "6b754be18c279a7cf62e3b04f460d6094d5857c84cf6f8e72945a312ee3d7090"),
         ("NeuralNet", 3, {"hidden": 8, "activation": "tanh", "solver": "sgd"},
-         "854710a6a0a9f19aacd28dd4f8fd5993a039ab5fbbcaa3861f59ce16c5d250ff",
+         "0e59fb497096d064b554e8484ef2a1466e8ccd9a76b93f291c03b280c97b999d",
          "7a8ddcfd97ead9cc4d6302c87069213bc4b7fcb06dd1da5c8f4757cdaf274bb8"),
         ("QDA", 3, {"reg": 0.1},
-         "a31e04cbd1bdf50a61a192c73897219c3a299e4faec703b0ae8f22e3fc12247d",
+         "9fd31b8cd50ebcf91b633e359bd4cd6210e66eeff900f1f96218a4611e396086",
          "470e41b631c9dcba0760f4f9ea3a0728bfb2c59ebb83eb1d958af8deecda6d9e"),
         ("AdaBoost", 3, {"n_estimators": 200},
-         "774f9184fd0f2e4a7c08b9fdd83fdcfa0a1bdd51e460a5f4d38eaffcaffe5ae8",
+         "a95349f869bac9025fb85f6e6282350674223b95ad0ffed352620e8b691162e6",
          "b2b16134e49c47c48cbcb75ad9d44614447cb2e8d36e8813f5ba2ed8f7453a38"),
         ("AdaBoost", 2, {"n_estimators": 200},
-         "84f7bfa2590c489ebe95a98e7c71edeb6632dadb50293191b2c896be79ab2b70",
+         "1d345a73cb736d4648e61c5b8e76dbcce09fc2c606da7309f4fe0a54a379d513",
          "036e508c014250b508eeaa3e95247b89d37126a42b3f229ca07e405666c2edf0"),
     ]
 
@@ -791,26 +886,26 @@ class TestGoldenSolverModels:
 
 
 class TestGoldenInstanceModels:
-    """sha256 of saved KNN and GaussianNB model files, and of their labels
-    and scores on the probe, recorded before the shared state codec. KNN
-    with distance weights meets exact matches: the probe holds the
-    training rows."""
+    """sha256 of saved KNN and GaussianNB model files (model format 2), and
+    of their labels and scores on the probe, recorded before the shared
+    state codec. KNN with distance weights meets exact matches: the probe
+    holds the training rows."""
 
     CASES = [
         ("KNN", 3, {"k": 3, "weights": "uniform"},
-         "5784297192831515f7a73d822942930a85a283966804afc2f438f0f73a0f955b",
+         "1a8aa4b815429c71c90fa4ed874e3177bb9fd3d40712aab1ea7f174639b4484a",
          "fe32562ac37c2cb8754282b8d89293fc9251080518d44a89d7f4dc85b15c7e45"),
         ("KNN", 3, {"k": 5, "weights": "distance"},
-         "51e1fdd688b4d581bc825a16aeabce769d3a12015f028d186c3a5778ddc0bfa7",
+         "cbe0df1836ebe7eddfd83af58e22daeb30c025bca6544feecb2f75b5e91b8569",
          "0752d657f508df3febacecbd09549f94d9939a3a94a9d3acd0402519900c2932"),
         ("KNN", 2, {"k": 1, "weights": "distance"},
-         "3d07eafc8f610fb7d43fe4b7bc14962a8e07421f1eb9b963df996fab9934673f",
+         "3954ed8cc1b59a2b62031085588b86ca383e5a34720d736bedec14a0927e9951",
          "5bdee09b709d64abb5aa17f9dae220667be1a9e7fbf8f14332fb022636a385cd"),
         ("GaussianNB", 3, {"var_smoothing": 1e-9},
-         "0834f91708329f17e4b2eadbf9f23f21da13914619faa2fda254b944e02e49db",
+         "b615b09efcccc835065b5430a59cff50955cd4733fedeb2ef321b49f5f8052c8",
          "028db630ba6b5461b976b7e79b6db56f0bdaa4cffd9617d04f1f03734fd653dc"),
         ("GaussianNB", 2, {"var_smoothing": 1e-5},
-         "0726aab30811b448099d26df121143e8b03af2a2502e9b61ef9b1f68517b5ad1",
+         "e84702d73900ad7f1a2aed131950b25556362df040237b79155af0f51d601e8f",
          "c2b50a492b65ad54c4da5844e29673aaf106f739fd8cdedaf1fa4dbd7f06369a"),
     ]
 

@@ -55,6 +55,41 @@ class TestMacroF1:
         assert macro_f1(y_true, y_pred) == pytest.approx((2 / 3 + 1.0) / 2)
 
 
+def _macro_f1_loop(y_true, y_pred):
+    """macro_f1 as a loop over classes, three counts each."""
+    classes = np.unique(y_true)
+    f1s = []
+    for c in classes:
+        tp = np.count_nonzero((y_pred == c) & (y_true == c))
+        fp = np.count_nonzero((y_pred == c) & (y_true != c))
+        fn = np.count_nonzero((y_pred != c) & (y_true == c))
+        denom = 2 * tp + fp + fn
+        f1s.append(2 * tp / denom if denom > 0 else 0.0)
+    return float(np.mean(f1s))
+
+
+class TestMacroF1Oracle:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_bit_identical_to_loop(self, seed):
+        """Random labels, with predictions outside y_true's classes and
+        classes never predicted right (F1 0); sparse non-contiguous label
+        values so the class index is not the label."""
+        rng = np.random.default_rng(seed)
+        for _ in range(200):
+            n, k = int(rng.integers(1, 80)), int(rng.integers(1, 12))
+            y_true = rng.integers(0, k, n) * 3 - 4
+            y_pred = rng.integers(-2, k + 3, n) * 3 - 4
+            assert macro_f1(y_true, y_pred) == _macro_f1_loop(y_true, y_pred)
+
+    def test_label_dtypes_and_classes_never_predicted(self):
+        y_true = np.array([7, 7, 2, 2, 9], dtype=np.int32)
+        y_pred = np.array([7, 5, 5, 5, 5])
+        assert macro_f1(y_true, y_pred) == _macro_f1_loop(y_true, y_pred) == (2 / 3) / 3
+        text = np.array(["b", "a", "c", "a"])
+        guess = np.array(["b", "z", "a", "a"])
+        assert macro_f1(text, guess) == _macro_f1_loop(text, guess)
+
+
 class TestStratifiedKfold:
     def test_partition_properties(self):
         y = np.repeat([0, 1, 2], 20)
