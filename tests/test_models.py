@@ -636,6 +636,42 @@ class TestPersistence:
         assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
 
 
+class TestMaskedPrediction:
+    def test_auto_mask_accepts_full_width_rows(self):
+        rng = np.random.default_rng(10)
+        X_full = rng.standard_normal((30, 6))
+        mask = np.array([True, False, True, False, False, True])
+        y = (X_full[:, 0] > 0).astype(int)
+        m = _train("DecisionTree", {"criterion": "gini", "max_depth": None},
+                   X_full[:, mask], y, mask=mask)
+        probe_full = rng.standard_normal((10, 6))
+        a = predict(m, probe_full)
+        b = predict(m, probe_full[:, mask])
+        assert np.array_equal(a, b)
+
+    def test_wrong_width_raises(self):
+        X, y = _blobs(n_per=10)
+        m = _train("DecisionTree", {"criterion": "gini", "max_depth": None}, X, y)
+        with pytest.raises(DimensionMismatch):
+            predict(m, np.zeros((2, 5)))
+
+
+class TestImportances:
+    def test_tree_kinds_only(self):
+        X, y = _blobs(n_per=10)
+        m = _train("KNN", {"k": 1, "weights": "uniform"}, X, y)
+        with pytest.raises(UnsupportedKind):
+            raw_importances(m)
+
+    def test_informative_feature_accumulates(self):
+        rng = np.random.default_rng(12)
+        X = rng.standard_normal((80, 5))
+        y = (X[:, 2] > 0).astype(int)
+        m = _train("RandomForest", {"criterion": "gini", "n_estimators": 15}, X, y)
+        raw = raw_importances(m)
+        assert raw.argmax() == 2
+
+
 def _round_trip(array):
     """``array`` through the array codec and JSON text, as a file holds it."""
     return _decode(json.loads(json.dumps(_encode(array))))
