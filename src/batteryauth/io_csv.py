@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 from typing import List, NoReturn, Optional, Sequence, Tuple
 
@@ -38,6 +39,8 @@ _META_STR_COLS = ("dataset_id", "cell_id", "battery_model", "architecture")
 _META_NUM_COLS = ("soc_percent", "soh_percent", "temperature_c")
 # every column that shapes a record's meta or its group key
 _META_COLS = _META_STR_COLS + _META_NUM_COLS + ("cycle_index",)
+# rows read per block; kept below the collector's first threshold (700)
+_BLOCK_ROWS = 256
 
 
 def _parse_float(value: Optional[str], column: str, row_num: int) -> float:
@@ -81,6 +84,12 @@ def _read_columns(text: str, required: Sequence[str], wanted: Sequence[str]) -> 
     than the header reads None where it has no field. A line the csv
     module cannot read (say, a field over ``csv.field_size_limit()``)
     raises MalformedCsv with its line number.
+
+    Rows are read and transposed ``_BLOCK_ROWS`` at a time. Each row is a
+    list the cyclic garbage collector tracks: a whole file's rows held at
+    once would set off collections mid-parse, now and then a full one over
+    the whole heap, and a call's time would hang on what the process had
+    allocated before it.
     """
     reader = csv.reader(io.StringIO(text))
     try:
@@ -90,17 +99,21 @@ def _read_columns(text: str, required: Sequence[str], wanted: Sequence[str]) -> 
         for col in required:
             if col not in header:
                 raise MissingColumn(f"CSV header lacks required column {col!r}")
-        rows = [row for row in reader if row]
+        width = len(header)
+        position = {name: i for i, name in enumerate(header)}
+        columns = {c: [] for c in (*required, *wanted) if c in position}
+        n = 0
+        nonblank = filter(None, reader)
+        for rows in iter(lambda: list(itertools.islice(nonblank, _BLOCK_ROWS)), []):
+            if min(map(len, rows)) < width:
+                rows = [row + [None] * (width - len(row)) for row in rows]
+            table = list(zip(*rows))
+            for c, column in columns.items():
+                column.extend(table[position[c]])
+            n += len(rows)
     except csv.Error as exc:
         raise MalformedCsv(f"line {reader.line_num}: {exc}") from exc
-    if not rows:
-        return 0, {}
-    width = len(header)
-    if min(map(len, rows)) < width:
-        rows = [row + [None] * (width - len(row)) for row in rows]
-    table = list(zip(*rows))
-    position = {name: i for i, name in enumerate(header)}
-    return len(rows), {c: table[position[c]] for c in (*required, *wanted) if c in position}
+    return n, columns
 
 
 def _float_columns(columns: dict, names: Sequence[str]) -> Optional[List[np.ndarray]]:

@@ -7,12 +7,15 @@ blank lines, short and long rows and bad values at varying rows; on each
 the two parsers must return equal records or raise the same error type
 with the same message.
 """
+import csv
+import gc
 import random
 
 import pytest
 
 import csv_reference
-from batteryauth.errors import BatteryAuthError, MissingColumn, NonFiniteValue
+from batteryauth import io_csv
+from batteryauth.errors import BatteryAuthError, MalformedCsv, MissingColumn, NonFiniteValue
 from batteryauth.io_csv import parse_cycle_csv, parse_eis_csv
 from batteryauth.records import SampleMeta, records_equal
 
@@ -105,13 +108,13 @@ def _fuzz_text(rng, pipeline):
     return "\n".join(lines) + rng.choice(["\n", "", "\n\n"])
 
 
-@pytest.mark.parametrize("pipeline", ["dca", "eis"])
-def test_fuzz_matches_row_reference(pipeline):
+def _compare_with_reference(pipeline, cases):
+    """Run ``cases`` fuzz texts through both parsers; returns the outcome counts."""
     new, ref = ((parse_cycle_csv, csv_reference.parse_cycle_csv) if pipeline == "dca"
                 else (parse_eis_csv, csv_reference.parse_eis_csv))
     rng = random.Random(20240613)
     seen = {"ok": 0, "error": 0}
-    for case in range(1500):
+    for case in range(cases):
         text = _fuzz_text(rng, pipeline)
         defaults = rng.choice([SampleMeta(), SampleMeta(cell_id="dflt", cycle_index=7)])
         kwargs = {"meta_defaults": defaults, "min_len": rng.choice([0, 0, 3])}
@@ -125,8 +128,58 @@ def test_fuzz_matches_row_reference(pipeline):
             assert len(got[1]) == len(want[1]), (case, text)
             for a, b in zip(want[1], got[1]):
                 assert records_equal(a, b), (case, text)
+    return seen
+
+
+@pytest.mark.parametrize("pipeline", ["dca", "eis"])
+def test_fuzz_matches_row_reference(pipeline):
+    seen = _compare_with_reference(pipeline, 1500)
     # both outcomes are exercised often enough to mean something
     assert seen["ok"] > 300 and seen["error"] > 300, seen
+
+
+@pytest.mark.parametrize("block_rows", [1, 3, 7])
+@pytest.mark.parametrize("pipeline", ["dca", "eis"])
+def test_fuzz_matches_row_reference_across_blocks(monkeypatch, pipeline, block_rows):
+    # blocks this small put short, long and blank rows on every side of a
+    # block boundary
+    monkeypatch.setattr(io_csv, "_BLOCK_ROWS", block_rows)
+    seen = _compare_with_reference(pipeline, 300)
+    assert seen["ok"] > 60 and seen["error"] > 60, seen
+
+
+class TestBlocks:
+    """Rows are read ``io_csv._BLOCK_ROWS`` at a time."""
+
+    @staticmethod
+    def _cycle_text(rows: int) -> str:
+        lines = ["cell_id,cycle_index,voltage,capacity"]
+        lines += [f"c{i % 4},0,{3.0 + 1e-4 * i!r},{1e-3 * i!r}" for i in range(rows)]
+        return "\n".join(lines) + "\n"
+
+    def test_unreadable_line_past_the_first_block_is_named(self):
+        rows = 3 * io_csv._BLOCK_ROWS
+        text = self._cycle_text(rows) + "c0,0,0." + "1" * (csv.field_size_limit() + 1) + ",1.0\n"
+        with pytest.raises(MalformedCsv, match=f"^line {rows + 2}: "):
+            parse_cycle_csv(text, min_len=0)
+
+    def test_parse_sets_off_no_garbage_collection(self):
+        # a row is a list the collector tracks; a whole file of them held
+        # at once would set off collections, now and then a full one
+        text = self._cycle_text(12 * io_csv._BLOCK_ROWS)
+        starts = []
+
+        def count(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        gc.collect()
+        gc.callbacks.append(count)
+        try:
+            records = parse_cycle_csv(text, min_len=0)
+        finally:
+            gc.callbacks.remove(count)
+        assert len(records) == 4 and starts == []
 
 
 def test_grouping_by_meta_tuples_keeps_first_row_meta():
