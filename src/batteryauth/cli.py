@@ -32,16 +32,19 @@ from .config import RunConfig, load_config, read_text
 from .dca import DcaConfig
 from .eis import EisConfig
 from .errors import BadSpec, BatteryAuthError, ConfigError, DimensionMismatch, EmptyDataset, MalformedCsv
-from .evaluate import merge_reports, report_to_csv, run_authentication, run_identification
+from .evaluate import (
+    auth_averages,
+    merge_reports,
+    report_to_csv,
+    report_to_json,
+    run_authentication,
+    run_identification,
+)
 from .features import catalog_default, matrix_from_cycles, matrix_from_spectra
 from .io_csv import parse_cycle_csv, parse_eis_csv
 from .models import TrainedModel, decision_margins, load_model, predict, predict_scores, save_model
 from .records import build_catalog
 from .synth import demo_specs, gen_dataset, gen_eis_dataset, specs_from_json
-
-
-def _canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 def _config_sha256(snapshot: dict) -> str:
@@ -108,8 +111,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         reports.append(run_authentication(matrix, cfg.models, cfg.eval, model_sink=sink))
     report = reports[0] if len(reports) == 1 else merge_reports(reports[0], reports[1])
 
-    payload = report.to_json_dict()
-    payload["provenance"] = {
+    provenance = {
         "config_sha256": _config_sha256(cfg.snapshot),
         "catalog_version": matrix.catalog_version,
         "package_version": __version__,
@@ -118,24 +120,24 @@ def cmd_run(args: argparse.Namespace) -> int:
     }
     report_json_path = os.path.join(cfg.output_dir, "report.json")
     with open(report_json_path, "w", encoding="utf-8") as fh:
-        fh.write(_canonical_json(payload))
+        fh.write(report_to_json(report, provenance))
     with open(os.path.join(cfg.output_dir, "report.csv"), "w", encoding="utf-8") as fh:
         fh.write(report_to_csv(report))
 
     # identification winners always persist; authentication only the
     # balanced (50/50) winners, to bound the file count. Each file pins
-    # the processing its training features went through.
+    # the processing its training features went through. A key ends in
+    # ":<balance>:<kind>"; the legit label before them may hold ":".
     processing = cfg.dca if cfg.pipeline == "dca" else cfg.eis
     for key in sorted(sink):
-        parts = key.split(":")
-        if parts[0] == "auth" and parts[3] != "50":
+        if key.startswith("auth:") and key.rsplit(":", 2)[1] != "50":
             continue
-        filename = "model_" + "_".join(_safe_name(p) for p in parts) + ".json"
+        filename = "model_" + "_".join(_safe_name(p) for p in key.split(":")) + ".json"
         save_model(replace(sink[key], processing=processing), os.path.join(cfg.output_dir, filename))
 
     for r in report.ident_results:
         print(f"{r.task} {r.kind}: macro_f1={r.metric_set.f1:.4f} accuracy={r.metric_set.accuracy:.4f}")
-    averages = payload["authentication_averages"]["overall"]
+    averages = auth_averages(report.auth_results)["overall"]
     for key in sorted(averages):
         entry = averages[key]
         print(

@@ -579,8 +579,13 @@ def merge_reports(a: EvalReport, b: EvalReport) -> EvalReport:
 
 # === serialization ===
 
-def report_to_json(report: EvalReport) -> str:
-    return json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n"
+def report_to_json(report: EvalReport, provenance: Optional[dict] = None) -> str:
+    """The canonical report text: sorted keys, two-space indent, a final
+    newline; ``provenance``, when given, is added under that key."""
+    payload = report.to_json_dict()
+    if provenance is not None:
+        payload["provenance"] = provenance
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def _csv_cell(value) -> str:

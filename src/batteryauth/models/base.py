@@ -26,12 +26,12 @@ from . import boost, dtree, forest, naive_bayes, neighbors, neural, qda, svm
 # whose key order is the dimension order; ``STATE``, the names of the
 # fields its fitted state saves; and, where they apply,
 # ``COUNTS`` (hyperparameters that are ints >= 1), ``check`` (other bounds),
-# ``SHARED`` with ``derive``, ``with_table`` (state derived at load),
-# ``raw_importances`` and ``decision_values``. ``SHARED`` names the grid
-# dimensions one fit can serve: ``derive(params, hp)`` turns a fit at the
-# largest value of each (None counts as unlimited) into state that
-# predicts as the fit at ``hp`` would, where hp differs only in those
-# dimensions. A kind that shares fits does not use its seed.
+# ``SHARED`` with ``derive``, ``raw_importances`` and ``decision_values``.
+# ``SHARED`` names the grid dimensions one fit can serve: ``derive(params,
+# hp)`` turns a fit at the largest value of each (None counts as
+# unlimited) into state that predicts as the fit at ``hp`` would, where hp
+# differs only in those dimensions. A kind that shares fits does not use
+# its seed.
 _MODULES = {
     "AdaBoost": boost,
     "DecisionTree": dtree,

@@ -7,15 +7,16 @@ alpha) or when a stump is no better than chance (alpha <= 0).
 
 The seed is not used, and round m depends only on the rounds before it,
 so the first n stumps and alphas of a fit at N >= n rounds are the fit
-at n rounds, early stops included. ``derive`` cuts that fit out, and
-``predict`` gives it bit-identical scores: its running sum adds the
-alphas in stump order whatever the ensemble's length.
+at n rounds, early stops included. The stumps are kept, saved and walked
+as one ``tree.NodeTable``, so ``derive`` takes its first n trees and
+alphas, and ``predict`` gives that cut bit-identical scores: its running
+sum adds the alphas in stump order whatever the ensemble's length.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .tree import NodeTable, grow_trees
+from .tree import grow_trees, join
 
 GRID = {"n_estimators": [50, 100, 200]}
 COUNTS = ("n_estimators",)
@@ -34,9 +35,9 @@ def fit(Xs: np.ndarray, y: np.ndarray, k: int, hp: dict, seed: int):
     stumps: list = []
     alphas: list = []
     for _ in range(n_estimators):
-        (stump,) = grow_trees(Xs, y, n_classes=k, samples=all_rows, criterion="gini",
-                              max_depth=1, sample_weight=w)
-        pred = NodeTable.from_trees([stump]).labels(Xs)[:, 0]
+        stump = grow_trees(Xs, y, n_classes=k, samples=all_rows, criterion="gini",
+                           max_depth=1, sample_weight=w)
+        pred = stump.labels(Xs)[:, 0]
         miss = pred != y
         err = float(w[miss].sum())
         if err <= 0.0:
@@ -55,11 +56,7 @@ def fit(Xs: np.ndarray, y: np.ndarray, k: int, hp: dict, seed: int):
         alphas.append(float(alpha))
         w = w * np.exp(alpha * miss)
         w = w / w.sum()
-    return with_table({"stumps": stumps, "alphas": np.asarray(alphas, dtype=float)}), True
-
-
-def with_table(state: dict) -> dict:
-    return {**state, "table": NodeTable.from_trees(state["stumps"])}
+    return {"stumps": join(stumps), "alphas": np.asarray(alphas, dtype=float)}, True
 
 
 # a fit at fewer rounds is the start of a fit at more
@@ -69,12 +66,12 @@ SHARED = ("n_estimators",)
 def derive(params: dict, hp: dict) -> dict:
     """The fitted state of a fit at ``hp``, cut from a longer fit."""
     n = hp["n_estimators"]
-    return with_table({"stumps": params["stumps"][:n], "alphas": params["alphas"][:n]})
+    return {"stumps": params["stumps"].first(n), "alphas": params["alphas"][:n]}
 
 
 def predict(params: dict, Xs: np.ndarray, k: int, hp: dict):
     alphas = params["alphas"]
-    labels = params["table"].labels(Xs)                          # (n, stumps)
+    labels = params["stumps"].labels(Xs)                         # (n, stumps)
     if alphas.sum() <= 0.0:
         scores = np.zeros((len(Xs), k))
         scores[np.arange(len(Xs)), labels[:, 0]] = 1.0
@@ -90,7 +87,7 @@ def raw_importances(params: dict) -> np.ndarray:
     """Stump importances averaged with alpha weights (unnormalized)."""
     alphas = params["alphas"]
     total = float(alphas.sum())
-    stacked = np.stack([s.importances for s in params["stumps"]])
+    stacked = params["stumps"].importances
     if total <= 0:
         return stacked.mean(axis=0)
     return (alphas[:, None] * stacked).sum(axis=0) / total

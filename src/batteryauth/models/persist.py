@@ -1,4 +1,4 @@
-"""Versioned JSON envelope for trained models, format 2.
+"""Versioned JSON envelope for trained models, format 3.
 
 Layout: {format_version, kind, hyperparams, standardizer, mask,
 parameters, seed, catalog_version, processing}. ``parameters`` nests the
@@ -14,12 +14,11 @@ mask, the classes and every array of the state. An array is written as
 base64 of its little-endian bytes in C order, the idea of numpy's NPY
 format (NEP 1). Loading, a dict with exactly those keys becomes an array
 of that dtype and shape, so a round trip is exact by construction: a
-loaded model predicts with the very arrays the trained one held, grown
-``Tree`` ids stay int32. A ``Tree`` is written as a dict of its fields,
-dicts and lists are walked, and a ``NodeTable`` is skipped; a dict with
-exactly the ``Tree`` fields loads as a ``Tree``. Tables derived from the
-state are never saved; a kind that has them rebuilds them at load
-(``with_table``). A missing or malformed field, among them each state
+loaded model predicts with the very arrays the trained one held, and
+grown int32 node ids stay int32. Dicts and lists are walked. A tree
+ensemble (``tree.NodeTable``) is written as a dict of its seven fields,
+and a dict with exactly those keys loads as a table, which derives its
+walk form again. A missing or malformed field, among them each state
 field the kind declares in ``STATE``, raises FormatVersionMismatch naming
 it, and so does an envelope of any other format version.
 
@@ -43,12 +42,12 @@ from ..dca import DcaConfig
 from ..eis import EisConfig
 from ..errors import FormatVersionMismatch, UnsupportedKind
 from .base import _MODULES, KINDS, Standardizer, TrainedModel, normalize_hyperparams
-from .tree import NodeTable, Tree
+from .tree import NodeTable
 
-FORMAT_VERSION = "2"
+FORMAT_VERSION = "3"
 
 _ARRAY_KEYS = {"dtype", "shape", "data"}
-_TREE_FIELDS = {f.name for f in fields(Tree)}
+_TABLE_FIELDS = {f.name for f in fields(NodeTable)}
 _PIPELINES = {"dca": DcaConfig, "eis": EisConfig}
 
 
@@ -60,10 +59,10 @@ def _encode(value):
             "shape": list(value.shape),
             "data": base64.b64encode(little.tobytes()).decode("ascii"),
         }
-    if isinstance(value, Tree):
-        value = vars(value)
+    if isinstance(value, NodeTable):
+        value = {name: getattr(value, name) for name in _TABLE_FIELDS}
     if isinstance(value, dict):
-        return {key: _encode(v) for key, v in value.items() if not isinstance(v, NodeTable)}
+        return {key: _encode(v) for key, v in value.items()}
     if isinstance(value, list):
         return [_encode(v) for v in value]
     return value
@@ -75,7 +74,7 @@ def _decode(value):
             raw = bytearray(base64.b64decode(value["data"], validate=True))
             return np.frombuffer(raw, dtype=np.dtype(value["dtype"])).reshape(value["shape"])
         decoded = {key: _decode(v) for key, v in value.items()}
-        return Tree(**decoded) if decoded.keys() == _TREE_FIELDS else decoded
+        return NodeTable(**decoded) if decoded.keys() == _TABLE_FIELDS else decoded
     if isinstance(value, list):
         return [_decode(v) for v in value]
     return value
@@ -156,12 +155,11 @@ def model_from_json_dict(data: dict) -> TrainedModel:
     if kind not in KINDS:
         raise UnsupportedKind(f"unknown model kind {kind!r} in model file")
     module = _MODULES[kind]
-    restore = getattr(module, "with_table", dict)
 
     def state(saved: dict) -> dict:
         for name in module.STATE:
             _field(data, f"parameters.state.{name}")
-        return restore(_decode(saved))
+        return _decode(saved)
 
     return TrainedModel(
         kind=kind,

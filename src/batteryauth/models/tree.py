@@ -35,16 +35,18 @@ become class weight sums throughout, and a split position where either
 side's weight sum is 0 (its rows weigh 0, or their sum rounds to 0 in the
 node total minus the other side) is not scored.
 
-Prediction. ``NodeTable`` concatenates the node arrays of an ensemble,
-with child ids shifted to table positions and leaves pointing at
-themselves, and ``NodeTable.apply`` walks every tree for every row at
-once. It is built at fit and at load and never saved: ``Tree`` is the
-stored form, so the model file format does not depend on it.
+Table. ``NodeTable`` is the one form of a fitted ensemble: what
+``grow_trees`` returns, what the tree kinds keep and save, and what
+predicts. It holds the nodes of every tree concatenated in tree order,
+with child ids as table positions (-1 at leaves) and one row of
+importances per tree. The form ``apply`` walks (leaves point at
+themselves), the majority class of every node and the depth are derived
+when a table is made, and never saved.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -57,23 +59,6 @@ MIN_DECREASE = 1e-12
 # Cells (class x node x row x feature) one split search may touch; bounds
 # its temporaries to about 1 MB in all, whatever the forest or data size.
 BATCH_ELEMENTS = 1 << 14
-
-
-@dataclass(eq=False)
-class Tree:
-    """Flat node arrays; feature == -1 marks a leaf. Ids are int32, grown
-    and loaded alike (a saved array keeps its dtype)."""
-
-    feature: np.ndarray      # (nodes,) int32
-    threshold: np.ndarray    # (nodes,) float64
-    left: np.ndarray         # (nodes,) int32
-    right: np.ndarray        # (nodes,) int32
-    counts: np.ndarray       # (nodes, k) float64 class weight sums
-    importances: np.ndarray  # (d,) float64 raw impurity-decrease sums
-
-    @property
-    def n_nodes(self) -> int:
-        return len(self.feature)
 
 
 def _class_sum(a: np.ndarray) -> np.ndarray:
@@ -182,8 +167,10 @@ def _best_splits(X, y, w, rows, feats, k, criterion, parent_imp):
 
 
 class _Growing:
-    """One tree under construction: its stack, RNG and node lists."""
+    """One tree under construction: its stack, RNG and node lists, which
+    ``join`` reads as a one-tree table."""
 
+    roots = (0,)
     __slots__ = ("stack", "rng", "root_weight", "feature", "threshold", "left", "right",
                  "counts", "importances")
 
@@ -197,7 +184,7 @@ class _Growing:
         self.left: list = []
         self.right: list = []
         self.counts: list = []
-        self.importances = np.zeros(d)
+        self.importances = np.zeros((1, d))
 
     def add_node(self, counts, parent, is_right) -> int:
         node_id = len(self.feature)
@@ -209,16 +196,6 @@ class _Growing:
         self.right.append(-1)
         self.counts.append(counts)
         return node_id
-
-    def tree(self) -> Tree:
-        return Tree(
-            feature=np.asarray(self.feature, dtype=np.int32),
-            threshold=np.asarray(self.threshold, dtype=float),
-            left=np.asarray(self.left, dtype=np.int32),
-            right=np.asarray(self.right, dtype=np.int32),
-            counts=np.asarray(self.counts, dtype=float),
-            importances=self.importances,
-        )
 
 
 def _node_stats(y, w, rows, depth, k, max_depth):
@@ -247,8 +224,9 @@ def grow_trees(
     max_features: Optional[int] = None,
     rngs: Optional[Sequence[np.random.Generator]] = None,
     sample_weight: Optional[np.ndarray] = None,
-) -> List[Tree]:
-    """Grow one tree per entry of ``samples`` (row indices into X) in lockstep.
+) -> NodeTable:
+    """Grow one tree per entry of ``samples`` (row indices into X) in
+    lockstep, as one table in the order of ``samples``.
 
     Tree t trains on X[samples[t]] and draws its feature subsets from
     rngs[t] (needed only when max_features < d); sample_weight, if given,
@@ -282,7 +260,7 @@ def grow_trees(
         if batch:
             _split(batch, X, y, w, k, criterion, max_depth, max_features if subsample else None)
         live = [g for g in live if g.stack]
-    return [g.tree() for g in growing]
+    return join(growing)
 
 
 def _split(batch, X, y, w, k, criterion, max_depth, max_features):
@@ -313,7 +291,7 @@ def _split(batch, X, y, w, k, criterion, max_depth, max_features):
             thr = low
         g.feature[node_id] = f
         g.threshold[node_id] = thr
-        g.importances[f] += (weight / g.root_weight) * float(decrease[i])
+        g.importances[0, f] += (weight / g.root_weight) * float(decrease[i])
         go_left = X[r, f] <= thr
         # right child pushed first, so the left one pops first (pre-order)
         owners += [(g, node_id, True), (g, node_id, False)]
@@ -330,78 +308,91 @@ def _push(owners, parents, is_right, rows, depths, y, w, k, max_depth):
         g.stack.append((rows[i], depths[i], parents[i], is_right[i], counts[i], weight[i], split[i]))
 
 
-def cut(tree: Tree, max_depth: int) -> Tree:
-    """``tree`` with its nodes at depth ``max_depth`` made leaves.
+def cut(table: NodeTable, max_depth: int) -> NodeTable:
+    """``table`` with its nodes at depth ``max_depth`` made leaves.
 
     A node's split search does not depend on max_depth, only whether it is
-    searched does, so this predicts exactly as the tree grown at
+    searched does, so this predicts exactly as the trees grown at
     ``max_depth`` from the same data: every reachable node, class sums
-    included, is that tree's. The nodes below stay in the arrays,
-    unreachable, and the importances stay those of the deeper tree.
+    included, is theirs. The nodes below stay in the table, unreachable,
+    and the importances stay those of the deeper trees.
     """
-    frontier = np.zeros(1, dtype=np.intp)
+    if max_depth >= table.depth:
+        return table
+    frontier = table.roots
     for _ in range(max_depth):
-        inner = frontier[tree.feature[frontier] >= 0]
-        if not len(inner):
-            return tree
-        frontier = np.concatenate([tree.left[inner], tree.right[inner]])
-    feature, left, right = tree.feature.copy(), tree.left.copy(), tree.right.copy()
+        inner = frontier[table.feature[frontier] >= 0]
+        frontier = np.concatenate([table.left[inner], table.right[inner]])
+    feature, left, right = table.feature.copy(), table.left.copy(), table.right.copy()
     feature[frontier] = left[frontier] = right[frontier] = -1
-    return replace(tree, feature=feature, left=left, right=right)
+    return replace(table, feature=feature, left=left, right=right)
 
 
 @dataclass(eq=False)
 class NodeTable:
-    """Nodes of an ensemble's trees in one table; ids are table positions.
+    """The trees of an ensemble as one table of nodes; its fields are what a
+    model file saves. Ids are int32 table positions, -1 at leaves."""
 
-    Leaves point at themselves (feature 0), so ``depth`` steps take every
-    row of every tree to its leaf without masking.
-    """
+    roots: np.ndarray        # (T,) position of each tree's root
+    feature: np.ndarray      # (N,) split feature, -1 at leaves
+    threshold: np.ndarray    # (N,) float64; a row goes left when x[feature] <= threshold
+    left: np.ndarray         # (N,)
+    right: np.ndarray        # (N,)
+    counts: np.ndarray       # (N, k) float64 class weight sums
+    importances: np.ndarray  # (T, d) float64 raw impurity-decrease sums per tree
 
-    roots: np.ndarray      # (T,) table id of each tree's root
-    feature: np.ndarray    # (N,)
-    threshold: np.ndarray  # (N,)
-    left: np.ndarray       # (N,)
-    right: np.ndarray      # (N,)
-    majority: np.ndarray   # (N,) majority class of each node (lowest id wins ties)
-    depth: int             # deepest leaf over all trees
-
-    @classmethod
-    def from_trees(cls, trees: Sequence[Tree]) -> "NodeTable":
-        sizes = [t.n_nodes for t in trees]
-        roots = np.array([0] + sizes[:-1]).cumsum()
-        shift = np.repeat(roots, sizes)
-        feature = np.concatenate([t.feature for t in trees], dtype=np.intp)
-        leaf = feature < 0
-        ids = np.arange(len(feature))
-        left = np.where(leaf, ids, np.concatenate([t.left for t in trees]) + shift)
-        right = np.where(leaf, ids, np.concatenate([t.right for t in trees]) + shift)
-        feature[leaf] = 0
-        depth, frontier = 0, roots[~leaf[roots]]
+    def __post_init__(self):
+        # the walk form: leaves point at themselves (feature 0), so ``depth``
+        # steps take every row of every tree to its leaf without masking
+        leaf = self.feature < 0
+        ids = np.arange(len(leaf))
+        left = np.where(leaf, ids, self.left)
+        right = np.where(leaf, ids, self.right)
+        self._walk = (np.maximum(self.feature, 0, dtype=np.intp), left, right)
+        self.majority = self.counts.argmax(axis=1)   # lowest class wins ties
+        self.depth, frontier = 0, self.roots[~leaf[self.roots]]
         while len(frontier):
-            depth += 1
+            self.depth += 1
             frontier = np.concatenate([left[frontier], right[frontier]])
             frontier = frontier[~leaf[frontier]]
-        return cls(
-            roots=roots,
-            feature=feature,
-            threshold=np.concatenate([t.threshold for t in trees]),
-            left=left,
-            right=right,
-            majority=np.concatenate([t.counts for t in trees]).argmax(axis=1),
-            depth=depth,
-        )
+
+    def first(self, n: int) -> NodeTable:
+        """The table of the first ``n`` trees (all of them if there are fewer)."""
+        if n >= len(self.roots):
+            return self
+        end = self.roots[n]
+        return NodeTable(self.roots[:n], self.feature[:end], self.threshold[:end],
+                         self.left[:end], self.right[:end], self.counts[:end],
+                         self.importances[:n])
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         """(n, T) table id of the leaf each row reaches in each tree."""
-        node = np.repeat(self.roots[None], len(X), axis=0)
+        feature, left, right = self._walk
+        node = np.repeat(self.roots[None].astype(np.intp), len(X), axis=0)
         rows = np.arange(len(X))[:, None]
         for _ in range(self.depth):
-            goes_left = X[rows, self.feature[node]] <= self.threshold[node]
-            node = np.where(goes_left, self.left[node], self.right[node])
+            goes_left = X[rows, feature[node]] <= self.threshold[node]
+            node = np.where(goes_left, left[node], right[node])
         return node
 
     def labels(self, X: np.ndarray) -> np.ndarray:
         """(n, T) majority class of the leaf each row reaches in each tree."""
         return self.majority[self.apply(X)]
 
+
+def join(parts: Sequence) -> NodeTable:
+    """One table of ``parts`` in order: tables, or anything else with their
+    fields and with child ids local to it (-1 at leaves)."""
+    def cat(name, dtype=None):
+        return np.concatenate([getattr(p, name) for p in parts], dtype=dtype)
+
+    roots, left, right = cat("roots", np.int32), cat("left", np.int32), cat("right", np.int32)
+    if len(parts) > 1:
+        sizes = [len(p.feature) for p in parts]
+        starts = np.cumsum([0] + sizes[:-1], dtype=np.int32)
+        roots += np.repeat(starts, [len(p.roots) for p in parts])
+        shift = np.repeat(starts, sizes)
+        left += np.where(left >= 0, shift, 0)
+        right += np.where(right >= 0, shift, 0)
+    return NodeTable(roots, cat("feature", np.int32), cat("threshold", float), left, right,
+                     cat("counts", float), cat("importances"))

@@ -59,10 +59,6 @@ class SelectionMask:
     p_values: np.ndarray
     fdr_level: float
 
-    @property
-    def kept_count(self) -> int:
-        return int(self.keep.sum())
-
 
 def benjamini_yekutieli(p_values: np.ndarray, fdr: float) -> np.ndarray:
     """Step-up BY keep mask at level fdr (valid under arbitrary dependence).

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +19,15 @@ from batteryauth.eis import EisConfig
 from batteryauth.errors import ConfigError, FormatVersionMismatch
 from batteryauth.features import matrix_from_cycles, matrix_from_spectra
 from batteryauth.io_csv import write_cycle_csv, write_eis_csv
-from batteryauth.models import decision_margins, load_model, make_spec, model_to_json_dict, predict, train
+from batteryauth.models import (
+    FORMAT_VERSION,
+    decision_margins,
+    load_model,
+    make_spec,
+    model_to_json_dict,
+    predict,
+    train,
+)
 from batteryauth.synth import (
     SohDrift,
     SyntheticCellSpec,
@@ -156,6 +165,20 @@ class TestRun:
                 # the config snapshot and its hash carry the thread count itself
                 first, third = (_without_config(json.loads(b)) for b in (first, third))
             assert first == third, name
+
+    def test_label_with_colon_keeps_its_balanced_auth_model(self, tmp_path):
+        # a sink key ends in ":<balance>:<kind>"; the label before it may hold ":"
+        specs = (replace(SPECS[0], name="alpha:v2"), replace(SPECS[1], name="bravo"))
+        spec_path = tmp_path / "cells.json"
+        spec_path.write_text(specs_to_json(specs), encoding="utf-8")
+        cfg = _config(str(spec_path))
+        cfg["eval"]["balances"] = [20, 50]
+        out_dir = str(tmp_path / "out")
+        assert main(["run", "--config", _write(tmp_path, "cfg.json", cfg), "--output-dir", out_dir]) == 0
+        assert sorted(f for f in os.listdir(out_dir) if f.startswith("model_auth")) == [
+            "model_auth_model_authentication_alpha_v2_50_KNN.json",
+            "model_auth_model_authentication_bravo_50_KNN.json",
+        ]
 
     def test_config_output_dir_used_without_flag(self, spec_file, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -619,7 +642,7 @@ def _train_x_removed():
 
 class TestMalformedModel:
     CASES = [
-        ("kind-only", lambda: {"format_version": "2", "kind": "KNN"}, "'hyperparams'"),
+        ("kind-only", lambda: {"format_version": FORMAT_VERSION, "kind": "KNN"}, "'hyperparams'"),
         ("svm-text-C", _svm_with_text_c, "'hyperparams'"),
         ("no-state", _state_removed, "'parameters.state'"),
         ("no-train-x", _train_x_removed, "'parameters.state.train_x'"),

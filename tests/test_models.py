@@ -43,7 +43,7 @@ from batteryauth.explain import mdi_importance
 from batteryauth.models.base import _MODULES, derived_model
 from batteryauth.models.neighbors import squared_distances
 from batteryauth.models.persist import _decode, _encode
-from batteryauth.models.tree import NodeTable, Tree, _class_sum, grow_trees
+from batteryauth.models.tree import NodeTable, _class_sum, grow_trees
 
 CATALOG = "v1:ch1"
 
@@ -178,30 +178,20 @@ class TestDecisionTree:
         X, y = _golden_data()
         probe = np.vstack([X, np.random.default_rng(7).standard_normal((60, 8)) * 1.5])
         full = _train("DecisionTree", {"criterion": criterion, "max_depth": None}, X, y)
-        depth = full.params["table"].depth
+        depth = full.params["tree"].depth
         assert depth >= 4
         for max_depth in range(1, depth + 2):
             hp = {"criterion": criterion, "max_depth": max_depth}
             alone = _train("DecisionTree", hp, X, y)
             cut = derived_model(full, hp)
             assert cut.hyperparams == hp
-            assert cut.params["table"].depth == alone.params["table"].depth == min(max_depth, depth)
+            assert cut.params["tree"].depth == alone.params["tree"].depth == min(max_depth, depth)
             assert np.array_equal(predict(cut, probe), predict(alone, probe))
             assert np.array_equal(predict_scores(cut, probe), predict_scores(alone, probe))
         assert derived_model(full, {"criterion": criterion, "max_depth": None}) is full
 
 
 class TestRandomForest:
-    def test_single_tree_no_bootstrap_equals_tree(self):
-        rng = np.random.default_rng(2)
-        X = rng.standard_normal((40, 1))
-        y = (X[:, 0] > 0.2).astype(int)
-        hp_rf = {"criterion": "gini", "n_estimators": 1, "bootstrap": False}
-        rf = _train("RandomForest", hp_rf, X, y, seed=3)
-        dt = _train("DecisionTree", {"criterion": "gini", "max_depth": None}, X, y, seed=3)
-        probe = rng.standard_normal((300, 1))
-        assert np.array_equal(predict(rf, probe), predict(dt, probe))
-
     def test_scores_are_vote_fractions(self):
         X, y = _blobs(centers=(0.0, 3.0, 6.0))
         m = _train("RandomForest", {"criterion": "gini", "n_estimators": 7}, X, y)
@@ -545,7 +535,7 @@ class TestPersistence:
             "mask", "parameters", "seed", "catalog_version", "processing",
         }
         assert set(env["parameters"]) == {"classes", "class_names", "task", "converged", "state"}
-        assert env["format_version"] == "2"
+        assert env["format_version"] == "3"
         assert env["processing"] is None
 
     @pytest.mark.parametrize("kind,hp", ALL, ids=[k for k, _ in ALL])
@@ -565,14 +555,33 @@ class TestPersistence:
         with pytest.raises(FormatVersionMismatch, match=f"'parameters.state.{field}'"):
             model_from_json_dict(env)
 
-    @pytest.mark.parametrize("version", ["1", "99"])
+    @pytest.mark.parametrize("version", ["1", "2", "99"])
     def test_unknown_format_version(self, version):
-        """Format 1 files (arrays as number lists) are refused too, naming 2."""
+        """Format 1 files (arrays as number lists) and format 2 files (a
+        tree ensemble as one dict per tree) are refused too, naming 3."""
         X, y = _blobs(n_per=8)
         env = model_to_json_dict(_train("GaussianNB", {"var_smoothing": 1e-9}, X, y))
         env["format_version"] = version
-        with pytest.raises(FormatVersionMismatch, match="expected '2'"):
+        with pytest.raises(FormatVersionMismatch, match="expected '3'"):
             model_from_json_dict(env)
+
+    @pytest.mark.parametrize("kind,hp,name", [
+        ("DecisionTree", {"criterion": "gini", "max_depth": None}, "tree"),
+        ("RandomForest", {"criterion": "entropy", "n_estimators": 4}, "trees"),
+        ("AdaBoost", {"n_estimators": 6}, "stumps"),
+    ], ids=["DecisionTree", "RandomForest", "AdaBoost"])
+    def test_saved_tree_state_is_the_seven_table_fields(self, kind, hp, name):
+        X, y = _blobs(n_per=15, centers=(0.0, 2.5, 5.0))
+        m = _train(kind, hp, X, y, seed=2)
+        saved = model_to_json_dict(m)["parameters"]["state"][name]
+        dtypes = {"roots": "<i4", "feature": "<i4", "left": "<i4", "right": "<i4",
+                  "threshold": "<f8", "counts": "<f8", "importances": "<f8"}
+        assert {field: array["dtype"] for field, array in saved.items()} == dtypes
+        trees, nodes = len(m.params[name].roots), len(m.params[name].feature)
+        assert trees == {"tree": 1, "trees": 4, "stumps": len(m.params.get("alphas", ()))}[name]
+        assert saved["roots"]["shape"] == [trees]
+        assert saved["importances"]["shape"] == [trees, 3]
+        assert saved["counts"]["shape"] == [nodes, 3]
 
     def test_invalid_json_file(self, tmp_path):
         path = tmp_path / "m.json"
@@ -720,8 +729,8 @@ class TestArrayCodec:
         path = str(tmp_path / "m.json")
         save_model(m, path)
         for tree in (m.params["tree"], load_model(path).params["tree"]):
-            assert [a.dtype for a in (tree.feature, tree.left, tree.right)] == [np.int32] * 3
-            assert tree.threshold.dtype == tree.counts.dtype == np.float64
+            assert [a.dtype for a in (tree.roots, tree.feature, tree.left, tree.right)] == [np.int32] * 4
+            assert tree.threshold.dtype == tree.counts.dtype == tree.importances.dtype == np.float64
 
     def test_envelope_arrays_keep_dtypes(self, tmp_path):
         rng = np.random.default_rng(8)
@@ -815,27 +824,27 @@ class TestGoldenTreeModels:
     """sha256 of saved tree-kind model files, and of their labels and scores
     on a fixed probe, as this code produced them. A change to split search,
     RNG draw order, tie-breaking or vote summation shows up here. File pins
-    are those of model format 2; the output pins, checked on the trained
+    are those of model format 3; the output pins, checked on the trained
     and the loaded model, predate it."""
 
     CASES = [
         ("RandomForest", {"criterion": "gini", "n_estimators": 25},
-         "ddde6324d976c477f695a45c65d188c4b9a8a3b5ac45af6361021ba84c745bda",
+         "973df67f29d8de5e4bb80844e60eb00ea1f3c200809ebac716c6d4c3fc47d8df",
          "a94bb8b8c74e266dc6c43bc3be49d2d25389be850f9963b9672721b4deb5e384"),
         ("RandomForest", {"criterion": "entropy", "n_estimators": 25},
-         "5a0d8db91222bd1b168c6c01b3642ee5cc28a2d16493f94f995b483f5ed51206",
+         "06a95657cb80c974dd80685639bce5eea84ba6aa047a0eb6d451410faf7eea9f",
          "12b3970783df1391b89df5571f1c6e2398aac74d530f221ef4ad367d0ed2c7b0"),
         ("DecisionTree", {"criterion": "gini", "max_depth": 4},
-         "fafbc2223e88c0abec2f9755baa99caa63d72e7d83acea8555ed33de05e7b558",
+         "090cf7b9629b348b70a22ccca9cb0b8fa304ea871f93ea72f938d1ce9c11fab8",
          "db8aac58afd1b3ef47c3f3b43959212b0456a8273f157fc27f763bc45a4f99a3"),
         ("DecisionTree", {"criterion": "entropy", "max_depth": None},
-         "a13993084d43dcf10fd84a5aca40743ae42cb87741a78a776841523009f0fa9c",
+         "46b9ae39b007e0d4ab352bae24b54248721d1f2a9bfc4a98874e82764077181e",
          "9cec7b7bdb6ca728f57dad4b29e57bc523cae3f0f86c697e93c1e8cc0471cc82"),
         ("DecisionTree", {"criterion": "gini", "max_depth": None},
-         "98d2d1500b2ba75a19ffd53fd73bb6603e193fa331ff366edfecc9118c54dd28",
+         "df22b4ea3ad122870efd63f1301db3a215437235fd1ce6374d3d7d0769f5d060",
          "431d0bd35d964130eb72f2c1ad6f33aa16b062fa3a3e8f7da5d6a0fbca37383a"),
         ("AdaBoost", {"n_estimators": 12},
-         "43e4f0d40311194a734472b56fe1ea1e8cc98ebb3746005b237a2a9c273722a5",
+         "95e2d86dbcd69f3864fa4e7d65d0d1e58b1e23411f2f2b082664ef38f603867d",
          "def185d513a4e1472ca86151bdffc50983a1c8098b431942b340dffa9a1b0e7e"),
     ]
 
@@ -862,41 +871,41 @@ class TestGoldenSolverModels:
     against the rest. Both AdaBoost fits run all 200 rounds; from round 57
     on, the 3-class fit meets split positions whose right-side weight sum
     rounds to 0, which split search skips. File pins are those of model
-    format 2; the output pins predate it."""
+    format 3; the output pins predate it."""
 
     CASES = [
         ("SVM", 2, {"kernel": "linear", "C": 1.0, "gamma": "scale"},
-         "19a154f943368934a61ec7afc2acc1db0bb502321d5bac830c22b1729632e830",
+         "5e001643b1fd4a925b2cc4435a895683d823da3ad87afa9ad0807c56b00e0fa0",
          "d9563fde08337aebd417088fabb1e69b45f8cb1482cf6e8ff1d7ef4cbf1b702f"),
         ("SVM", 2, {"kernel": "rbf", "C": 1.0, "gamma": "scale"},
-         "28630e9b174bb6725b49515e0847c5acd9a044e404a6221088f99dff38ec5adb",
+         "f7fcd5251adedb5634402bbb410b049542ab7ed1a9d65c39c38b07d26b0afe30",
          "d63131e99cdc4f763675f122e98ed45e0244261a40f95a93e26f66b3a3806540"),
         ("SVM", 3, {"kernel": "linear", "C": 0.1, "gamma": "scale"},
-         "cc68a1ab290b571bb20202cd9e82fb5dbe43d5c6899cbb2cf1c34df65c78c468",
+         "f643ef00bbb1130e0b94d19a2086f68847f8acc0f6679ce315e2c24861e54fae",
          "bcd30ebdbc02fd89059059ea3b3e3c162d2b39bc64472b7496881170e95a0474"),
         ("SVM", 3, {"kernel": "rbf", "C": 10.0, "gamma": 0.1},
-         "8210018521e2d95a3c249a1b012177ea0b9382ed9976fdc5cd5534d9f7acc770",
+         "09182501ddf04ff9d118e581fd235631ab3c7637d5197e6f755e66a254074705",
          "dcef466743826253d093fa2c2c4b312dee5121c53c6b77f2958c5e90a194a15c"),
         ("NeuralNet", 3, {"hidden": 8, "activation": "relu", "solver": "adam"},
-         "5e28024b8785c739a010dc7267a22f61efc59089045c8ac28a3bef14b6c24056",
+         "cc7417c957c71b8af39e873f6f4f03e535a61079314a479a906ad498a803e354",
          "7bf38d3c53078fb07792743393b2f54538fbf8607b33ecfaf1b5b79295b11047"),
         ("NeuralNet", 3, {"hidden": 8, "activation": "relu", "solver": "sgd"},
-         "b989d4e28499c72b443db33024fed7f3d4c1baf02781dacac90a136588c8d4f0",
+         "698d93286a0257cfa37bf575664ebe5c6b2ed4cf466e634869c226c5ef4be208",
          "3d9ac4a013b7496b1180eba9f26aec168542d86d16356ecb0232207ad5ce2e04"),
         ("NeuralNet", 3, {"hidden": 8, "activation": "tanh", "solver": "adam"},
-         "c793fe64c076c8d8589482f3dd1cef80916e87259677d2a53d5ef18dd6d7eac5",
+         "a17ff45c4bee24d30a255e099790743551c058a1da3fafc028d679290e04dc52",
          "6b754be18c279a7cf62e3b04f460d6094d5857c84cf6f8e72945a312ee3d7090"),
         ("NeuralNet", 3, {"hidden": 8, "activation": "tanh", "solver": "sgd"},
-         "0e59fb497096d064b554e8484ef2a1466e8ccd9a76b93f291c03b280c97b999d",
+         "0af083ebc61b205aefe0dd8f36266c3c8ae8adaaf0577c6f81515e84e4eb0d70",
          "7a8ddcfd97ead9cc4d6302c87069213bc4b7fcb06dd1da5c8f4757cdaf274bb8"),
         ("QDA", 3, {"reg": 0.1},
-         "9fd31b8cd50ebcf91b633e359bd4cd6210e66eeff900f1f96218a4611e396086",
+         "84739048adaf3d8dfc75c3f88a6514d807f2a5689c3ff8e0cb40cf2ea6544100",
          "470e41b631c9dcba0760f4f9ea3a0728bfb2c59ebb83eb1d958af8deecda6d9e"),
         ("AdaBoost", 3, {"n_estimators": 200},
-         "a95349f869bac9025fb85f6e6282350674223b95ad0ffed352620e8b691162e6",
+         "c3d6eef15ba2c35c91f5b837fb56baa1abf9c7bebb6457c872b533cd74043f26",
          "b2b16134e49c47c48cbcb75ad9d44614447cb2e8d36e8813f5ba2ed8f7453a38"),
         ("AdaBoost", 2, {"n_estimators": 200},
-         "1d345a73cb736d4648e61c5b8e76dbcce09fc2c606da7309f4fe0a54a379d513",
+         "79fdad516604c31faf8b2739256945e2aaa6fed729fb11658d76017fddc62b27",
          "036e508c014250b508eeaa3e95247b89d37126a42b3f229ca07e405666c2edf0"),
     ]
 
@@ -922,26 +931,26 @@ class TestGoldenSolverModels:
 
 
 class TestGoldenInstanceModels:
-    """sha256 of saved KNN and GaussianNB model files (model format 2), and
+    """sha256 of saved KNN and GaussianNB model files (model format 3), and
     of their labels and scores on the probe, recorded before the shared
     state codec. KNN with distance weights meets exact matches: the probe
     holds the training rows."""
 
     CASES = [
         ("KNN", 3, {"k": 3, "weights": "uniform"},
-         "1a8aa4b815429c71c90fa4ed874e3177bb9fd3d40712aab1ea7f174639b4484a",
+         "83370542ab55bcdf4dd7e6ec74cdf4d5d5313c412b7184622705efe1b9ad15aa",
          "fe32562ac37c2cb8754282b8d89293fc9251080518d44a89d7f4dc85b15c7e45"),
         ("KNN", 3, {"k": 5, "weights": "distance"},
-         "cbe0df1836ebe7eddfd83af58e22daeb30c025bca6544feecb2f75b5e91b8569",
+         "df1d86c5e9a47c3c539624212fec3b691e773028c9cf52626b0446981a0bbed1",
          "0752d657f508df3febacecbd09549f94d9939a3a94a9d3acd0402519900c2932"),
         ("KNN", 2, {"k": 1, "weights": "distance"},
-         "3954ed8cc1b59a2b62031085588b86ca383e5a34720d736bedec14a0927e9951",
+         "d5fccfb849e7915fe885ca9667d3e221ab1f022c0fcd543e63b6118d6e368a9d",
          "5bdee09b709d64abb5aa17f9dae220667be1a9e7fbf8f14332fb022636a385cd"),
         ("GaussianNB", 3, {"var_smoothing": 1e-9},
-         "b615b09efcccc835065b5430a59cff50955cd4733fedeb2ef321b49f5f8052c8",
+         "07b414363bf52e7866e136e71915cf0c137730c42070f88b4653213868b63b98",
          "028db630ba6b5461b976b7e79b6db56f0bdaa4cffd9617d04f1f03734fd653dc"),
         ("GaussianNB", 2, {"var_smoothing": 1e-5},
-         "e84702d73900ad7f1a2aed131950b25556362df040237b79155af0f51d601e8f",
+         "9ac324170548f24eeedebba79fd0a6e8bfa00a0233c5bcc4e3e805ed3d62f8e7",
          "c2b50a492b65ad54c4da5844e29673aaf106f739fd8cdedaf1fa4dbd7f06369a"),
     ]
 
@@ -968,15 +977,15 @@ def _assert_same_state(a, b, where="state"):
     if isinstance(a, np.ndarray):
         assert isinstance(b, np.ndarray) and a.dtype.kind == b.dtype.kind, where
         assert np.array_equal(a, b), where
-    elif isinstance(a, (Tree, NodeTable)):
+    elif isinstance(a, NodeTable):
         assert type(b) is type(a), where
         _assert_same_state(vars(a), vars(b), where)
     elif isinstance(a, dict):
         assert a.keys() == b.keys(), where
         for key in a:
             _assert_same_state(a[key], b[key], f"{where}.{key}")
-    elif isinstance(a, list):
-        assert isinstance(b, list) and len(a) == len(b), where
+    elif isinstance(a, (list, tuple)):
+        assert type(b) is type(a) and len(a) == len(b), where
         for i, (x, z) in enumerate(zip(a, b)):
             _assert_same_state(x, z, f"{where}[{i}]")
     else:
@@ -1102,8 +1111,9 @@ def _check_brute_force(tree, X, y, w, k, criterion, max_depth=None):
         visit(int(tree.left[node]), [r for r in rows if X[r, f] <= thr], depth + 1)
         visit(int(tree.right[node]), [r for r in rows if X[r, f] > thr], depth + 1)
 
+    assert tree.roots.tolist() == [0]
     visit(0, list(range(len(X))), 0)
-    assert len(seen) == tree.n_nodes
+    assert len(seen) == len(tree.feature)
 
 
 def _oracle_data(seed, n=24, k=3):
@@ -1127,7 +1137,7 @@ class TestTreeEngineOracle:
     def test_root_and_tree_match_brute_force(self, seed, criterion, weighted, k):
         X, y = _oracle_data(seed, k=k)
         w = np.random.default_rng(seed + 50).uniform(0.2, 2.0, len(X)) if weighted else None
-        (tree,) = grow_trees(X, y, k, [np.arange(len(X))], criterion=criterion, sample_weight=w)
+        tree = grow_trees(X, y, k, [np.arange(len(X))], criterion=criterion, sample_weight=w)
         bw = np.ones(len(X)) if w is None else w
         top, near = _near_best(_bf_candidates(X, y, bw, list(range(len(X))), k, criterion))
         if len(near) == 1:
@@ -1136,9 +1146,9 @@ class TestTreeEngineOracle:
 
     def test_max_depth_caps_the_brute_force_tree(self):
         X, y = _oracle_data(3)
-        (tree,) = grow_trees(X, y, 3, [np.arange(len(X))], criterion="gini", max_depth=2)
+        tree = grow_trees(X, y, 3, [np.arange(len(X))], criterion="gini", max_depth=2)
         _check_brute_force(tree, X, y, np.ones(len(X)), 3, "gini", max_depth=2)
-        assert tree.n_nodes == 7
+        assert len(tree.feature) == 7
 
     def test_constant_candidates_retry_on_all_features(self):
         # only column 1 varies; a one-feature draw of a constant column must
@@ -1150,8 +1160,8 @@ class TestTreeEngineOracle:
         y = (X[:, 1] > 0).astype(int)
         seed = next(s for s in range(100)
                     if np.random.default_rng(s).choice(4, size=1, replace=False)[0] != 1)
-        (tree,) = grow_trees(X, y, 2, [np.arange(16)], max_features=1,
-                             rngs=[np.random.default_rng(seed)])
+        tree = grow_trees(X, y, 2, [np.arange(16)], max_features=1,
+                          rngs=[np.random.default_rng(seed)])
         assert tree.feature[0] == 1
         _check_brute_force(tree, X, y, np.ones(16), 2, "gini")
 
@@ -1162,7 +1172,7 @@ class TestTreeEngineOracle:
     ])
     def test_zero_weight_side_is_no_split(self, y, w, threshold):
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
-        (tree,) = grow_trees(X, np.array(y), 2, [np.arange(4)], sample_weight=np.array(w))
+        tree = grow_trees(X, np.array(y), 2, [np.arange(4)], sample_weight=np.array(w))
         assert tree.feature[0] == 0
         assert tree.threshold[0] == threshold
 
@@ -1200,17 +1210,32 @@ class TestTreeEngineOracle:
         for r, s in zip(rngs, sizes):
             r.integers(0, 60, size=s)
         alone = [grow_trees(X, y, 3, [samples[t]], criterion=criterion, max_features=3,
-                            rngs=[rngs[t]], sample_weight=w)[0] for t in range(T)]
-        assert len({t.n_nodes for t in together}) > 2
-        for a, b in zip(together, alone):
+                            rngs=[rngs[t]], sample_weight=w) for t in range(T)]
+        assert len({len(b.feature) for b in alone}) > 2
+        assert together.roots.tolist() == np.cumsum([0] + [len(b.feature) for b in alone[:-1]]).tolist()
+        for t, b in enumerate(alone):
+            a = _one_tree(together, t)
             for field in ("feature", "threshold", "left", "right", "counts", "importances"):
                 assert getattr(a, field).tobytes() == getattr(b, field).tobytes(), field
 
 
-def _walk(tree, x):
-    node = 0
-    while tree.feature[node] >= 0:
-        node = tree.left[node] if x[tree.feature[node]] <= tree.threshold[node] else tree.right[node]
+def _one_tree(table, t):
+    """Tree ``t`` of ``table`` as a one-tree table, ids made its own."""
+    start = table.roots[t]
+    end = table.roots[t + 1] if t + 1 < len(table.roots) else len(table.feature)
+    local = {name: np.where(getattr(table, name)[start:end] >= 0,
+                            getattr(table, name)[start:end] - start, -1).astype(np.int32)
+             for name in ("left", "right")}
+    return NodeTable(roots=np.zeros(1, dtype=np.int32), feature=table.feature[start:end],
+                     threshold=table.threshold[start:end], counts=table.counts[start:end],
+                     importances=table.importances[t:t + 1], **local)
+
+
+def _walk(table, root, x):
+    """Table id of the leaf ``x`` reaches from ``root``, one node at a time."""
+    node = root
+    while table.feature[node] >= 0:
+        node = table.left[node] if x[table.feature[node]] <= table.threshold[node] else table.right[node]
     return node
 
 
@@ -1228,17 +1253,31 @@ class TestNodeTablePredict:
         m, probe, Xs = self._fit("RandomForest", {"criterion": criterion, "n_estimators": 15})
         votes = np.zeros((len(Xs), 3))
         for i, x in enumerate(Xs):
-            for tree in m.params["trees"]:
-                votes[i, int(np.argmax(tree.counts[_walk(tree, x)]))] += 1.0
+            table = m.params["trees"]
+            for root in table.roots:
+                votes[i, int(np.argmax(table.counts[_walk(table, root, x)]))] += 1.0
         assert (predict(m, probe) == m.classes[np.argmax(votes, axis=1)]).all()
         assert (predict_scores(m, probe) == votes / votes.sum(axis=1, keepdims=True)).all()
 
     def test_decision_tree_leaf_fractions(self):
         m, probe, Xs = self._fit("DecisionTree", {"criterion": "gini", "max_depth": None})
         tree = m.params["tree"]
-        counts = np.array([tree.counts[_walk(tree, x)] for x in Xs])
+        counts = np.array([tree.counts[_walk(tree, 0, x)] for x in Xs])
         assert (predict(m, probe) == m.classes[np.argmax(counts, axis=1)]).all()
         assert (predict_scores(m, probe) == counts / counts.sum(axis=1, keepdims=True)).all()
+
+    def test_first_stumps_are_the_fit_of_fewer_rounds(self):
+        m, probe, Xs = self._fit("AdaBoost", {"n_estimators": 40})
+        stumps = m.params["stumps"]
+        assert len(stumps.roots) == 40
+        for n in (1, 2, 9, 39, 40):
+            alone = self._fit("AdaBoost", {"n_estimators": n})[0].params["stumps"]
+            first = stumps.first(n)
+            for field in ("roots", "feature", "threshold", "left", "right", "counts", "importances"):
+                assert getattr(first, field).tobytes() == getattr(alone, field).tobytes(), field
+            assert first.depth == alone.depth == 1
+            assert np.array_equal(first.labels(Xs), alone.labels(Xs))
+        assert stumps.first(40) is stumps.first(41) is stumps
 
     def test_adaboost_alphas_in_stump_order(self):
         # past 8 stumps, numpy's pairwise sum would add them in another order
@@ -1246,8 +1285,9 @@ class TestNodeTablePredict:
         assert len(m.params["alphas"]) == 40
         scores = np.zeros((len(Xs), 3))
         for i, x in enumerate(Xs):
-            for stump, alpha in zip(m.params["stumps"], m.params["alphas"]):
-                scores[i, int(np.argmax(stump.counts[_walk(stump, x)]))] += alpha
+            stumps = m.params["stumps"]
+            for root, alpha in zip(stumps.roots, m.params["alphas"]):
+                scores[i, int(np.argmax(stumps.counts[_walk(stumps, root, x)]))] += alpha
         scores = scores / scores.sum(axis=1, keepdims=True)
         assert (predict(m, probe) == m.classes[np.argmax(scores, axis=1)]).all()
         assert (predict_scores(m, probe) == scores).all()

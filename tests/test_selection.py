@@ -84,7 +84,6 @@ class TestSelectFeatures:
         X, y = self._binary_data()
         mask = select_features(X, y, fdr=0.05)
         assert mask.keep[:3].all()
-        assert mask.kept_count == int(mask.keep.sum())
         assert mask.fdr_level == 0.05
 
     def test_p_values_match_scipy_binary(self):
