@@ -5,6 +5,14 @@ weight alpha_m = ln((1-e_m)/e_m) + ln(K-1), and upweights misclassified
 samples by exp(alpha_m). Boosting stops early on a perfect stump (capped
 alpha) or when a stump is no better than chance (alpha <= 0).
 
+Every round grows its stump on the same rows, and only the weights
+change, so ``tree.Stumps`` sorts the features once per fit (argsort,
+sorted values, distinct-value mask, one-hot class layout) and each round
+only scores the splits under its weights and predicts by
+``X[:, f] <= thr``. Each stump equals the one ``tree.grow_trees`` grows
+on all rows at depth 1 from that round's weights, bit for bit. The kept
+stumps become one table at the end of the fit, not one table per round.
+
 The seed is not used, and round m depends only on the rounds before it,
 so the first n stumps and alphas of a fit at N >= n rounds are the fit
 at n rounds, early stops included. The stumps are kept, saved and walked
@@ -16,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tree import grow_trees, join
+from .tree import Stumps
 
 GRID = {"n_estimators": [50, 100, 200]}
 COUNTS = ("n_estimators",)
@@ -31,13 +39,11 @@ def fit(Xs: np.ndarray, y: np.ndarray, k: int, hp: dict, seed: int):
     n = len(Xs)
     n_estimators = int(hp["n_estimators"])
     w = np.full(n, 1.0 / n)
-    all_rows = [np.arange(n)]
+    search = Stumps(Xs, y, k)
     stumps: list = []
     alphas: list = []
     for _ in range(n_estimators):
-        stump = grow_trees(Xs, y, n_classes=k, samples=all_rows, criterion="gini",
-                           max_depth=1, sample_weight=w)
-        pred = stump.labels(Xs)[:, 0]
+        stump, pred = search.grow(w)
         miss = pred != y
         err = float(w[miss].sum())
         if err <= 0.0:
@@ -56,7 +62,7 @@ def fit(Xs: np.ndarray, y: np.ndarray, k: int, hp: dict, seed: int):
         alphas.append(float(alpha))
         w = w * np.exp(alpha * miss)
         w = w / w.sum()
-    return {"stumps": join(stumps), "alphas": np.asarray(alphas, dtype=float)}, True
+    return {"stumps": search.table(stumps), "alphas": np.asarray(alphas, dtype=float)}, True
 
 
 # a fit at fewer rounds is the start of a fit at more

@@ -1,27 +1,36 @@
 """CART trees grown in lockstep, and ensembles walked as one node table.
 
-Growth. ``grow_trees`` is the one place trees grow: a forest passes all of its
-trees at once, a DecisionTree or an AdaBoost stump is a batch of one.
-Every tree keeps its own depth-first stack (right child pushed first, so
-node ids are pre-order) and its own RNG stream. Each step advances every
-tree that is still growing to its next node that needs a split search,
-numbering the leaves it passes on the way, and then searches all of those
-nodes together. Feature subsets are therefore drawn in each tree's
-pre-order, exactly as growing that tree alone draws them, and a tree
-grown in a batch equals the tree grown alone bit for bit.
+Growth. ``grow_trees`` grows CART trees: a forest passes all of its trees
+at once, a DecisionTree is a batch of one (AdaBoost's stumps grow through
+``Stumps``, below, with the same search). Every tree keeps its own
+depth-first stack (right child pushed first, so node ids are pre-order)
+and its own RNG stream. Each step advances every tree that is still
+growing to its next node that needs a split search, numbering the leaves
+it passes on the way, and then searches all of those nodes together.
+Feature subsets are therefore drawn in each tree's pre-order, exactly as
+growing that tree alone draws them, and a tree grown in a batch equals
+the tree grown alone bit for bit.
 
 Split search is exact: the candidate columns of each node are argsorted
 and every boundary between distinct adjacent values is scored by
 impurity decrease (gini or entropy), vectorized over nodes, positions,
-features and classes. Nodes of different sizes are padded to the
-largest: padded rows hold +inf and weight zero, so they sort last and
-leave every real prefix sum untouched, and positions at or past a node's
-last row are masked out. Class sums are added in numpy's own order for a
-per-node sum (``_class_sum``), so every number equals the one a search of
-that node alone computes. Ties go to the earliest split position, then
-the lowest candidate feature, so a tree is a pure function of (data,
-parameters, rng stream). A node whose candidate features are all locally
-constant retries on the full feature set before it becomes a leaf.
+features and classes. It runs in two stages. The sort stage
+(``_sort_nodes``) does what no sample weight changes: it gathers the
+columns, argsorts them (stable), and keeps the sorted values, the mask of
+boundaries between distinct values and the class-major one-hot layout of
+the sorted rows. The score stage (``_score_splits``) takes the weights:
+prefix class sums, both sides' sums and impurities, and the best
+position. ``grow_trees`` runs the two back to back; ``Stumps`` sorts once
+and scores once per weight vector. Nodes of different sizes are padded
+to the largest: padded rows hold +inf and weight zero, so they sort last
+and leave every real prefix sum untouched, and positions at or past a
+node's last row are masked out. Class sums are added in numpy's own
+order for a per-node sum (``_class_sum``), so every number equals the one
+a search of that node alone computes. Ties go to the earliest split
+position, then the lowest candidate feature, so a tree is a pure function
+of (data, parameters, rng stream). A node whose candidate features are
+all locally constant retries on the full feature set before it becomes a
+leaf.
 
 A tree's rows are index arrays into the shared matrix (bootstrap draws
 composed with the node's partition), and a search gathers only the
@@ -35,13 +44,23 @@ become class weight sums throughout, and a split position where either
 side's weight sum is 0 (its rows weigh 0, or their sum rounds to 0 in the
 node total minus the other side) is not scored.
 
+Stumps. AdaBoost grows a depth-1 gini tree on every row in each round,
+and only the weights change between rounds. ``Stumps`` runs the sort
+stage once per fit (the presorting of SLIQ, Mehta, Agrawal & Rissanen,
+EDBT 1996, applied across rounds rather than across nodes) and the score
+stage once per round. The root and child class sums, the parent
+impurity, the threshold and the importance come from the same helpers
+``grow_trees`` uses, so a stump equals the one ``grow_trees`` grows from
+the same weights bit for bit.
+
 Table. ``NodeTable`` is the one form of a fitted ensemble: what
 ``grow_trees`` returns, what the tree kinds keep and save, and what
 predicts. It holds the nodes of every tree concatenated in tree order,
 with child ids as table positions (-1 at leaves) and one row of
 importances per tree. The form ``apply`` walks (leaves point at
 themselves), the majority class of every node and the depth are derived
-when a table is made, and never saved.
+when a table is made, and never saved. A table whose split feature ids
+reach past the width of its importances is refused with ValueError.
 """
 from __future__ import annotations
 
@@ -86,28 +105,31 @@ def _class_sum(a: np.ndarray) -> np.ndarray:
     return total
 
 
-def _impurity(counts: np.ndarray, totals: np.ndarray, criterion: str) -> np.ndarray:
-    """Impurity of count vectors along the leading (class) axis; totals > 0."""
-    p = counts / totals
+def _impurity(counts: np.ndarray, totals: np.ndarray, criterion: str,
+              out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Impurity of count vectors along the leading (class) axis; totals > 0.
+    The class fractions are written to ``out`` (it may be ``counts``), or
+    to a new array; each later step works in place."""
+    p = np.divide(counts, totals, out=out)
     if criterion == "gini":
-        return 1.0 - _class_sum(np.square(p))
+        return 1.0 - _class_sum(np.square(p, out=p))
     if criterion == "entropy":
         logs = np.zeros(p.shape)
         np.log2(p, where=p > 0, out=logs)
-        return -_class_sum(p * logs)
+        return -_class_sum(np.multiply(p, logs, out=logs))
     raise UnsupportedKind(f"unknown criterion {criterion!r}")
 
 
 def _best_splits(X, y, w, rows, feats, k, criterion, parent_imp):
-    """Best split of every node in one search.
+    """Best split of every node in one search: the sort stage, then the
+    score stage.
 
     rows: per-node row indices into X; feats: (B, m) candidate features, or
     None for all of them. Returns (found, feature, lo, hi, decrease), each
     of length B; the threshold lies between the sorted values lo and hi.
     """
     B = len(rows)
-    sizes = [len(r) for r in rows]
-    n = max(sizes)
+    n = max(len(r) for r in rows)
     m = X.shape[1] if feats is None else feats.shape[1]
     step = max(1, BATCH_ELEMENTS // (n * m * k))
     if B > step:
@@ -117,7 +139,26 @@ def _best_splits(X, y, w, rows, feats, k, criterion, parent_imp):
             for s in range(0, B, step)
         ]
         return tuple(np.concatenate(col) for col in zip(*parts))
+    nodes = _sort_nodes(X, y, rows, feats, k)
+    if nodes is None:
+        return np.zeros(B, dtype=bool), np.zeros(B, dtype=np.intp), np.zeros(B), np.zeros(B), np.zeros(B)
+    return _score_splits(nodes, w, criterion, parent_imp)
 
+
+def _sort_nodes(X, y, rows, feats, k):
+    """Sort stage: what a split search of these nodes needs that no sample
+    weight changes, or None when no candidate column has two distinct
+    values in any node.
+
+    Returns (R, sv, valid, onehot, feats): the rows in sorted order and
+    their sorted values, each (B, n, m); the boundaries between distinct
+    adjacent values (B, n-1, m); and the class-major one-hot layout
+    (k, B, n, m), in which every per-class step is one slab.
+    """
+    B = len(rows)
+    sizes = [len(r) for r in rows]
+    n = max(sizes)
+    m = X.shape[1] if feats is None else feats.shape[1]
     padded = min(sizes) < n
     if padded:
         real = np.arange(n) < np.array(sizes)[:, None]        # (B, n)
@@ -136,34 +177,59 @@ def _best_splits(X, y, w, rows, feats, k, criterion, parent_imp):
         # +inf pads sort last, so a node's real rows are its first sizes[b]
         valid &= real[:, 1:, None]
     if not valid.any():
-        return np.zeros(B, dtype=bool), np.zeros(B, dtype=np.intp), np.zeros(B), np.zeros(B), np.zeros(B)
-    R = R[nodes, order]                                        # rows in sorted order
-    # class-major layout (k, B, n, m): every per-class step is one slab
+        return None
+    R = R[nodes, order]
     onehot = y[R] == np.arange(k)[:, None, None, None]
     if padded:
         onehot &= real[:, :, None]
+    return R, sv, valid, onehot, feats
+
+
+def _score_splits(nodes, w, criterion, parent_imp):
+    """Score stage: the best split of every node of a sort stage under the
+    sample weights ``w`` (None: every row weighs 1), as ``_best_splits``
+    returns it. ``nodes`` is only read, so one sort serves many weights."""
+    R, sv, valid, onehot, feats = nodes
+    k, B, n, m = onehot.shape
+    # cum and sides are the only large arrays made here; later steps write
+    # in place, since at n=20, k=5 and 137 features allocating each step's
+    # result took as long as its arithmetic
     if w is None:
         cum = onehot.cumsum(axis=2, dtype=float)
     else:
-        cum = (onehot * w[R]).cumsum(axis=2)
+        cum = np.multiply(onehot, w[R])
+        np.cumsum(cum, axis=2, out=cum)
     sides = np.empty((k, 2, B, n - 1, m))                      # left, right counts
     sides[:, 0] = cum[:, :, :-1]
     np.subtract(cum[:, :, -1:], sides[:, 0], out=sides[:, 1])
     weights = _class_sum(sides)                                # (2, B, n-1, m)
     if w is not None:
         # a side whose weight sum is 0 is no split; its impurity would be 0/0
-        valid &= (weights[0] > 0) & (weights[1] > 0)
+        valid = valid & (weights[0] > 0) & (weights[1] > 0)
     # positions at or past a padded node's end divide 0/0; they are masked
     with np.errstate(divide="ignore", invalid="ignore"):
-        impurity = _impurity(sides, weights, criterion)
+        impurity = _impurity(sides, weights, criterion, out=sides)
         child = (weights[0] * impurity[0] + weights[1] * impurity[1]) / (weights[0] + weights[1])
     decrease = np.where(valid, parent_imp[:, None, None] - child, -np.inf)
     # row-major per node: earliest position, then lowest candidate feature
     pos, j = np.divmod(decrease.reshape(B, -1).argmax(axis=1), m)
-    b = nodes[:, 0, 0]
+    b = np.arange(B)
     best = decrease[b, pos, j]
     feature = j if feats is None else feats[b, j]
     return best > MIN_DECREASE, feature, sv[b, pos, j], sv[b, pos + 1, j], best
+
+
+def _threshold(low: float, high: float) -> float:
+    """The split threshold between adjacent distinct sorted values: their
+    midpoint, or ``low`` where the midpoint rounds to ``high``."""
+    thr = low + 0.5 * (high - low)
+    return thr if low <= thr < high else low
+
+
+def _gain(weight: float, root_weight: float, decrease) -> float:
+    """A split's importance: its impurity decrease, weighted by the node's
+    share of its tree's root weight."""
+    return (weight / root_weight) * float(decrease)
 
 
 class _Growing:
@@ -285,13 +351,10 @@ def _split(batch, X, y, w, k, criterion, max_depth, max_features):
     owners, kids, depths = [], [], []
     for i in found.nonzero()[0].tolist():
         g, node_id, r, depth, weight, _ = batch[i]
-        f, low, high = int(feature[i]), float(lo[i]), float(hi[i])
-        thr = low + 0.5 * (high - low)
-        if not low <= thr < high:
-            thr = low
+        f, thr = int(feature[i]), _threshold(float(lo[i]), float(hi[i]))
         g.feature[node_id] = f
         g.threshold[node_id] = thr
-        g.importances[0, f] += (weight / g.root_weight) * float(decrease[i])
+        g.importances[0, f] += _gain(weight, g.root_weight, decrease[i])
         go_left = X[r, f] <= thr
         # right child pushed first, so the left one pops first (pre-order)
         owners += [(g, node_id, True), (g, node_id, False)]
@@ -306,6 +369,66 @@ def _push(owners, parents, is_right, rows, depths, y, w, k, max_depth):
     counts, weight, split = _node_stats(y, w, rows, depths, k, max_depth)
     for i, g in enumerate(owners):
         g.stack.append((rows[i], depths[i], parents[i], is_right[i], counts[i], weight[i], split[i]))
+
+
+class Stumps:
+    """Depth-1 gini trees on every row of X, one per sample-weight vector:
+    the stumps of AdaBoost's rounds.
+
+    ``grow(w)`` equals ``grow_trees(X, y, k, [all rows], max_depth=1,
+    sample_weight=w)`` bit for bit, node ids (root 0, left 1, right 2) and
+    class sums included, while only the weights change between calls: the
+    sort stage runs once, in the constructor, and each call runs the score
+    stage. A round predicts by ``X[:, f] <= thr`` instead of walking a
+    table, and ``table`` joins the kept stumps once.
+    """
+
+    def __init__(self, X: np.ndarray, y: np.ndarray, n_classes: int):
+        self.X, self.y, self.k = X, y, n_classes
+        self.rows = np.arange(len(X))
+        self.nodes = _sort_nodes(X, y, [self.rows], None, n_classes)
+
+    def grow(self, w: np.ndarray):
+        """(stump, labels) for weights ``w``: the stump as (feature,
+        threshold, importance, class sums of its nodes in pre-order), feature
+        -1 for a single leaf, and the class it predicts for each row of X."""
+        X, y, k, rows = self.X, self.y, self.k, self.rows
+        counts, weight, split = _node_stats(y, w, [rows], [0], k, 1)
+        if split[0] and self.nodes is not None:
+            parent_imp = _impurity(counts.T, np.array(weight), "gini")
+            found, feature, lo, hi, decrease = _score_splits(self.nodes, w, "gini", parent_imp)
+            if found[0]:
+                f, thr = int(feature[0]), _threshold(float(lo[0]), float(hi[0]))
+                go_left = X[:, f] <= thr
+                kids = _node_stats(y, w, [rows[~go_left], rows[go_left]], [1, 1], k, 1)[0]
+                counts = np.concatenate([counts, kids[::-1]])
+                majority = counts.argmax(axis=1)
+                gain = _gain(weight[0], float(w.sum()), decrease[0])
+                return (f, thr, gain, counts), np.where(go_left, majority[1], majority[2])
+        return (-1, 0.0, 0.0, counts), np.full(len(X), counts[0].argmax())
+
+    def table(self, stumps: Sequence[tuple]) -> NodeTable:
+        """One table of ``stumps`` (from ``grow``) in order."""
+        roots, feature, threshold, left, right = [], [], [], [], []
+        importances = np.zeros((len(stumps), self.X.shape[1]))
+        for t, (f, thr, gain, _) in enumerate(stumps):
+            at = len(feature)
+            roots.append(at)
+            if f < 0:
+                feature += [-1]
+                threshold += [0.0]
+                left += [-1]
+                right += [-1]
+            else:
+                feature += [f, -1, -1]
+                threshold += [thr, 0.0, 0.0]
+                left += [at + 1, -1, -1]
+                right += [at + 2, -1, -1]
+                importances[t, f] = gain
+        ids = np.int32
+        return NodeTable(np.array(roots, ids), np.array(feature, ids), np.array(threshold),
+                         np.array(left, ids), np.array(right, ids),
+                         np.concatenate([s[3] for s in stumps]), importances)
 
 
 def cut(table: NodeTable, max_depth: int) -> NodeTable:
@@ -342,6 +465,10 @@ class NodeTable:
     importances: np.ndarray  # (T, d) float64 raw impurity-decrease sums per tree
 
     def __post_init__(self):
+        d = self.importances.shape[1]
+        if self.feature.max(initial=-1) >= d:
+            raise ValueError(f"NodeTable feature ids must be below the {d} features of "
+                             f"importances, got {int(self.feature.max())}")
         # the walk form: leaves point at themselves (feature 0), so ``depth``
         # steps take every row of every tree to its leaf without masking
         leaf = self.feature < 0

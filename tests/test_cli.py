@@ -28,6 +28,7 @@ from batteryauth.models import (
     predict,
     train,
 )
+from batteryauth.models.persist import _decode, _encode
 from batteryauth.synth import (
     SohDrift,
     SyntheticCellSpec,
@@ -640,12 +641,27 @@ def _train_x_removed():
     return env
 
 
+def _split_feature_past_width(kind, hp, table):
+    """A tree-kind envelope whose split feature ids are 2, one past the two
+    columns the tiny model was trained on."""
+    env = model_to_json_dict(_tiny_model(kind, hp))
+    saved = env["parameters"]["state"][table]
+    feature = _decode(saved["feature"]).copy()
+    feature[feature >= 0] = 2
+    saved["feature"] = _encode(feature)
+    return env
+
+
 class TestMalformedModel:
     CASES = [
         ("kind-only", lambda: {"format_version": FORMAT_VERSION, "kind": "KNN"}, "'hyperparams'"),
         ("svm-text-C", _svm_with_text_c, "'hyperparams'"),
         ("no-state", _state_removed, "'parameters.state'"),
         ("no-train-x", _train_x_removed, "'parameters.state.train_x'"),
+        ("forest-feature-id", lambda: _split_feature_past_width(
+            "RandomForest", {"criterion": "gini", "n_estimators": 3}, "trees"), "'parameters.state'"),
+        ("adaboost-feature-id", lambda: _split_feature_past_width(
+            "AdaBoost", {"n_estimators": 3}, "stumps"), "'parameters.state'"),
     ]
 
     @pytest.mark.parametrize("make,field", [c[1:] for c in CASES], ids=[c[0] for c in CASES])

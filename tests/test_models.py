@@ -40,10 +40,12 @@ from batteryauth.models import (
     train,
 )
 from batteryauth.explain import mdi_importance
+from batteryauth.models import boost, neural
 from batteryauth.models.base import _MODULES, derived_model
 from batteryauth.models.neighbors import squared_distances
 from batteryauth.models.persist import _decode, _encode
-from batteryauth.models.tree import NodeTable, _class_sum, grow_trees
+from batteryauth.models.tree import NodeTable, _class_sum, grow_trees, join
+from batteryauth.seeding import rng_from
 
 CATALOG = "v1:ch1"
 
@@ -394,6 +396,86 @@ class TestNeuralNet:
         assert np.array_equal(a.params["w1"], b.params["w1"])
 
 
+def _neural_per_parameter(Xs, y, k, hp, seed):
+    """The reference network fit: each of w1, b1, w2, b2 is its own array,
+    and every solver step updates them one at a time."""
+    n, d = Xs.shape
+    hidden, activation = int(hp["hidden"]), hp["activation"]
+    rng = rng_from(seed, "neural")
+    w1 = neural._glorot(rng, d, hidden)
+    b1 = np.zeros(hidden)
+    w2 = neural._glorot(rng, hidden, k)
+    b2 = np.zeros(k)
+    onehot = np.eye(k)[y]
+    velocity = [np.zeros_like(p) for p in (w1, b1, w2, b2)]
+    adam_m = [np.zeros_like(p) for p in (w1, b1, w2, b2)]
+    adam_v = [np.zeros_like(p) for p in (w1, b1, w2, b2)]
+    adam_t, best_loss, stall, converged = 0, np.inf, 0, False
+    for _epoch in range(neural.MAX_EPOCHS):
+        order = rng.permutation(n)
+        losses = []
+        for start in range(0, n, neural.BATCH_SIZE):
+            batch = order[start:start + neural.BATCH_SIZE]
+            xb, tb = Xs[batch], onehot[batch]
+            m = len(batch)
+            z1 = xb @ w1 + b1
+            a1 = neural._act(z1, activation)
+            probs = neural._softmax(a1 @ w2 + b2)
+            losses.append(float(-(tb * np.log(probs + 1e-12)).sum() / m))
+            dz2 = (probs - tb) / m
+            dz1 = (dz2 @ w2.T) * neural._act_grad(z1, a1, activation)
+            grads = [xb.T @ dz1, dz1.sum(axis=0), a1.T @ dz2, dz2.sum(axis=0)]
+            if hp["solver"] == "sgd":
+                for p, g, v in zip((w1, b1, w2, b2), grads, velocity):
+                    v *= neural.SGD_MOMENTUM
+                    v -= neural.SGD_LR * g
+                    p += v
+            else:
+                adam_t += 1
+                correct1 = 1 - neural.ADAM_BETA1**adam_t
+                correct2 = 1 - neural.ADAM_BETA2**adam_t
+                for p, g, m1, v1 in zip((w1, b1, w2, b2), grads, adam_m, adam_v):
+                    m1 *= neural.ADAM_BETA1
+                    m1 += (1 - neural.ADAM_BETA1) * g
+                    v1 *= neural.ADAM_BETA2
+                    v1 += (1 - neural.ADAM_BETA2) * g**2
+                    mhat = m1 / correct1
+                    vhat = v1 / correct2
+                    p -= neural.ADAM_LR * mhat / (np.sqrt(vhat) + neural.ADAM_EPS)
+        epoch_loss = float(np.mean(losses))
+        if epoch_loss > best_loss - neural.LOSS_TOL:
+            stall += 1
+            if stall >= neural.PATIENCE:
+                converged = True
+                break
+        else:
+            stall = 0
+        best_loss = min(best_loss, epoch_loss)
+    return {"w1": w1, "b1": b1, "w2": w2, "b2": b2, "activation": activation}, converged
+
+
+class TestNeuralFlatBufferOracle:
+    """``neural.fit`` (views of flat buffers, in-place steps) against the
+    per-parameter loop. n = 70 gives mini-batches of 32, 32 and 6 rows."""
+
+    @pytest.mark.parametrize("solver", ["sgd", "adam"])
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_equals_per_parameter_updates(self, solver, activation):
+        rng = np.random.default_rng(12)
+        Xs = rng.standard_normal((70, 6))
+        y = (Xs[:, 0] + 0.5 * rng.standard_normal(70) > 0).astype(int) + (Xs[:, 1] > 0.8)
+        hp = {"hidden": 9, "activation": activation, "solver": solver}
+        state, converged = neural.fit(Xs, y, 3, hp, seed=3)
+        want, want_converged = _neural_per_parameter(Xs, y, 3, hp, seed=3)
+        assert converged == want_converged
+        assert state["activation"] == want["activation"]
+        for name in ("w1", "b1", "w2", "b2"):
+            got = state[name]
+            assert got.shape == want[name].shape and got.flags.c_contiguous, name
+            assert got.base is None, name                    # a copy, not a view
+            assert got.tobytes() == want[name].tobytes(), name
+
+
 class TestQda:
     def test_matches_manual_mahalanobis(self):
         rng = np.random.default_rng(8)
@@ -582,6 +664,37 @@ class TestPersistence:
         assert saved["roots"]["shape"] == [trees]
         assert saved["importances"]["shape"] == [trees, 3]
         assert saved["counts"]["shape"] == [nodes, 3]
+
+    @pytest.mark.parametrize("kind,hp,name", [
+        ("RandomForest", {"criterion": "gini", "n_estimators": 4}, "trees"),
+        ("AdaBoost", {"n_estimators": 6}, "stumps"),
+    ], ids=["RandomForest", "AdaBoost"])
+    @pytest.mark.parametrize("feature_id", [3, 100000])
+    def test_split_feature_past_the_width_is_refused(self, kind, hp, name, feature_id, tmp_path):
+        # the data has 3 features, so ids 0-2; walking id 3 would index past
+        # the row and fail with IndexError at predict time
+        X, y = _blobs(n_per=15, centers=(0.0, 2.5, 5.0))
+        env = model_to_json_dict(_train(kind, hp, X, y, seed=2))
+        saved = env["parameters"]["state"][name]
+        feature = _decode(saved["feature"]).copy()
+        assert (feature >= 0).any()
+        feature[feature >= 0] = feature_id
+        saved["feature"] = _encode(feature)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(env), encoding="utf-8")
+        with pytest.raises(FormatVersionMismatch,
+                           match=rf"'parameters.state'.*feature ids must be below the 3 "
+                                 rf"features of importances, got {feature_id}"):
+            load_model(str(path))
+
+    def test_split_feature_at_the_last_column_loads(self):
+        X, y = _blobs(n_per=15, centers=(0.0, 2.5, 5.0))
+        env = model_to_json_dict(_train("AdaBoost", {"n_estimators": 6}, X, y, seed=2))
+        saved = env["parameters"]["state"]["stumps"]
+        feature = _decode(saved["feature"]).copy()
+        feature[feature >= 0] = 2
+        saved["feature"] = _encode(feature)
+        assert (model_from_json_dict(env).params["stumps"].feature.max()) == 2
 
     def test_invalid_json_file(self, tmp_path):
         path = tmp_path / "m.json"
@@ -1217,6 +1330,90 @@ class TestTreeEngineOracle:
             a = _one_tree(together, t)
             for field in ("feature", "threshold", "left", "right", "counts", "importances"):
                 assert getattr(a, field).tobytes() == getattr(b, field).tobytes(), field
+
+
+def _boost_by_grow_trees(X, y, k, n_estimators):
+    """The reference SAMME: each round grows its stump with ``grow_trees`` on
+    all rows and predicts by walking that one-tree table; the round tables
+    are joined at the end."""
+    n = len(X)
+    w = np.full(n, 1.0 / n)
+    stumps, alphas = [], []
+    for _ in range(n_estimators):
+        stump = grow_trees(X, y, n_classes=k, samples=[np.arange(n)], criterion="gini",
+                           max_depth=1, sample_weight=w)
+        miss = stump.labels(X)[:, 0] != y
+        err = float(w[miss].sum())
+        if err <= 0.0:
+            stumps.append(stump)
+            alphas.append(boost.ALPHA_PERFECT + np.log(max(k - 1, 1)))
+            break
+        alpha = boost.LEARNING_RATE * (np.log((1.0 - err) / err) + np.log(max(k - 1, 1)))
+        if alpha <= 0.0:
+            if not stumps:
+                stumps.append(stump)
+                alphas.append(0.0)
+            break
+        stumps.append(stump)
+        alphas.append(float(alpha))
+        w = w * np.exp(alpha * miss)
+        w = w / w.sum()
+    return join(stumps), np.asarray(alphas, dtype=float)
+
+
+class TestStumpOracle:
+    """``boost.fit`` (rows sorted once per fit, one table at the end) against
+    the per-round ``grow_trees`` replay, array for array."""
+
+    def _check(self, X, y, k, n_estimators):
+        state, converged = boost.fit(X, y, k, {"n_estimators": n_estimators}, seed=0)
+        table, alphas = _boost_by_grow_trees(X, y, k, n_estimators)
+        assert converged is True
+        assert state["alphas"].dtype == alphas.dtype
+        assert state["alphas"].tobytes() == alphas.tobytes()
+        for field in ("roots", "feature", "threshold", "left", "right", "counts", "importances"):
+            got, want = getattr(state["stumps"], field), getattr(table, field)
+            assert got.dtype == want.dtype and got.shape == want.shape, field
+            assert got.tobytes() == want.tobytes(), field
+        return state
+
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_random_data(self, k):
+        rng = np.random.default_rng(40 + k)
+        X = rng.standard_normal((30, 7))
+        y = rng.integers(0, k, 30)
+        state = self._check(X, y, k, 60)
+        assert len(state["alphas"]) > 5
+
+    def test_duplicate_values(self):
+        X, y = _oracle_data(5, n=28, k=3)
+        state = self._check(X, y, 3, 80)
+        assert len(state["alphas"]) > 5
+
+    @pytest.mark.parametrize("y,k", [([0], 1), ([1], 2)])
+    def test_single_row(self, y, k):
+        state = self._check(np.array([[0.3, -1.0]]), np.array(y), k, 10)
+        assert state["stumps"].feature.tolist() == [-1]
+
+    def test_single_class(self):
+        X = np.random.default_rng(3).standard_normal((12, 4))
+        state = self._check(X, np.zeros(12, dtype=int), 1, 10)
+        assert state["stumps"].feature.tolist() == [-1]
+
+    def test_constant_features_never_split(self):
+        X = np.full((10, 3), 1.5)
+        y = np.array([0, 0, 0, 0, 0, 0, 1, 1, 1, 2])
+        state = self._check(X, y, 3, 20)
+        assert (state["stumps"].feature == -1).all()
+        assert state["stumps"].roots.tolist() == list(range(len(state["alphas"])))
+
+    def test_golden_three_class_past_zero_weight_sides(self):
+        # as in the golden pins: from round 57 on, split positions whose
+        # right-side weight sum rounds to 0 are skipped
+        X, y = _golden_data()
+        state = self._check(fit_standardizer(X).transform(X), y, 3, 200)
+        assert len(state["alphas"]) == 200
+        assert len(state["stumps"].feature) == 600
 
 
 def _one_tree(table, t):
