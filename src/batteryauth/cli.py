@@ -42,7 +42,7 @@ from .evaluate import (
 )
 from .features import catalog_default, matrix_from_cycles, matrix_from_spectra
 from .io_csv import parse_cycle_csv, parse_eis_csv
-from .models import TrainedModel, decision_margins, load_model, predict, predict_scores, save_model
+from .models import TrainedModel, classify, load_model, predict, save_model
 from .records import build_catalog
 from .synth import demo_specs, gen_dataset, gen_eis_dataset, specs_from_json
 
@@ -184,28 +184,21 @@ def _features_for_samples(model: TrainedModel, sample_path: str) -> Tuple[np.nda
     return matrix.values, [f"{m.cell_id}/{m.cycle_index}" for m in matrix.metas]
 
 
-def _score_rows(model: TrainedModel, X: np.ndarray, labels: np.ndarray) -> List[Optional[float]]:
-    scores = predict_scores(model, X)
-    if scores is None:
-        scores = decision_margins(model, X)
-    if scores is None:
-        return [None] * len(X)
-    class_pos = {int(c): i for i, c in enumerate(model.classes)}
-    return [float(scores[i, class_pos[int(labels[i])]]) for i in range(len(X))]
-
-
 def cmd_authenticate(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     X, names = _features_for_samples(model, args.sample)
-    labels = predict(model, X)
-    scores = _score_rows(model, X, labels)
+    labels, scores = classify(model, X)
+    # a label's position in model.classes picks its name and its score
+    positions = np.searchsorted(model.classes, labels)
     results = []
-    for i, (name, label) in enumerate(zip(names, labels)):
+    for i, (name, label, pos) in enumerate(zip(names, labels, positions)):
         if model.task == "authentication":
             text_label = "authenticated" if int(label) == 1 else "not_authenticated"
+        elif model.class_names:
+            text_label = model.class_names[pos]
         else:
-            text_label = model.class_names[int(label)]
-        results.append({"index": i, "sample": name, "label": text_label, "score": scores[i]})
+            text_label = str(int(label))
+        results.append({"index": i, "sample": name, "label": text_label, "score": float(scores[i, pos])})
     if args.json:
         print(
             json.dumps(
@@ -215,8 +208,7 @@ def cmd_authenticate(args: argparse.Namespace) -> int:
         )
     else:
         for r in results:
-            score_text = "n/a" if r["score"] is None else f"{r['score']:.4f}"
-            print(f"{r['sample']}: {r['label']} (score={score_text})")
+            print(f"{r['sample']}: {r['label']} (score={r['score']:.4f})")
     return 0
 
 

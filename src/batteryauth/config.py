@@ -82,6 +82,13 @@ def _positive(value, key: str, path: str):
     return value
 
 
+def _seed(data: dict, path: str, default: int) -> int:
+    seed = _get(data, "seed", int, path, default)
+    if seed < 0:
+        raise ConfigError(f"{path}seed: must be >= 0, got {seed}")
+    return seed
+
+
 def _parse_dca(data: dict) -> DcaConfig:
     path, d = "dca.", DcaConfig()
     _reject_unknown(data, {"eps_volts", "savgol_window", "savgol_polyorder", "resample_n"}, "dca")
@@ -127,7 +134,7 @@ def _parse_synth(data: dict) -> SynthConfig:
         ),
         n_points=_positive(_get(data, "n_points", int, path, d.n_points), "n_points", path),
         n_freq=_positive(_get(data, "n_freq", int, path, d.n_freq), "n_freq", path),
-        seed=_get(data, "seed", int, path, d.seed),
+        seed=_seed(data, path, d.seed),
     )
 
 
@@ -142,7 +149,7 @@ def _parse_models(items, base_seed: int) -> Tuple[ModelSpec, ...]:
         _reject_unknown(item, {"kind", "grid", "seed"}, path)
         kind = _get(item, "kind", str, path + ".", required=True)
         grid = _get(item, "grid", dict, path + ".", None)
-        seed = _get(item, "seed", int, path + ".", base_seed)
+        seed = _seed(item, path + ".", base_seed)
         try:
             spec = make_spec(kind, grid=grid, seed=seed)
             enumerate_grid(spec)  # every grid point converts and is in bounds
@@ -186,7 +193,7 @@ def _parse_eval(
         raise ConfigError(f"selection.fdr: must be in (0, 1), got {fdr}")
     balances = _choices(data, "balances", BALANCE_LEVELS, d.balances)
     return _choices(data, "tasks", TASKS, TASKS), EvalConfig(
-        seed=_get(data, "seed", int, path, d.seed),
+        seed=_seed(data, path, d.seed),
         train_ratio=ratio,
         folds=folds,
         targets=_choices(data, "targets", TARGETS, d.targets),

@@ -6,7 +6,7 @@ from .base import (
     ModelSpec,
     Standardizer,
     TrainedModel,
-    decision_margins,
+    classify,
     enumerate_grid,
     fit_standardizer,
     make_spec,
@@ -33,7 +33,7 @@ __all__ = [
     "ModelSpec",
     "Standardizer",
     "TrainedModel",
-    "decision_margins",
+    "classify",
     "enumerate_grid",
     "fit_standardizer",
     "grid_search",

@@ -22,11 +22,12 @@ from ..errors import ConfigError, DimensionMismatch, NonFiniteValue, Unsupported
 from . import boost, dtree, forest, naive_bayes, neighbors, neural, qda, svm
 
 # The one table keyed by kind name. A kind module declares what is
-# particular to it: ``fit`` and ``predict``; ``GRID``, its default grid,
-# whose key order is the dimension order; ``STATE``, the names of the
+# particular to it: ``fit``; ``predict(params, Xs, k, hp)``, which returns
+# encoded labels and an (n, k) float array of scores; ``GRID``, its default
+# grid, whose key order is the dimension order; ``STATE``, the names of the
 # fields its fitted state saves; and, where they apply,
 # ``COUNTS`` (hyperparameters that are ints >= 1), ``check`` (other bounds),
-# ``SHARED`` with ``derive``, ``raw_importances`` and ``decision_values``.
+# ``SHARED`` with ``derive``, and ``raw_importances``.
 # ``SHARED`` names the grid dimensions one fit can serve: ``derive(params,
 # hp)`` turns a fit at the largest value of each (None counts as
 # unlimited) into state that predicts as the fit at ``hp`` would, where hp
@@ -69,6 +70,8 @@ class ModelSpec:
 def make_spec(kind: str, grid: Optional[dict] = None, seed: int = 0) -> ModelSpec:
     if kind not in KINDS:
         raise UnsupportedKind(f"unknown model kind {kind!r}; expected one of {KINDS}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     spec = ModelSpec(kind=kind, grid=grid, seed=seed)
     spec.resolved_grid()  # validate eagerly
     return spec
@@ -222,31 +225,26 @@ def _prepare_input(model: TrainedModel, X: np.ndarray) -> np.ndarray:
     )
 
 
+def classify(model: TrainedModel, X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Class labels (original ids) and per-class scores, shape (n, k) in the
+    order of ``model.classes``, from one call of the kind's predict.
+    Full-width rows are masked automatically. Scores are probabilities
+    summing to 1 per row, except SVM's one-vs-rest decision margins."""
+    Xs = _prepare_input(model, X)
+    labels_enc, scores = _MODULES[model.kind].predict(
+        model.params, Xs, len(model.classes), model.hyperparams
+    )
+    return model.classes[labels_enc], scores
+
+
 def predict(model: TrainedModel, X: np.ndarray) -> np.ndarray:
-    """Class labels (original ids). Full-width rows are masked automatically."""
-    Xs = _prepare_input(model, X)
-    labels_enc, _ = _MODULES[model.kind].predict(
-        model.params, Xs, len(model.classes), model.hyperparams
-    )
-    return model.classes[labels_enc]
+    """Class labels (original ids), as ``classify`` gives them."""
+    return classify(model, X)[0]
 
 
-def predict_scores(model: TrainedModel, X: np.ndarray) -> Optional[np.ndarray]:
-    """Per-class scores summing to 1 per row; None for margin-only kinds."""
-    Xs = _prepare_input(model, X)
-    _, scores = _MODULES[model.kind].predict(
-        model.params, Xs, len(model.classes), model.hyperparams
-    )
-    return scores
-
-
-def decision_margins(model: TrainedModel, X: np.ndarray) -> Optional[np.ndarray]:
-    """Decision values for diagnostics (SVM); None for kinds without them."""
-    module = _MODULES[model.kind]
-    if not hasattr(module, "decision_values"):
-        return None
-    Xs = _prepare_input(model, X)
-    return module.decision_values(model.params, Xs, len(model.classes), model.hyperparams)
+def predict_scores(model: TrainedModel, X: np.ndarray) -> np.ndarray:
+    """Per-class scores, shape (n, k), as ``classify`` gives them."""
+    return classify(model, X)[1]
 
 
 def raw_importances(model: TrainedModel) -> np.ndarray:

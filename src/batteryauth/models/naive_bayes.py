@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigError
+from .neural import softmax
 
 _VAR_FLOOR = 1e-300
 
@@ -49,8 +50,5 @@ def log_posteriors(params: dict, Xs: np.ndarray) -> np.ndarray:
 
 def predict(params: dict, Xs: np.ndarray, k: int, hp: dict):
     logpost = log_posteriors(params, Xs)
-    shifted = logpost - logpost.max(axis=1, keepdims=True)
-    scores = np.exp(shifted)
-    scores /= scores.sum(axis=1, keepdims=True)
-    return np.argmax(logpost, axis=1), scores
+    return np.argmax(logpost, axis=1), softmax(logpost)
 

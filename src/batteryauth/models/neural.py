@@ -51,7 +51,8 @@ def _act_grad(z, a, kind):
     return (z > 0).astype(float) if kind == "relu" else 1.0 - a**2
 
 
-def _softmax(z):
+def softmax(z):
+    """Row-wise softmax, shifted by each row's maximum."""
     shifted = z - z.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=1, keepdims=True)
@@ -94,7 +95,7 @@ def fit(Xs: np.ndarray, y: np.ndarray, k: int, hp: dict, seed: int):
             m = len(batch)
             z1 = xb @ w1 + b1
             a1 = _act(z1, activation)
-            probs = _softmax(a1 @ w2 + b2)
+            probs = softmax(a1 @ w2 + b2)
             losses.append(float(-(tb * np.log(probs + LOG_EPS)).sum() / m))
             dz2 = (probs - tb) / m
             dz1 = (dz2 @ w2.T) * _act_grad(z1, a1, activation)
@@ -125,7 +126,7 @@ def fit(Xs: np.ndarray, y: np.ndarray, k: int, hp: dict, seed: int):
                 scale += ADAM_EPS
                 step /= scale
                 params -= step
-        epoch_loss = float(np.mean(losses))
+        epoch_loss = np.add.reduce(losses) / len(losses)
         if epoch_loss > best_loss - LOSS_TOL:
             stall += 1
             if stall >= PATIENCE:
@@ -140,6 +141,6 @@ def fit(Xs: np.ndarray, y: np.ndarray, k: int, hp: dict, seed: int):
 
 def predict(params: dict, Xs: np.ndarray, k: int, hp: dict):
     a1 = _act(Xs @ params["w1"] + params["b1"], params["activation"])
-    scores = _softmax(a1 @ params["w2"] + params["b2"])
+    scores = softmax(a1 @ params["w2"] + params["b2"])
     return np.argmax(scores, axis=1), scores
 

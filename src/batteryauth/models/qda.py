@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigError, SingularCovariance
+from .neural import softmax
 
 GRID = {"reg": [0.0, 0.1, 0.5]}
 STATE = ("means", "chols", "log_dets", "log_priors")
@@ -75,8 +76,5 @@ def log_posteriors(params: dict, Xs: np.ndarray) -> np.ndarray:
 
 def predict(params: dict, Xs: np.ndarray, k: int, hp: dict):
     logpost = log_posteriors(params, Xs)
-    shifted = logpost - logpost.max(axis=1, keepdims=True)
-    scores = np.exp(shifted)
-    scores /= scores.sum(axis=1, keepdims=True)
-    return np.argmax(logpost, axis=1), scores
+    return np.argmax(logpost, axis=1), softmax(logpost)
 

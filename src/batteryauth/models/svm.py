@@ -8,8 +8,9 @@ loop ends when a pass changes nothing (converged) or after 10*n pair
 updates (returned flagged non-converged). Tolerance is 1e-3.
 
 gamma "scale" resolves to 1/(d * var(X)) over the standardized training
-matrix. Scores are not probabilities; predict returns labels only and the
-raw decision margins are exposed separately.
+matrix. Scores are the one-vs-rest decision margins, not probabilities
+(no probability model is fitted); a two-class model has one machine, and
+class 0 scores its negated margin.
 """
 from __future__ import annotations
 
@@ -141,8 +142,7 @@ def fit(Xs: np.ndarray, y: np.ndarray, k: int, hp: dict, seed: int):
     return {"machines": machines, "gamma_value": gamma_value}, converged
 
 
-def decision_values(params: dict, Xs: np.ndarray, k: int, hp: dict) -> np.ndarray:
-    """Per-class decision margins, shape (n, k). Diagnostic output."""
+def predict(params: dict, Xs: np.ndarray, k: int, hp: dict):
     out = np.full((len(Xs), k), -np.inf)
     for m in params["machines"]:
         if len(m["sv"]):
@@ -152,11 +152,5 @@ def decision_values(params: dict, Xs: np.ndarray, k: int, hp: dict) -> np.ndarra
             f = np.full(len(Xs), m["b"])
         out[:, m["class_id"]] = f
     if k == 2:
-        # one machine, for class 1; class 0 takes its negated margin
         out[:, 0] = -out[:, 1]
-    return out
-
-
-def predict(params: dict, Xs: np.ndarray, k: int, hp: dict):
-    return np.argmax(decision_values(params, Xs, k, hp), axis=1), None
-
+    return np.argmax(out, axis=1), out

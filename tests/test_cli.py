@@ -21,14 +21,18 @@ from batteryauth.features import matrix_from_cycles, matrix_from_spectra
 from batteryauth.io_csv import write_cycle_csv, write_eis_csv
 from batteryauth.models import (
     FORMAT_VERSION,
-    decision_margins,
+    KINDS,
+    classify,
     load_model,
     make_spec,
     model_to_json_dict,
     predict,
+    save_model,
     train,
 )
+from batteryauth.models.base import _MODULES
 from batteryauth.models.persist import _decode, _encode
+from batteryauth.records import build_catalog
 from batteryauth.synth import (
     SohDrift,
     SyntheticCellSpec,
@@ -216,6 +220,20 @@ class TestRun:
         assert len(err) == 1
         assert err[0].startswith(f"batteryauth.errors.ConfigError: models[0]: {model['kind']} grid point")
 
+    @pytest.mark.parametrize("where", ["eval", "synth", "models"])
+    def test_negative_seed_exits_2(self, spec_file, tmp_path, capsys, where):
+        cfg = _config(spec_file)
+        if where == "models":
+            cfg["models"] = [dict(cfg["models"][0], seed=-1)]
+            field = "models[0].seed"
+        else:
+            cfg[where] = dict(cfg[where], seed=-1)
+            field = f"{where}.seed"
+        cfg_path = _write(tmp_path, "cfg.json", cfg)
+        assert main(["run", "--config", cfg_path, "--output-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"batteryauth.errors.ConfigError: {field}: must be >= 0, got -1"]
+
     def test_unusable_output_dir_exits_2_before_any_work(self, spec_file, tmp_path, capsys,
                                                          monkeypatch):
         def no_dataset(cfg):
@@ -286,7 +304,7 @@ class TestAuthenticate:
         labels = [r["label"] for r in payload["results"]]
         assert labels == ["red", "blue"]
         for r in payload["results"]:
-            assert r["score"] is None or 0.0 <= r["score"] <= 1.0
+            assert 0.0 <= r["score"] <= 1.0
 
     def test_quoted_header_reads_like_plain(self, run_artifacts, cycle_sample, tmp_path, capsys):
         out_dir, _, _ = run_artifacts
@@ -509,8 +527,7 @@ class TestAuthenticateReplaysRun:
         assert model.processing == processing
 
         def outputs(X):
-            labels = predict(model, X)
-            scores = decision_margins(model, X)
+            labels, scores = classify(model, X)
             return [(model.class_names[int(v)], float(scores[i, int(v)])) for i, v in enumerate(labels)]
 
         expected = outputs(rows)
@@ -520,6 +537,109 @@ class TestAuthenticateReplaysRun:
         assert main(["authenticate", "--model", path, "--sample", str(sample), "--json"]) == 0
         results = json.loads(capsys.readouterr().out)["results"]
         assert [(r["label"], r["score"]) for r in results] == expected
+
+
+class TestApiModelClassIds:
+    """A model trained through the API on class ids that are not positions
+    (3 and 5): `authenticate` names each class by its position in
+    ``model.classes``, or prints the id when the model carries no names."""
+
+    @pytest.mark.parametrize("names,expected", [
+        (("three", "five"), ["three", "five"]),
+        ((), ["3", "5"]),
+    ], ids=["named", "unnamed"])
+    def test_labels(self, names, expected, cycle_sample, tmp_path, capsys):
+        data = gen_dataset(SPECS, cells_per_spec=2, cycles_per_cell=3, seed=5, n_points=128)
+        matrix = matrix_from_cycles(data)
+        y = np.array([3 if m.cell_id.startswith("red") else 5 for m in matrix.metas])
+        assert set(y) == {3, 5}
+        model = train(make_spec("KNN"), {"k": 1, "weights": "uniform"}, matrix.values, y,
+                      catalog_version=matrix.catalog_version, class_names=names)
+        path = tmp_path / "model.json"
+        save_model(model, str(path))
+        assert main(["authenticate", "--model", str(path), "--sample", cycle_sample, "--json"]) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert [r["label"] for r in results] == expected
+        assert [r["score"] for r in results] == [1.0, 1.0]
+        assert main(["authenticate", "--model", str(path), "--sample", cycle_sample]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == [f"probe-red/0: {expected[0]} (score=1.0000)",
+                         f"probe-blue/0: {expected[1]} (score=1.0000)"]
+
+
+# one grid point per kind, so that a small run saves a model of every kind
+_ONE_POINT = {
+    "AdaBoost": {"n_estimators": [20]},
+    "DecisionTree": {"criterion": ["gini"], "max_depth": [4]},
+    "GaussianNB": {"var_smoothing": [1e-9]},
+    "KNN": {"k": [3], "weights": ["distance"]},
+    "NeuralNet": {"hidden": [8], "activation": ["relu"], "solver": ["adam"]},
+    "QDA": {"reg": [0.5]},
+    "RandomForest": {"criterion": ["gini"], "n_estimators": [10]},
+    "SVM": {"kernel": ["rbf"], "C": [1.0], "gamma": ["scale"]},
+}
+
+
+@pytest.fixture(scope="module")
+def every_kind_run(spec_file, tmp_path_factory):
+    """A run that saves an identification and a 50/50 authentication model
+    of every kind, and unseen cycles of both cell types to score."""
+    assert set(_ONE_POINT) == set(KINDS)
+    tmp_path = tmp_path_factory.mktemp("every-kind")
+    cfg = _config(spec_file, models=[{"kind": k, "grid": g} for k, g in _ONE_POINT.items()])
+    out_dir = str(tmp_path / "out")
+    assert main(["run", "--config", _write(tmp_path, "cfg.json", cfg), "--output-dir", out_dir]) == 0
+    records = [gen_cycle(SPECS[i % 2], soh_percent=88.0 + i, n_points=128, seed=920 + i,
+                         cell_id=f"probe-{i}") for i in range(6)]
+    sample = tmp_path / "probe.csv"
+    sample.write_text(write_cycle_csv(records), encoding="utf-8")
+    return out_dir, str(sample), build_catalog(records)
+
+
+_SAVED = ["model_ident_model_identification_{}.json", "model_auth_model_authentication_red_50_{}.json"]
+
+
+class TestAuthenticateMatchesClassify:
+    """For every kind, `authenticate --json` gives the label ``classify``
+    gives and the score at the predicted class's position, from one call
+    of the kind's predict."""
+
+    @pytest.mark.parametrize("saved", _SAVED, ids=["ident", "auth-50"])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_labels_and_scores(self, every_kind_run, kind, saved, capsys):
+        out_dir, sample, data = every_kind_run
+        path = os.path.join(out_dir, saved.format(kind))
+        model = load_model(path)
+        labels, scores = classify(model, matrix_from_cycles(data, model.processing).values)
+        expected = []
+        for i, label in enumerate(labels):
+            pos = list(model.classes).index(label)
+            if model.task == "authentication":
+                text = "authenticated" if label == 1 else "not_authenticated"
+            else:
+                text = model.class_names[pos]
+            expected.append((text, float(scores[i, pos])))
+        assert main(["authenticate", "--model", path, "--sample", sample, "--json"]) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert [(r["label"], r["score"]) for r in results] == expected
+
+    @pytest.mark.parametrize("saved", _SAVED, ids=["ident", "auth-50"])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_one_kind_predict_call(self, every_kind_run, kind, saved, monkeypatch, capsys):
+        out_dir, sample, _ = every_kind_run
+        module = _MODULES[kind]
+        calls = []
+
+        def counted(*args):
+            calls.append(len(args[1]))
+            return original(*args)
+
+        original = module.predict
+        monkeypatch.setattr(module, "predict", counted)
+        path = os.path.join(out_dir, saved.format(kind))
+        assert main(["authenticate", "--model", path, "--sample", sample, "--json"]) == 0
+        capsys.readouterr()
+        assert calls == [6]
 
 
 class TestBench:

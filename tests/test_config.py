@@ -175,6 +175,20 @@ class TestSectionValidation:
             config_from_json_dict(_base(synth={"cells_per_spec": 0}))
         assert "synth.cells_per_spec" in str(err.value)
 
+    @pytest.mark.parametrize("overrides,field", [
+        ({"eval": {"seed": -1}}, "eval.seed"),
+        ({"synth": {"seed": -3}}, "synth.seed"),
+        ({"models": [{"kind": "KNN"}, {"kind": "SVM", "seed": -1}]}, "models[1].seed"),
+    ], ids=["eval", "synth", "models"])
+    def test_negative_seed_names_the_field(self, overrides, field):
+        with pytest.raises(ConfigError) as err:
+            config_from_json_dict(_base(**overrides))
+        assert str(err.value).startswith(f"{field}: must be >= 0")
+
+    def test_zero_seeds_are_accepted(self):
+        cfg = config_from_json_dict(_base(synth={"seed": 0}, eval={"seed": 0}))
+        assert cfg.synth.seed == cfg.eval.seed == cfg.models[0].seed == 0
+
     def test_wrong_type_reports_expected(self):
         with pytest.raises(ConfigError) as err:
             config_from_json_dict(_base(eval={"folds": "five"}))

@@ -26,7 +26,7 @@ from batteryauth.models import (
     DEFAULT_GRIDS,
     KINDS,
     TrainedModel,
-    decision_margins,
+    classify,
     enumerate_grid,
     fit_standardizer,
     load_model,
@@ -73,6 +73,10 @@ class TestSpecAndGrid:
     def test_bad_grid_dimension(self):
         with pytest.raises(ConfigError):
             make_spec("KNN", grid={"neighbors": [3]})
+
+    def test_negative_seed(self):
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            make_spec("KNN", seed=-1)
 
     def test_grid_override_merges(self):
         spec = make_spec("KNN", grid={"k": [3]})
@@ -420,7 +424,7 @@ def _neural_per_parameter(Xs, y, k, hp, seed):
             m = len(batch)
             z1 = xb @ w1 + b1
             a1 = neural._act(z1, activation)
-            probs = neural._softmax(a1 @ w2 + b2)
+            probs = neural.softmax(a1 @ w2 + b2)
             losses.append(float(-(tb * np.log(probs + 1e-12)).sum() / m))
             dz2 = (probs - tb) / m
             dz1 = (dz2 @ w2.T) * neural._act_grad(z1, a1, activation)
@@ -521,12 +525,11 @@ class TestSvm:
         X, y = _blobs(n_per=20)
         m = _train("SVM", {"kernel": "linear", "C": 1.0, "gamma": "scale"}, X, y)
         assert (predict(m, X) == y).all()
-        assert predict_scores(m, X) is None
 
     def test_binary_margins_mirror(self):
         X, y = _blobs(n_per=12)
         m = _train("SVM", {"kernel": "linear", "C": 1.0, "gamma": "scale"}, X, y)
-        dv = decision_margins(m, X)
+        dv = predict_scores(m, X)
         assert dv.shape == (24, 2)
         assert np.allclose(dv[:, 0], -dv[:, 1])
 
@@ -542,7 +545,7 @@ class TestSvm:
         # the multiclass path is exercised with the rbf kernel
         X, y = _blobs(n_per=15, centers=(0.0, 3.0, 6.0))
         m = _train("SVM", {"kernel": "rbf", "C": 10.0, "gamma": "scale"}, X, y)
-        assert decision_margins(m, X).shape == (45, 3)
+        assert predict_scores(m, X).shape == (45, 3)
         assert (predict(m, X) == y).mean() >= 0.95
 
 
@@ -555,14 +558,29 @@ class TestSingleClass:
         m = train(make_spec(kind), hp, X, y, catalog_version=CATALOG, class_names=("only",))
         assert list(m.classes) == [3]
         assert (predict(m, X) == 3).all()
-        scores = predict_scores(m, X)
-        if scores is not None:
-            assert scores.shape == (len(X), 1)
 
-    def test_svm_one_class_margins_have_one_column(self):
-        X, _ = _blobs(n_per=10)
-        m = _train("SVM", {"kernel": "linear", "C": 1.0, "gamma": "scale"}, X, np.zeros(len(X), int))
-        assert decision_margins(m, X).shape == (len(X), 1)
+
+class TestKindContract:
+    """Every kind's predict gives labels and an (n, k) float array of
+    scores, with one class as with several, and ``classify`` hands both
+    over from one call."""
+
+    @pytest.mark.parametrize("n_classes", [1, 2, 3])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_scores_are_an_n_by_k_float_array(self, kind, n_classes):
+        X, y = _blobs(n_per=10, centers=(0.0, 3.0, 6.0)[:n_classes])
+        y = 2 * y + 3                  # ids that are not positions
+        hp = enumerate_grid(make_spec(kind))[0]
+        m = train(make_spec(kind), hp, X, y, catalog_version=CATALOG)
+        probe = np.vstack([X, np.random.default_rng(2).standard_normal((5, 3)) * 4.0])
+        labels, scores = classify(m, probe)
+        assert isinstance(scores, np.ndarray) and scores.dtype == np.float64
+        assert scores.shape == (len(probe), n_classes)
+        assert set(labels) <= set(m.classes)
+        assert np.array_equal(labels, predict(m, probe))
+        assert scores.tobytes() == predict_scores(m, probe).tobytes()
+        # the label is the class of the row's largest score
+        assert np.array_equal(scores.argmax(axis=1), np.searchsorted(m.classes, labels))
 
 
 class TestTrainValidation:
@@ -1038,8 +1056,7 @@ class TestGoldenSolverModels:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == file_sha
         probe = np.vstack([X, np.random.default_rng(4).standard_normal((40, 8)) * 1.5])
         for model in (m, load_model(str(path))):
-            scores = decision_margins(model, probe) if kind == "SVM" else predict_scores(model, probe)
-            blob = scores.tobytes() + predict(model, probe).astype(np.int64).tobytes()
+            blob = predict_scores(model, probe).tobytes() + predict(model, probe).astype(np.int64).tobytes()
             assert hashlib.sha256(blob).hexdigest() == output_sha
 
 
