@@ -475,6 +475,9 @@ def _run_task(
             selection_kept[key] = int(mask.sum()) if mask is not None else -1
             X = sub.values[:, mask] if mask is not None else sub.values
             train_idx, test_idx = split_train_test(y, ratio=config.train_ratio, seed=split_seed)
+            # a model names the classes it was trained on; a small class can
+            # fall wholly into the test part
+            trained_names = tuple(class_names[c] for c in np.unique(y[train_idx]))
             for spec in specs:
                 model, cv = grid_search(
                     spec,
@@ -484,7 +487,7 @@ def _run_task(
                     threads=config.threads,
                     mask=mask,
                     catalog_version=matrix.catalog_version,
-                    class_names=class_names,
+                    class_names=trained_names,
                     task=mode,
                 )
                 if model_sink is not None:

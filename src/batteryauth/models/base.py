@@ -174,6 +174,8 @@ def train(
     classes = np.unique(y)
     if len(X) < len(classes):
         raise DimensionMismatch(f"{len(X)} rows cannot cover {len(classes)} classes")
+    if class_names and len(class_names) != len(classes):
+        raise DimensionMismatch(f"{len(class_names)} class names for {len(classes)} classes")
     y_enc = np.searchsorted(classes, y)
     hp = normalize_hyperparams(spec.kind, hyperparams)
     model_seed = spec.seed if seed is None else seed

@@ -161,7 +161,7 @@ def model_from_json_dict(data: dict) -> TrainedModel:
             _field(data, f"parameters.state.{name}")
         return _decode(saved)
 
-    return TrainedModel(
+    model = TrainedModel(
         kind=kind,
         hyperparams=_field(data, "hyperparams", lambda hp: normalize_hyperparams(kind, hp)),
         standardizer=Standardizer(
@@ -178,6 +178,10 @@ def model_from_json_dict(data: dict) -> TrainedModel:
         task=_field(data, "parameters.task", default="identification"),
         processing=_field(data, "processing", _processing),
     )
+    if model.class_names and len(model.class_names) != len(model.classes):
+        raise FormatVersionMismatch(f"model file has {len(model.class_names)} class names "
+                                    f"for {len(model.classes)} classes")
+    return model
 
 
 def save_model(model: TrainedModel, path: str) -> None:

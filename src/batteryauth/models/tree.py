@@ -2,14 +2,16 @@
 
 Growth. ``grow_trees`` grows CART trees: a forest passes all of its trees
 at once, a DecisionTree is a batch of one (AdaBoost's stumps grow through
-``Stumps``, below, with the same search). Every tree keeps its own
-depth-first stack (right child pushed first, so node ids are pre-order)
-and its own RNG stream. Each step advances every tree that is still
-growing to its next node that needs a split search, numbering the leaves
-it passes on the way, and then searches all of those nodes together.
-Feature subsets are therefore drawn in each tree's pre-order, exactly as
-growing that tree alone draws them, and a tree grown in a batch equals
-the tree grown alone bit for bit.
+``Stumps``, below, with the same search). The trees share flat arrays, as
+in scikit-learn's trees (Louppe, arXiv:1407.7502, ch. 5): one row
+permutation in which a node is a (start, size) segment that its split
+partitions stably in place, and one record per node, written a step's
+children at a time with class sums from one bincount. When feature
+subsets are drawn, a step pops one node per tree from that tree's stack,
+so each tree draws from its own RNG in its own pre-order; with nothing
+drawn, a step searches every splittable node. Table ids and importances
+follow pre-order at the end, so a tree grown in a batch equals the tree
+grown alone bit for bit.
 
 Split search is exact: the candidate columns of each node are argsorted
 and every boundary between distinct adjacent values is scored by
@@ -32,9 +34,9 @@ of (data, parameters, rng stream). A node whose candidate features are
 all locally constant retries on the full feature set before it becomes a
 leaf.
 
-A tree's rows are index arrays into the shared matrix (bootstrap draws
-composed with the node's partition), and a search gathers only the
-candidate columns of its nodes, so no per-tree copy of the data exists.
+A node's rows are a slice of the permutation (bootstrap draws composed
+with the partitions above it), and a search gathers only the candidate
+columns of its nodes, so no per-tree copy of the data exists.
 A batch is searched in consecutive chunks of at most BATCH_ELEMENTS
 (class x node x row x feature) cells; a node larger than that is
 searched alone.
@@ -48,10 +50,11 @@ Stumps. AdaBoost grows a depth-1 gini tree on every row in each round,
 and only the weights change between rounds. ``Stumps`` runs the sort
 stage once per fit (the presorting of SLIQ, Mehta, Agrawal & Rissanen,
 EDBT 1996, applied across rounds rather than across nodes) and the score
-stage once per round. The root and child class sums, the parent
-impurity, the threshold and the importance come from the same helpers
-``grow_trees`` uses, so a stump equals the one ``grow_trees`` grows from
-the same weights bit for bit.
+stage once per round. Its root and child class sums are bincounts that
+add the rows in the order ``grow_trees`` adds them, and the parent
+impurity, the threshold and the importance come from the same helpers,
+so a stump equals the one ``grow_trees`` grows from the same weights bit
+for bit.
 
 Table. ``NodeTable`` is the one form of a fitted ensemble: what
 ``grow_trees`` returns, what the tree kinds keep and save, and what
@@ -219,65 +222,17 @@ def _score_splits(nodes, w, criterion, parent_imp):
     return best > MIN_DECREASE, feature, sv[b, pos, j], sv[b, pos + 1, j], best
 
 
-def _threshold(low: float, high: float) -> float:
-    """The split threshold between adjacent distinct sorted values: their
-    midpoint, or ``low`` where the midpoint rounds to ``high``."""
+def _threshold(low: np.ndarray, high: np.ndarray) -> np.ndarray:
+    """The split thresholds between adjacent distinct sorted values: their
+    midpoints, or ``low`` where the midpoint rounds to ``high``."""
     thr = low + 0.5 * (high - low)
-    return thr if low <= thr < high else low
+    return np.where((low <= thr) & (thr < high), thr, low)
 
 
-def _gain(weight: float, root_weight: float, decrease) -> float:
+def _gain(weight, root_weight, decrease):
     """A split's importance: its impurity decrease, weighted by the node's
     share of its tree's root weight."""
-    return (weight / root_weight) * float(decrease)
-
-
-class _Growing:
-    """One tree under construction: its stack, RNG and node lists, which
-    ``join`` reads as a one-tree table."""
-
-    roots = (0,)
-    __slots__ = ("stack", "rng", "root_weight", "feature", "threshold", "left", "right",
-                 "counts", "importances")
-
-    def __init__(self, rng, root_weight, d):
-        # entries: (rows, depth, parent slot, is_right, counts, weight, splittable)
-        self.stack: list = []
-        self.rng = rng
-        self.root_weight = root_weight
-        self.feature: list = []
-        self.threshold: list = []
-        self.left: list = []
-        self.right: list = []
-        self.counts: list = []
-        self.importances = np.zeros((1, d))
-
-    def add_node(self, counts, parent, is_right) -> int:
-        node_id = len(self.feature)
-        if parent >= 0:
-            (self.right if is_right else self.left)[parent] = node_id
-        self.feature.append(-1)
-        self.threshold.append(0.0)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.counts.append(counts)
-        return node_id
-
-
-def _node_stats(y, w, rows, depth, k, max_depth):
-    """Class weight sums (rows added in node order), total weight and
-    splittability of a list of nodes."""
-    B = len(rows)
-    node = np.arange(B).repeat([len(r) for r in rows])
-    flat = np.concatenate(rows)
-    counts = np.bincount(node * k + y[flat], weights=None if w is None else w[flat],
-                         minlength=B * k).reshape(B, k).astype(float)
-    weight = counts.sum(axis=1)
-    split = ((counts != 0).sum(axis=1) > 1) & (weight > 0)
-    split = split.tolist()
-    for i, r in enumerate(rows):
-        split[i] = split[i] and len(r) >= 2 and (max_depth is None or depth[i] < max_depth)
-    return counts, weight.tolist(), split
+    return (weight / root_weight) * decrease
 
 
 def grow_trees(
@@ -303,72 +258,123 @@ def grow_trees(
     d = X.shape[1]
     k = n_classes
     w = None if sample_weight is None else np.asarray(sample_weight, dtype=float)
-    subsample = max_features is not None and max_features < d
-    growing = [
-        _Growing(None if rngs is None else rngs[t],
-                 float(len(rows)) if w is None else float(w[rows].sum()), d)
-        for t, rows in enumerate(samples)
-    ]
+    draw = max_features if max_features is not None and max_features < d else None
     T = len(samples)
-    _push(growing, [-1] * T, [False] * T, list(samples), [0] * T, y, w, k, max_depth)
-    live = growing
-    while live:
-        # advance every tree to its next splittable node in pre-order;
-        # the leaves passed on the way only need their node ids
-        batch = []
-        for g in live:
-            while g.stack:
-                rows, depth, parent, is_right, counts, weight, splittable = g.stack.pop()
-                node_id = g.add_node(counts, parent, is_right)
-                if splittable:
-                    batch.append((g, node_id, rows, depth, weight, counts))
-                    break
-        if batch:
-            _split(batch, X, y, w, k, criterion, max_depth, max_features if subsample else None)
-        live = [g for g in live if g.stack]
-    return join(growing)
+    perm = np.concatenate(samples, dtype=np.intp)
+    sizes = np.array([len(rows) for rows in samples], dtype=np.intp)
+    root_weight = sizes.astype(float) if w is None else np.array([w[rows].sum() for rows in samples])
+    # node records, written a step's children at a time; a split node's
+    # children are the records child and child + 1, a leaf's child is cap
+    cap = 2 * len(perm) + T
+    ints = np.empty((6, cap), np.intp)
+    ints[4], ints[5] = cap, -1
+    tree, depth, start, size, child, feature = ints
+    weight, lo, hi, decrease = np.zeros((4, cap))
+    counts = np.empty((cap, k))
+
+    def add(at, begin, length, node, rows):
+        """Write records at, at + 1, ... and return those that may split; the
+        bincount adds each node's rows in node order, as a per-node sum does."""
+        end = at + len(begin)
+        start[at:end], size[at:end] = begin, length
+        sums = counts[at:end]
+        sums[...] = np.bincount(node * k + y[rows], weights=None if w is None else w[rows],
+                                minlength=(end - at) * k).reshape(-1, k)
+        total = weight[at:end] = sums.sum(axis=1)
+        # splittable: two classes present, so two rows or more (with
+        # whole-number counts, no class holds the whole total)
+        if w is None:
+            split = sums.max(axis=1) < total
+        else:
+            split = ((sums != 0).sum(axis=1) > 1) & (total > 0)
+        if max_depth is not None:
+            split &= depth[at:end] < max_depth
+        return at + split.nonzero()[0]
+
+    tree[:T], depth[:T] = np.arange(T), 0
+    ids = add(0, sizes.cumsum() - sizes, sizes, tree[:T].repeat(sizes), perm)
+    used = T
+    if draw is not None:
+        stacks, live = [[] for _ in range(T)], ids.tolist()     # root t is record t
+    while len(ids):
+        at, n = start[ids], size[ids]
+        rows = [perm[a:a + m] for a, m in zip(at.tolist(), n.tolist())]
+        parent_imp = _impurity(counts[ids].T, weight[ids], criterion)
+        feats = None
+        if draw is not None:
+            feats = np.sort(np.stack([rngs[t].choice(d, size=draw, replace=False) for t in live]),
+                            axis=1)
+        found, feat, low, high, dec = _best_splits(X, y, w, rows, feats, k, criterion, parent_imp)
+        retry = (~found).nonzero()[0] if feats is not None else ()
+        if len(retry):
+            # locally constant candidates; retry on the full set before leafing
+            again = _best_splits(X, y, w, [rows[i] for i in retry], None, k, criterion,
+                                 parent_imp[retry])
+            for col, new in zip((found, feat, low, high, dec), again):
+                col[retry] = new
+        if not found.all():
+            hit = found.nonzero()[0]
+            ids, at, n, feat, low, high, dec = (v[hit] for v in (ids, at, n, feat, low, high, dec))
+            rows = [rows[i] for i in hit.tolist()]
+        F = len(ids)
+        feature[ids], lo[ids], hi[ids], decrease[ids] = feat, low, high, dec
+        child[ids] = np.arange(used, used + 2 * F, 2)
+        # stable in-place partition, left rows first (no row lies strictly
+        # between a split's low and high); r keeps node order, kid the child;
+        # one node, as in a one-tree step, needs no per-row node ids
+        if F == 1:
+            pos = slice(at[0], at[0] + n[0])
+            r = rows[0].copy()
+            kid = ~(X[r, feat[0]] <= low[0])
+        else:
+            pos = (at - (n.cumsum() - n)).repeat(n) + np.arange(n.sum())
+            r = perm[pos]
+            kid = np.arange(0, 2 * F, 2).repeat(n) + ~(X[r, feat.repeat(n)] <= low.repeat(n))
+        perm[pos] = r[kid.argsort(kind="stable")]
+        length = np.bincount(kid, minlength=2 * F)
+        begin = at.repeat(2)
+        begin[1::2] += length[::2]
+        tree[used:used + 2 * F] = tree[ids].repeat(2)
+        if max_depth is not None:
+            depth[used:used + 2 * F] = depth[ids].repeat(2) + 1
+        new = add(used, begin, length, kid, r)
+        used += 2 * F
+        if draw is None:
+            # nothing is drawn, so the order of search cannot change a number:
+            # every splittable node of every tree is searched in the next step
+            ids = new
+        else:
+            # one node per tree per step, in each tree's pre-order: right
+            # child pushed first, so the left one pops first
+            for c, t in zip(new[::-1].tolist(), tree[new[::-1]].tolist()):
+                stacks[t].append(c)
+            live = [t for t in live if stacks[t]]
+            ids = np.array([stacks[t].pop() for t in live], dtype=np.intp)
+    return _table(T, d, tree[:used], start[:used], size[:used], child[:used], feature, lo, hi,
+                  decrease, weight, counts, root_weight)
 
 
-def _split(batch, X, y, w, k, criterion, max_depth, max_features):
-    """Search the batch's nodes at once; record splits and push children."""
-    rows = [entry[2] for entry in batch]
-    counts = np.array([entry[5] for entry in batch]).T                # (k, B)
-    parent_imp = _impurity(counts, np.array([entry[4] for entry in batch]), criterion)
-    feats = None
-    if max_features is not None:
-        d = X.shape[1]
-        feats = np.stack([
-            np.sort(g.rng.choice(d, size=max_features, replace=False)) for g, *_ in batch
-        ])
-    found, feature, lo, hi, decrease = _best_splits(X, y, w, rows, feats, k, criterion, parent_imp)
-    retry = (~found).nonzero()[0] if feats is not None else ()
-    if len(retry):
-        # locally constant candidates; retry on the full set before leafing
-        again = _best_splits(X, y, w, [rows[i] for i in retry], None, k, criterion,
-                             parent_imp[retry])
-        for col, new in zip((found, feature, lo, hi, decrease), again):
-            col[retry] = new
-    owners, kids, depths = [], [], []
-    for i in found.nonzero()[0].tolist():
-        g, node_id, r, depth, weight, _ = batch[i]
-        f, thr = int(feature[i]), _threshold(float(lo[i]), float(hi[i]))
-        g.feature[node_id] = f
-        g.threshold[node_id] = thr
-        g.importances[0, f] += _gain(weight, g.root_weight, decrease[i])
-        go_left = X[r, f] <= thr
-        # right child pushed first, so the left one pops first (pre-order)
-        owners += [(g, node_id, True), (g, node_id, False)]
-        kids += [r[~go_left], r[go_left]]
-        depths += [depth + 1, depth + 1]
-    if kids:
-        _push(*zip(*owners), kids, depths, y, w, k, max_depth)
-
-
-def _push(owners, parents, is_right, rows, depths, y, w, k, max_depth):
-    """Push new nodes onto their trees' stacks with their statistics."""
-    counts, weight, split = _node_stats(y, w, rows, depths, k, max_depth)
-    for i, g in enumerate(owners):
-        g.stack.append((rows[i], depths[i], parents[i], is_right[i], counts[i], weight[i], split[i]))
+def _table(T, d, tree, start, size, child, feature, lo, hi, decrease, weight, counts,
+           root_weight) -> NodeTable:
+    """The table of the node records: trees in order, each in pre-order,
+    importances added in pre-order. A left subtree's rows precede its right
+    sibling's and a child has fewer rows than its parent, so (start, -size)
+    orders a tree's records in pre-order; start + tree grows from tree to
+    tree, empty samples included."""
+    cap = len(counts)
+    order = ((start + tree) * (cap + 1) - size).argsort()
+    # table positions; a leaf's children, cap and cap + 1, are at -1
+    pos = np.empty(cap + 2, np.int32)
+    pos[cap:] = -1
+    pos[order] = np.arange(len(order))
+    kid = child[order]
+    at = order[kid < cap]
+    gain = _gain(weight[at], root_weight[tree[at]], decrease[at])
+    importances = np.bincount(tree[at] * d + feature[at], weights=gain,
+                              minlength=T * d).reshape(T, d).astype(float, copy=False)
+    # a leaf's low and high values are 0, which makes its threshold 0
+    return NodeTable(pos[:T], feature[order].astype(np.int32), _threshold(lo[order], hi[order]),
+                     pos[kid], pos[kid + 1], counts[order], importances)
 
 
 class Stumps:
@@ -385,22 +391,23 @@ class Stumps:
 
     def __init__(self, X: np.ndarray, y: np.ndarray, n_classes: int):
         self.X, self.y, self.k = X, y, n_classes
-        self.rows = np.arange(len(X))
-        self.nodes = _sort_nodes(X, y, [self.rows], None, n_classes)
+        self.nodes = _sort_nodes(X, y, [np.arange(len(X))], None, n_classes)
 
     def grow(self, w: np.ndarray):
         """(stump, labels) for weights ``w``: the stump as (feature,
         threshold, importance, class sums of its nodes in pre-order), feature
         -1 for a single leaf, and the class it predicts for each row of X."""
-        X, y, k, rows = self.X, self.y, self.k, self.rows
-        counts, weight, split = _node_stats(y, w, [rows], [0], k, 1)
-        if split[0] and self.nodes is not None:
-            parent_imp = _impurity(counts.T, np.array(weight), "gini")
+        X, y, k = self.X, self.y, self.k
+        counts = np.bincount(y, weights=w, minlength=k)[None]
+        weight = counts.sum(axis=1)
+        if (counts != 0).sum() > 1 and weight[0] > 0 and self.nodes is not None:
+            parent_imp = _impurity(counts.T, weight, "gini")
             found, feature, lo, hi, decrease = _score_splits(self.nodes, w, "gini", parent_imp)
             if found[0]:
-                f, thr = int(feature[0]), _threshold(float(lo[0]), float(hi[0]))
+                f, thr = int(feature[0]), float(_threshold(lo[:1], hi[:1])[0])
                 go_left = X[:, f] <= thr
-                kids = _node_stats(y, w, [rows[~go_left], rows[go_left]], [1, 1], k, 1)[0]
+                # block 0 sums the right child's rows, block 1 the left's
+                kids = np.bincount(go_left * k + y, weights=w, minlength=2 * k).reshape(2, k)
                 counts = np.concatenate([counts, kids[::-1]])
                 majority = counts.argmax(axis=1)
                 gain = _gain(weight[0], float(w.sum()), decrease[0])
@@ -506,20 +513,3 @@ class NodeTable:
         """(n, T) majority class of the leaf each row reaches in each tree."""
         return self.majority[self.apply(X)]
 
-
-def join(parts: Sequence) -> NodeTable:
-    """One table of ``parts`` in order: tables, or anything else with their
-    fields and with child ids local to it (-1 at leaves)."""
-    def cat(name, dtype=None):
-        return np.concatenate([getattr(p, name) for p in parts], dtype=dtype)
-
-    roots, left, right = cat("roots", np.int32), cat("left", np.int32), cat("right", np.int32)
-    if len(parts) > 1:
-        sizes = [len(p.feature) for p in parts]
-        starts = np.cumsum([0] + sizes[:-1], dtype=np.int32)
-        roots += np.repeat(starts, [len(p.roots) for p in parts])
-        shift = np.repeat(starts, sizes)
-        left += np.where(left >= 0, shift, 0)
-        right += np.where(right >= 0, shift, 0)
-    return NodeTable(roots, cat("feature", np.int32), cat("threshold", float), left, right,
-                     cat("counts", float), cat("importances"))

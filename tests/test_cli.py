@@ -16,7 +16,7 @@ from batteryauth import cli
 from batteryauth.cli import main
 from batteryauth.dca import DcaConfig
 from batteryauth.eis import EisConfig
-from batteryauth.errors import ConfigError, FormatVersionMismatch
+from batteryauth.errors import ConfigError, DimensionMismatch, FormatVersionMismatch
 from batteryauth.features import matrix_from_cycles, matrix_from_spectra
 from batteryauth.io_csv import write_cycle_csv, write_eis_csv
 from batteryauth.models import (
@@ -565,6 +565,27 @@ class TestApiModelClassIds:
         lines = capsys.readouterr().out.splitlines()
         assert lines == [f"probe-red/0: {expected[0]} (score=1.0000)",
                          f"probe-blue/0: {expected[1]} (score=1.0000)"]
+
+    def test_one_name_for_two_classes_is_refused(self):
+        # saved, such a model used to end `authenticate` with an IndexError
+        data = gen_dataset(SPECS, cells_per_spec=2, cycles_per_cell=3, seed=5, n_points=128)
+        matrix = matrix_from_cycles(data)
+        y = np.array([0 if m.cell_id.startswith("red") else 1 for m in matrix.metas])
+        with pytest.raises(DimensionMismatch, match="1 class names for 2 classes"):
+            train(make_spec("KNN"), {"k": 1, "weights": "uniform"}, matrix.values, y,
+                  catalog_version=matrix.catalog_version, class_names=("only",))
+
+    def test_hand_edited_name_count_is_refused(self, cycle_sample, tmp_path, capsys):
+        env = _knn_envelope()
+        env["parameters"]["class_names"] = ["only"]
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(env), encoding="utf-8")
+        with pytest.raises(FormatVersionMismatch, match="1 class names for 2 classes"):
+            load_model(str(path))
+        assert main(["authenticate", "--model", str(path), "--sample", cycle_sample]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["batteryauth.errors.FormatVersionMismatch: "
+                       "model file has 1 class names for 2 classes"]
 
 
 # one grid point per kind, so that a small run saves a model of every kind

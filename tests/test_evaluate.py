@@ -36,7 +36,7 @@ from batteryauth.evaluate import (
     undersample,
 )
 from batteryauth.features import FeatureMatrix, labels_for
-from batteryauth.models import make_spec
+from batteryauth.models import load_model, make_spec, save_model
 from batteryauth.records import SampleMeta
 
 
@@ -343,6 +343,20 @@ class TestRunners:
         model = sink["auth:model_authentication:a:50:KNN"]
         assert model.class_names == ("counterfeit", "a")
         assert model.task == "authentication"
+
+    def test_model_names_only_the_classes_it_was_trained_on(self, knn_spec, tmp_path):
+        # legit "a" has 2 rows; at train_ratio 0.25 both fall into the test part
+        mat = _matrix({"a": 2, "b": 30, "c": 30}, seed=2)
+        sink = {}
+        config = EvalConfig(seed=5, folds=2, targets=("model",), balances=(20,), train_ratio=0.25)
+        run_authentication(mat, [knn_spec], config, model_sink=sink)
+        dropped = sink["auth:model_authentication:a:20:KNN"]
+        assert dropped.classes.tolist() == [0]
+        assert dropped.class_names == ("counterfeit",)
+        path = str(tmp_path / "model.json")
+        save_model(dropped, path)
+        assert load_model(path).class_names == ("counterfeit",)
+        assert sink["auth:model_authentication:b:20:KNN"].class_names == ("counterfeit", "b")
 
     def test_selection_path_reports_kept_count(self, knn_spec):
         # only the first feature separates; selection must keep a strict subset

@@ -40,11 +40,11 @@ from batteryauth.models import (
     train,
 )
 from batteryauth.explain import mdi_importance
-from batteryauth.models import boost, neural
+from batteryauth.models import boost, neural, tree
 from batteryauth.models.base import _MODULES, derived_model
 from batteryauth.models.neighbors import squared_distances
 from batteryauth.models.persist import _decode, _encode
-from batteryauth.models.tree import NodeTable, _class_sum, grow_trees, join
+from batteryauth.models.tree import NodeTable, _best_splits, _class_sum, _impurity, grow_trees
 from batteryauth.seeding import rng_from
 
 CATALOG = "v1:ch1"
@@ -1347,6 +1347,147 @@ class TestTreeEngineOracle:
             a = _one_tree(together, t)
             for field in ("feature", "threshold", "left", "right", "counts", "importances"):
                 assert getattr(a, field).tobytes() == getattr(b, field).tobytes(), field
+
+
+def join(parts):
+    """One table of ``parts`` (tables) in order, child ids shifted to table
+    positions."""
+    def cat(name, dtype=None):
+        return np.concatenate([getattr(p, name) for p in parts], dtype=dtype)
+
+    roots, left, right = cat("roots", np.int32), cat("left", np.int32), cat("right", np.int32)
+    sizes = [len(p.feature) for p in parts]
+    starts = np.cumsum([0] + sizes[:-1], dtype=np.int32)
+    roots += np.repeat(starts, [len(p.roots) for p in parts])
+    shift = np.repeat(starts, sizes)
+    left += np.where(left >= 0, shift, 0)
+    right += np.where(right >= 0, shift, 0)
+    return NodeTable(roots, cat("feature", np.int32), cat("threshold", float), left, right,
+                     cat("counts", float), cat("importances"))
+
+
+def _grow_reference(X, y, k, samples, criterion="gini", max_depth=None, max_features=None,
+                    rngs=None, sample_weight=None):
+    """The bookkeeping reference for ``grow_trees``: each tree grown alone
+    by recursion in pre-order, one ``_best_splits`` search per node, its
+    feature subsets drawn from its own RNG in pre-order, its rows split by
+    boolean masks and its class sums added one node at a time."""
+    d = X.shape[1]
+    w = sample_weight
+    draw = max_features is not None and max_features < d
+    tables = []
+    for t, sample in enumerate(samples):
+        feature, threshold, left, right, counts = [], [], [], [], []
+        importances = np.zeros((1, d))
+        root_weight = float(len(sample)) if w is None else float(w[sample].sum())
+
+        def visit(rows, depth):
+            node = len(feature)
+            c = np.bincount(y[rows], weights=None if w is None else w[rows], minlength=k)
+            c = c.astype(float)
+            feature.append(-1)
+            threshold.append(0.0)
+            left.append(-1)
+            right.append(-1)
+            counts.append(c)
+            weight = c.sum()
+            if ((c != 0).sum() < 2 or not weight > 0 or len(rows) < 2
+                    or (max_depth is not None and depth >= max_depth)):
+                return node
+            parent_imp = _impurity(c[:, None], np.array([weight]), criterion)
+            feats = np.sort(rngs[t].choice(d, size=max_features, replace=False))[None] if draw else None
+            found, f, lo, hi, decrease = _best_splits(X, y, w, [rows], feats, k, criterion, parent_imp)
+            if draw and not found[0]:
+                found, f, lo, hi, decrease = _best_splits(X, y, w, [rows], None, k, criterion,
+                                                          parent_imp)
+            if not found[0]:
+                return node
+            f, lo, hi = int(f[0]), float(lo[0]), float(hi[0])
+            thr = lo + 0.5 * (hi - lo)
+            thr = thr if lo <= thr < hi else lo
+            feature[node], threshold[node] = f, thr
+            importances[0, f] += (weight / root_weight) * float(decrease[0])
+            go = X[rows, f] <= thr
+            left[node] = visit(rows[go], depth + 1)
+            right[node] = visit(rows[~go], depth + 1)
+            return node
+
+        visit(np.asarray(sample, dtype=np.intp), 0)
+        ids = np.int32
+        tables.append(NodeTable(np.zeros(1, ids), np.array(feature, ids), np.array(threshold),
+                                np.array(left, ids), np.array(right, ids),
+                                np.array(counts).reshape(-1, k), importances))
+    return join(tables)
+
+
+def _growth_case(seed):
+    """A random growth problem: bootstrap samples of mixed sizes (an empty
+    one now and then), ties, constant columns, 1 to 5 classes, and random
+    max_features, max_depth and sample weights."""
+    rng = np.random.default_rng(seed)
+    n, d, k = int(rng.integers(1, 41)), int(rng.integers(1, 9)), int(rng.integers(1, 6))
+    X = np.round(rng.standard_normal((n, d)), 1)
+    X[:, rng.random(d) < 0.4] = 0.5                       # locally constant candidates
+    y = rng.integers(0, k, n)
+    T = int(rng.integers(1, 7))
+    samples = [rng.integers(0, n, size=int(rng.integers(0, 2 * n + 1))) for _ in range(T)]
+    options = {
+        "criterion": ("gini", "entropy")[int(rng.integers(2))],
+        "max_depth": None if rng.random() < 0.5 else int(rng.integers(0, 5)),
+        "max_features": None if rng.random() < 0.3 else int(rng.integers(1, d + 1)),
+        "sample_weight": None if rng.random() < 0.5 else rng.uniform(0.0, 2.0, n),
+    }
+    return X, y, k, samples, options
+
+
+class TestGrowthBookkeepingOracle:
+    """``grow_trees`` (flat node arrays, many trees and nodes per step)
+    against the recursive one-node-at-a-time reference, byte for byte."""
+
+    FIELDS = ("roots", "feature", "threshold", "left", "right", "counts", "importances")
+
+    def _check(self, X, y, k, samples, **options):
+        def streams():
+            return [np.random.default_rng([99, t]) for t in range(len(samples))]
+
+        got = grow_trees(X, y, k, samples, rngs=streams(), **options)
+        want = _grow_reference(X, y, k, samples, rngs=streams(), **options)
+        for field in self.FIELDS:
+            a, b = getattr(got, field), getattr(want, field)
+            assert a.dtype == b.dtype and a.shape == b.shape, field
+            assert a.tobytes() == b.tobytes(), field
+        return got
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_cases(self, seed):
+        X, y, k, samples, options = _growth_case(seed)
+        self._check(X, y, k, samples, **options)
+
+    def test_cases_cover_retry_depth_weights_and_empty_samples(self, monkeypatch):
+        cases = [_growth_case(seed) for seed in range(40)]
+        assert {c[2] for c in cases} == {1, 2, 3, 4, 5}
+        assert any(c[4]["max_depth"] is not None for c in cases)
+        assert any(c[4]["sample_weight"] is not None for c in cases)
+        assert any(len(s) == 0 for c in cases for s in c[3])
+        # a node whose drawn columns are all locally constant is searched
+        # again on every column: a search without feats while drawing
+        retried = []
+        search = tree._best_splits
+        monkeypatch.setattr(tree, "_best_splits",
+                            lambda *a: retried.append(a[4] is None) or search(*a))
+        for X, y, k, samples, options in cases:
+            if options["max_features"] is not None and options["max_features"] < X.shape[1]:
+                grow_trees(X, y, k, samples, rngs=[np.random.default_rng([99, t])
+                                                   for t in range(len(samples))], **options)
+        assert any(retried)
+
+    def test_two_hundred_row_forest(self):
+        rng = np.random.default_rng(200)
+        X = np.round(rng.standard_normal((200, 20)), 2)
+        y = rng.integers(0, 4, 200)
+        samples = [rng.integers(0, 200, size=200) for _ in range(25)]
+        table = self._check(X, y, 4, samples, criterion="entropy", max_features=4)
+        assert len(table.feature) > 25 * 20
 
 
 def _boost_by_grow_trees(X, y, k, n_estimators):

@@ -1,0 +1,166 @@
+"""Whole-run byte identity: the sha256 of every file `batteryauth run`
+writes (report.json, report.csv and each model file) on two benchmark
+workload configs. A change meant to keep results keeps all of them; a
+change to results names what moved and why, and records new pins.
+
+The dca-solvers workload is left out: its QDA files depend on the number
+of BLAS threads.
+"""
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from batteryauth.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# Inline copies of the "config" entries of WORKLOADS["dca-trees"] and
+# WORKLOADS["eis-screen"] in perfbench/run.py; the preset path is relative
+# to the repository root, as there.
+_PRESET = "perfbench/presets/hard_cells.json"
+_EVAL = {"seed": 7, "balances": [50], "folds": 3, "train_ratio": 0.5}
+CONFIGS = {
+    "dca-trees": {
+        "pipeline": "dca", "threads": 1,
+        "synth": {"specs": _PRESET, "cells_per_spec": 2, "records_per_cell": 6,
+                  "n_points": 256, "seed": 7},
+        "selection": {"enabled": False},
+        "models": [{"kind": "RandomForest", "grid": {"n_estimators": [50]}},
+                   {"kind": "DecisionTree"}, {"kind": "KNN"}, {"kind": "GaussianNB"}],
+        "eval": _EVAL,
+    },
+    "eis-screen": {
+        "pipeline": "eis", "threads": 2,
+        "synth": {"specs": _PRESET, "cells_per_spec": 2, "records_per_cell": 5, "seed": 7},
+        "selection": {"enabled": True},
+        "models": [{"kind": "RandomForest", "grid": {"n_estimators": [50]}}, {"kind": "KNN"}],
+        "eval": {**_EVAL, "targets": ["architecture"]},
+    },
+}
+
+PINS = {
+    "dca-trees": {
+        "model_auth_arch_authentication_layered-oxide_50_DecisionTree.json":
+            "48c7905c826f22c7aea87ac0016f87e70bb98e87e3dadbc06f8e6e8ee4999367",
+        "model_auth_arch_authentication_layered-oxide_50_GaussianNB.json":
+            "76ef36412cc53c829414823a16b0da3e6d95eab825c6f2eb563f81f02c57e16a",
+        "model_auth_arch_authentication_layered-oxide_50_KNN.json":
+            "e4242cfbf71242d8cfb82981d7725c1fdc4af46288d771fbf94f1315f0bfe6e4",
+        "model_auth_arch_authentication_layered-oxide_50_RandomForest.json":
+            "2b1197b8cdaac8c354d9bc3e5ae35b3004eae2786e7aa60ebe62ca1cbec8ede1",
+        "model_auth_arch_authentication_olivine_50_DecisionTree.json":
+            "5d2485bd14f7df136aa90d91c0a8f6e542259d087d241212082b93734da21350",
+        "model_auth_arch_authentication_olivine_50_GaussianNB.json":
+            "f2ac5cabdbea65df0e35696b109f1430c65963fc796513e8d8553c6a4e66cdb5",
+        "model_auth_arch_authentication_olivine_50_KNN.json":
+            "1463451879c69cac37dac7e177ed600bd96a73c5d53dd3cf7889e7d3a8ecccef",
+        "model_auth_arch_authentication_olivine_50_RandomForest.json":
+            "2d6c09554cb71eb079111f3b4bfb2656f23ce5c7745db6a9e4795cd90bce0278",
+        "model_auth_arch_authentication_spinel_50_DecisionTree.json":
+            "00b8dd424efcc6dd1aaed161fdc0a0424b40e28bcea0d7a0a777a5dee72dcd10",
+        "model_auth_arch_authentication_spinel_50_GaussianNB.json":
+            "3a841cd796ef271bfee3fd6f730cc3677ef81a85ab420143db77dac414aed681",
+        "model_auth_arch_authentication_spinel_50_KNN.json":
+            "b000ca7cebe2e73a6b841dc86de4d666debb17bde364ad4015901dfac49fc2c8",
+        "model_auth_arch_authentication_spinel_50_RandomForest.json":
+            "5f8c96df9960b378e8eedefbc958d85cd39bacb6dede9ef7ee60a3b9c658a6cc",
+        "model_auth_model_authentication_alpha_50_DecisionTree.json":
+            "0c98a192984b5c81273112454f478b3c4d912733ed84fe3c04e3ec69ba884550",
+        "model_auth_model_authentication_alpha_50_GaussianNB.json":
+            "95b290aa2c2ceb4d23a030228f3f4899134fb38903c4eeb3edaaf7772042f6b5",
+        "model_auth_model_authentication_alpha_50_KNN.json":
+            "d9fa07adc91d8a8908429b26227f553e5b2f79ab766966f0a22348cf5256da96",
+        "model_auth_model_authentication_alpha_50_RandomForest.json":
+            "b48647e038ae98a208a9036a53128ea30d34eb323a4e5536e97d07756fd2ff87",
+        "model_auth_model_authentication_bravo_50_DecisionTree.json":
+            "b34efcd119614e3df2a71305e882add5ca54a0bd67609c15aacf73f52dbf27c0",
+        "model_auth_model_authentication_bravo_50_GaussianNB.json":
+            "5b7f0524bbba6172f93edd4fe461dd4f93f4318a0d13b6746d503cae38dbb39c",
+        "model_auth_model_authentication_bravo_50_KNN.json":
+            "4579b617edd26deeb857aa5fe59efcebae491b4de882ceca079bf893dbb70dd6",
+        "model_auth_model_authentication_bravo_50_RandomForest.json":
+            "27f27ec786155ddc6cdccca2b32d278f5a02ae345c756a0428ac0b252f14c538",
+        "model_auth_model_authentication_charlie_50_DecisionTree.json":
+            "b5065d2618213611244ac3e3cbe94028d6a98ef80708d1146d5bbb362fd9e3e2",
+        "model_auth_model_authentication_charlie_50_GaussianNB.json":
+            "e26043d8e330dd4283063287d261a6c7b7cfd0d41abe80425d4e9401a6091c2f",
+        "model_auth_model_authentication_charlie_50_KNN.json":
+            "a9f87fc94e5fbeb33f53d90687b1cf2a3037b91ede7cbf5aa643d8c13876fcb8",
+        "model_auth_model_authentication_charlie_50_RandomForest.json":
+            "e1629e780b7d778e716bd45b6acfdc014f043a7cbaca9a018baf854a0c1b43ec",
+        "model_auth_model_authentication_delta_50_DecisionTree.json":
+            "39c859cd7800c9caba570b7eddc5e89a3cfe6a55b421591cdcb9fb84f4714ad7",
+        "model_auth_model_authentication_delta_50_GaussianNB.json":
+            "5abbc04733b8c2537c40bda51c4b95fb6d1c20abaaadb9dc63f24b6cd5fd5d92",
+        "model_auth_model_authentication_delta_50_KNN.json":
+            "291ba992b1dd3845422b2d7098a1213ad09b02db3a00b002977de27743ba24d0",
+        "model_auth_model_authentication_delta_50_RandomForest.json":
+            "9ece6f126c911e790059a6f8bdd4b8c9f8454a60f73fea7360e40e95a56ef219",
+        "model_auth_model_authentication_echo_50_DecisionTree.json":
+            "4f775fd849e2b2256a0347e4e8456bdab77a298237387534c6472524072c7632",
+        "model_auth_model_authentication_echo_50_GaussianNB.json":
+            "806dc90c507fc204e38e41eea8e293275cc2a9aa5d3ba3a5434a25b5f414de5a",
+        "model_auth_model_authentication_echo_50_KNN.json":
+            "e66b9cd1834f154f561e0dd81a52cc8a3f12198253935462d34bf69359834c56",
+        "model_auth_model_authentication_echo_50_RandomForest.json":
+            "4bf883c003cde11fef55fdcb8f1b55027f9d0c149392e17e798db8d9e9921479",
+        "model_ident_arch_identification_DecisionTree.json":
+            "d55608c6487aea32e120ed18065ca40ceeeaafc969469a6b7c9f410bd8d4cc23",
+        "model_ident_arch_identification_GaussianNB.json":
+            "5f3e2b6394996ee221c30dd61d50077daa28ce265eb787271a4497883fa60b74",
+        "model_ident_arch_identification_KNN.json":
+            "f7130094c8d1225273578d133f35d413db51cc81b736c44351c90a4221f5bf66",
+        "model_ident_arch_identification_RandomForest.json":
+            "71efb523993aec7bb7fff229bb613b6fde5f21854d457cf57b99d608054bb2ed",
+        "model_ident_model_identification_DecisionTree.json":
+            "814d900c206f99322a717670e9d8fe350513c89e41628e5939b5bcf9daddad75",
+        "model_ident_model_identification_GaussianNB.json":
+            "ffe30bd0726fde0641f65a4078a8ef53bca50d57572aead8fe1d79ab1bf7c040",
+        "model_ident_model_identification_KNN.json":
+            "0a185f86c0784bf05112c2428652d2932c55117ff59d878e98c63d334b31efd0",
+        "model_ident_model_identification_RandomForest.json":
+            "6f8fb35d6cc584e84443a603ae1bd6382c585b54af38240864ac3c9889867d11",
+        "report.csv":
+            "d1ce310cec1716f26edcb01f8a435aca2ccb9d7c8eb5339bfc2fdc0cc882abee",
+        "report.json":
+            "4188c09a947c8cfa4eead8770f1de736e6954b832dcfaee93ab0e6c22028e7f5",
+    },
+    "eis-screen": {
+        "model_auth_arch_authentication_layered-oxide_50_KNN.json":
+            "ae7e8b49eb04ca480a3cff2dbfb6e3729347f5fb00a6e73a13a117938a62c65d",
+        "model_auth_arch_authentication_layered-oxide_50_RandomForest.json":
+            "9519eb544ee65d63a2519308ac1a96592cb603cd6e94162936b8b130b48f2d2b",
+        "model_auth_arch_authentication_olivine_50_KNN.json":
+            "199478f4d3ae2e6b62545d90c664c6a1cfbca4c0f540c77deabb7c7f5da19b46",
+        "model_auth_arch_authentication_olivine_50_RandomForest.json":
+            "87168a4036bfa23386ed5eb376b3684edbe6ed841a52ded117bb6d26b9f42f2b",
+        "model_auth_arch_authentication_spinel_50_KNN.json":
+            "49cdba3bf2799fbdf851184dd869befcba160514719ad4e1cb79fc34f140a360",
+        "model_auth_arch_authentication_spinel_50_RandomForest.json":
+            "1fc99df2ee2aafa3d1d7feffb80ea4797ec510c10270a635e1afb4c440a90101",
+        "model_ident_arch_identification_KNN.json":
+            "a182df63d54cd0e1a6e20b59ac336a2888166c0a9182652e31396e45921c689c",
+        "model_ident_arch_identification_RandomForest.json":
+            "ff3cc2ee3fd154bc72d460e04eacddc5c75eff73d0c7660b2ca36a477f6019d8",
+        "report.csv":
+            "2ce7f4e304b6bc7ff3fe1141cc7e655f2907bb8f91660f10542b02ffedb791a7",
+        "report.json":
+            "9bec4cfa7a246c0131ffff70d08b64f368b2727eeb42d904bca64de1e7cf691f",
+    },
+}
+
+
+def _run(workload, tmp_path, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(CONFIGS[workload]), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--output-dir", str(out)]) == 0
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
+
+
+@pytest.mark.parametrize("workload", sorted(CONFIGS))
+def test_run_writes_the_pinned_bytes(workload, tmp_path, monkeypatch, capsys):
+    assert _run(workload, tmp_path, monkeypatch) == PINS[workload]
