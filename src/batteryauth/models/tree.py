@@ -281,12 +281,8 @@ def grow_trees(
         sums[...] = np.bincount(node * k + y[rows], weights=None if w is None else w[rows],
                                 minlength=(end - at) * k).reshape(-1, k)
         total = weight[at:end] = sums.sum(axis=1)
-        # splittable: two classes present, so two rows or more (with
-        # whole-number counts, no class holds the whole total)
-        if w is None:
-            split = sums.max(axis=1) < total
-        else:
-            split = ((sums != 0).sum(axis=1) > 1) & (total > 0)
+        # splittable: two classes present, so two rows or more
+        split = ((sums != 0).sum(axis=1) > 1) & (total > 0)
         if max_depth is not None:
             split &= depth[at:end] < max_depth
         return at + split.nonzero()[0]
@@ -315,21 +311,14 @@ def grow_trees(
         if not found.all():
             hit = found.nonzero()[0]
             ids, at, n, feat, low, high, dec = (v[hit] for v in (ids, at, n, feat, low, high, dec))
-            rows = [rows[i] for i in hit.tolist()]
         F = len(ids)
         feature[ids], lo[ids], hi[ids], decrease[ids] = feat, low, high, dec
         child[ids] = np.arange(used, used + 2 * F, 2)
         # stable in-place partition, left rows first (no row lies strictly
-        # between a split's low and high); r keeps node order, kid the child;
-        # one node, as in a one-tree step, needs no per-row node ids
-        if F == 1:
-            pos = slice(at[0], at[0] + n[0])
-            r = rows[0].copy()
-            kid = ~(X[r, feat[0]] <= low[0])
-        else:
-            pos = (at - (n.cumsum() - n)).repeat(n) + np.arange(n.sum())
-            r = perm[pos]
-            kid = np.arange(0, 2 * F, 2).repeat(n) + ~(X[r, feat.repeat(n)] <= low.repeat(n))
+        # between a split's low and high); r keeps node order, kid the child
+        pos = (at - (n.cumsum() - n)).repeat(n) + np.arange(n.sum())
+        r = perm[pos]
+        kid = np.arange(0, 2 * F, 2).repeat(n) + ~(X[r, feat.repeat(n)] <= low.repeat(n))
         perm[pos] = r[kid.argsort(kind="stable")]
         length = np.bincount(kid, minlength=2 * F)
         begin = at.repeat(2)
