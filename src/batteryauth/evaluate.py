@@ -89,10 +89,8 @@ def confusion_binary(y_true: np.ndarray, y_pred: np.ndarray) -> ConfusionCounts:
 
 def confusion_matrix(y_true: np.ndarray, y_pred: np.ndarray, k: int) -> np.ndarray:
     """k x k counts, rows = true class, columns = predicted class."""
-    cm = np.zeros((k, k), dtype=int)
-    for t, p in zip(np.asarray(y_true), np.asarray(y_pred)):
-        cm[int(t), int(p)] += 1
-    return cm
+    pairs = k * np.asarray(y_true, dtype=np.intp) + np.asarray(y_pred, dtype=np.intp)
+    return np.bincount(pairs, minlength=k * k).reshape(k, k)
 
 
 def _ratio(num: float, den: float, name: str, flags: List[str]) -> float:

@@ -18,7 +18,7 @@ import numpy as np
 
 from ..dca import DcaConfig
 from ..eis import EisConfig
-from ..errors import ConfigError, DimensionMismatch, NonFiniteValue, UnsupportedKind
+from ..errors import ConfigError, DimensionMismatch, EmptyDataset, NonFiniteValue, UnsupportedKind
 from . import boost, dtree, forest, naive_bayes, neighbors, neural, qda, svm
 
 # The one table keyed by kind name. A kind module declares what is
@@ -169,6 +169,8 @@ def train(
     y = np.asarray(y)
     if X.ndim != 2 or len(X) != len(y):
         raise DimensionMismatch(f"X {X.shape} and y {y.shape} do not align")
+    if len(X) == 0:
+        raise EmptyDataset("cannot train on an empty matrix")
     if not np.all(np.isfinite(X)):
         raise NonFiniteValue("training matrix contains non-finite values; impute first")
     classes = np.unique(y)

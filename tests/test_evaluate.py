@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from batteryauth.errors import (
+    BatteryAuthError,
     ClassTooSmall,
     EmptyCounts,
     InfeasibleBalance,
@@ -113,6 +114,16 @@ class TestMetricAlgebra:
         y_pred = np.array([1, 0, 0, 1, 1])
         c = confusion_binary(y_true, y_pred)
         assert (c.tp, c.tn, c.fp, c.fn) == (2, 1, 1, 1)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_confusion_matrix_counts_every_pair(self, seed):
+        rng = np.random.default_rng(seed)
+        k, n = int(rng.integers(1, 6)), int(rng.integers(0, 40))
+        y_true, y_pred = rng.integers(0, k, n), rng.integers(0, k, n)
+        want = [[sum(1 for t, p in zip(y_true, y_pred) if (t, p) == (a, b)) for b in range(k)]
+                for a in range(k)]
+        cm = confusion_matrix(y_true, y_pred, k)
+        assert cm.dtype.kind == "i" and cm.tolist() == want
 
     def test_multiclass_macro_against_manual(self):
         cm = np.array([[5, 1, 0], [0, 4, 2], [1, 0, 3]])
@@ -357,6 +368,14 @@ class TestRunners:
         save_model(dropped, path)
         assert load_model(path).class_names == ("counterfeit",)
         assert sink["auth:model_authentication:b:20:KNN"].class_names == ("counterfeit", "b")
+
+    def test_empty_training_split_is_a_library_error(self, knn_spec):
+        # with 2 rows per class at train_ratio 0.25, both go to the test part
+        # and the training split is empty: training refuses it before a fit
+        mat = _matrix({"a": 2, "b": 2, "c": 5})
+        config = EvalConfig(seed=5, folds=2, targets=("model",), train_ratio=0.25)
+        with pytest.raises(BatteryAuthError, match="empty"):
+            run_identification(mat, [knn_spec], config)
 
     def test_selection_path_reports_kept_count(self, knn_spec):
         # only the first feature separates; selection must keep a strict subset

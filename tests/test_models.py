@@ -17,6 +17,7 @@ from batteryauth.eis import EisConfig
 from batteryauth.errors import (
     ConfigError,
     DimensionMismatch,
+    EmptyDataset,
     FormatVersionMismatch,
     NonFiniteValue,
     SingularCovariance,
@@ -40,7 +41,7 @@ from batteryauth.models import (
     train,
 )
 from batteryauth.explain import mdi_importance
-from batteryauth.models import boost, neural, tree
+from batteryauth.models import boost, neural, svm, tree
 from batteryauth.models.base import _MODULES, derived_model
 from batteryauth.models.neighbors import squared_distances
 from batteryauth.models.persist import _decode, _encode
@@ -480,6 +481,51 @@ class TestNeuralFlatBufferOracle:
             assert got.tobytes() == want[name].tobytes(), name
 
 
+class TestNeuralGradientOracle:
+    """The backpropagated gradient against central differences of the
+    batch loss. With one full batch, one epoch and plain SGD, the first
+    step moves the flat parameters (w1, b1, w2, b2) by exactly -SGD_LR * g
+    from the Glorot start, which ``fit`` returns when no epoch runs."""
+
+    @staticmethod
+    def _loss(theta, X, y, d, hidden, k, activation):
+        w1 = theta[:d * hidden].reshape(d, hidden)
+        b1 = theta[d * hidden:(d + 1) * hidden]
+        w2 = theta[(d + 1) * hidden:(d + 1) * hidden + hidden * k].reshape(hidden, k)
+        b2 = theta[(d + 1) * hidden + hidden * k:]
+        z1 = X @ w1 + b1
+        a1 = np.maximum(z1, 0.0) if activation == "relu" else np.tanh(z1)
+        z2 = a1 @ w2 + b2
+        top = z2.max(axis=1)
+        log_norm = top + np.log(np.exp(z2 - top[:, None]).sum(axis=1))
+        return float(np.mean(log_norm - z2[np.arange(len(y)), y]))
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_first_sgd_step_is_the_loss_gradient(self, activation, monkeypatch):
+        rng = np.random.default_rng(21)
+        n, d, hidden, k = 24, 4, 5, 3
+        assert n <= neural.BATCH_SIZE
+        X = rng.standard_normal((n, d))
+        y = rng.integers(0, k, n)
+        hp = {"hidden": hidden, "activation": activation, "solver": "sgd"}
+
+        def flat(epochs):
+            monkeypatch.setattr(neural, "MAX_EPOCHS", epochs)
+            state, _ = neural.fit(X, y, k, hp, seed=9)
+            return np.concatenate([state[name].ravel() for name in ("w1", "b1", "w2", "b2")])
+
+        start = flat(0)
+        g = (start - flat(1)) / neural.SGD_LR
+        h = 1e-6
+        numeric = np.empty_like(start)
+        for i in range(len(start)):
+            e = np.zeros_like(start)
+            e[i] = h
+            numeric[i] = (self._loss(start + e, X, y, d, hidden, k, activation)
+                          - self._loss(start - e, X, y, d, hidden, k, activation)) / (2 * h)
+        assert np.linalg.norm(g - numeric) <= 1e-6 * np.linalg.norm(numeric)
+
+
 class TestQda:
     def test_matches_manual_mahalanobis(self):
         rng = np.random.default_rng(8)
@@ -548,6 +594,64 @@ class TestSvm:
         assert predict_scores(m, X).shape == (45, 3)
         assert (predict(m, X) == y).mean() >= 0.95
 
+    def test_closed_form_on_two_points(self):
+        # x = -1 and x = +1 at large C: the max-margin line is w = 1, b = 0,
+        # with both points support vectors on the margins -1 and +1
+        X = np.array([[-1.0], [1.0]])
+        hp = {"kernel": "linear", "C": 1000.0, "gamma": "scale"}
+        params, converged = svm.fit(X, np.array([0, 1]), 2, hp, seed=0)
+        assert converged
+        (machine,) = params["machines"]
+        assert machine["coef"] @ machine["sv"][:, 0] == pytest.approx(1.0, abs=1e-12)
+        assert machine["b"] == pytest.approx(0.0, abs=1e-12)
+        _, margins = svm.predict(params, X, 2, hp)
+        assert np.allclose(margins[:, 1], [-1.0, 1.0], atol=1e-12)
+
+    @pytest.mark.parametrize("seed", range(50))
+    def test_dual_solution_is_feasible_and_optimal(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(4, 31))
+        X = rng.standard_normal((n, 3))
+        t = np.where(X[:, 0] + rng.standard_normal(n) > 0, 1.0, -1.0)
+        t[:2] = [1.0, -1.0]
+        kernel = ("linear", "rbf")[seed % 2]
+        C = (0.1, 1.0, 10.0)[seed % 3]
+        K = X @ X.T if kernel == "linear" else np.exp(-0.5 * squared_distances(X, X))
+        alpha, b, converged = svm._smo(K, t, C)
+        assert converged
+        assert np.all((alpha >= 0) & (alpha <= C))
+        assert abs(alpha @ t) <= 1e-12
+        # the maximal violating pair, from the gradient recomputed in full
+        v = -t * ((t[:, None] * t[None, :] * K) @ alpha - 1.0)
+        up = ((t > 0) & (alpha < C)) | ((t < 0) & (alpha > 0))
+        low = ((t > 0) & (alpha > 0)) | ((t < 0) & (alpha < C))
+        assert v[up].max() - v[low].min() < svm.TOL
+        # KKT with the returned bias: margins >= 1 at 0, <= 1 at C, = 1 between
+        slack = t * (K @ (alpha * t) + b) - 1.0
+        assert np.all(slack[alpha == 0] >= -svm.TOL)
+        assert np.all(slack[alpha == C] <= svm.TOL)
+        assert np.all(np.abs(slack[(alpha > 0) & (alpha < C)]) <= svm.TOL)
+
+    def test_iteration_cap_flags_non_convergence(self, monkeypatch):
+        X, y = _blobs(n_per=12)
+        hp = {"kernel": "rbf", "C": 10.0, "gamma": "scale"}
+        assert svm.fit(X, y, 2, hp, seed=0)[1]
+        monkeypatch.setattr(svm, "MAX_ITER", 1)
+        params, converged = svm.fit(X, y, 2, hp, seed=0)
+        assert not converged
+        assert np.isfinite(params["machines"][0]["b"])
+
+    @pytest.mark.parametrize("label", [1.0, -1.0])
+    def test_one_class_machine_has_a_finite_bias(self, label):
+        X = np.random.default_rng(8).standard_normal((30, 5))
+        alpha, b, converged = svm._smo(X @ X.T, np.full(30, label), 1.0)
+        assert converged and np.isfinite(b) and not alpha.any()
+        # with every alpha at 0, KKT asks only for margins t * b >= 1
+        assert label * b >= 1.0 - svm.TOL
+        hp = {"kernel": "linear", "C": 1.0, "gamma": "scale"}
+        params, _ = svm.fit(X, np.zeros(30, dtype=int), 1, hp, seed=0)
+        assert np.isfinite(params["machines"][0]["b"])
+
 
 class TestSingleClass:
     @pytest.mark.parametrize("kind", KINDS)
@@ -593,6 +697,11 @@ class TestTrainValidation:
         with pytest.raises(DimensionMismatch):
             train(make_spec("KNN"), {"k": 1, "weights": "uniform"},
                   np.zeros(4), np.array([0, 0, 1, 1]))
+
+    def test_empty_matrix_rejected(self):
+        with pytest.raises(EmptyDataset):
+            train(make_spec("KNN"), {"k": 1, "weights": "uniform"},
+                  np.zeros((0, 3)), np.zeros(0, dtype=int))
 
     def test_non_finite_rejected(self):
         X = np.array([[0.0], [np.nan]])
@@ -1002,21 +1111,22 @@ class TestGoldenSolverModels:
     against the rest. Both AdaBoost fits run all 200 rounds; from round 57
     on, the 3-class fit meets split positions whose right-side weight sum
     rounds to 0, which split search skips. File pins are those of model
-    format 3; the output pins predate it."""
+    format 3; the output pins predate it, except SVM's: all four SVM pins
+    are those of the second-order (WSS2) SMO solver."""
 
     CASES = [
         ("SVM", 2, {"kernel": "linear", "C": 1.0, "gamma": "scale"},
-         "5e001643b1fd4a925b2cc4435a895683d823da3ad87afa9ad0807c56b00e0fa0",
-         "d9563fde08337aebd417088fabb1e69b45f8cb1482cf6e8ff1d7ef4cbf1b702f"),
+         "23830d02f9e39d1a1d0d4db503bbf96b7b3156ea1d539aa82a410c0166ec6193",
+         "b544a00fd69cc4ec02a8d0cf15bf1ddc791af43f85b950f6be936047e2bf2b33"),
         ("SVM", 2, {"kernel": "rbf", "C": 1.0, "gamma": "scale"},
-         "f7fcd5251adedb5634402bbb410b049542ab7ed1a9d65c39c38b07d26b0afe30",
-         "d63131e99cdc4f763675f122e98ed45e0244261a40f95a93e26f66b3a3806540"),
+         "372e2d5f872d901209d4f0ead3109059951c459175c4bd99cc3324d70b081013",
+         "34bb9454dfd8928aeb435b8d896fc8db4490eb0b845679c784895ddc3ace663e"),
         ("SVM", 3, {"kernel": "linear", "C": 0.1, "gamma": "scale"},
-         "f643ef00bbb1130e0b94d19a2086f68847f8acc0f6679ce315e2c24861e54fae",
-         "bcd30ebdbc02fd89059059ea3b3e3c162d2b39bc64472b7496881170e95a0474"),
+         "5a4b760cb4e05650d8626134f628cf1696c30e159472b232f1e933ea170d6747",
+         "b19cd23f75a3e5f923acb713b313b6b4a952992afa92a93e5fae6649d423d6c8"),
         ("SVM", 3, {"kernel": "rbf", "C": 10.0, "gamma": 0.1},
-         "09182501ddf04ff9d118e581fd235631ab3c7637d5197e6f755e66a254074705",
-         "dcef466743826253d093fa2c2c4b312dee5121c53c6b77f2958c5e90a194a15c"),
+         "22fad6062d5d10ed9f735bde7ad8bc404e326c402486dd5c6a8b184920fb9aaa",
+         "996c764dfdfca5bc8ecc922577bf1c68fa58e95e39949e1b38ab41ef932ff2f3"),
         ("NeuralNet", 3, {"hidden": 8, "activation": "relu", "solver": "adam"},
          "cc7417c957c71b8af39e873f6f4f03e535a61079314a479a906ad498a803e354",
          "7bf38d3c53078fb07792743393b2f54538fbf8607b33ecfaf1b5b79295b11047"),
