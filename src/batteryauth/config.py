@@ -242,9 +242,7 @@ def config_from_json_dict(data: dict) -> RunConfig:
         threads,
         data,
     )
-    models_items = data.get("models")
-    if models_items is None:
-        models_items = [{"kind": k} for k in DEFAULT_MODEL_KINDS]
+    models_items = data.get("models", [{"kind": k} for k in DEFAULT_MODEL_KINDS])
     return RunConfig(
         pipeline=pipeline,
         output_dir=output_dir,

@@ -53,6 +53,9 @@ class ConfusionCounts:
         return self.tp + self.tn + self.fp + self.fn
 
 
+METRIC_FIELDS = ("accuracy", "precision", "recall", "f1", "far", "frr")
+
+
 @dataclass(frozen=True)
 class MetricSet:
     accuracy: float
@@ -64,15 +67,7 @@ class MetricSet:
     degenerate: Tuple[str, ...] = ()
 
     def to_json_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "far": self.far,
-            "frr": self.frr,
-            "degenerate": list(self.degenerate),
-        }
+        return {**{f: getattr(self, f) for f in METRIC_FIELDS}, "degenerate": list(self.degenerate)}
 
 
 def confusion_binary(y_true: np.ndarray, y_pred: np.ndarray) -> ConfusionCounts:
@@ -363,19 +358,8 @@ class EvalReport:
 
 
 def _mean_metrics(cells: Sequence[AuthResult]) -> dict:
-    def mean_of(getter):
-        vals = [getter(c.metric_set) for c in cells]
-        return float(np.mean(vals))
-
-    return {
-        "accuracy": mean_of(lambda m: m.accuracy),
-        "precision": mean_of(lambda m: m.precision),
-        "recall": mean_of(lambda m: m.recall),
-        "f1": mean_of(lambda m: m.f1),
-        "far": mean_of(lambda m: m.far),
-        "frr": mean_of(lambda m: m.frr),
-        "cells": len(cells),
-    }
+    means = {f: float(np.mean([getattr(c.metric_set, f) for c in cells])) for f in METRIC_FIELDS}
+    return {**means, "cells": len(cells)}
 
 
 def auth_averages(results: Sequence[AuthResult]) -> dict:
@@ -600,35 +584,16 @@ def _csv_cell(value) -> str:
 def report_to_csv(report: EvalReport) -> str:
     """Flat table: kind x metrics for identification, plus kind x balance
     rows (per label and averaged) for authentication."""
-    lines = ["task,target,kind,legit_label,balance,accuracy,precision,recall,f1,far,frr"]
-    for r in report.ident_results:
-        m = r.metric_set
-        lines.append(
-            ",".join(
-                [r.task, r.target, r.kind, "", ""]
-                + [_csv_cell(v) for v in (m.accuracy, m.precision, m.recall, m.f1, m.far, m.frr)]
-            )
-        )
-    for r in report.auth_results:
-        m = r.metric_set
-        lines.append(
-            ",".join(
-                [r.task, r.target, r.kind, r.legit_label, str(r.balance)]
-                + [_csv_cell(v) for v in (m.accuracy, m.precision, m.recall, m.f1, m.far, m.frr)]
-            )
-        )
-    averages = auth_averages(report.auth_results)
-    for key in sorted(averages["by_balance"]):
+
+    def row(head: list, metrics: dict) -> str:
+        return ",".join(head + [_csv_cell(metrics[f]) for f in METRIC_FIELDS])
+
+    lines = [",".join(["task", "target", "kind", "legit_label", "balance", *METRIC_FIELDS])]
+    lines += [row([r.task, r.target, r.kind, "", ""], vars(r.metric_set)) for r in report.ident_results]
+    lines += [row([r.task, r.target, r.kind, r.legit_label, str(r.balance)], vars(r.metric_set))
+              for r in report.auth_results]
+    for key, entry in sorted(auth_averages(report.auth_results)["by_balance"].items()):
         task, kind, balance = key.rsplit(":", 2)
-        entry = averages["by_balance"][key]
         target = "architecture" if task.startswith("arch") else "model"
-        lines.append(
-            ",".join(
-                [task, target, kind, "mean", balance]
-                + [
-                    _csv_cell(entry[f])
-                    for f in ("accuracy", "precision", "recall", "f1", "far", "frr")
-                ]
-            )
-        )
+        lines.append(row([task, target, kind, "mean", balance], entry))
     return "\n".join(lines) + "\n"

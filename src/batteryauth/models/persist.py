@@ -15,12 +15,14 @@ base64 of its little-endian bytes in C order, the idea of numpy's NPY
 format (NEP 1). Loading, a dict with exactly those keys becomes an array
 of that dtype and shape, so a round trip is exact by construction: a
 loaded model predicts with the very arrays the trained one held, and
-grown int32 node ids stay int32. Dicts and lists are walked. A tree
-ensemble (``tree.NodeTable``) is written as a dict of its seven fields,
-and a dict with exactly those keys loads as a table, which derives its
-walk form again. A missing or malformed field, among them each state
-field the kind declares in ``STATE``, raises FormatVersionMismatch naming
-it, and so does an envelope of any other format version.
+grown int32 node ids stay int32. Dicts are walked. A tree ensemble
+(``tree.NodeTable``) is written as a dict of its seven fields, and a
+dict with exactly those keys loads as a table, which derives its walk
+form again; an SVM's support vectors are one row block with one
+coefficient matrix. A missing or malformed field, among them each state
+field the kind declares in ``STATE`` and a standardizer or mask of
+contradicting widths, raises FormatVersionMismatch naming it, and so
+does an envelope of any other format version.
 
 ``save_model`` writes ``json.dumps(envelope, sort_keys=True)`` and a
 newline in one call of the C encoder. The file is written under a
@@ -63,8 +65,6 @@ def _encode(value):
         value = {name: getattr(value, name) for name in _TABLE_FIELDS}
     if isinstance(value, dict):
         return {key: _encode(v) for key, v in value.items()}
-    if isinstance(value, list):
-        return [_encode(v) for v in value]
     return value
 
 
@@ -75,15 +75,20 @@ def _decode(value):
             return np.frombuffer(raw, dtype=np.dtype(value["dtype"])).reshape(value["shape"])
         decoded = {key: _decode(v) for key, v in value.items()}
         return NodeTable(**decoded) if decoded.keys() == _TABLE_FIELDS else decoded
-    if isinstance(value, list):
-        return [_decode(v) for v in value]
     return value
 
 
-def _array(saved) -> np.ndarray:
+def _vector(saved, size=None, mask=False) -> np.ndarray:
+    """A saved 1-D array, bool when a ``mask``; with a ``size``, one of that
+    many entries, or a mask that keeps that many."""
     array = _decode(saved)
     if not isinstance(array, np.ndarray):
         raise TypeError(f"expected an array, got {type(array).__name__}")
+    if array.ndim != 1 or (mask and array.dtype != bool):
+        raise ValueError(f"expected a 1-D {'bool ' if mask else ''}array, got {array.dtype} {array.shape}")
+    count = np.count_nonzero(array) if mask else len(array)
+    if size not in (None, count):
+        raise ValueError(f"expected {size} {'kept features' if mask else 'entries'}, got {count}")
     return array
 
 
@@ -105,11 +110,8 @@ def model_to_json_dict(model: TrainedModel) -> dict:
         "format_version": FORMAT_VERSION,
         "kind": model.kind,
         "hyperparams": model.hyperparams,
-        "standardizer": {
-            "mean": _encode(model.standardizer.mean),
-            "scale": _encode(model.standardizer.scale),
-        },
-        "mask": None if model.mask is None else _encode(model.mask),
+        "standardizer": _encode(vars(model.standardizer)),
+        "mask": _encode(model.mask),
         "parameters": {
             "classes": _encode(model.classes),
             "class_names": list(model.class_names),
@@ -165,14 +167,14 @@ def model_from_json_dict(data: dict) -> TrainedModel:
         kind=kind,
         hyperparams=_field(data, "hyperparams", lambda hp: normalize_hyperparams(kind, hp)),
         standardizer=Standardizer(
-            mean=_field(data, "standardizer.mean", _array),
-            scale=_field(data, "standardizer.scale", _array),
+            mean=(mean := _field(data, "standardizer.mean", _vector)),
+            scale=_field(data, "standardizer.scale", lambda s: _vector(s, len(mean))),
         ),
-        mask=_field(data, "mask", lambda m: None if m is None else _array(m), None),
+        mask=_field(data, "mask", lambda m: None if m is None else _vector(m, len(mean), mask=True), None),
         params=_field(data, "parameters.state", state),
         seed=_field(data, "seed", int),
         catalog_version=_field(data, "catalog_version"),
-        classes=_field(data, "parameters.classes", _array),
+        classes=_field(data, "parameters.classes", _vector),
         class_names=_field(data, "parameters.class_names", tuple, ()),
         converged=_field(data, "parameters.converged", bool, True),
         task=_field(data, "parameters.task", default="identification"),

@@ -18,9 +18,15 @@ free support vectors; with none it is the midpoint of m and M, or the one
 of them that exists when I_up or I_low is empty (a one-class machine).
 
 gamma "scale" resolves to 1/(d * var(X)) over the standardized training
-matrix. Scores are the one-vs-rest decision margins, not probabilities
-(no probability model is fitted); a two-class model has one machine, and
-class 0 scores its negated margin.
+matrix. The state stores each support vector once, as LIBSVM does (Chang
+& Lin, ACM TIST 2(3), 2011): ``sv`` holds the training rows that any
+machine uses, in training order, ``coef`` is an (m, len(sv)) matrix of
+alpha * t, 0 where a row is not one of that machine's support vectors,
+and ``b`` the m biases. A two-class model has one machine, for class 1;
+otherwise machine c is class c's. Predict is one kernel block and one
+product, ``K(X, sv) @ coef.T + b``. Scores are the one-vs-rest decision
+margins, not probabilities (no probability model is fitted); with two
+classes, class 0 scores the negated margin.
 """
 from __future__ import annotations
 
@@ -35,7 +41,7 @@ MAX_ITER = 100_000
 _SV_CUTOFF = 1e-12
 
 GRID = {"kernel": ["linear", "rbf"], "C": [0.1, 1.0, 10.0], "gamma": ["scale", 0.01, 0.1]}
-STATE = ("machines", "gamma_value")
+STATE = ("sv", "coef", "b", "gamma_value")
 
 
 def check(hp: dict) -> None:
@@ -98,34 +104,22 @@ def fit(Xs: np.ndarray, y: np.ndarray, k: int, hp: dict, seed: int):
     else:
         gamma_value = float(gamma)
     K = _kernel(Xs, Xs, kernel, gamma_value)
-    machine_classes = [1] if k == 2 else list(range(k))
-    machines = []
-    converged = True
-    for c in machine_classes:
+    coef, b, converged = [], [], True
+    for c in [1] if k == 2 else range(k):
         t = np.where(y == c, 1.0, -1.0)
-        alpha, b, ok = _smo(K, t, C)
+        alpha, bias, ok = _smo(K, t, C)
+        coef.append(np.where(alpha > _SV_CUTOFF, alpha * t, 0.0))
+        b.append(bias)
         converged &= ok
-        sv = alpha > _SV_CUTOFF
-        machines.append(
-            {
-                "class_id": c,
-                "sv": Xs[sv].copy(),
-                "coef": (alpha[sv] * t[sv]).copy(),
-                "b": float(b),
-            }
-        )
-    return {"machines": machines, "gamma_value": gamma_value}, converged
+    coef = np.array(coef)
+    used = coef.any(axis=0)
+    state = {"sv": Xs[used], "coef": coef[:, used], "b": np.array(b), "gamma_value": gamma_value}
+    return state, converged
 
 
 def predict(params: dict, Xs: np.ndarray, k: int, hp: dict):
-    out = np.full((len(Xs), k), -np.inf)
-    for m in params["machines"]:
-        if len(m["sv"]):
-            kk = _kernel(Xs, m["sv"], hp["kernel"], params["gamma_value"])
-            f = kk @ m["coef"] + m["b"]
-        else:
-            f = np.full(len(Xs), m["b"])
-        out[:, m["class_id"]] = f
+    kk = _kernel(Xs, params["sv"], hp["kernel"], params["gamma_value"])
+    f = kk @ params["coef"].T + params["b"]
     if k == 2:
-        out[:, 0] = -out[:, 1]
-    return np.argmax(out, axis=1), out
+        f = np.hstack([-f, f])
+    return np.argmax(f, axis=1), f

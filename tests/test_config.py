@@ -89,6 +89,14 @@ class TestTopLevel:
         with pytest.raises(ConfigError):
             config_from_json_dict(_base(threads=True))
 
+    @pytest.mark.parametrize("key", [
+        "models", "dca", "eis", "eval", "selection", "synth", "input", "output_dir", "threads",
+    ])
+    def test_explicit_null_is_refused(self, key):
+        # only an absent key means the default; null would silently run it
+        with pytest.raises(ConfigError, match=f"^{key}: "):
+            config_from_json_dict(_base(**{key: None}))
+
 
 class TestSelectionDefaults:
     def test_eis_enables_selection(self):

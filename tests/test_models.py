@@ -601,9 +601,9 @@ class TestSvm:
         hp = {"kernel": "linear", "C": 1000.0, "gamma": "scale"}
         params, converged = svm.fit(X, np.array([0, 1]), 2, hp, seed=0)
         assert converged
-        (machine,) = params["machines"]
-        assert machine["coef"] @ machine["sv"][:, 0] == pytest.approx(1.0, abs=1e-12)
-        assert machine["b"] == pytest.approx(0.0, abs=1e-12)
+        (coef,), (b,) = params["coef"], params["b"]
+        assert coef @ params["sv"][:, 0] == pytest.approx(1.0, abs=1e-12)
+        assert b == pytest.approx(0.0, abs=1e-12)
         _, margins = svm.predict(params, X, 2, hp)
         assert np.allclose(margins[:, 1], [-1.0, 1.0], atol=1e-12)
 
@@ -639,7 +639,35 @@ class TestSvm:
         monkeypatch.setattr(svm, "MAX_ITER", 1)
         params, converged = svm.fit(X, y, 2, hp, seed=0)
         assert not converged
-        assert np.isfinite(params["machines"][0]["b"])
+        assert np.isfinite(params["b"][0])
+
+    @pytest.mark.parametrize("hp", [
+        {"kernel": "linear", "C": 0.1, "gamma": "scale"},
+        {"kernel": "rbf", "C": 10.0, "gamma": 0.1},
+    ], ids=["linear", "rbf"])
+    def test_shared_rows_match_per_machine_reference(self, hp):
+        # each machine solved on its own, and scored on its own support rows
+        X, y = _golden_data()
+        m = _train("SVM", hp, X, y, seed=5)
+        Xs = m.standardizer.transform(X)
+        probe = np.vstack([Xs, np.random.default_rng(4).standard_normal((40, 8)) * 1.5])
+        gamma = m.params["gamma_value"]
+        K = svm._kernel(Xs, Xs, hp["kernel"], gamma)
+        used, ref = np.zeros(len(X), dtype=bool), []
+        for c in range(3):
+            t = np.where(y == c, 1.0, -1.0)
+            alpha, b, _ = svm._smo(K, t, hp["C"])
+            on = alpha > svm._SV_CUTOFF
+            used |= on
+            ref.append(svm._kernel(probe, Xs[on], hp["kernel"], gamma) @ (alpha[on] * t[on]) + b)
+        ref = np.column_stack(ref)
+        # the used training rows, each once and in training order; the
+        # golden data repeats rows 30-35 as 40-45, so equal rows can recur
+        assert np.array_equal(m.params["sv"], Xs[used]) and len(m.params["sv"]) <= len(X)
+        assert m.params["coef"].shape == (3, used.sum())
+        labels, margins = svm.predict(m.params, probe, 3, hp)
+        assert np.allclose(margins, ref, rtol=0.0, atol=1e-12)
+        assert np.array_equal(labels, np.argmax(ref, axis=1))
 
     @pytest.mark.parametrize("label", [1.0, -1.0])
     def test_one_class_machine_has_a_finite_bias(self, label):
@@ -650,7 +678,7 @@ class TestSvm:
         assert label * b >= 1.0 - svm.TOL
         hp = {"kernel": "linear", "C": 1.0, "gamma": "scale"}
         params, _ = svm.fit(X, np.zeros(30, dtype=int), 1, hp, seed=0)
-        assert np.isfinite(params["machines"][0]["b"])
+        assert np.isfinite(params["b"][0])
 
 
 class TestSingleClass:
@@ -845,7 +873,7 @@ class TestPersistence:
         # one class: every SMO pair has an empty box, so no alpha moves
         bare = _train("SVM", {"kernel": "linear", "C": 1.0, "gamma": "scale"},
                       X_full, np.zeros(30, dtype=int), names=("only",))
-        assert len(bare.params["machines"][0]["sv"]) == 0
+        assert len(bare.params["sv"]) == 0
         self._assert_json_dumps_bytes(bare, tmp_path)
 
     @staticmethod
@@ -1001,6 +1029,37 @@ class TestArrayCodec:
         with pytest.raises(FormatVersionMismatch, match=f"'{path}'"):
             model_from_json_dict(env)
 
+    @pytest.mark.parametrize("path,field,value", [
+        ("standardizer.mean", ("standardizer", "mean"), np.zeros((2, 4))),
+        ("standardizer.scale", ("standardizer", "scale"), np.ones(3)),
+        ("mask", (None, "mask"), np.ones(7, dtype=np.int64)),
+        ("mask", (None, "mask"), np.ones((2, 4), dtype=bool)),
+        ("mask", (None, "mask"), np.array([True] * 5 + [False] * 2)),
+    ], ids=["2-D-mean", "short-scale", "int-mask", "2-D-mask", "mask-keeps-5"])
+    def test_contradicting_widths_are_refused_at_load(self, path, field, value, tmp_path):
+        # each of these loaded, and scoring then died on a numpy broadcast
+        mask = np.array([True, False, True, True, False, True, False])
+        env = model_to_json_dict(_train("KNN", {"k": 1, "weights": "uniform"},
+                                        np.random.default_rng(8).standard_normal((12, 4)),
+                                        np.repeat([0, 1], 6), mask=mask))
+        parent, key = field
+        (env if parent is None else env[parent])[key] = _encode(value)
+        file = tmp_path / "model.json"
+        file.write_text(json.dumps(env), encoding="utf-8")
+        with pytest.raises(FormatVersionMismatch, match=f"'{path}'"):
+            load_model(str(file))
+
+    def test_old_machine_list_layout_is_refused(self):
+        X, y = _blobs(n_per=15, centers=(0.0, 2.5, 5.0))
+        env = model_to_json_dict(_train("SVM", {"kernel": "rbf", "C": 1.0, "gamma": 0.1}, X, y))
+        state = env["parameters"]["state"]
+        rows, coef = state.pop("sv"), _decode(state.pop("coef"))
+        biases = _decode(state.pop("b"))
+        state["machines"] = [{"class_id": c, "sv": rows, "coef": _encode(coef[c]), "b": float(biases[c])}
+                             for c in range(3)]
+        with pytest.raises(FormatVersionMismatch, match="'parameters.state.sv'"):
+            model_from_json_dict(env)
+
     def test_non_array_where_an_array_belongs_names_the_field(self):
         X, y = _blobs(n_per=8)
         env = model_to_json_dict(_train("GaussianNB", {"var_smoothing": 1e-9}, X, y))
@@ -1112,21 +1171,24 @@ class TestGoldenSolverModels:
     on, the 3-class fit meets split positions whose right-side weight sum
     rounds to 0, which split search skips. File pins are those of model
     format 3; the output pins predate it, except SVM's: all four SVM pins
-    are those of the second-order (WSS2) SMO solver."""
+    are those of the second-order (WSS2) SMO solver, and the file pins and
+    the two 3-class output pins those of the shared support-vector block
+    (one kernel product sums the machines' terms in another order, so the
+    3-class margins moved by at most 4.4e-15, with equal labels)."""
 
     CASES = [
         ("SVM", 2, {"kernel": "linear", "C": 1.0, "gamma": "scale"},
-         "23830d02f9e39d1a1d0d4db503bbf96b7b3156ea1d539aa82a410c0166ec6193",
+         "577f7ff0a55c3a144acaf7db5aab2743a9fdda71215ac15e7104b7c2227fbdeb",
          "b544a00fd69cc4ec02a8d0cf15bf1ddc791af43f85b950f6be936047e2bf2b33"),
         ("SVM", 2, {"kernel": "rbf", "C": 1.0, "gamma": "scale"},
-         "372e2d5f872d901209d4f0ead3109059951c459175c4bd99cc3324d70b081013",
+         "250a82cf06da8a66a4688aea04c16a960707162bfedb294422e6f28d6482d7db",
          "34bb9454dfd8928aeb435b8d896fc8db4490eb0b845679c784895ddc3ace663e"),
         ("SVM", 3, {"kernel": "linear", "C": 0.1, "gamma": "scale"},
-         "5a4b760cb4e05650d8626134f628cf1696c30e159472b232f1e933ea170d6747",
-         "b19cd23f75a3e5f923acb713b313b6b4a952992afa92a93e5fae6649d423d6c8"),
+         "3cd7e912708b8834149ef5d04dba21c1d426c05828abb8e120145b0de7eb56ff",
+         "7d2842c53cebf5d920fbc062f3054eb622487a6d1f2cc2854834e3acc4f601c0"),
         ("SVM", 3, {"kernel": "rbf", "C": 10.0, "gamma": 0.1},
-         "22fad6062d5d10ed9f735bde7ad8bc404e326c402486dd5c6a8b184920fb9aaa",
-         "996c764dfdfca5bc8ecc922577bf1c68fa58e95e39949e1b38ab41ef932ff2f3"),
+         "57d0993af2f0d4553fc9d147058aa7ffe05eeba0b4f88a16346a2458d5d74a64",
+         "1f2c97511c9a018c88aca22b222fa2705370af0eb023ee6172b7fa5ab560599c"),
         ("NeuralNet", 3, {"hidden": 8, "activation": "relu", "solver": "adam"},
          "cc7417c957c71b8af39e873f6f4f03e535a61079314a479a906ad498a803e354",
          "7bf38d3c53078fb07792743393b2f54538fbf8607b33ecfaf1b5b79295b11047"),
@@ -1263,9 +1325,9 @@ class TestKindRegistry:
                       X, np.zeros(30, dtype=int), names=("only",))
         path = str(tmp_path / "m.json")
         save_model(bare, path)
-        machine = load_model(path).params["machines"][0]
-        assert len(machine["sv"]) == len(machine["coef"]) == 0
-        assert machine["b"] == bare.params["machines"][0]["b"]
+        back = load_model(path).params
+        assert back["sv"].shape == (0, 5) and back["coef"].shape == (1, 0)
+        assert np.array_equal(back["b"], bare.params["b"])
 
     @pytest.mark.parametrize("kind,hp", ALL, ids=[k for k, _ in ALL])
     def test_mdi_exactly_where_the_module_has_raw_importances(self, kind, hp):
