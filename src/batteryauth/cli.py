@@ -40,7 +40,7 @@ from .evaluate import (
     run_authentication,
     run_identification,
 )
-from .features import catalog_default, matrix_from_cycles, matrix_from_spectra
+from .features import FeatureMatrix, catalog_default, labels_for, matrix_from_cycles, matrix_from_spectra
 from .io_csv import parse_cycle_csv, parse_eis_csv
 from .models import TrainedModel, classify, load_model, predict, save_model
 from .records import build_catalog
@@ -54,6 +54,20 @@ def _config_sha256(snapshot: dict) -> str:
 
 def _safe_name(text: str) -> str:
     return "".join(c if c.isalnum() or c in "-_" else "_" for c in text)
+
+
+def _check_model_file_names(cfg: RunConfig, matrix: FeatureMatrix) -> None:
+    """Refuse two legit labels whose 50/50 authentication winners would be
+    saved under one file name, before anything is fitted."""
+    if "authentication" not in cfg.tasks or 50 not in cfg.eval.balances:
+        return
+    for target in cfg.eval.targets:
+        seen: dict = {}
+        for label in labels_for(matrix, target)[1]:
+            first = seen.setdefault(_safe_name(label), label)
+            if first != label:
+                raise ConfigError(f"{target} labels {first!r} and {label!r} both save their models "
+                                  f"under the file name part {_safe_name(label)!r}; rename one")
 
 
 # === run ===
@@ -102,6 +116,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         matrix = matrix_from_cycles(data, cfg.dca, threads=cfg.threads)
     else:
         matrix = matrix_from_spectra(data, cfg.eis, threads=cfg.threads)
+    _check_model_file_names(cfg, matrix)
 
     sink: dict = {}
     reports = []

@@ -22,7 +22,10 @@ form again; an SVM's support vectors are one row block with one
 coefficient matrix. A missing or malformed field, among them each state
 field the kind declares in ``STATE`` and a standardizer or mask of
 contradicting widths, raises FormatVersionMismatch naming it, and so
-does an envelope of any other format version.
+does an envelope of any other format version. A loaded model scores one
+all-zero row of the standardizer's width, and a tree table must record
+importances for exactly that many features; a state that fails either,
+e.g. a KNN ``train_x`` of other width, raises FormatVersionMismatch.
 
 ``save_model`` writes ``json.dumps(envelope, sort_keys=True)`` and a
 newline in one call of the C encoder. The file is written under a
@@ -43,7 +46,7 @@ import numpy as np
 from ..dca import DcaConfig
 from ..eis import EisConfig
 from ..errors import FormatVersionMismatch, UnsupportedKind
-from .base import _MODULES, KINDS, Standardizer, TrainedModel, normalize_hyperparams
+from .base import _MODULES, KINDS, Standardizer, TrainedModel, classify, normalize_hyperparams
 from .tree import NodeTable
 
 FORMAT_VERSION = "3"
@@ -183,6 +186,15 @@ def model_from_json_dict(data: dict) -> TrainedModel:
     if model.class_names and len(model.class_names) != len(model.classes):
         raise FormatVersionMismatch(f"model file has {len(model.class_names)} class names "
                                     f"for {len(model.classes)} classes")
+    width = model.input_width
+    try:
+        for value in model.params.values():
+            if isinstance(value, NodeTable) and value.importances.shape[1] != width:
+                raise ValueError(f"tree importances are {value.importances.shape[1]} features wide")
+        classify(model, np.zeros((1, width)))
+    except (IndexError, ValueError) as exc:
+        raise FormatVersionMismatch(f"model state does not score rows of the standardizer's "
+                                    f"{width} features ({type(exc).__name__}: {exc})") from exc
     return model
 
 

@@ -2,7 +2,9 @@
 
 Per-class Gaussian with covariance Sigma_reg = (1-r)*Sigma + r*(tr(Sigma)/d)*I,
 i.e. shrinkage toward a scaled identity. r=0 on a singular class covariance
-raises SingularCovariance with a hint to raise r.
+raises SingularCovariance with a hint to raise r. Each class keeps its
+inverse Cholesky factor W = L^-1 (``whiten``), so scoring is one stacked
+product: z = (x - mean) W^T, Mahalanobis distance sum(z^2).
 """
 from __future__ import annotations
 
@@ -12,12 +14,27 @@ from ..errors import ConfigError, SingularCovariance
 from .neural import softmax
 
 GRID = {"reg": [0.0, 0.1, 0.5]}
-STATE = ("means", "chols", "log_dets", "log_priors")
+STATE = ("means", "whiten", "log_dets", "log_priors")
 
 
 def check(hp: dict) -> None:
     if not 0 <= float(hp["reg"]) <= 1:
         raise ConfigError("QDA.reg must lie in [0, 1]")
+
+
+def _inverse_lower(L: np.ndarray) -> np.ndarray:
+    """L^-1 of each lower-triangular matrix in the stack L, by 2x2 blocks,
+    [[A, 0], [B, C]]^-1 = [[A^-1, 0], [-C^-1 B A^-1, C^-1]], down to
+    leaves at most 32 wide."""
+    d = L.shape[-1]
+    if d <= 32:
+        return np.tril(np.linalg.inv(L))
+    h = d // 2
+    W = np.zeros_like(L)
+    W[..., :h, :h] = A = _inverse_lower(L[..., :h, :h])
+    W[..., h:, h:] = C = _inverse_lower(L[..., h:, h:])
+    W[..., h:, :h] = -(C @ L[..., h:, :h]) @ A
+    return W
 
 
 def fit(Xs: np.ndarray, y: np.ndarray, k: int, hp: dict, seed: int):
@@ -46,32 +63,15 @@ def fit(Xs: np.ndarray, y: np.ndarray, k: int, hp: dict, seed: int):
         chols[c] = chol
         log_dets[c] = 2.0 * float(np.log(np.diag(chol)).sum())
     log_priors = np.log(counts / n)
-    return {
-        "means": means,
-        "chols": chols,
-        "log_dets": log_dets,
-        "log_priors": log_priors,
-    }, True
+    whiten = _inverse_lower(chols)
+    return {"means": means, "whiten": whiten, "log_dets": log_dets, "log_priors": log_priors}, True
 
 
 def log_posteriors(params: dict, Xs: np.ndarray) -> np.ndarray:
-    # numpy has no triangular solve; importing here keeps scipy out of
-    # every process that never scores a QDA model
-    from scipy.linalg import solve_triangular
-
-    k, d = params["means"].shape
-    out = np.zeros((len(Xs), k))
-    for c in range(k):
-        diff = (Xs - params["means"][c]).T  # (d, n)
-        solved = solve_triangular(params["chols"][c], diff, lower=True)
-        maha = np.square(solved).sum(axis=0)
-        out[:, c] = (
-            params["log_priors"][c]
-            - 0.5 * params["log_dets"][c]
-            - 0.5 * maha
-            - 0.5 * d * np.log(2.0 * np.pi)
-        )
-    return out
+    d = params["means"].shape[1]
+    z = (Xs - params["means"][:, None, :]) @ params["whiten"].transpose(0, 2, 1)  # (k, n, d)
+    maha = np.square(z).sum(axis=2).T
+    return params["log_priors"] - 0.5 * params["log_dets"] - 0.5 * maha - 0.5 * d * np.log(2.0 * np.pi)
 
 
 def predict(params: dict, Xs: np.ndarray, k: int, hp: dict):

@@ -185,6 +185,25 @@ class TestRun:
             "model_auth_model_authentication_bravo_50_KNN.json",
         ]
 
+    def test_labels_sharing_a_model_file_name_exit_2_before_any_fit(self, tmp_path, capsys,
+                                                                    monkeypatch):
+        # "cell a" and "cell_a" both save as ..._cell_a_50_KNN.json; one
+        # winner would overwrite the other
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a model was fitted")
+
+        monkeypatch.setattr(cli, "run_identification", no_fit)
+        monkeypatch.setattr(cli, "run_authentication", no_fit)
+        specs = (replace(SPECS[0], name="cell a"), replace(SPECS[1], name="cell_a"))
+        spec_path = tmp_path / "cells.json"
+        spec_path.write_text(specs_to_json(specs), encoding="utf-8")
+        cfg_path = _write(tmp_path, "cfg.json", _config(str(spec_path)))
+        assert main(["run", "--config", cfg_path, "--output-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "batteryauth.errors.ConfigError: model labels 'cell a' and 'cell_a' both save their "
+            "models under the file name part 'cell_a'; rename one"]
+        assert os.listdir(tmp_path / "out") == []
+
     def test_config_output_dir_used_without_flag(self, spec_file, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         cfg_path = _write(tmp_path, "cfg.json", _config(spec_file, output_dir="from-config"))
@@ -660,7 +679,9 @@ class TestAuthenticateMatchesClassify:
         path = os.path.join(out_dir, saved.format(kind))
         assert main(["authenticate", "--model", path, "--sample", sample, "--json"]) == 0
         capsys.readouterr()
-        assert calls == [6]
+        # loading scores one all-zero row to check the state's width; the
+        # six samples are then scored in one call
+        assert calls == [1, 6]
 
 
 class TestBench:

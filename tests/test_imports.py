@@ -1,11 +1,13 @@
-"""Import guard: the package and the scoring path load numpy but no scipy.
+"""Import guard: numpy is the only runtime dependency.
 
 Each check runs in a fresh interpreter (same executable, same package on
 the path) and lists the scipy and numpy.random modules present once it is
-done. Only QDA scoring may load scipy, on first use; a `run` with the
-Mann-Whitney screen on loads none. Importing the package and scoring with
-a forest or KNN load no numpy.random either: seeding defines its
-numpy.random subclass on first use.
+done. No path loads scipy: not a `run` with the Mann-Whitney screen on,
+and not a `run`, `authenticate` or `bench` that trains or scores every
+kind, QDA included, with scipy made unimportable as in an install without
+it. Importing the package and scoring with a forest or KNN load no
+numpy.random either: seeding defines its numpy.random subclass on first
+use.
 """
 import json
 import os
@@ -17,6 +19,7 @@ import pytest
 import batteryauth
 from batteryauth.cli import main
 from batteryauth.io_csv import write_cycle_csv
+from batteryauth.models import KINDS
 from batteryauth.synth import demo_specs, gen_cycle, specs_to_json
 
 _SRC = os.path.dirname(os.path.dirname(os.path.abspath(batteryauth.__file__)))
@@ -109,3 +112,59 @@ def test_selection_run_loads_no_scipy(tmp_path):
     kept = json.loads((out / "report.json").read_text(encoding="utf-8"))["selection_kept"]
     assert kept and all(count >= 1 for count in kept.values())
     assert loaded["scipy"] == []
+
+
+# refuses every scipy import, as an install without scipy would, then runs
+# each argv list of the JSON list in argv[1] through the CLI
+_WITHOUT_SCIPY = """
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"No module named {name!r}")
+        return None
+
+sys.meta_path.insert(0, NoScipy())
+from batteryauth.cli import main
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+"""
+
+# one grid point per kind, so that a small run trains every kind
+_ONE_POINT = {
+    "AdaBoost": {"n_estimators": [10]},
+    "DecisionTree": {"criterion": ["gini"], "max_depth": [4]},
+    "GaussianNB": {"var_smoothing": [1e-9]},
+    "KNN": {"k": [1], "weights": ["uniform"]},
+    "NeuralNet": {"hidden": [8], "activation": ["relu"], "solver": ["adam"]},
+    "QDA": {"reg": [0.5]},
+    "RandomForest": {"criterion": ["gini"], "n_estimators": [5]},
+    "SVM": {"kernel": ["rbf"], "C": [1.0], "gamma": ["scale"]},
+}
+
+
+def test_every_kind_runs_and_scores_without_scipy(saved_models, tmp_path):
+    """`run` trains all eight kinds, then `authenticate --json` and `bench`
+    score the saved QDA file, all with scipy unimportable."""
+    assert set(_ONE_POINT) == set(KINDS)
+    _, sample = saved_models
+    (tmp_path / "cells.json").write_text(specs_to_json(demo_specs()[:2]), encoding="utf-8")
+    cfg = {
+        "pipeline": "dca",
+        "synth": {"specs": str(tmp_path / "cells.json"), "cells_per_spec": 3,
+                  "records_per_cell": 5, "n_points": 128, "seed": 4},
+        "models": [{"kind": k, "grid": g} for k, g in _ONE_POINT.items()],
+        "eval": {"seed": 1, "folds": 3, "targets": ["model"], "balances": [50]},
+    }
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg), encoding="utf-8")
+    out = tmp_path / "out"
+    qda = str(out / "model_ident_model_identification_QDA.json")
+    commands = [
+        ["run", "--config", str(tmp_path / "cfg.json"), "--output-dir", str(out)],
+        ["authenticate", "--model", qda, "--sample", sample, "--json"],
+        ["bench", "--model", qda, "--sample", sample, "--repeats", "1"],
+    ]
+    stdout, loaded = _probe(_WITHOUT_SCIPY, json.dumps(commands))
+    assert loaded["scipy"] == []
+    assert {f"model_ident_model_identification_{k}.json" for k in KINDS} <= set(os.listdir(out))
+    assert '"model_kind": "QDA"' in stdout
+    assert "\nQDA,identification," in stdout

@@ -41,7 +41,7 @@ from batteryauth.models import (
     train,
 )
 from batteryauth.explain import mdi_importance
-from batteryauth.models import boost, neural, svm, tree
+from batteryauth.models import boost, neural, qda, svm, tree
 from batteryauth.models.base import _MODULES, derived_model
 from batteryauth.models.neighbors import squared_distances
 from batteryauth.models.persist import _decode, _encode
@@ -565,6 +565,30 @@ class TestQda:
         m = _train("QDA", {"reg": 0.5}, X, y)
         assert (predict(m, X) == y).all()
 
+    @pytest.mark.parametrize("reg", [0.0, 0.5])
+    @pytest.mark.parametrize("d", [5, 32, 33, 137])
+    def test_log_posteriors_match_a_triangular_solve(self, d, reg):
+        # scipy is a test-only reference: per class, the Cholesky factor of
+        # the regularized covariance and a triangular solve, as the package
+        # scored before it stored inverse factors; d > 32 takes the block path
+        from scipy.linalg import solve_triangular
+
+        rng = np.random.default_rng(d)
+        X = np.vstack([rng.normal(c, 1.0, (2 * d, d)) for c in (0.0, 0.7, 1.5)])
+        y = np.repeat([0, 1, 2], 2 * d)
+        m = _train("QDA", {"reg": reg}, X, y)
+        Xs = m.standardizer.transform(X)
+        probe = m.standardizer.transform(rng.normal(0.7, 1.5, (25, d)))
+        for rows in (probe[:1], probe):
+            expected = np.empty((len(rows), 3))
+            for c in range(3):
+                cov = np.cov(Xs[y == c], rowvar=False)
+                L = np.linalg.cholesky((1 - reg) * cov + reg * np.trace(cov) / d * np.eye(d))
+                z = solve_triangular(L, (rows - Xs[y == c].mean(axis=0)).T, lower=True)
+                expected[:, c] = (math.log(1 / 3) - np.log(np.diag(L)).sum()
+                                  - 0.5 * np.square(z).sum(axis=0) - 0.5 * d * math.log(2 * math.pi))
+            assert np.allclose(qda.log_posteriors(m.params, rows), expected, rtol=1e-12, atol=0)
+
 
 class TestSvm:
     def test_linear_separable_perfect(self):
@@ -1060,6 +1084,42 @@ class TestArrayCodec:
         with pytest.raises(FormatVersionMismatch, match="'parameters.state.sv'"):
             model_from_json_dict(env)
 
+    def test_old_cholesky_layout_is_refused(self):
+        X, y = _blobs(n_per=15, centers=(0.0, 2.5, 5.0))
+        env = model_to_json_dict(_train("QDA", {"reg": 0.1}, X, y))
+        state = env["parameters"]["state"]
+        state["chols"] = _encode(np.linalg.inv(_decode(state.pop("whiten"))))
+        with pytest.raises(FormatVersionMismatch, match="'parameters.state.whiten'"):
+            model_from_json_dict(env)
+
+    @pytest.mark.parametrize("kind,hp,field,cut", [
+        ("SVM", {"kernel": "rbf", "C": 1.0, "gamma": "scale"}, "sv", lambda a: a[:, :-1]),
+        ("KNN", {"k": 1, "weights": "uniform"}, "train_x", lambda a: a[:, :-1]),
+        ("NeuralNet", {"hidden": 4, "activation": "relu", "solver": "adam"}, "w1", lambda a: a[:-1]),
+        ("GaussianNB", {"var_smoothing": 1e-9}, "means", lambda a: a[:, :-1]),
+        ("QDA", {"reg": 0.5}, "means", lambda a: a[:, :-1]),
+        ("QDA", {"reg": 0.5}, "whiten", lambda a: a[:, :-1, :-1]),
+    ], ids=["SVM-sv", "KNN-train_x", "NeuralNet-w1", "GaussianNB-means", "QDA-means", "QDA-whiten"])
+    def test_state_of_another_width_is_refused_at_load(self, kind, hp, field, cut):
+        # each of these loaded, and scoring then died on a numpy broadcast
+        X, y = _blobs(n_per=12, d=4)
+        env = model_to_json_dict(_train(kind, hp, X, y))
+        state = env["parameters"]["state"]
+        state[field] = _encode(np.ascontiguousarray(cut(_decode(state[field]))))
+        with pytest.raises(FormatVersionMismatch, match="does not score rows of the standardizer's 4 features"):
+            model_from_json_dict(env)
+
+    def test_tree_table_of_another_width_is_refused_at_load(self):
+        # split feature ids stay in range, so the table scores 4-wide rows;
+        # its importances claim a fifth feature
+        X, y = _blobs(n_per=12, d=4)
+        env = model_to_json_dict(_train("RandomForest", {"criterion": "gini", "n_estimators": 3}, X, y))
+        trees = env["parameters"]["state"]["trees"]
+        wide = _decode(trees["importances"])
+        trees["importances"] = _encode(np.hstack([wide, np.zeros((len(wide), 1))]))
+        with pytest.raises(FormatVersionMismatch, match="tree importances are 5 features wide"):
+            model_from_json_dict(env)
+
     def test_non_array_where_an_array_belongs_names_the_field(self):
         X, y = _blobs(n_per=8)
         env = model_to_json_dict(_train("GaussianNB", {"var_smoothing": 1e-9}, X, y))
@@ -1174,7 +1234,10 @@ class TestGoldenSolverModels:
     are those of the second-order (WSS2) SMO solver, and the file pins and
     the two 3-class output pins those of the shared support-vector block
     (one kernel product sums the machines' terms in another order, so the
-    3-class margins moved by at most 4.4e-15, with equal labels)."""
+    3-class margins moved by at most 4.4e-15, with equal labels). Both QDA
+    pins are those of the stored inverse Cholesky factor (``whiten``, one
+    product in place of a triangular solve): its scores moved by at most
+    3.3e-15 from the solve's, with equal labels."""
 
     CASES = [
         ("SVM", 2, {"kernel": "linear", "C": 1.0, "gamma": "scale"},
@@ -1202,8 +1265,8 @@ class TestGoldenSolverModels:
          "0af083ebc61b205aefe0dd8f36266c3c8ae8adaaf0577c6f81515e84e4eb0d70",
          "7a8ddcfd97ead9cc4d6302c87069213bc4b7fcb06dd1da5c8f4757cdaf274bb8"),
         ("QDA", 3, {"reg": 0.1},
-         "84739048adaf3d8dfc75c3f88a6514d807f2a5689c3ff8e0cb40cf2ea6544100",
-         "470e41b631c9dcba0760f4f9ea3a0728bfb2c59ebb83eb1d958af8deecda6d9e"),
+         "6277870013d9ae0d01485d9c8e127b4f7302c8bdaf77d49d48054977984019e5",
+         "016c6cfde0c366c907686882296240c2c84725cf3e05c33a74e8d63c86973628"),
         ("AdaBoost", 3, {"n_estimators": 200},
          "c3d6eef15ba2c35c91f5b837fb56baa1abf9c7bebb6457c872b533cd74043f26",
          "b2b16134e49c47c48cbcb75ad9d44614447cb2e8d36e8813f5ba2ed8f7453a38"),

@@ -1,10 +1,11 @@
 """Whole-run byte identity: the sha256 of every file `batteryauth run`
-writes (report.json, report.csv and each model file) on two benchmark
-workload configs. A change meant to keep results keeps all of them; a
-change to results names what moved and why, and records new pins.
+writes (report.json, report.csv and each model file) on the three
+benchmark workload configs. A change meant to keep results keeps all of
+them; a change to results names what moved and why, and records new pins.
 
-The dca-solvers workload is left out: its QDA files depend on the number
-of BLAS threads.
+The six QDA model files of dca-solvers are counted but not pinned: their
+last bits depend on the number of BLAS threads. Its reports and its 18
+other model files are pinned.
 """
 import hashlib
 import json
@@ -16,9 +17,8 @@ from batteryauth.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# Inline copies of the "config" entries of WORKLOADS["dca-trees"] and
-# WORKLOADS["eis-screen"] in perfbench/run.py; the preset path is relative
-# to the repository root, as there.
+# Inline copies of the "config" entries of WORKLOADS in perfbench/run.py;
+# the preset path is relative to the repository root, as there.
 _PRESET = "perfbench/presets/hard_cells.json"
 _EVAL = {"seed": 7, "balances": [50], "folds": 3, "train_ratio": 0.5}
 CONFIGS = {
@@ -38,9 +38,66 @@ CONFIGS = {
         "models": [{"kind": "RandomForest", "grid": {"n_estimators": [50]}}, {"kind": "KNN"}],
         "eval": {**_EVAL, "targets": ["architecture"]},
     },
+    "dca-solvers": {
+        "pipeline": "dca", "threads": 1,
+        "synth": {"specs": _PRESET, "cells_per_spec": 2, "records_per_cell": 4,
+                  "n_points": 256, "seed": 7},
+        "selection": {"enabled": False},
+        "models": [{"kind": "SVM", "grid": {"kernel": ["linear", "rbf"], "C": [0.1, 1.0],
+                                            "gamma": ["scale"]}},
+                   {"kind": "AdaBoost"}, {"kind": "QDA", "grid": {"reg": [0.1, 0.5]}},
+                   {"kind": "NeuralNet", "grid": {"hidden": [50], "activation": ["relu"],
+                                                  "solver": ["adam"]}}],
+        "eval": {**_EVAL, "targets": ["model"]},
+    },
 }
 
+# the number of QDA model files a run writes, which the pins leave out
+QDA_FILES = {"dca-trees": 0, "eis-screen": 0, "dca-solvers": 6}
+
 PINS = {
+    "dca-solvers": {
+        "model_auth_model_authentication_alpha_50_AdaBoost.json":
+            "37827ddd34ae1f6e2dc3701b61d1c75b0805cdbac4b46df23442e5ebf82528c2",
+        "model_auth_model_authentication_alpha_50_NeuralNet.json":
+            "990ed98de4dde9c122fce6ba3965966ed09f51bf14759be564f05ae079674d75",
+        "model_auth_model_authentication_alpha_50_SVM.json":
+            "4974b582a495ece5b4de7a4c52bee263ab87384705f6e5d9296b7b6760435cbf",
+        "model_auth_model_authentication_bravo_50_AdaBoost.json":
+            "4bf04d149794d7bcbc9a67832d6da1adef6f6d038fed162dcd27bfae0b32006e",
+        "model_auth_model_authentication_bravo_50_NeuralNet.json":
+            "cdbeb2d27033a8d5179b9f4e4fafeaeaabac9feade5a539c85bcf17c29ab361e",
+        "model_auth_model_authentication_bravo_50_SVM.json":
+            "3f785d133f7521c7bff01792437d0685fc1fcfdb636ce5f67e8e2afdda54b3fe",
+        "model_auth_model_authentication_charlie_50_AdaBoost.json":
+            "a97e1236908ac96f1fcc6e0dfa973103c4ba531e118e02f4a37f812d37f840c3",
+        "model_auth_model_authentication_charlie_50_NeuralNet.json":
+            "f24fe8c14b31f832d02656b514ca0e2cb6f87821ab579985f1d66b166dfce999",
+        "model_auth_model_authentication_charlie_50_SVM.json":
+            "8219d97b8386b116d894b0ee518c7d269309a447ab4a57b1d78f657b81c132d5",
+        "model_auth_model_authentication_delta_50_AdaBoost.json":
+            "d08381ee935d024a6d21457efe714ac04f238f656c58954c16c036342f0efdf3",
+        "model_auth_model_authentication_delta_50_NeuralNet.json":
+            "69f46b7a6f2888176a727ac52e22c8f1593c1681fa117b694e894f86f62d6ddd",
+        "model_auth_model_authentication_delta_50_SVM.json":
+            "737daf3f044f10539ce337c13e1ada476b9b30f1344c7eb719bda8d8231144b9",
+        "model_auth_model_authentication_echo_50_AdaBoost.json":
+            "c1b8106f8ade95af6a96ab4224a4abcf5d1e8c112f3c8a62005a64d4aa6933ae",
+        "model_auth_model_authentication_echo_50_NeuralNet.json":
+            "c5254788d26e3778e48229692a05a5d7b1a3badefdeefcab1df03098e7d23986",
+        "model_auth_model_authentication_echo_50_SVM.json":
+            "442909186c2b19e73a0f1c6db27d253cdb29ece3fe7763914835b76e2c1a5b40",
+        "model_ident_model_identification_AdaBoost.json":
+            "57f2aee642223728f8e29aaaea4e3629ec6a65d3ec2326e0803479a5b9f0566f",
+        "model_ident_model_identification_NeuralNet.json":
+            "bf0e9ae6ebca67ebf4c57a4753316d22e9cfa4d72cecdc1f1e0f18a37b077a96",
+        "model_ident_model_identification_SVM.json":
+            "f2c1488d61400fb330e4a0b3f632da0ddadc29765d6e2cd05f84590be2f36ea6",
+        "report.csv":
+            "aa27f0197537175da2d55db0297a161d5f74efd2e2d352747f128baaf225bd13",
+        "report.json":
+            "24a27c5a0c0460b417bbd7baecd2c1b265a4b3e86b1f3a1eb18efb8d29ab20d0",
+    },
     "dca-trees": {
         "model_auth_arch_authentication_layered-oxide_50_DecisionTree.json":
             "48c7905c826f22c7aea87ac0016f87e70bb98e87e3dadbc06f8e6e8ee4999367",
@@ -163,4 +220,7 @@ def _run(workload, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("workload", sorted(CONFIGS))
 def test_run_writes_the_pinned_bytes(workload, tmp_path, monkeypatch, capsys):
-    assert _run(workload, tmp_path, monkeypatch) == PINS[workload]
+    digests = _run(workload, tmp_path, monkeypatch)
+    qda = [name for name in digests if name.endswith("_QDA.json")]
+    assert len(qda) == QDA_FILES[workload]
+    assert {name: h for name, h in digests.items() if name not in qda} == PINS[workload]
