@@ -155,6 +155,11 @@ def _parse_models(items, base_seed: int) -> Tuple[ModelSpec, ...]:
             enumerate_grid(spec)  # every grid point converts and is in bounds
         except BatteryAuthError as exc:
             raise ConfigError(f"{path}: {exc}") from exc
+        # runs keep one winner per kind, so a second spec of a kind would
+        # overwrite the first one's model file
+        first = next((j for j, other in enumerate(specs) if other.kind == spec.kind), None)
+        if first is not None:
+            raise ConfigError(f"{path}: kind {spec.kind!r} repeats models[{first}]")
         specs.append(spec)
     return tuple(specs)
 

@@ -30,8 +30,6 @@ DEFAULT_SAVGOL_WINDOW = 51
 DEFAULT_SAVGOL_POLYORDER = 3
 DEFAULT_RESAMPLE_N = 512
 
-STAGES = ("raw", "cleaned", "smoothed", "resampled")
-
 
 @dataclass(frozen=True)
 class DcaConfig:

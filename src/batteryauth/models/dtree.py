@@ -1,6 +1,6 @@
 """Single CART decision tree (all features considered at every split).
 
-The tree is a batch of one for the lockstep engine (``tree.grow_trees``)
+The tree is a batch of one for the growth engine (``tree.grow_trees``)
 and is kept, saved and walked as a one-tree ``tree.NodeTable``. A fit at
 a smaller ``max_depth`` is the fit at a larger one cut at that depth
 (``tree.cut``), so grid search fits each criterion once per fold and

@@ -1,21 +1,19 @@
 """Random forest: bootstrapped CART trees voting by majority.
 
-Each tree draws its bootstrap sample and its per-split feature subsets
-(sqrt of the feature count) from an RNG stream derived from (seed, tree
-index; ``seeding.rngs_from`` derives all of them in one pass), so training
-order and thread count cannot change the result.
-All trees grow in lockstep through one engine (``tree.grow_trees``): a
-tree's rows are its bootstrap indices into the shared matrix, and its
-feature subsets are drawn in its own pre-order, so every tree equals the
-one it would be grown alone. The forest is kept, saved and walked as one
-``tree.NodeTable``; predict walks all trees at once and counts the leaf
-labels as votes.
+A fit draws from one RNG stream, derived from (seed, "forest"): first
+every tree's bootstrap sample in one call, then the per-split feature
+subsets (sqrt of the feature count). All trees grow together through one
+engine (``tree.grow_trees``), which draws the subsets of each step's
+nodes in record order, so training order and thread count cannot change
+the result. A tree's rows are its bootstrap indices into the shared
+matrix. The forest is kept, saved and walked as one ``tree.NodeTable``;
+predict walks all trees at once and counts the leaf labels as votes.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from ..seeding import rngs_from
+from ..seeding import rng_from
 from .tree import grow_trees
 
 GRID = {"criterion": ["gini", "entropy"], "n_estimators": [100, 200]}
@@ -25,8 +23,8 @@ STATE = ("trees",)
 
 def fit(Xs: np.ndarray, y: np.ndarray, k: int, hp: dict, seed: int):
     n, d = Xs.shape
-    rngs = rngs_from(seed, "tree", count=int(hp["n_estimators"]))
-    samples = [rng.integers(0, n, size=n) for rng in rngs]
+    rng = rng_from(seed, "forest")
+    samples = rng.integers(0, n, size=(int(hp["n_estimators"]), n))
     trees = grow_trees(
         Xs,
         y,
@@ -34,7 +32,7 @@ def fit(Xs: np.ndarray, y: np.ndarray, k: int, hp: dict, seed: int):
         samples=samples,
         criterion=hp["criterion"],
         max_features=max(1, int(round(np.sqrt(d)))),
-        rngs=rngs,
+        rng=rng,
     )
     return {"trees": trees}, True
 

@@ -1,4 +1,4 @@
-"""CART trees grown in lockstep, and ensembles walked as one node table.
+"""CART trees grown level by level, and ensembles walked as one node table.
 
 Growth. ``grow_trees`` grows CART trees: a forest passes all of its trees
 at once, a DecisionTree is a batch of one (AdaBoost's stumps grow through
@@ -6,12 +6,17 @@ at once, a DecisionTree is a batch of one (AdaBoost's stumps grow through
 in scikit-learn's trees (Louppe, arXiv:1407.7502, ch. 5): one row
 permutation in which a node is a (start, size) segment that its split
 partitions stably in place, and one record per node, written a step's
-children at a time with class sums from one bincount. When feature
-subsets are drawn, a step pops one node per tree from that tree's stack,
-so each tree draws from its own RNG in its own pre-order; with nothing
-drawn, a step searches every splittable node. Table ids and importances
-follow pre-order at the end, so a tree grown in a batch equals the tree
-grown alone bit for bit.
+children at a time with class sums from one bincount. Each step searches
+every splittable node of every tree, in record order: the roots in tree
+order, then the children of the step before, left before right, in
+parent order. When feature subsets are drawn (max_features below the
+feature count, as a forest does; Breiman, Machine Learning 45(1), 2001),
+the step draws d uniform keys per node from the one ``rng``, a (nodes, d)
+array in record order, and a node's candidates are the features of its m
+smallest keys: a uniform m-subset. Table ids and importances follow
+pre-order at the end; with nothing drawn, the order of search changes no
+number, so a tree grown in a batch equals the tree grown alone bit for
+bit.
 
 Split search is exact: the candidate columns of each node are argsorted
 and every boundary between distinct adjacent values is scored by
@@ -243,15 +248,15 @@ def grow_trees(
     criterion: str = "gini",
     max_depth: Optional[int] = None,
     max_features: Optional[int] = None,
-    rngs: Optional[Sequence[np.random.Generator]] = None,
+    rng: Optional[np.random.Generator] = None,
     sample_weight: Optional[np.ndarray] = None,
 ) -> NodeTable:
-    """Grow one tree per entry of ``samples`` (row indices into X) in
-    lockstep, as one table in the order of ``samples``.
+    """Grow one tree per entry of ``samples`` (row indices into X) level
+    by level, as one table in the order of ``samples``.
 
-    Tree t trains on X[samples[t]] and draws its feature subsets from
-    rngs[t] (needed only when max_features < d); sample_weight, if given,
-    holds one weight per row of X.
+    Tree t trains on X[samples[t]]; the feature subsets of all trees are
+    drawn from rng (needed only when max_features < d); sample_weight, if
+    given, holds one weight per row of X.
     """
     if criterion not in CRITERIA:
         raise UnsupportedKind(f"criterion must be one of {CRITERIA}, got {criterion!r}")
@@ -290,16 +295,15 @@ def grow_trees(
     tree[:T], depth[:T] = np.arange(T), 0
     ids = add(0, sizes.cumsum() - sizes, sizes, tree[:T].repeat(sizes), perm)
     used = T
-    if draw is not None:
-        stacks, live = [[] for _ in range(T)], ids.tolist()     # root t is record t
     while len(ids):
         at, n = start[ids], size[ids]
         rows = [perm[a:a + m] for a, m in zip(at.tolist(), n.tolist())]
         parent_imp = _impurity(counts[ids].T, weight[ids], criterion)
         feats = None
         if draw is not None:
-            feats = np.sort(np.stack([rngs[t].choice(d, size=draw, replace=False) for t in live]),
-                            axis=1)
+            # each node's candidates: the features of its `draw` smallest keys
+            keys = rng.random((len(ids), d))
+            feats = np.sort(np.argpartition(keys, draw - 1, axis=1)[:, :draw], axis=1)
         found, feat, low, high, dec = _best_splits(X, y, w, rows, feats, k, criterion, parent_imp)
         retry = (~found).nonzero()[0] if feats is not None else ()
         if len(retry):
@@ -326,19 +330,8 @@ def grow_trees(
         tree[used:used + 2 * F] = tree[ids].repeat(2)
         if max_depth is not None:
             depth[used:used + 2 * F] = depth[ids].repeat(2) + 1
-        new = add(used, begin, length, kid, r)
+        ids = add(used, begin, length, kid, r)
         used += 2 * F
-        if draw is None:
-            # nothing is drawn, so the order of search cannot change a number:
-            # every splittable node of every tree is searched in the next step
-            ids = new
-        else:
-            # one node per tree per step, in each tree's pre-order: right
-            # child pushed first, so the left one pops first
-            for c, t in zip(new[::-1].tolist(), tree[new[::-1]].tolist()):
-                stacks[t].append(c)
-            live = [t for t in live if stacks[t]]
-            ids = np.array([stacks[t].pop() for t in live], dtype=np.intp)
     return _table(T, d, tree[:used], start[:used], size[:used], child[:used], feature, lo, hi,
                   decrease, weight, counts, root_weight)
 

@@ -239,6 +239,15 @@ class TestRun:
         assert len(err) == 1
         assert err[0].startswith(f"batteryauth.errors.ConfigError: models[0]: {model['kind']} grid point")
 
+    def test_repeated_kind_exits_2_before_any_fit(self, spec_file, tmp_path, capsys):
+        models = [{"kind": "KNN", "grid": {"k": [1]}}, {"kind": "KNN", "grid": {"k": [5]}}]
+        cfg_path = _write(tmp_path, "cfg.json", _config(spec_file, models=models))
+        out_dir = tmp_path / "out"
+        assert main(["run", "--config", cfg_path, "--output-dir", str(out_dir)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["batteryauth.errors.ConfigError: models[1]: kind 'KNN' repeats models[0]"]
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("where", ["eval", "synth", "models"])
     def test_negative_seed_exits_2(self, spec_file, tmp_path, capsys, where):
         cfg = _config(spec_file)

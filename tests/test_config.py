@@ -239,6 +239,15 @@ class TestModels:
             config_from_json_dict(_base(models=[{"kind": "KNN"}, {"kind": kind, "grid": grid}]))
         assert str(err.value).startswith(f"models[1]: {kind} grid point")
 
+    def test_repeated_kind_names_both_positions(self):
+        # one model file per kind: a second KNN would overwrite the first's
+        with pytest.raises(ConfigError) as err:
+            config_from_json_dict(_base(models=[
+                {"kind": "KNN", "grid": {"k": [1]}}, {"kind": "SVM"},
+                {"kind": "KNN", "grid": {"k": [5]}},
+            ]))
+        assert str(err.value) == "models[2]: kind 'KNN' repeats models[0]"
+
     def test_unknown_model_key(self):
         with pytest.raises(ConfigError) as err:
             config_from_json_dict(_base(models=[{"kind": "KNN", "seeed": 3}]))

@@ -8,6 +8,7 @@ import base64
 import hashlib
 import json
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -41,7 +42,7 @@ from batteryauth.models import (
     train,
 )
 from batteryauth.explain import mdi_importance
-from batteryauth.models import boost, neural, qda, svm, tree
+from batteryauth.models import boost, forest, neural, qda, svm, tree
 from batteryauth.models.base import _MODULES, derived_model
 from batteryauth.models.neighbors import squared_distances
 from batteryauth.models.persist import _decode, _encode
@@ -1184,15 +1185,17 @@ class TestGoldenTreeModels:
     on a fixed probe, as this code produced them. A change to split search,
     RNG draw order, tie-breaking or vote summation shows up here. File pins
     are those of model format 3; the output pins, checked on the trained
-    and the loaded model, predate it."""
+    and the loaded model, predate it, except RandomForest's: both of its
+    file and output pins are those of the one-stream forest (every tree
+    drawn from one rng_from(seed, "forest") Generator)."""
 
     CASES = [
         ("RandomForest", {"criterion": "gini", "n_estimators": 25},
-         "973df67f29d8de5e4bb80844e60eb00ea1f3c200809ebac716c6d4c3fc47d8df",
-         "a94bb8b8c74e266dc6c43bc3be49d2d25389be850f9963b9672721b4deb5e384"),
+         "aede05cb7250dee2de4cf3b31d8ce5b7da26fc1c1f6542518e3b4ab8234b2785",
+         "8a5bced945b1a2c2cb6003b07412eeee8fdc53085d7b077f49424be0dd35df28"),
         ("RandomForest", {"criterion": "entropy", "n_estimators": 25},
-         "06a95657cb80c974dd80685639bce5eea84ba6aa047a0eb6d451410faf7eea9f",
-         "12b3970783df1391b89df5571f1c6e2398aac74d530f221ef4ad367d0ed2c7b0"),
+         "498d4f5caefae7caeb23c4043fb172a39d715ae9495f3d50b48a75a513cc6b97",
+         "33a5629de7e14dc06be5a1af2e6f5ff1fdc33a0a30c793b32d313ff4e9224fbf"),
         ("DecisionTree", {"criterion": "gini", "max_depth": 4},
          "090cf7b9629b348b70a22ccca9cb0b8fa304ea871f93ea72f938d1ce9c11fab8",
          "db8aac58afd1b3ef47c3f3b43959212b0456a8273f157fc27f763bc45a4f99a3"),
@@ -1523,10 +1526,10 @@ class TestTreeEngineOracle:
         X[:, 0], X[:, 2], X[:, 3] = 1.0, -2.0, 0.5
         X[:, 1] = np.round(rng.standard_normal(16), 1)
         y = (X[:, 1] > 0).astype(int)
-        seed = next(s for s in range(100)
-                    if np.random.default_rng(s).choice(4, size=1, replace=False)[0] != 1)
+        # a one-feature draw takes the feature of the smallest of four keys
+        seed = next(s for s in range(100) if np.random.default_rng(s).random(4).argmin() != 1)
         tree = grow_trees(X, y, 2, [np.arange(16)], max_features=1,
-                          rngs=[np.random.default_rng(seed)])
+                          rng=np.random.default_rng(seed))
         assert tree.feature[0] == 1
         _check_brute_force(tree, X, y, np.ones(16), 2, "gini")
 
@@ -1552,30 +1555,20 @@ class TestTreeEngineOracle:
 
     @pytest.mark.parametrize("criterion,weighted", [("gini", False), ("entropy", True)])
     def test_lockstep_equals_one_at_a_time(self, criterion, weighted):
-        # bootstrap samples of different lengths give nodes of mixed sizes in
-        # every step, so padding is exercised from the root on
+        # with no feature draws, a tree grown in a batch is the tree grown
+        # alone; bootstrap samples of different lengths give nodes of mixed
+        # sizes in every step, so padding is exercised from the root on
         rng = np.random.default_rng(21)
         X = np.round(rng.standard_normal((60, 9)), 1)
         X[:, 4] = 0.0
         y = rng.integers(0, 3, 60)
         w = rng.uniform(0.1, 3.0, 60) if weighted else None
         T = 9
-
-        def streams():
-            return [np.random.default_rng([77, t]) for t in range(T)]
-
         sizes = [5, 60, 12, 33, 2, 47, 60, 8, 21]
-        samples = [r.integers(0, 60, size=s) for r, s in zip(streams(), sizes)]
-        rngs = streams()
-        for r, s in zip(rngs, sizes):
-            r.integers(0, 60, size=s)                    # same stream position
-        together = grow_trees(X, y, 3, samples, criterion=criterion, max_features=3,
-                              rngs=rngs, sample_weight=w)
-        rngs = streams()
-        for r, s in zip(rngs, sizes):
-            r.integers(0, 60, size=s)
-        alone = [grow_trees(X, y, 3, [samples[t]], criterion=criterion, max_features=3,
-                            rngs=[rngs[t]], sample_weight=w) for t in range(T)]
+        samples = [rng.integers(0, 60, size=s) for s in sizes]
+        together = grow_trees(X, y, 3, samples, criterion=criterion, sample_weight=w)
+        alone = [grow_trees(X, y, 3, [samples[t]], criterion=criterion, sample_weight=w)
+                 for t in range(T)]
         assert len({len(b.feature) for b in alone}) > 2
         assert together.roots.tolist() == np.cumsum([0] + [len(b.feature) for b in alone[:-1]]).tolist()
         for t, b in enumerate(alone):
@@ -1602,52 +1595,66 @@ def join(parts):
 
 
 def _grow_reference(X, y, k, samples, criterion="gini", max_depth=None, max_features=None,
-                    rngs=None, sample_weight=None):
-    """The bookkeeping reference for ``grow_trees``: each tree grown alone
-    by recursion in pre-order, one ``_best_splits`` search per node, its
-    feature subsets drawn from its own RNG in pre-order, its rows split by
-    boolean masks and its class sums added one node at a time."""
+                    rng=None, sample_weight=None):
+    """The bookkeeping reference for ``grow_trees``: one node at a time, one
+    ``_best_splits`` search per node, its rows split by boolean masks and its
+    class sums added one node at a time. Nodes are visited breadth first over
+    all trees, the engine's step order: the roots in tree order, then
+    children, left before right, in parent order. Each splittable node draws
+    ``rng.random(d)`` in that order, and its candidates are the features of
+    its max_features smallest keys. Each tree is then emitted by recursion in
+    pre-order, its importances added in that order."""
     d = X.shape[1]
     w = sample_weight
     draw = max_features is not None and max_features < d
+    roots = [{"depth": 0, "rows": np.asarray(s, dtype=np.intp)} for s in samples]
+    root_weight = [float(len(s)) if w is None else float(w[s].sum()) for s in samples]
+    queue = deque(roots)
+    while queue:
+        node = queue.popleft()
+        rows = node["rows"]
+        c = np.bincount(y[rows], weights=None if w is None else w[rows], minlength=k)
+        node["counts"] = c = c.astype(float)
+        weight = node["weight"] = c.sum()
+        if ((c != 0).sum() < 2 or not weight > 0 or len(rows) < 2
+                or (max_depth is not None and node["depth"] >= max_depth)):
+            continue
+        parent_imp = _impurity(c[:, None], np.array([weight]), criterion)
+        feats = np.sort(np.argsort(rng.random(d))[:max_features])[None] if draw else None
+        found, f, lo, hi, decrease = _best_splits(X, y, w, [rows], feats, k, criterion, parent_imp)
+        if draw and not found[0]:
+            found, f, lo, hi, decrease = _best_splits(X, y, w, [rows], None, k, criterion,
+                                                      parent_imp)
+        if not found[0]:
+            continue
+        f, lo, hi = int(f[0]), float(lo[0]), float(hi[0])
+        thr = lo + 0.5 * (hi - lo)
+        node["split"] = f, (thr if lo <= thr < hi else lo), float(decrease[0])
+        go = X[rows, f] <= node["split"][1]
+        node["kids"] = [{"depth": node["depth"] + 1, "rows": part} for part in (rows[go], rows[~go])]
+        queue.extend(node["kids"])
+
     tables = []
-    for t, sample in enumerate(samples):
+    for t, root in enumerate(roots):
         feature, threshold, left, right, counts = [], [], [], [], []
         importances = np.zeros((1, d))
-        root_weight = float(len(sample)) if w is None else float(w[sample].sum())
 
-        def visit(rows, depth):
-            node = len(feature)
-            c = np.bincount(y[rows], weights=None if w is None else w[rows], minlength=k)
-            c = c.astype(float)
+        def emit(node):
+            at = len(feature)
             feature.append(-1)
             threshold.append(0.0)
             left.append(-1)
             right.append(-1)
-            counts.append(c)
-            weight = c.sum()
-            if ((c != 0).sum() < 2 or not weight > 0 or len(rows) < 2
-                    or (max_depth is not None and depth >= max_depth)):
-                return node
-            parent_imp = _impurity(c[:, None], np.array([weight]), criterion)
-            feats = np.sort(rngs[t].choice(d, size=max_features, replace=False))[None] if draw else None
-            found, f, lo, hi, decrease = _best_splits(X, y, w, [rows], feats, k, criterion, parent_imp)
-            if draw and not found[0]:
-                found, f, lo, hi, decrease = _best_splits(X, y, w, [rows], None, k, criterion,
-                                                          parent_imp)
-            if not found[0]:
-                return node
-            f, lo, hi = int(f[0]), float(lo[0]), float(hi[0])
-            thr = lo + 0.5 * (hi - lo)
-            thr = thr if lo <= thr < hi else lo
-            feature[node], threshold[node] = f, thr
-            importances[0, f] += (weight / root_weight) * float(decrease[0])
-            go = X[rows, f] <= thr
-            left[node] = visit(rows[go], depth + 1)
-            right[node] = visit(rows[~go], depth + 1)
-            return node
+            counts.append(node["counts"])
+            if "split" in node:
+                f, thr, decrease = node["split"]
+                feature[at], threshold[at] = f, thr
+                importances[0, f] += (node["weight"] / root_weight[t]) * decrease
+                left[at] = emit(node["kids"][0])
+                right[at] = emit(node["kids"][1])
+            return at
 
-        visit(np.asarray(sample, dtype=np.intp), 0)
+        emit(root)
         ids = np.int32
         tables.append(NodeTable(np.zeros(1, ids), np.array(feature, ids), np.array(threshold),
                                 np.array(left, ids), np.array(right, ids),
@@ -1681,16 +1688,15 @@ class TestGrowthBookkeepingOracle:
 
     FIELDS = ("roots", "feature", "threshold", "left", "right", "counts", "importances")
 
-    def _check(self, X, y, k, samples, **options):
-        def streams():
-            return [np.random.default_rng([99, t]) for t in range(len(samples))]
-
-        got = grow_trees(X, y, k, samples, rngs=streams(), **options)
-        want = _grow_reference(X, y, k, samples, rngs=streams(), **options)
+    def _same(self, got, want):
         for field in self.FIELDS:
             a, b = getattr(got, field), getattr(want, field)
             assert a.dtype == b.dtype and a.shape == b.shape, field
             assert a.tobytes() == b.tobytes(), field
+
+    def _check(self, X, y, k, samples, **options):
+        got = grow_trees(X, y, k, samples, rng=np.random.default_rng(99), **options)
+        self._same(got, _grow_reference(X, y, k, samples, rng=np.random.default_rng(99), **options))
         return got
 
     @pytest.mark.parametrize("seed", range(40))
@@ -1712,8 +1718,7 @@ class TestGrowthBookkeepingOracle:
                             lambda *a: retried.append(a[4] is None) or search(*a))
         for X, y, k, samples, options in cases:
             if options["max_features"] is not None and options["max_features"] < X.shape[1]:
-                grow_trees(X, y, k, samples, rngs=[np.random.default_rng([99, t])
-                                                   for t in range(len(samples))], **options)
+                grow_trees(X, y, k, samples, rng=np.random.default_rng(99), **options)
         assert any(retried)
 
     def test_two_hundred_row_forest(self):
@@ -1723,6 +1728,22 @@ class TestGrowthBookkeepingOracle:
         samples = [rng.integers(0, 200, size=200) for _ in range(25)]
         table = self._check(X, y, 4, samples, criterion="entropy", max_features=4)
         assert len(table.feature) > 25 * 20
+
+    @pytest.mark.parametrize("seed,criterion", [(0, "gini"), (1, "entropy"), (2, "gini")])
+    def test_forest_fit_draws_from_one_stream(self, seed, criterion):
+        # the stream contract of a forest fit: one Generator from
+        # rng_from(seed, "forest"), all bootstrap samples in one call, then
+        # the node keys of every step
+        rng = np.random.default_rng(300 + seed)
+        n, d, k, T = 40, 17, 3, 12
+        X = np.round(rng.standard_normal((n, d)), 1)
+        y = rng.integers(0, k, n)
+        params, _ = forest.fit(X, y, k, {"criterion": criterion, "n_estimators": T}, seed)
+        stream = rng_from(seed, "forest")
+        samples = stream.integers(0, n, size=(T, n))
+        want = _grow_reference(X, y, k, list(samples), criterion=criterion, max_features=4,
+                               rng=stream)
+        self._same(params["trees"], want)
 
 
 def _boost_by_grow_trees(X, y, k, n_estimators):

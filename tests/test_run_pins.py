@@ -106,7 +106,7 @@ PINS = {
         "model_auth_arch_authentication_layered-oxide_50_KNN.json":
             "e4242cfbf71242d8cfb82981d7725c1fdc4af46288d771fbf94f1315f0bfe6e4",
         "model_auth_arch_authentication_layered-oxide_50_RandomForest.json":
-            "2b1197b8cdaac8c354d9bc3e5ae35b3004eae2786e7aa60ebe62ca1cbec8ede1",
+            "fb074a0aa1a1197b50e92aa3ccc2f32f7b42ff11471e9ec8b0f851ecdea847d0",
         "model_auth_arch_authentication_olivine_50_DecisionTree.json":
             "5d2485bd14f7df136aa90d91c0a8f6e542259d087d241212082b93734da21350",
         "model_auth_arch_authentication_olivine_50_GaussianNB.json":
@@ -114,7 +114,7 @@ PINS = {
         "model_auth_arch_authentication_olivine_50_KNN.json":
             "1463451879c69cac37dac7e177ed600bd96a73c5d53dd3cf7889e7d3a8ecccef",
         "model_auth_arch_authentication_olivine_50_RandomForest.json":
-            "2d6c09554cb71eb079111f3b4bfb2656f23ce5c7745db6a9e4795cd90bce0278",
+            "0ac8debeddd8f1f82175c595762b6213a7d70edd76eda356821d51c5991c4d71",
         "model_auth_arch_authentication_spinel_50_DecisionTree.json":
             "00b8dd424efcc6dd1aaed161fdc0a0424b40e28bcea0d7a0a777a5dee72dcd10",
         "model_auth_arch_authentication_spinel_50_GaussianNB.json":
@@ -122,7 +122,7 @@ PINS = {
         "model_auth_arch_authentication_spinel_50_KNN.json":
             "b000ca7cebe2e73a6b841dc86de4d666debb17bde364ad4015901dfac49fc2c8",
         "model_auth_arch_authentication_spinel_50_RandomForest.json":
-            "5f8c96df9960b378e8eedefbc958d85cd39bacb6dede9ef7ee60a3b9c658a6cc",
+            "925401209e5c38902a500e1af255c4b0c11745e694c800744978a53897c4feeb",
         "model_auth_model_authentication_alpha_50_DecisionTree.json":
             "0c98a192984b5c81273112454f478b3c4d912733ed84fe3c04e3ec69ba884550",
         "model_auth_model_authentication_alpha_50_GaussianNB.json":
@@ -130,7 +130,7 @@ PINS = {
         "model_auth_model_authentication_alpha_50_KNN.json":
             "d9fa07adc91d8a8908429b26227f553e5b2f79ab766966f0a22348cf5256da96",
         "model_auth_model_authentication_alpha_50_RandomForest.json":
-            "b48647e038ae98a208a9036a53128ea30d34eb323a4e5536e97d07756fd2ff87",
+            "55e3a8317147caf2a68078f731fb631af7d771f6598e423e1596cbc293dee8f8",
         "model_auth_model_authentication_bravo_50_DecisionTree.json":
             "b34efcd119614e3df2a71305e882add5ca54a0bd67609c15aacf73f52dbf27c0",
         "model_auth_model_authentication_bravo_50_GaussianNB.json":
@@ -138,7 +138,7 @@ PINS = {
         "model_auth_model_authentication_bravo_50_KNN.json":
             "4579b617edd26deeb857aa5fe59efcebae491b4de882ceca079bf893dbb70dd6",
         "model_auth_model_authentication_bravo_50_RandomForest.json":
-            "27f27ec786155ddc6cdccca2b32d278f5a02ae345c756a0428ac0b252f14c538",
+            "5b976ad18132793f64787f1f906d56157fdd27c678e1431053e8b8a8ca8f73c0",
         "model_auth_model_authentication_charlie_50_DecisionTree.json":
             "b5065d2618213611244ac3e3cbe94028d6a98ef80708d1146d5bbb362fd9e3e2",
         "model_auth_model_authentication_charlie_50_GaussianNB.json":
@@ -146,7 +146,7 @@ PINS = {
         "model_auth_model_authentication_charlie_50_KNN.json":
             "a9f87fc94e5fbeb33f53d90687b1cf2a3037b91ede7cbf5aa643d8c13876fcb8",
         "model_auth_model_authentication_charlie_50_RandomForest.json":
-            "e1629e780b7d778e716bd45b6acfdc014f043a7cbaca9a018baf854a0c1b43ec",
+            "01b710f1eb2bfc14a130103e32c9b86d5ed2c8e3f0e7c5ea5d6c14aae0873934",
         "model_auth_model_authentication_delta_50_DecisionTree.json":
             "39c859cd7800c9caba570b7eddc5e89a3cfe6a55b421591cdcb9fb84f4714ad7",
         "model_auth_model_authentication_delta_50_GaussianNB.json":
@@ -154,7 +154,7 @@ PINS = {
         "model_auth_model_authentication_delta_50_KNN.json":
             "291ba992b1dd3845422b2d7098a1213ad09b02db3a00b002977de27743ba24d0",
         "model_auth_model_authentication_delta_50_RandomForest.json":
-            "9ece6f126c911e790059a6f8bdd4b8c9f8454a60f73fea7360e40e95a56ef219",
+            "62068fbb72c8b143f0bdf39f3c129f5e1e0e1bbcef178b2f74d3a181b8943838",
         "model_auth_model_authentication_echo_50_DecisionTree.json":
             "4f775fd849e2b2256a0347e4e8456bdab77a298237387534c6472524072c7632",
         "model_auth_model_authentication_echo_50_GaussianNB.json":
@@ -162,7 +162,7 @@ PINS = {
         "model_auth_model_authentication_echo_50_KNN.json":
             "e66b9cd1834f154f561e0dd81a52cc8a3f12198253935462d34bf69359834c56",
         "model_auth_model_authentication_echo_50_RandomForest.json":
-            "4bf883c003cde11fef55fdcb8f1b55027f9d0c149392e17e798db8d9e9921479",
+            "8dfcfe26047b5d32879ecd4afd573133cc4279235905cb4b63b0883a902a519b",
         "model_ident_arch_identification_DecisionTree.json":
             "d55608c6487aea32e120ed18065ca40ceeeaafc969469a6b7c9f410bd8d4cc23",
         "model_ident_arch_identification_GaussianNB.json":
@@ -170,7 +170,7 @@ PINS = {
         "model_ident_arch_identification_KNN.json":
             "f7130094c8d1225273578d133f35d413db51cc81b736c44351c90a4221f5bf66",
         "model_ident_arch_identification_RandomForest.json":
-            "71efb523993aec7bb7fff229bb613b6fde5f21854d457cf57b99d608054bb2ed",
+            "774be41c4da87eb2bebbbb15b119a14fad3a39948216264ff8692ebf9ad4ab2b",
         "model_ident_model_identification_DecisionTree.json":
             "814d900c206f99322a717670e9d8fe350513c89e41628e5939b5bcf9daddad75",
         "model_ident_model_identification_GaussianNB.json":
@@ -178,33 +178,33 @@ PINS = {
         "model_ident_model_identification_KNN.json":
             "0a185f86c0784bf05112c2428652d2932c55117ff59d878e98c63d334b31efd0",
         "model_ident_model_identification_RandomForest.json":
-            "6f8fb35d6cc584e84443a603ae1bd6382c585b54af38240864ac3c9889867d11",
+            "bb5a95a0339218d1af1e3fefe60d616b6af756e5c9cdb349b7c799a526848664",
         "report.csv":
-            "d1ce310cec1716f26edcb01f8a435aca2ccb9d7c8eb5339bfc2fdc0cc882abee",
+            "b1abb115b3307372fb19cad66ffc09f2be9b0fa4bb44952650b6fb0908cb2cca",
         "report.json":
-            "4188c09a947c8cfa4eead8770f1de736e6954b832dcfaee93ab0e6c22028e7f5",
+            "dfef52c62c1a49a3c778d6d6e7c753ef049bf215f4a3be3bd54e8fe666199760",
     },
     "eis-screen": {
         "model_auth_arch_authentication_layered-oxide_50_KNN.json":
             "ae7e8b49eb04ca480a3cff2dbfb6e3729347f5fb00a6e73a13a117938a62c65d",
         "model_auth_arch_authentication_layered-oxide_50_RandomForest.json":
-            "9519eb544ee65d63a2519308ac1a96592cb603cd6e94162936b8b130b48f2d2b",
+            "67578fa7a76f4bfcacd0e39ffd3998cc49a4f1773eb918086240c63da020e969",
         "model_auth_arch_authentication_olivine_50_KNN.json":
             "199478f4d3ae2e6b62545d90c664c6a1cfbca4c0f540c77deabb7c7f5da19b46",
         "model_auth_arch_authentication_olivine_50_RandomForest.json":
-            "87168a4036bfa23386ed5eb376b3684edbe6ed841a52ded117bb6d26b9f42f2b",
+            "73a6ba1530839b14a8d3554a1dc8c3fc1cab74f2542557e99f04955db59b331f",
         "model_auth_arch_authentication_spinel_50_KNN.json":
             "49cdba3bf2799fbdf851184dd869befcba160514719ad4e1cb79fc34f140a360",
         "model_auth_arch_authentication_spinel_50_RandomForest.json":
-            "1fc99df2ee2aafa3d1d7feffb80ea4797ec510c10270a635e1afb4c440a90101",
+            "7a5284abc7030504784584bc534490c4ce3c27de82a21e16be3a4779441e498b",
         "model_ident_arch_identification_KNN.json":
             "a182df63d54cd0e1a6e20b59ac336a2888166c0a9182652e31396e45921c689c",
         "model_ident_arch_identification_RandomForest.json":
-            "ff3cc2ee3fd154bc72d460e04eacddc5c75eff73d0c7660b2ca36a477f6019d8",
+            "4c046629d2453b3e6fc2abc4f259c17d10d94f21e714f4df680dce7fedff6eac",
         "report.csv":
             "2ce7f4e304b6bc7ff3fe1141cc7e655f2907bb8f91660f10542b02ffedb791a7",
         "report.json":
-            "9bec4cfa7a246c0131ffff70d08b64f368b2727eeb42d904bca64de1e7cf691f",
+            "9f9c9fd95d8fcb303fb4c155e2abd32769e5d77038029a37f437a2376431a4c4",
     },
 }
 
