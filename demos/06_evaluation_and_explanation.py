@@ -21,9 +21,8 @@ data = gen_dataset(demo_specs(noise_std=0.03), cells_per_spec=6, cycles_per_cell
                    seed=21, n_points=256)
 matrix = matrix_from_cycles(data)
 config = EvalConfig(seed=8, targets=("model",), balances=(50, 30))
-sink = {}
 
-ident = run_identification(matrix, [make_spec("DecisionTree", seed=2)], config, model_sink=sink)
+ident = run_identification(matrix, [make_spec("DecisionTree", seed=2)], config)
 result = ident.ident_results[0]
 print(f"identification ({result.task}, {len(result.class_names)} classes):")
 print(f"  winner {result.hyperparams}")
@@ -43,7 +42,7 @@ for key, row in report["authentication_averages"]["by_balance"].items():
           f"F1 {row['f1']:.3f}  FAR {row['far']:.3f}  FRR {row['frr']:.3f}")
 
 # What does the identification winner actually look at?
-model = sink["ident:model_identification:DecisionTree"]
+model = result.model
 catalog = catalog_default(1)
 mdi = mdi_importance(model)
 print(f"\ntop split features by mean impurity decrease:")

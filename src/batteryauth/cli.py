@@ -31,7 +31,8 @@ from . import __version__
 from .config import RunConfig, load_config, read_text
 from .dca import DcaConfig
 from .eis import EisConfig
-from .errors import BadSpec, BatteryAuthError, ConfigError, DimensionMismatch, EmptyDataset, MalformedCsv
+from .errors import (BadSpec, BatteryAuthError, ConfigError, DimensionMismatch, EmptyDataset,
+                     FormatVersionMismatch, MalformedCsv)
 from .evaluate import (
     auth_averages,
     merge_reports,
@@ -39,6 +40,7 @@ from .evaluate import (
     report_to_json,
     run_authentication,
     run_identification,
+    task_name,
 )
 from .features import FeatureMatrix, catalog_default, labels_for, matrix_from_cycles, matrix_from_spectra
 from .io_csv import parse_cycle_csv, parse_eis_csv
@@ -52,22 +54,33 @@ def _config_sha256(snapshot: dict) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def _safe_name(text: str) -> str:
-    return "".join(c if c.isalnum() or c in "-_" else "_" for c in text)
+SAVED_BALANCE = 50  # the one balance whose authentication winners are saved
+
+
+def _model_file_name(task: str, kind: str, legit_label: Optional[str] = None) -> str:
+    """The file a winner is saved to: ``model_ident_<task>_<kind>.json``, or
+    ``model_auth_<task>_<label>_50_<kind>.json`` with every character of the
+    label other than a letter, a digit, "-" or "_" made "_"."""
+    if legit_label is None:
+        return f"model_ident_{task}_{kind}.json"
+    label = "".join(c if c.isalnum() or c in "-_" else "_" for c in legit_label)
+    return f"model_auth_{task}_{label}_{SAVED_BALANCE}_{kind}.json"
 
 
 def _check_model_file_names(cfg: RunConfig, matrix: FeatureMatrix) -> None:
-    """Refuse two legit labels whose 50/50 authentication winners would be
-    saved under one file name, before anything is fitted."""
-    if "authentication" not in cfg.tasks or 50 not in cfg.eval.balances:
+    """Refuse two legit labels whose authentication winners would be saved
+    under one file name, before anything is fitted."""
+    if "authentication" not in cfg.tasks or SAVED_BALANCE not in cfg.eval.balances:
         return
+    seen: dict = {}
     for target in cfg.eval.targets:
-        seen: dict = {}
+        task = task_name(target, "authentication")
         for label in labels_for(matrix, target)[1]:
-            first = seen.setdefault(_safe_name(label), label)
-            if first != label:
-                raise ConfigError(f"{target} labels {first!r} and {label!r} both save their models "
-                                  f"under the file name part {_safe_name(label)!r}; rename one")
+            for spec in cfg.models:
+                name = _model_file_name(task, spec.kind, label)
+                if seen.setdefault(name, label) != label:
+                    raise ConfigError(f"{target} labels {seen[name]!r} and {label!r} both save "
+                                      f"their models as {name}; rename one")
 
 
 # === run ===
@@ -118,12 +131,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         matrix = matrix_from_spectra(data, cfg.eis, threads=cfg.threads)
     _check_model_file_names(cfg, matrix)
 
-    sink: dict = {}
     reports = []
     if "identification" in cfg.tasks:
-        reports.append(run_identification(matrix, cfg.models, cfg.eval, model_sink=sink))
+        reports.append(run_identification(matrix, cfg.models, cfg.eval))
     if "authentication" in cfg.tasks:
-        reports.append(run_authentication(matrix, cfg.models, cfg.eval, model_sink=sink))
+        reports.append(run_authentication(matrix, cfg.models, cfg.eval))
     report = reports[0] if len(reports) == 1 else merge_reports(reports[0], reports[1])
 
     provenance = {
@@ -139,16 +151,13 @@ def cmd_run(args: argparse.Namespace) -> int:
     with open(os.path.join(cfg.output_dir, "report.csv"), "w", encoding="utf-8") as fh:
         fh.write(report_to_csv(report))
 
-    # identification winners always persist; authentication only the
-    # balanced (50/50) winners, to bound the file count. Each file pins
-    # the processing its training features went through. A key ends in
-    # ":<balance>:<kind>"; the legit label before them may hold ":".
+    # each file pins the processing its training features went through
     processing = cfg.dca if cfg.pipeline == "dca" else cfg.eis
-    for key in sorted(sink):
-        if key.startswith("auth:") and key.rsplit(":", 2)[1] != "50":
-            continue
-        filename = "model_" + "_".join(_safe_name(p) for p in key.split(":")) + ".json"
-        save_model(replace(sink[key], processing=processing), os.path.join(cfg.output_dir, filename))
+    saved = [(r, None) for r in report.ident_results]
+    saved += [(r, r.legit_label) for r in report.auth_results if r.balance == SAVED_BALANCE]
+    for r, label in saved:
+        path = os.path.join(cfg.output_dir, _model_file_name(r.task, r.kind, label))
+        save_model(replace(r.model, processing=processing), path)
 
     for r in report.ident_results:
         print(f"{r.task} {r.kind}: macro_f1={r.metric_set.f1:.4f} accuracy={r.metric_set.accuracy:.4f}")
@@ -164,6 +173,15 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 # === authenticate ===
+
+def _load_model(path: str) -> TrainedModel:
+    """The model saved at ``path``. Hyperparameters that fail their checks
+    make the file a bad model file (exit 1), not a bad configuration."""
+    try:
+        return load_model(path)
+    except ConfigError as exc:
+        raise FormatVersionMismatch(f"model file {path}: {exc}") from exc
+
 
 def _features_for_samples(model: TrainedModel, sample_path: str) -> Tuple[np.ndarray, List[str]]:
     """Full-catalog feature rows and names for every record in the sample CSV.
@@ -200,7 +218,7 @@ def _features_for_samples(model: TrainedModel, sample_path: str) -> Tuple[np.nda
 
 
 def cmd_authenticate(args: argparse.Namespace) -> int:
-    model = load_model(args.model)
+    model = _load_model(args.model)
     X, names = _features_for_samples(model, args.sample)
     labels, scores = classify(model, X)
     # a label's position in model.classes picks its name and its score
@@ -235,7 +253,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     print("kind,task,samples,repeats,median_ms_per_sample,model_size_kb,load_ms")
     for model_path in args.model:
         t0 = time.perf_counter()
-        model = load_model(model_path)
+        model = _load_model(model_path)
         load_ms = (time.perf_counter() - t0) * 1000.0
         X, _ = _features_for_samples(model, args.sample)
         predict(model, X[:1])           # warm-up outside the timed region

@@ -8,7 +8,7 @@ instead of silently running with defaults.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Tuple
 
 from .dca import DcaConfig
@@ -89,32 +89,16 @@ def _seed(data: dict, path: str, default: int) -> int:
     return seed
 
 
-def _parse_dca(data: dict) -> DcaConfig:
-    path, d = "dca.", DcaConfig()
-    _reject_unknown(data, {"eps_volts", "savgol_window", "savgol_polyorder", "resample_n"}, "dca")
-    cfg = DcaConfig(
-        eps_volts=_positive(_get(data, "eps_volts", float, path, d.eps_volts), "eps_volts", path),
-        savgol_window=_get(data, "savgol_window", int, path, d.savgol_window),
-        savgol_polyorder=_get(data, "savgol_polyorder", int, path, d.savgol_polyorder),
-        resample_n=_get(data, "resample_n", int, path, d.resample_n),
-    )
-    if cfg.savgol_window < 3 or cfg.savgol_window % 2 == 0:
-        raise ConfigError(f"dca.savgol_window: must be odd and >= 3, got {cfg.savgol_window}")
-    if cfg.savgol_polyorder < 0 or cfg.savgol_polyorder >= cfg.savgol_window:
-        raise ConfigError(
-            f"dca.savgol_polyorder: must be in [0, savgol_window), got {cfg.savgol_polyorder}"
-        )
-    if cfg.resample_n < 8:
-        raise ConfigError(f"dca.resample_n: must be >= 8, got {cfg.resample_n}")
-    return cfg
-
-
-def _parse_eis(data: dict) -> EisConfig:
-    _reject_unknown(data, {"resample_m"}, "eis")
-    m = _get(data, "resample_m", int, "eis.", EisConfig().resample_m)
-    if m < 8:
-        raise ConfigError(f"eis.resample_m: must be >= 8, got {m}")
-    return EisConfig(resample_m=m)
+def _settings(cls, data: dict, section: str):
+    """The processing settings ``cls`` of a config section: each field of
+    its default's type, within the bounds ``cls`` checks when made."""
+    defaults = asdict(cls())
+    _reject_unknown(data, set(defaults), section)
+    values = {key: _get(data, key, type(value), f"{section}.", value) for key, value in defaults.items()}
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(f"{section}.{exc}") from exc
 
 
 def _parse_synth(data: dict) -> SynthConfig:
@@ -253,8 +237,8 @@ def config_from_json_dict(data: dict) -> RunConfig:
         output_dir=output_dir,
         input_path=input_path,
         synth=synth,
-        dca=_parse_dca(_get(data, "dca", dict, "", {}) or {}),
-        eis=_parse_eis(_get(data, "eis", dict, "", {}) or {}),
+        dca=_settings(DcaConfig, _get(data, "dca", dict, "", {}) or {}, "dca"),
+        eis=_settings(EisConfig, _get(data, "eis", dict, "", {}) or {}, "eis"),
         models=_parse_models(models_items, eval_cfg.seed),
         tasks=tasks,
         eval=eval_cfg,

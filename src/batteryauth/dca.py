@@ -38,6 +38,19 @@ class DcaConfig:
     savgol_polyorder: int = DEFAULT_SAVGOL_POLYORDER
     resample_n: int = DEFAULT_RESAMPLE_N
 
+    def __post_init__(self):
+        # the bounds of every DcaConfig, from a run config or a model file;
+        # each comparison is written so that NaN fails it
+        if not self.eps_volts > 0:
+            raise ValueError(f"eps_volts: must be > 0, got {self.eps_volts}")
+        if not (self.savgol_window >= 3 and self.savgol_window % 2 == 1):
+            raise ValueError(f"savgol_window: must be odd and >= 3, got {self.savgol_window}")
+        if not 0 <= self.savgol_polyorder < self.savgol_window:
+            raise ValueError(f"savgol_polyorder: must be in [0, savgol_window), "
+                             f"got {self.savgol_polyorder}")
+        if not self.resample_n >= 8:
+            raise ValueError(f"resample_n: must be >= 8, got {self.resample_n}")
+
 
 @dataclass(frozen=True, eq=False)
 class DcaSeries:

@@ -22,6 +22,11 @@ DEFAULT_RESAMPLE_M = 128
 class EisConfig:
     resample_m: int = DEFAULT_RESAMPLE_M
 
+    def __post_init__(self):
+        # the bounds of every EisConfig, from a run config or a model file
+        if not self.resample_m >= 8:
+            raise ValueError(f"resample_m: must be >= 8, got {self.resample_m}")
+
 
 @dataclass(frozen=True, eq=False)
 class NyquistChannels:

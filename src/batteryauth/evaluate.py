@@ -5,13 +5,14 @@ label); authentication is binary one-vs-rest (one label legitimate, the
 rest pooled as counterfeit) swept over four balance levels. Both tasks
 share the same chain: balance the data, optionally select features,
 split 80/20 stratified, grid-search each model spec, score on the held
-out part. All randomness is derived from the config seed, and reports
-serialize with sorted keys, so reruns are byte-identical.
+out part. Each result row carries the winner it scored. All randomness
+is derived from the config seed, and reports serialize with sorted keys,
+so reruns are byte-identical.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -24,7 +25,7 @@ from .errors import (
     SingleClass,
 )
 from .features import FeatureMatrix, labels_for, matrix_take
-from .models import ModelSpec, grid_search, predict
+from .models import ModelSpec, TrainedModel, grid_search, predict
 from .models.search import CandidateResult
 from .seeding import child_seed, rng_from
 from .selection import select_features
@@ -274,6 +275,19 @@ def _cv_summary(cv: Sequence[CandidateResult]) -> list:
     ]
 
 
+def _listed(value):
+    """``value`` with every tuple, nested ones too, made a list."""
+    return [_listed(v) for v in value] if isinstance(value, tuple) else value
+
+
+def _row_json(row, **extra) -> dict:
+    """A result row as JSON: every field but the model, with tuples as
+    lists and the metric set under "metrics", then ``extra``."""
+    out = {f.name: _listed(getattr(row, f.name)) for f in fields(row)
+           if f.name not in ("metric_set", "model")}
+    return {**out, "metrics": row.metric_set.to_json_dict(), **extra}
+
+
 @dataclass(frozen=True)
 class IdentResult:
     task: str                      # arch_identification | model_identification
@@ -285,19 +299,11 @@ class IdentResult:
     class_names: Tuple[str, ...]
     converged: bool
     cv: tuple                      # per-candidate summaries
+    # the grid-search winner, refit on the train part; not serialized or compared
+    model: Optional[TrainedModel] = field(default=None, repr=False, compare=False)
 
     def to_json_dict(self) -> dict:
-        return {
-            "task": self.task,
-            "target": self.target,
-            "kind": self.kind,
-            "hyperparams": self.hyperparams,
-            "metrics": self.metric_set.to_json_dict(),
-            "confusion": [list(row) for row in self.confusion],
-            "class_names": list(self.class_names),
-            "converged": self.converged,
-            "cv": list(self.cv),
-        }
+        return _row_json(self)
 
 
 @dataclass(frozen=True)
@@ -311,25 +317,10 @@ class AuthResult:
     metric_set: MetricSet
     counts: ConfusionCounts
     converged: bool
+    model: Optional[TrainedModel] = field(default=None, repr=False, compare=False)
 
     def to_json_dict(self) -> dict:
-        return {
-            "task": self.task,
-            "target": self.target,
-            "kind": self.kind,
-            "legit_label": self.legit_label,
-            "balance": self.balance,
-            "balance_name": balance_name(self.balance),
-            "hyperparams": self.hyperparams,
-            "metrics": self.metric_set.to_json_dict(),
-            "counts": {
-                "tp": self.counts.tp,
-                "tn": self.counts.tn,
-                "fp": self.counts.fp,
-                "fn": self.counts.fn,
-            },
-            "converged": self.converged,
-        }
+        return _row_json(self, balance_name=balance_name(self.balance), counts=asdict(self.counts))
 
 
 @dataclass(frozen=True)
@@ -398,7 +389,7 @@ class EvalConfig:
     snapshot: dict = field(default_factory=dict)
 
 
-def _task_name(target: str, mode: str) -> str:
+def task_name(target: str, mode: str) -> str:
     prefix = "arch" if target == "architecture" else "model"
     return f"{prefix}_{mode}"
 
@@ -434,7 +425,6 @@ def _run_task(
     matrix: FeatureMatrix,
     specs: Sequence[ModelSpec],
     config: EvalConfig,
-    model_sink: Optional[dict],
     mode: str,
 ) -> EvalReport:
     """The chain both tasks share, run on every labelled set of rows.
@@ -445,7 +435,7 @@ def _run_task(
     results: list = []
     selection_kept: Dict[str, int] = {}
     for target in config.targets:
-        task = _task_name(target, mode)
+        task = task_name(target, mode)
         for legit, balance, sub, y, class_names, split_seed in _labelled_sets(
             matrix, config, target, mode
         ):
@@ -472,44 +462,28 @@ def _run_task(
                     class_names=trained_names,
                     task=mode,
                 )
-                if model_sink is not None:
-                    prefix = "ident" if mode == "identification" else "auth"
-                    model_sink[f"{prefix}:{key}:{spec.kind}"] = model
                 y_hat = predict(model, X[test_idx])
+                common = dict(task=task, target=target, kind=spec.kind, hyperparams=model.hyperparams,
+                              converged=model.converged, model=model)
                 if mode == "identification":
                     cm = confusion_matrix(y[test_idx], y_hat, k=len(class_names))
-                    results.append(
-                        IdentResult(
-                            task=task,
-                            target=target,
-                            kind=spec.kind,
-                            hyperparams=model.hyperparams,
-                            metric_set=metrics_from_matrix(cm),
-                            confusion=tuple(tuple(int(v) for v in row) for row in cm),
-                            class_names=class_names,
-                            converged=model.converged,
-                            cv=tuple(_cv_summary(cv)),
-                        )
-                    )
+                    results.append(IdentResult(
+                        **common,
+                        metric_set=metrics_from_matrix(cm),
+                        confusion=tuple(tuple(int(v) for v in row) for row in cm),
+                        class_names=class_names,
+                        cv=tuple(_cv_summary(cv)),
+                    ))
                 else:
                     counts = confusion_binary(y[test_idx], y_hat)
-                    results.append(
-                        AuthResult(
-                            task=task,
-                            target=target,
-                            kind=spec.kind,
-                            legit_label=legit,
-                            balance=int(balance),
-                            hyperparams=model.hyperparams,
-                            metric_set=metrics(counts),
-                            counts=counts,
-                            converged=model.converged,
-                        )
-                    )
+                    results.append(AuthResult(
+                        **common, legit_label=legit, balance=int(balance), metric_set=metrics(counts),
+                        counts=counts,
+                    ))
     ident = mode == "identification"
     return EvalReport(
         schema_version=SCHEMA_VERSION,
-        tasks=tuple(_task_name(t, mode) for t in config.targets),
+        tasks=tuple(task_name(t, mode) for t in config.targets),
         ident_results=tuple(results) if ident else (),
         auth_results=() if ident else tuple(results),
         seed=config.seed,
@@ -520,32 +494,19 @@ def _run_task(
 
 
 def run_identification(
-    matrix: FeatureMatrix,
-    specs: Sequence[ModelSpec],
-    config: EvalConfig,
-    model_sink: Optional[dict] = None,
+    matrix: FeatureMatrix, specs: Sequence[ModelSpec], config: EvalConfig
 ) -> EvalReport:
     """Multiclass task for each configured target; see module docstring.
-
-    When ``model_sink`` is a dict, each grid-search winner is stored
-    under "ident:<task>:<kind>" so callers can persist them without a
-    second training pass.
-    """
-    return _run_task(matrix, specs, config, model_sink, "identification")
+    Each row carries its grid-search winner as ``model``."""
+    return _run_task(matrix, specs, config, "identification")
 
 
 def run_authentication(
-    matrix: FeatureMatrix,
-    specs: Sequence[ModelSpec],
-    config: EvalConfig,
-    model_sink: Optional[dict] = None,
+    matrix: FeatureMatrix, specs: Sequence[ModelSpec], config: EvalConfig
 ) -> EvalReport:
     """One-vs-rest binary task per (target, legit label, balance level).
-
-    Winners land in ``model_sink`` (when given) under
-    "auth:<task>:<label>:<balance>:<kind>".
-    """
-    return _run_task(matrix, specs, config, model_sink, "authentication")
+    Each row carries its grid-search winner as ``model``."""
+    return _run_task(matrix, specs, config, "authentication")
 
 
 def merge_reports(a: EvalReport, b: EvalReport) -> EvalReport:

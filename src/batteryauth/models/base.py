@@ -27,7 +27,8 @@ from . import boost, dtree, forest, naive_bayes, neighbors, neural, qda, svm
 # grid, whose key order is the dimension order; ``STATE``, the names of the
 # fields its fitted state saves; and, where they apply,
 # ``COUNTS`` (hyperparameters that are ints >= 1), ``check`` (other bounds),
-# ``SHARED`` with ``derive``, and ``raw_importances``.
+# ``check_state(params, k)`` (what a loaded state must hold beyond scoring
+# an all-zero row), ``SHARED`` with ``derive``, and ``raw_importances``.
 # ``SHARED`` names the grid dimensions one fit can serve: ``derive(params,
 # hp)`` turns a fit at the largest value of each (None counts as
 # unlimited) into state that predicts as the fit at ``hp`` would, where hp
@@ -92,11 +93,20 @@ def enumerate_grid(spec: ModelSpec) -> List[dict]:
 
 def normalize_hyperparams(kind: str, hp: dict) -> dict:
     """Coerce JSON-sourced values to their native types and bounds-check.
-    A count may be null where the kind's default grid offers null."""
+    ``hp`` names exactly the dimensions of the kind's default grid, and
+    takes a string value only from the strings that grid offers for that
+    dimension (any value at all, where it offers nothing else). A count
+    may be null where the kind's default grid offers null."""
     module = _MODULES[kind]
     out = dict(hp)
+    if out.keys() != module.GRID.keys():
+        raise ConfigError(f"{kind} hyperparameters must be {sorted(module.GRID)}, got {sorted(out)}")
+    for key, values in module.GRID.items():
+        words = [v for v in values if isinstance(v, str)]
+        if words and (isinstance(out[key], str) or len(words) == len(values)) and out[key] not in words:
+            raise ConfigError(f"{kind}.{key} must be one of {words}, got {out[key]!r}")
     for key in getattr(module, "COUNTS", ()):
-        if out.get(key) is None and None in module.GRID[key]:
+        if out[key] is None and None in module.GRID[key]:
             continue
         out[key] = int(out[key])
         if out[key] < 1:

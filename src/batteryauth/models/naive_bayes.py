@@ -19,7 +19,7 @@ STATE = ("means", "variances", "log_priors")
 
 
 def check(hp: dict) -> None:
-    if float(hp["var_smoothing"]) < 0:
+    if not float(hp["var_smoothing"]) >= 0:
         raise ConfigError("GaussianNB.var_smoothing must be >= 0")
 
 

@@ -44,6 +44,15 @@ def fit(Xs: np.ndarray, y: np.ndarray, k: int, hp: dict, seed: int):
     return {"train_x": Xs.copy(), "train_y": y.copy()}, True
 
 
+def check_state(params: dict, k: int) -> None:
+    """Refuse a loaded state unless it holds one class id in [0, k) per
+    training row."""
+    train_y = params["train_y"]
+    if (train_y.dtype.kind not in "iu" or train_y.shape != params["train_x"].shape[:1]
+            or not ((train_y >= 0) & (train_y < k)).all()):
+        raise ValueError(f"train_y must hold one class id in [0, {k}) per row of train_x")
+
+
 # the fit stores the training data whatever (k, weights) is
 SHARED = ("k", "weights")
 

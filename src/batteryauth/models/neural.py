@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..errors import UnsupportedKind
 from ..seeding import rng_from
 
 BATCH_SIZE = 32
@@ -44,7 +45,11 @@ def _glorot(rng, fan_in, fan_out):
 
 
 def _act(z, kind):
-    return np.maximum(z, 0.0) if kind == "relu" else np.tanh(z)
+    if kind == "relu":
+        return np.maximum(z, 0.0)
+    if kind == "tanh":
+        return np.tanh(z)
+    raise UnsupportedKind(f"unknown NeuralNet activation {kind!r}")
 
 
 def _act_grad(z, a, kind):

@@ -23,9 +23,12 @@ coefficient matrix. A missing or malformed field, among them each state
 field the kind declares in ``STATE`` and a standardizer or mask of
 contradicting widths, raises FormatVersionMismatch naming it, and so
 does an envelope of any other format version. A loaded model scores one
-all-zero row of the standardizer's width, and a tree table must record
-importances for exactly that many features; a state that fails either,
-e.g. a KNN ``train_x`` of other width, raises FormatVersionMismatch.
+all-zero row of the standardizer's width with finite scores, one per
+class; a tree table must record importances for exactly that many
+features and class sums for that many classes (and be a well-formed
+``NodeTable``), and a kind's ``check_state`` may ask more. A state that
+fails any of these, e.g. a KNN ``train_x`` of other width, raises
+FormatVersionMismatch.
 
 ``save_model`` writes ``json.dumps(envelope, sort_keys=True)`` and a
 newline in one call of the C encoder. The file is written under a
@@ -97,7 +100,8 @@ def _vector(saved, size=None, mask=False) -> np.ndarray:
 
 def _processing(saved):
     """The ``DcaConfig``/``EisConfig`` of a saved processing block (None
-    stays None); every field must be present, with its default's type."""
+    stays None); every field must be present, with its default's type, and
+    within the bounds the settings class checks when made."""
     if saved is None:
         return None
     config = _PIPELINES[saved["pipeline"]]
@@ -186,13 +190,21 @@ def model_from_json_dict(data: dict) -> TrainedModel:
     if model.class_names and len(model.class_names) != len(model.classes):
         raise FormatVersionMismatch(f"model file has {len(model.class_names)} class names "
                                     f"for {len(model.classes)} classes")
-    width = model.input_width
+    width, k = model.input_width, len(model.classes)
     try:
         for value in model.params.values():
             if isinstance(value, NodeTable) and value.importances.shape[1] != width:
                 raise ValueError(f"tree importances are {value.importances.shape[1]} features wide")
-        classify(model, np.zeros((1, width)))
-    except (IndexError, ValueError) as exc:
+            if isinstance(value, NodeTable) and value.counts.shape[1] != k:
+                raise ValueError(f"tree class sums are {value.counts.shape[1]} classes wide")
+        if hasattr(module, "check_state"):
+            module.check_state(model.params, k)
+        # a corrupt state may overflow or divide by 0; its scores then fail below
+        with np.errstate(all="ignore"):
+            scores = classify(model, np.zeros((1, width)))[1]
+        if scores.shape != (1, k) or not np.isfinite(scores).all():
+            raise ValueError(f"an all-zero row scores {scores.tolist()}")
+    except (AttributeError, LookupError, TypeError, ValueError) as exc:
         raise FormatVersionMismatch(f"model state does not score rows of the standardizer's "
                                     f"{width} features ({type(exc).__name__}: {exc})") from exc
     return model

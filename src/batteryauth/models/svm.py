@@ -45,8 +45,17 @@ STATE = ("sv", "coef", "b", "gamma_value")
 
 
 def check(hp: dict) -> None:
-    if float(hp["C"]) <= 0:
+    if not float(hp["C"]) > 0:
         raise ConfigError("SVM.C must be > 0")
+    if hp["gamma"] != "scale" and not float(hp["gamma"]) > 0:
+        raise ConfigError(f"SVM.gamma must be 'scale' or a number > 0, got {hp['gamma']!r}")
+
+
+def check_state(params: dict, k: int) -> None:
+    """Refuse a loaded state whose kernel width is not a number > 0."""
+    gamma = params["gamma_value"]
+    if not (isinstance(gamma, float) and gamma > 0):
+        raise ValueError(f"gamma_value must be a number > 0, got {gamma!r}")
 
 
 def _kernel(a: np.ndarray, b: np.ndarray, kind: str, gamma: float) -> np.ndarray:

@@ -67,12 +67,15 @@ predicts. It holds the nodes of every tree concatenated in tree order,
 with child ids as table positions (-1 at leaves) and one row of
 importances per tree. The form ``apply`` walks (leaves point at
 themselves), the majority class of every node and the depth are derived
-when a table is made, and never saved. A table whose split feature ids
-reach past the width of its importances is refused with ValueError.
+when a table is made, and never saved. A table is refused with
+ValueError unless it has the form every table made here has: per-node
+arrays of one length, split feature ids below the width of its
+importances, and ids inside the table, a split node's children after it
+(pre-order), so that no walk from a root can loop.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -264,6 +267,7 @@ def grow_trees(
     k = n_classes
     w = None if sample_weight is None else np.asarray(sample_weight, dtype=float)
     draw = max_features if max_features is not None and max_features < d else None
+    key_rows = max(1, BATCH_ELEMENTS // d)
     T = len(samples)
     perm = np.concatenate(samples, dtype=np.intp)
     sizes = np.array([len(rows) for rows in samples], dtype=np.intp)
@@ -301,9 +305,14 @@ def grow_trees(
         parent_imp = _impurity(counts[ids].T, weight[ids], criterion)
         feats = None
         if draw is not None:
-            # each node's candidates: the features of its `draw` smallest keys
-            keys = rng.random((len(ids), d))
-            feats = np.sort(np.argpartition(keys, draw - 1, axis=1)[:, :draw], axis=1)
+            # each node's candidates: the features of its `draw` smallest keys,
+            # drawn a block of rows at a time; a Generator fills an array row
+            # by row, so the blocks hold the numbers of one (nodes, d) draw
+            feats = np.empty((len(ids), draw), np.intp)
+            for s in range(0, len(ids), key_rows):
+                keys = rng.random((min(key_rows, len(ids) - s), d))
+                smallest = np.argpartition(keys, draw - 1, axis=1)[:, :draw]
+                feats[s:s + len(keys)] = np.sort(smallest, axis=1)
         found, feat, low, high, dec = _best_splits(X, y, w, rows, feats, k, criterion, parent_imp)
         retry = (~found).nonzero()[0] if feats is not None else ()
         if len(retry):
@@ -440,6 +449,35 @@ def cut(table: NodeTable, max_depth: int) -> NodeTable:
     return replace(table, feature=feature, left=left, right=right)
 
 
+def _check_table(table: NodeTable) -> None:
+    """Raise ValueError unless ``table`` has the form every table made here
+    has: one entry per node in each per-node array and one importance row
+    per root; integer ids, roots inside the table and split features below
+    the width of the importances; and a split node's children after it,
+    inside the table. Tables are in pre-order, and the last rule, which
+    pre-order keeps, also means that a walk from the roots ends."""
+    if not all(isinstance(getattr(table, f.name), np.ndarray) for f in fields(table)):
+        raise ValueError("NodeTable fields must be arrays")
+    n = len(table.feature)
+    ids = (table.roots, table.feature, table.left, table.right)
+    if any(a.ndim != 1 or a.dtype.kind not in "iu" for a in ids):
+        raise ValueError("NodeTable ids must be 1-D integer arrays")
+    if (table.threshold.shape != (n,) or len(table.left) != n or len(table.right) != n
+            or table.counts.ndim != 2 or len(table.counts) != n or table.importances.ndim != 2
+            or len(table.importances) != len(table.roots)):
+        raise ValueError(f"NodeTable arrays disagree on the node or tree count: "
+                         f"{', '.join(f'{f.name} {getattr(table, f.name).shape}' for f in fields(table))}")
+    d = table.importances.shape[1]
+    if table.feature.max(initial=-1) >= d:
+        raise ValueError(f"NodeTable feature ids must be below the {d} features of "
+                         f"importances, got {int(table.feature.max())}")
+    if len(table.roots) and (table.roots.min() < 0 or table.roots.max() >= n):
+        raise ValueError(f"NodeTable root ids must lie in the table of {n} nodes")
+    first, last = np.minimum(table.left, table.right), np.maximum(table.left, table.right)
+    if ((table.feature >= 0) & ((first <= np.arange(n)) | (last >= n))).any():
+        raise ValueError(f"NodeTable child ids must lie in the table of {n} nodes, after their parent")
+
+
 @dataclass(eq=False)
 class NodeTable:
     """The trees of an ensemble as one table of nodes; its fields are what a
@@ -454,10 +492,7 @@ class NodeTable:
     importances: np.ndarray  # (T, d) float64 raw impurity-decrease sums per tree
 
     def __post_init__(self):
-        d = self.importances.shape[1]
-        if self.feature.max(initial=-1) >= d:
-            raise ValueError(f"NodeTable feature ids must be below the {d} features of "
-                             f"importances, got {int(self.feature.max())}")
+        _check_table(self)
         # the walk form: leaves point at themselves (feature 0), so ``depth``
         # steps take every row of every tree to its leaf without masking
         leaf = self.feature < 0

@@ -79,11 +79,12 @@ def cycle_experiment():
     specs = demo_specs(noise_std=0.02)
     data = gen_dataset(specs, cells_per_spec=10, cycles_per_cell=20, seed=29)
     matrix = matrix_from_cycles(data)
-    sink: dict = {}
     config = EvalConfig(seed=13, targets=("architecture", "model"), threads=1)
-    report = run_identification(matrix, [make_spec("RandomForest", seed=5)], config, model_sink=sink)
+    report = run_identification(matrix, [make_spec("RandomForest", seed=5)], config)
     elapsed = perf_counter() - t0
-    return {"matrix": matrix, "report": report, "sink": sink, "elapsed": elapsed}
+    # the model-identification RandomForest winner, read by criteria 9 and 11
+    winner = next(r.model for r in report.ident_results if r.task == "model_identification")
+    return {"matrix": matrix, "report": report, "winner": winner, "elapsed": elapsed}
 
 
 @pytest.fixture(scope="module")
@@ -360,7 +361,7 @@ def test_criterion_9_explanation_sanity(cycle_experiment):
         and float(mdi[3]) > 0.9
     )
 
-    rf = cycle_experiment["sink"]["ident:model_identification:RandomForest"]
+    rf = cycle_experiment["winner"]
     rf_mdi = mdi_importance(rf).values
     rf_ok = bool((rf_mdi >= 0.0).all()) and abs(float(rf_mdi.sum()) - 1.0) <= 1e-9
 
@@ -428,7 +429,7 @@ def test_criterion_10_determinism_and_identities():
 
 
 def test_criterion_11_inference_latency(cycle_experiment):
-    model = cycle_experiment["sink"]["ident:model_identification:RandomForest"]
+    model = cycle_experiment["winner"]
     X = cycle_experiment["matrix"].values
     predict(model, X[:1])  # warm-up
     times = []

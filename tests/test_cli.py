@@ -10,6 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import deadline
 
 import batteryauth
 from batteryauth import cli
@@ -172,7 +173,7 @@ class TestRun:
             assert first == third, name
 
     def test_label_with_colon_keeps_its_balanced_auth_model(self, tmp_path):
-        # a sink key ends in ":<balance>:<kind>"; the label before it may hold ":"
+        # ":" is not a file name character; the label keeps its place in the name
         specs = (replace(SPECS[0], name="alpha:v2"), replace(SPECS[1], name="bravo"))
         spec_path = tmp_path / "cells.json"
         spec_path.write_text(specs_to_json(specs), encoding="utf-8")
@@ -201,7 +202,7 @@ class TestRun:
         assert main(["run", "--config", cfg_path, "--output-dir", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.splitlines() == [
             "batteryauth.errors.ConfigError: model labels 'cell a' and 'cell_a' both save their "
-            "models under the file name part 'cell_a'; rename one"]
+            "models as model_auth_model_authentication_cell_a_50_KNN.json; rename one"]
         assert os.listdir(tmp_path / "out") == []
 
     def test_config_output_dir_used_without_flag(self, spec_file, tmp_path, capsys, monkeypatch):
@@ -276,6 +277,26 @@ class TestRun:
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 1
             assert err[0].startswith("batteryauth.errors.ConfigError: cannot create output directory")
+
+    @pytest.mark.parametrize("kind,grid,message", [
+        ("SVM", {"gamma": ["auto"]}, "SVM.gamma must be one of ['scale'], got 'auto'"),
+        ("NeuralNet", {"activation": ["sigmoid"]},
+         "NeuralNet.activation must be one of ['relu', 'tanh'], got 'sigmoid'"),
+        ("KNN", {"weights": ["bogus"]}, "KNN.weights must be one of ['uniform', 'distance'], got 'bogus'"),
+    ], ids=["svm-gamma", "nn-activation", "knn-weights"])
+    def test_hyperparameter_outside_the_grid_exits_2_before_any_work(self, spec_file, tmp_path,
+                                                                     capsys, monkeypatch, kind,
+                                                                     grid, message):
+        # gamma "auto" used to fail after feature extraction; the other two
+        # ran with tanh and with distance weighting
+        def no_dataset(cfg):
+            raise AssertionError("the dataset was built")
+
+        monkeypatch.setattr(cli, "_build_dataset", no_dataset)
+        cfg_path = _write(tmp_path, "cfg.json", _config(spec_file, models=[{"kind": kind, "grid": grid}]))
+        assert main(["run", "--config", cfg_path, "--output-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"batteryauth.errors.ConfigError: models[0]: {message}"]
 
     def test_missing_config_exits_2(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "absent.json")]) == 2
@@ -853,3 +874,136 @@ class TestMalformedModel:
         path.write_text(json.dumps(env), encoding="utf-8")
         with pytest.raises(ConfigError, match="KNN.k must be >= 1"):
             load_model(str(path))
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda env: env["hyperparams"].update(k=0), "KNN.k must be >= 1"),
+        (lambda env: env["hyperparams"].pop("weights"), "KNN hyperparameters must be ['k', 'weights']"),
+        (lambda env: env["hyperparams"].update(weights="bogus"), "KNN.weights must be one of"),
+    ], ids=["k-zero", "no-weights", "bogus-weights"])
+    def test_bad_hyperparameters_in_a_model_file_exit_1(self, edit, message, cycle_sample,
+                                                        tmp_path, capsys):
+        # a model file is data: its faults exit 1, like any other malformed field
+        env = _knn_envelope()
+        edit(env)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(env), encoding="utf-8")
+        assert main(["authenticate", "--model", str(path), "--sample", cycle_sample]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"batteryauth.errors.FormatVersionMismatch: model file {path}: {message}")
+
+    @pytest.mark.parametrize("change", [{"savgol_polyorder": -1}, {"savgol_window": 4},
+                                        {"eps_volts": float("nan")}], ids=repr)
+    def test_processing_out_of_bounds_exits_1(self, run_artifacts, cycle_sample, change,
+                                              tmp_path, capsys):
+        # a negative polyorder ended with "unexpected builtins.IndexError"
+        saved = os.path.join(run_artifacts[0], "model_ident_model_identification_KNN.json")
+        with open(saved, encoding="utf-8") as fh:
+            env = json.load(fh)
+        env["processing"]["config"].update(change)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(env), encoding="utf-8")
+        assert main(["authenticate", "--model", str(path), "--sample", cycle_sample]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("batteryauth.errors.FormatVersionMismatch: model field 'processing'")
+
+
+def _array_sites(tree, out):
+    """(holder, key) of every saved array under the dict ``tree``, nested
+    dicts included."""
+    for key, value in tree.items():
+        if isinstance(value, dict) and value.keys() == {"dtype", "shape", "data"}:
+            out.append((tree, key))
+        elif isinstance(value, dict):
+            _array_sites(value, out)
+    return out
+
+
+def _corrupt(env, rng):
+    """One seeded corruption of a model envelope, made in place, and its
+    name: an array cut short, a state field or hyperparameter dropped or
+    altered, or a tree node's child pointed elsewhere."""
+    state = env["parameters"]["state"]
+    tables = [t for t in state.values() if isinstance(t, dict) and "roots" in t]
+    how = ["truncate", "drop", "alter", "hyperparameter", "repoint" if tables else "alter"][rng.integers(5)]
+    if how == "truncate":
+        sites = _array_sites(env, [])
+        holder, key = sites[rng.integers(len(sites))]
+        array = _decode(holder[key])
+        axis = int(rng.integers(max(array.ndim, 1)))
+        if array.ndim == 0 or array.shape[axis] == 0:
+            return "nothing to truncate"
+        holder[key] = _encode(np.ascontiguousarray(np.delete(array, -1, axis=axis)))
+        return f"truncate {key} on axis {axis}"
+    if how == "drop":
+        holder = ([state] + tables)[rng.integers(1 + len(tables))]
+        key = sorted(holder)[rng.integers(len(holder))]
+        del holder[key]
+        return f"drop {key}"
+    if how == "alter":
+        sites = _array_sites(state, []) + [(state, k) for k, v in state.items() if not isinstance(v, dict)]
+        holder, key = sites[rng.integers(len(sites))]
+        if not isinstance(holder[key], dict):
+            holder[key] = [None, "bogus", -1.0, float("nan")][rng.integers(4)]
+            return f"alter {key} to {holder[key]!r}"
+        array = _decode(holder[key]).copy()
+        if array.size == 0:
+            return "nothing to alter"
+        flat = array.reshape(-1)
+        at = int(rng.integers(flat.size))
+        if array.dtype.kind in "iu":
+            flat[at] = [-1, 0, flat.size, int(rng.integers(-2, flat.size + 2))][rng.integers(4)]
+        elif array.dtype.kind == "b":
+            flat[at] = not flat[at]
+        else:
+            flat[at] = [float("nan"), -1.0, 0.0, -flat[at]][rng.integers(4)]
+        holder[key] = _encode(array)
+        return f"alter {key}[{at}] to {flat[at]}"
+    if how == "hyperparameter":
+        hp = env["hyperparams"]
+        key = sorted(hp)[rng.integers(len(hp))]
+        if rng.integers(2):
+            del hp[key]
+            return f"drop hyperparameter {key}"
+        hp[key] = [None, "bogus", -1, 0, float("nan")][rng.integers(5)]
+        return f"hyperparameter {key} = {hp[key]!r}"
+    table = tables[rng.integers(len(tables))]
+    split = np.flatnonzero(_decode(table["feature"]) >= 0)
+    if len(split) == 0:
+        return "no split node to repoint"
+    side = ["left", "right"][rng.integers(2)]
+    ids = _decode(table[side]).copy()
+    at = int(split[rng.integers(len(split))])
+    # off the table, onto the node itself, or onto a node before it (a cycle)
+    ids[at] = [-1, len(ids), at, int(rng.integers(at + 1))][rng.integers(4)]
+    table[side] = _encode(ids)
+    return f"repoint {side}[{at}] to {ids[at]}"
+
+
+class TestCorruptModelFuzz:
+    """Seeded corruptions of the saved models of every kind: `authenticate`
+    scores the file (exit 0) or refuses it with one library error line
+    (exit 1); it never ends with an unexpected exception or runs on."""
+
+    CASES = 30
+
+    @pytest.mark.parametrize("saved", _SAVED, ids=["ident", "auth-50"])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_exit_0_or_one_library_error(self, every_kind_run, kind, saved, tmp_path, capsys):
+        out_dir, sample, _ = every_kind_run
+        with open(os.path.join(out_dir, saved.format(kind)), encoding="utf-8") as fh:
+            original = fh.read()
+        path = str(tmp_path / "corrupt.json")
+        bad = []
+        for case in range(self.CASES):
+            env = json.loads(original)
+            what = _corrupt(env, np.random.default_rng([case, KINDS.index(kind), _SAVED.index(saved)]))
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(env, fh)
+            with deadline(3):
+                code = main(["authenticate", "--model", path, "--sample", sample])
+            err = capsys.readouterr().err.splitlines()
+            if not (code == 0 or code == 1 and len(err) == 1 and err[0].startswith("batteryauth.errors.")):
+                bad.append(f"{what}: exit {code}, {err}")
+        assert not bad, "\n".join(bad)

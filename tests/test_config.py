@@ -134,6 +134,18 @@ class TestSectionValidation:
             config_from_json_dict(_base(dca={"savgol_window": 5, "savgol_polyorder": 5}))
         assert "dca.savgol_polyorder" in str(err.value)
 
+    @pytest.mark.parametrize("section,values,message", [
+        ("dca", {"eps_volts": float("nan")}, "dca.eps_volts: must be > 0, got nan"),
+        ("dca", {"eps_volts": 0}, "dca.eps_volts: must be > 0, got 0.0"),
+        ("dca", {"savgol_polyorder": -1}, "dca.savgol_polyorder: must be in [0, savgol_window), got -1"),
+        ("eis", {"resample_m": 7}, "eis.resample_m: must be >= 8, got 7"),
+    ], ids=["eps-nan", "eps-zero", "polyorder", "resample-m"])
+    def test_processing_bounds_name_the_field(self, section, values, message):
+        # NaN passed the old "value <= 0" test
+        with pytest.raises(ConfigError) as err:
+            config_from_json_dict(_base(**{section: values}))
+        assert str(err.value) == message
+
     def test_resample_minimums(self):
         with pytest.raises(ConfigError):
             config_from_json_dict(_base(dca={"resample_n": 4}))

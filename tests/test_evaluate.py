@@ -344,30 +344,30 @@ class TestRunners:
         labels = {r.legit_label for r in report.auth_results}
         assert labels == {"a", "b", "c"}
 
-    def test_model_sink_keys(self, small_matrix, knn_spec):
-        sink = {}
+    def test_rows_carry_their_winners(self, small_matrix, knn_spec):
         config = EvalConfig(seed=5, folds=3, targets=("model",), balances=(50,))
-        run_identification(small_matrix, [knn_spec], config, model_sink=sink)
-        run_authentication(small_matrix, [knn_spec], config, model_sink=sink)
-        assert "ident:model_identification:KNN" in sink
-        assert "auth:model_authentication:a:50:KNN" in sink
-        model = sink["auth:model_authentication:a:50:KNN"]
+        ident = run_identification(small_matrix, [knn_spec], config).ident_results
+        auth = run_authentication(small_matrix, [knn_spec], config).auth_results
+        assert [(r.task, r.kind) for r in ident] == [("model_identification", "KNN")]
+        assert ident[0].model.task == "identification"
+        row = next(r for r in auth if (r.legit_label, r.balance) == ("a", 50))
+        assert row.kind == "KNN"
+        model = row.model
         assert model.class_names == ("counterfeit", "a")
         assert model.task == "authentication"
 
     def test_model_names_only_the_classes_it_was_trained_on(self, knn_spec, tmp_path):
         # legit "a" has 2 rows; at train_ratio 0.25 both fall into the test part
         mat = _matrix({"a": 2, "b": 30, "c": 30}, seed=2)
-        sink = {}
         config = EvalConfig(seed=5, folds=2, targets=("model",), balances=(20,), train_ratio=0.25)
-        run_authentication(mat, [knn_spec], config, model_sink=sink)
-        dropped = sink["auth:model_authentication:a:20:KNN"]
+        rows = {r.legit_label: r for r in run_authentication(mat, [knn_spec], config).auth_results}
+        dropped = rows["a"].model
         assert dropped.classes.tolist() == [0]
         assert dropped.class_names == ("counterfeit",)
         path = str(tmp_path / "model.json")
         save_model(dropped, path)
         assert load_model(path).class_names == ("counterfeit",)
-        assert sink["auth:model_authentication:b:20:KNN"].class_names == ("counterfeit", "b")
+        assert rows["b"].model.class_names == ("counterfeit", "b")
 
     def test_empty_training_split_is_a_library_error(self, knn_spec):
         # with 2 rows per class at train_ratio 0.25, both go to the test part

@@ -8,10 +8,12 @@ import base64
 import hashlib
 import json
 import math
+import re
 from collections import deque
 
 import numpy as np
 import pytest
+from conftest import deadline
 
 from batteryauth.dca import DcaConfig
 from batteryauth.eis import EisConfig
@@ -43,7 +45,7 @@ from batteryauth.models import (
 )
 from batteryauth.explain import mdi_importance
 from batteryauth.models import boost, forest, neural, qda, svm, tree
-from batteryauth.models.base import _MODULES, derived_model
+from batteryauth.models.base import _MODULES, derived_model, normalize_hyperparams
 from batteryauth.models.neighbors import squared_distances
 from batteryauth.models.persist import _decode, _encode
 from batteryauth.models.tree import NodeTable, _best_splits, _class_sum, _impurity, grow_trees
@@ -110,6 +112,30 @@ class TestSpecAndGrid:
     def test_grid_value_that_does_not_convert(self, kind, grid):
         with pytest.raises(ConfigError, match=f"{kind} grid point"):
             enumerate_grid(make_spec(kind, grid=grid))
+
+    @pytest.mark.parametrize("kind,grid,message", [
+        ("SVM", {"gamma": ["auto"]}, "SVM.gamma must be one of ['scale'], got 'auto'"),
+        ("SVM", {"gamma": [0.0]}, "SVM.gamma must be 'scale' or a number > 0, got 0.0"),
+        ("SVM", {"gamma": [float("nan")]}, "SVM.gamma must be 'scale' or a number > 0, got nan"),
+        ("SVM", {"C": [float("nan")]}, "SVM.C must be > 0"),
+        ("NeuralNet", {"activation": ["sigmoid"]},
+         "NeuralNet.activation must be one of ['relu', 'tanh'], got 'sigmoid'"),
+        ("NeuralNet", {"solver": ["lbfgs"]}, "NeuralNet.solver must be one of ['sgd', 'adam'], got 'lbfgs'"),
+        ("KNN", {"weights": ["bogus"]}, "KNN.weights must be one of ['uniform', 'distance'], got 'bogus'"),
+        ("DecisionTree", {"criterion": [3]}, "DecisionTree.criterion must be one of ['gini', 'entropy'], got 3"),
+        ("GaussianNB", {"var_smoothing": [float("nan")]}, "GaussianNB.var_smoothing must be >= 0"),
+    ], ids=["svm-auto", "svm-gamma-0", "svm-gamma-nan", "svm-C-nan", "nn-sigmoid", "nn-lbfgs",
+            "knn-weights", "tree-criterion", "nb-nan"])
+    def test_value_outside_the_kinds_grid_is_refused(self, kind, grid, message):
+        # sigmoid trained with tanh, bogus weights voted by distance, and
+        # gamma "auto" failed with a raw ValueError after feature extraction
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            enumerate_grid(make_spec(kind, grid=grid))
+
+    @pytest.mark.parametrize("hp", [{"k": 3}, {"k": 3, "weights": "uniform", "p": 2}])
+    def test_hyperparameters_name_exactly_the_grid_dimensions(self, hp):
+        with pytest.raises(ConfigError, match=r"KNN hyperparameters must be \['k', 'weights'\]"):
+            normalize_hyperparams("KNN", hp)
 
     def test_all_kinds_have_default_grids(self):
         assert set(DEFAULT_GRIDS) == set(KINDS)
@@ -876,6 +902,126 @@ class TestPersistence:
         saved["feature"] = _encode(feature)
         assert (model_from_json_dict(env).params["stumps"].feature.max()) == 2
 
+    @staticmethod
+    def _edited_tree_file(tmp_path, edit):
+        """A saved DecisionTree file whose table arrays went through ``edit``
+        (a dict of field -> array, changed in place)."""
+        X, y = _blobs(n_per=15, centers=(0.0, 2.5, 5.0))
+        env = model_to_json_dict(_train("DecisionTree", {"criterion": "gini", "max_depth": None}, X, y))
+        saved = env["parameters"]["state"]["tree"]
+        table = {name: _decode(value).copy() for name, value in saved.items()}
+        assert (table["feature"] >= 0).sum() >= 2
+        edit(table)
+        saved.update({name: _encode(value) for name, value in table.items()})
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(env), encoding="utf-8")
+        return str(path)
+
+    @pytest.mark.parametrize("field,cut", [
+        ("counts", lambda a: a[:-1]),
+        ("threshold", lambda a: a[:-1]),
+        ("left", lambda a: a[:-1]),
+        ("importances", lambda a: np.vstack([a, a])),
+    ], ids=["counts", "threshold", "left", "importances"])
+    def test_table_arrays_of_other_lengths_are_refused_at_load(self, field, cut, tmp_path):
+        # a dropped counts row loaded, then predict died with IndexError; a
+        # dropped threshold loaded silently
+        def edit(table):
+            table[field] = np.ascontiguousarray(cut(table[field]))
+
+        with pytest.raises(FormatVersionMismatch, match="'parameters.state'.*NodeTable arrays "
+                                                        "disagree on the node or tree count"):
+            load_model(self._edited_tree_file(tmp_path, edit))
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("roots", lambda t: len(t["feature"]), "root ids must lie in the table"),
+        ("roots", lambda t: -1, "root ids must lie in the table"),
+        ("left", lambda t: len(t["feature"]), "child ids must lie in the table"),
+        ("right", lambda t: -1, "child ids must lie in the table"),
+        ("right", lambda t: 0, "child ids must lie in the table of [0-9]+ nodes, after their parent"),
+    ], ids=["root-past-end", "root-negative", "left-past-end", "right-negative", "right-to-root"])
+    def test_table_ids_out_of_place_are_refused_at_load(self, field, value, message, tmp_path):
+        def edit(table):
+            at = 0 if field == "roots" else int(np.flatnonzero(table["feature"] >= 0)[-1])
+            table[field][at] = value(table)
+
+        path = self._edited_tree_file(tmp_path, edit)
+        # a child pointing back is a cycle, which the depth walk at load never left
+        with deadline(10), pytest.raises(FormatVersionMismatch,
+                                         match=f"'parameters.state'.*NodeTable {message}"):
+            load_model(path)
+
+    def test_table_with_a_cycle_is_refused_at_load(self, tmp_path):
+        # a split node whose left child is the root made the depth walk at
+        # load loop forever
+        def edit(table):
+            table["left"][np.flatnonzero(table["feature"] >= 0)[-1]] = 0
+
+        path = self._edited_tree_file(tmp_path, edit)
+        with deadline(10), pytest.raises(FormatVersionMismatch, match="after their parent"):
+            load_model(path)
+
+    @pytest.mark.parametrize("kind,hp,drop", [
+        ("KNN", {"k": 3, "weights": "distance"}, "weights"),
+        ("SVM", {"kernel": "rbf", "C": 1.0, "gamma": 0.1}, "kernel"),
+    ])
+    def test_missing_hyperparameter_is_a_library_error_at_load(self, kind, hp, drop, tmp_path):
+        # each loaded and then failed with a raw KeyError
+        X, y = _blobs(n_per=15, centers=(0.0, 2.5, 5.0))
+        env = model_to_json_dict(_train(kind, hp, X, y))
+        del env["hyperparams"][drop]
+        with pytest.raises(ConfigError, match=f"{kind} hyperparameters must be"):
+            model_from_json_dict(env)
+
+    @staticmethod
+    def _edit_state(state, changes):
+        """Apply ``changes`` to a saved state: each maps a field (a dotted
+        one names an array of a tree table) to None, which drops it, or to
+        a function of its value, decoded when it is an array."""
+        for path, change in changes.items():
+            *parents, name = path.split(".")
+            holder = state
+            for parent in parents:
+                holder = holder[parent]
+            if change is None:
+                del holder[name]
+            elif isinstance(holder[name], dict):
+                holder[name] = _encode(np.ascontiguousarray(change(_decode(holder[name]))))
+            else:
+                holder[name] = change(holder[name])
+
+    @pytest.mark.parametrize("kind,hp,changes,message", [
+        ("KNN", {"k": 3, "weights": "uniform"}, {"train_y": lambda a: np.where(a == 2, 7, a)},
+         r"train_y must hold one class id in \[0, 3\)"),
+        ("KNN", {"k": 3, "weights": "uniform"}, {"train_y": lambda a: a[:-1]},
+         r"train_y must hold one class id in \[0, 3\) per row"),
+        ("SVM", {"kernel": "rbf", "C": 1.0, "gamma": 0.1}, {"gamma_value": lambda v: -1.0},
+         "gamma_value must be a number > 0, got -1.0"),
+        ("SVM", {"kernel": "rbf", "C": 1.0, "gamma": 0.1}, {"gamma_value": lambda v: "x"},
+         "gamma_value must be a number > 0, got 'x'"),
+        ("DecisionTree", {"criterion": "gini", "max_depth": None}, {"tree.right": None},
+         "AttributeError"),
+        ("RandomForest", {"criterion": "gini", "n_estimators": 3}, {"trees.counts": lambda a: a[:, :2]},
+         "tree class sums are 2 classes wide"),
+        ("GaussianNB", {"var_smoothing": 1e-9}, {"variances": lambda a: -a}, "an all-zero row scores"),
+        ("QDA", {"reg": 0.5}, {name: lambda a: a[:2] for name in qda.STATE},
+         r"an all-zero row scores \[\["),
+    ], ids=["knn-label", "knn-rows", "svm-gamma", "svm-gamma-text", "tree-field", "forest-classes",
+            "nb-variances", "qda-classes"])
+    def test_state_that_cannot_score_every_row_is_refused_at_load(self, kind, hp, changes, message):
+        X, y = _blobs(n_per=15, centers=(0.0, 2.5, 5.0))
+        env = model_to_json_dict(_train(kind, hp, X, y))
+        self._edit_state(env["parameters"]["state"], changes)
+        with pytest.raises(FormatVersionMismatch, match=message):
+            model_from_json_dict(env)
+
+    def test_unknown_activation_in_the_state_is_refused_at_load(self):
+        X, y = _blobs(n_per=15, centers=(0.0, 2.5, 5.0))
+        env = model_to_json_dict(_train("NeuralNet", {"hidden": 4, "activation": "tanh", "solver": "adam"}, X, y))
+        env["parameters"]["state"]["activation"] = "sigmoid"
+        with pytest.raises(UnsupportedKind, match="unknown NeuralNet activation 'sigmoid'"):
+            model_from_json_dict(env)
+
     def test_invalid_json_file(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text("{not json", encoding="utf-8")
@@ -1162,6 +1308,35 @@ class TestProcessingBlock:
         change(env)
         with pytest.raises(FormatVersionMismatch, match="'processing'"):
             model_from_json_dict(env)
+
+
+    @pytest.mark.parametrize("pipeline,change,message", [
+        ("dca", {"savgol_polyorder": -1}, "savgol_polyorder: must be in [0, savgol_window), got -1"),
+        ("dca", {"savgol_window": 4}, "savgol_window: must be odd and >= 3, got 4"),
+        ("dca", {"savgol_polyorder": 51}, "savgol_polyorder: must be in [0, savgol_window), got 51"),
+        ("dca", {"eps_volts": float("nan")}, "eps_volts: must be > 0, got nan"),
+        ("dca", {"eps_volts": 0.0}, "eps_volts: must be > 0, got 0.0"),
+        ("dca", {"resample_n": 4}, "resample_n: must be >= 8, got 4"),
+        ("eis", {"resample_m": 0}, "resample_m: must be >= 8, got 0"),
+    ], ids=["polyorder-negative", "window-even", "polyorder-window", "eps-nan", "eps-zero",
+            "resample-n", "resample-m"])
+    def test_block_out_of_bounds_is_refused_at_load(self, pipeline, change, message, tmp_path):
+        # a negative polyorder loaded and scoring died with IndexError; an even
+        # window failed with a misleading "series too short"; NaN passed
+        env = model_to_json_dict(self._model(DcaConfig() if pipeline == "dca" else EisConfig()))
+        env["processing"]["config"].update(change)
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(env), encoding="utf-8")
+        with pytest.raises(FormatVersionMismatch, match=f"'processing'.*{re.escape(message)}"):
+            load_model(str(path))
+
+    @pytest.mark.parametrize("make", [
+        lambda: DcaConfig(savgol_polyorder=-1), lambda: DcaConfig(eps_volts=float("nan")),
+        lambda: DcaConfig(savgol_window=4), lambda: EisConfig(resample_m=7),
+    ], ids=["polyorder", "eps-nan", "window", "resample-m"])
+    def test_settings_check_their_bounds_when_made(self, make):
+        with pytest.raises(ValueError, match="must be"):
+            make()
 
 
 def _golden_data():
