@@ -8,7 +8,7 @@ instead of silently running with defaults.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional, Tuple
 
 from .dca import DcaConfig
@@ -24,12 +24,21 @@ DEFAULT_MODEL_KINDS = ("RandomForest",)
 
 @dataclass(frozen=True)
 class SynthConfig:
-    specs_path: str = "demo"        # "demo" or a path to a cell-spec JSON list
+    # "demo" or a path to a cell-spec JSON list, under the key "specs"
+    specs_path: str = field(default="demo", metadata={"key": "specs"})
     cells_per_spec: int = 10
     records_per_cell: int = 20
     n_points: int = 512
     n_freq: int = 128
     seed: int = 7
+
+    def __post_init__(self):
+        # the bounds of every SynthConfig; NaN fails them
+        for key in ("cells_per_spec", "records_per_cell", "n_points", "n_freq"):
+            if not getattr(self, key) > 0:
+                raise ValueError(f"{key}: must be > 0, got {getattr(self, key)}")
+        if not self.seed >= 0:
+            raise ValueError(f"seed: must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -76,12 +85,6 @@ def _get(data: dict, key: str, kind, path: str, default=None, required: bool = F
     return value
 
 
-def _positive(value, key: str, path: str):
-    if value <= 0:
-        raise ConfigError(f"{path}{key}: must be > 0, got {value}")
-    return value
-
-
 def _seed(data: dict, path: str, default: int) -> int:
     seed = _get(data, "seed", int, path, default)
     if seed < 0:
@@ -90,36 +93,18 @@ def _seed(data: dict, path: str, default: int) -> int:
 
 
 def _settings(cls, data: dict, section: str):
-    """The processing settings ``cls`` of a config section: each field of
-    its default's type, within the bounds ``cls`` checks when made."""
+    """The settings ``cls`` of a config section: each field of its
+    default's type, within the bounds ``cls`` checks when made. A field's
+    key is its name, or the ``"key"`` of its metadata."""
     defaults = asdict(cls())
-    _reject_unknown(data, set(defaults), section)
-    values = {key: _get(data, key, type(value), f"{section}.", value) for key, value in defaults.items()}
+    keys = {f.metadata.get("key", f.name): f.name for f in fields(cls)}
+    _reject_unknown(data, set(keys), section)
+    values = {name: _get(data, key, type(defaults[name]), f"{section}.", defaults[name])
+              for key, name in keys.items()}
     try:
         return cls(**values)
     except ValueError as exc:
         raise ConfigError(f"{section}.{exc}") from exc
-
-
-def _parse_synth(data: dict) -> SynthConfig:
-    path, d = "synth.", SynthConfig()
-    _reject_unknown(
-        data,
-        {"specs", "cells_per_spec", "records_per_cell", "n_points", "n_freq", "seed"},
-        "synth",
-    )
-    return SynthConfig(
-        specs_path=_get(data, "specs", str, path, d.specs_path),
-        cells_per_spec=_positive(
-            _get(data, "cells_per_spec", int, path, d.cells_per_spec), "cells_per_spec", path
-        ),
-        records_per_cell=_positive(
-            _get(data, "records_per_cell", int, path, d.records_per_cell), "records_per_cell", path
-        ),
-        n_points=_positive(_get(data, "n_points", int, path, d.n_points), "n_points", path),
-        n_freq=_positive(_get(data, "n_freq", int, path, d.n_freq), "n_freq", path),
-        seed=_seed(data, path, d.seed),
-    )
 
 
 def _parse_models(items, base_seed: int) -> Tuple[ModelSpec, ...]:
@@ -218,7 +203,7 @@ def config_from_json_dict(data: dict) -> RunConfig:
         _reject_unknown(input_block, {"csv"}, "input")
         input_path = _get(input_block, "csv", str, "input.", required=True)
     synth_block = _get(data, "synth", dict, "", None)
-    synth = _parse_synth(synth_block) if synth_block is not None else None
+    synth = _settings(SynthConfig, synth_block, "synth") if synth_block is not None else None
     if input_path is None and synth is None:
         raise ConfigError("config needs either an 'input' or a 'synth' section")
     if input_path is not None and synth is not None:

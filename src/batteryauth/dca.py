@@ -29,6 +29,9 @@ DEFAULT_EPS_VOLTS = 1e-4
 DEFAULT_SAVGOL_WINDOW = 51
 DEFAULT_SAVGOL_POLYORDER = 3
 DEFAULT_RESAMPLE_N = 512
+# upper bounds, so that no config or model file asks for a huge array
+MAX_SAVGOL_WINDOW = 1001
+MAX_RESAMPLE_N = 4096
 
 
 @dataclass(frozen=True)
@@ -45,11 +48,15 @@ class DcaConfig:
             raise ValueError(f"eps_volts: must be > 0, got {self.eps_volts}")
         if not (self.savgol_window >= 3 and self.savgol_window % 2 == 1):
             raise ValueError(f"savgol_window: must be odd and >= 3, got {self.savgol_window}")
+        if not self.savgol_window <= MAX_SAVGOL_WINDOW:
+            raise ValueError(f"savgol_window: must be <= {MAX_SAVGOL_WINDOW}, got {self.savgol_window}")
         if not 0 <= self.savgol_polyorder < self.savgol_window:
             raise ValueError(f"savgol_polyorder: must be in [0, savgol_window), "
                              f"got {self.savgol_polyorder}")
         if not self.resample_n >= 8:
             raise ValueError(f"resample_n: must be >= 8, got {self.resample_n}")
+        if not self.resample_n <= MAX_RESAMPLE_N:
+            raise ValueError(f"resample_n: must be <= {MAX_RESAMPLE_N}, got {self.resample_n}")
 
 
 @dataclass(frozen=True, eq=False)

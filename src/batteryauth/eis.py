@@ -16,6 +16,7 @@ from .errors import DegenerateFrequencyRange
 from .records import EisSpectrum, SampleMeta
 
 DEFAULT_RESAMPLE_M = 128
+MAX_RESAMPLE_M = 4096       # upper bound, so that no config or model file asks for a huge array
 
 
 @dataclass(frozen=True)
@@ -26,6 +27,8 @@ class EisConfig:
         # the bounds of every EisConfig, from a run config or a model file
         if not self.resample_m >= 8:
             raise ValueError(f"resample_m: must be >= 8, got {self.resample_m}")
+        if not self.resample_m <= MAX_RESAMPLE_M:
+            raise ValueError(f"resample_m: must be <= {MAX_RESAMPLE_M}, got {self.resample_m}")
 
 
 @dataclass(frozen=True, eq=False)

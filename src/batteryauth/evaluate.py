@@ -215,14 +215,11 @@ def make_auth_scenario(
     n_legit_avail = len(legit_pool)
     n_counter_avail = int(np.count_nonzero(y != legit_id))
     t_cap = min(int(np.floor(n_legit_avail / p)), int(np.floor(n_counter_avail / (1.0 - p))))
-    n_legit = n_counter = 0
-    for t_total in range(t_cap, 1, -1):
-        cand_legit = int(round(t_total * p))
-        cand_counter = t_total - cand_legit
-        if 1 <= cand_legit <= n_legit_avail and 1 <= cand_counter <= n_counter_avail:
-            n_legit, n_counter = cand_legit, cand_counter
-            break
-    if n_legit == 0:
+    # both pools cover round(t * p) and the rest at every t <= t_cap, and
+    # round(t * p) does not fall as t grows: the largest size is t_cap or none
+    n_legit = int(round(t_cap * p))
+    n_counter = t_cap - n_legit
+    if not 0 < n_legit < t_cap:
         raise InfeasibleBalance(
             f"cannot reach {balance}% legit with pools {n_legit_avail}/{n_counter_avail}"
         )

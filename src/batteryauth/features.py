@@ -167,14 +167,6 @@ def feature_number_peaks(x: Sequence[float], support: int) -> int:
     return int(ok.sum())
 
 
-def feature_range_count(x: Sequence[float], lo: float, hi: float) -> int:
-    """Count samples with lo <= x < hi."""
-    if not lo < hi:
-        raise BadInterval(f"need lo < hi, got [{lo}, {hi})")
-    x = np.asarray(x, dtype=float)
-    return int(np.count_nonzero((x >= lo) & (x < hi)))
-
-
 def feature_fft_coefficient(x: Sequence[float], k: int) -> Tuple[float, float]:
     """(abs, angle) of the k-th unnormalized DFT coefficient."""
     x = np.asarray(x, dtype=float)
@@ -198,15 +190,6 @@ def ricker_kernel(width: float) -> np.ndarray:
     kernel = amp * (1.0 - t**2 / width**2) * np.exp(-(t**2) / (2.0 * width**2))
     kernel.setflags(write=False)
     return kernel
-
-
-def feature_cwt_coefficient(x: Sequence[float], width: float, position: int) -> float:
-    """Ricker-wavelet convolution value at `position` (zero-padded edges)."""
-    x = np.asarray(x, dtype=float)
-    if not 0 <= position < len(x):
-        raise IndexOutOfRange(f"position {position} out of range for length {len(x)}")
-    conv = np.convolve(x, ricker_kernel(width), mode="same")
-    return float(conv[position])
 
 
 def cwt_positions(n: int, count: int = CWT_POSITIONS) -> np.ndarray:

@@ -173,23 +173,6 @@ def validate_spectrum(record: EisSpectrum, min_len: int = DEFAULT_MIN_SWEEP_LEN)
     return record
 
 
-def records_equal(a: Record, b: Record) -> bool:
-    """Field-wise equality (arrays compared exactly). Used by round-trip tests."""
-    if type(a) is not type(b) or a.meta != b.meta:
-        return False
-    if isinstance(a, CycleRecord):
-        return (
-            a.cycle_kind == b.cycle_kind
-            and np.array_equal(a.voltage, b.voltage)
-            and np.array_equal(a.capacity, b.capacity)
-        )
-    return (
-        np.array_equal(a.frequency, b.frequency)
-        and np.array_equal(a.z_real, b.z_real)
-        and np.array_equal(a.z_imag, b.z_imag)
-    )
-
-
 @dataclass(frozen=True)
 class DatasetCatalog:
     """Records plus stable label-to-id maps for model and architecture."""

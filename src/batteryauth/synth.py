@@ -12,8 +12,9 @@ claimed beyond the qualitative shapes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from dataclasses import MISSING, dataclass, field, fields
+from functools import partial
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
@@ -22,6 +23,7 @@ from .records import (
     CycleRecord,
     DatasetCatalog,
     EisSpectrum,
+    Record,
     SampleMeta,
     build_catalog,
     make_cycle,
@@ -62,6 +64,8 @@ class SohDrift:
 
 @dataclass(frozen=True)
 class SyntheticCellSpec:
+    """A cell type; it checks its own bounds when made, so every spec in use is valid."""
+
     name: str
     architecture: str
     dca_peaks: Tuple[Tuple[float, float, float], ...]   # (mean V, amplitude Ah/V, width V)
@@ -71,24 +75,26 @@ class SyntheticCellSpec:
     soh_drift: SohDrift = field(default_factory=SohDrift)
     dca_baseline: float = 0.05
 
-
-def validate_spec(spec: SyntheticCellSpec) -> None:
-    v_lo, v_hi = spec.voltage_window
-    if not v_lo < v_hi:
-        raise BadSpec(f"{spec.name}: voltage window must satisfy v_lo < v_hi, got {spec.voltage_window}")
-    for mu, amp, width in spec.dca_peaks:
-        if not v_lo <= mu <= v_hi:
-            raise BadSpec(f"{spec.name}: peak mean {mu} outside window {spec.voltage_window}")
-        if width <= 0:
-            raise BadSpec(f"{spec.name}: peak width must be > 0, got {width}")
-        if amp < 0:
-            raise BadSpec(f"{spec.name}: peak amplitude must be >= 0, got {amp}")
-    if any(p < 0 for p in spec.randles):
-        raise BadSpec(f"{spec.name}: circuit parameters must be >= 0, got {spec.randles}")
-    if spec.noise_std < 0:
-        raise BadSpec(f"{spec.name}: noise_std must be >= 0")
-    if spec.dca_baseline < 0:
-        raise BadSpec(f"{spec.name}: dca_baseline must be >= 0")
+    def __post_init__(self) -> None:
+        # each comparison is written so that NaN fails it
+        if len(self.voltage_window) != 2:
+            raise BadSpec(f"{self.name}: voltage_window must have exactly 2 entries")
+        v_lo, v_hi = self.voltage_window
+        if not v_lo < v_hi:
+            raise BadSpec(f"{self.name}: voltage window must satisfy v_lo < v_hi, got {self.voltage_window}")
+        for mu, amp, width in self.dca_peaks:
+            if not v_lo <= mu <= v_hi:
+                raise BadSpec(f"{self.name}: peak mean {mu} outside window {self.voltage_window}")
+            if not width > 0:
+                raise BadSpec(f"{self.name}: peak width must be > 0, got {width}")
+            if not amp >= 0:
+                raise BadSpec(f"{self.name}: peak amplitude must be >= 0, got {amp}")
+        if not all(p >= 0 for p in self.randles):
+            raise BadSpec(f"{self.name}: circuit parameters must be >= 0, got {self.randles}")
+        if not self.noise_std >= 0:
+            raise BadSpec(f"{self.name}: noise_std must be >= 0")
+        if not self.dca_baseline >= 0:
+            raise BadSpec(f"{self.name}: dca_baseline must be >= 0")
 
 
 def dca_ground_truth(spec: SyntheticCellSpec, voltage: np.ndarray, soh_percent: float) -> np.ndarray:
@@ -118,7 +124,6 @@ def gen_cycle(
     level; additive noise on Q itself would break the charge-cycle
     monotonicity contract that ingestion enforces.
     """
-    validate_spec(spec)
     if n_points < MIN_CYCLE_POINTS:
         raise BadSpec(f"n_points must be >= {MIN_CYCLE_POINTS}, got {n_points}")
     v_lo, v_hi = spec.voltage_window
@@ -175,7 +180,6 @@ def gen_eis(
     soh_percent: float = SOH_START,
 ) -> EisSpectrum:
     """One impedance sweep on a log grid from 10 mHz to 10 kHz."""
-    validate_spec(spec)
     if n_freq < MIN_FREQ_POINTS:
         raise BadSpec(f"n_freq must be >= {MIN_FREQ_POINTS}, got {n_freq}")
     freq = np.logspace(np.log10(FREQ_LO_HZ), np.log10(FREQ_HI_HZ), n_freq)
@@ -200,16 +204,29 @@ def gen_eis(
     return make_spectrum(freq, re, im, meta)
 
 
-def _check_dataset_args(specs: Sequence[SyntheticCellSpec], cells: int, per_cell: int) -> None:
+def _corpus(
+    specs: Sequence[SyntheticCellSpec],
+    cells_per_spec: int,
+    per_cell: int,
+    make: Callable[[SyntheticCellSpec, int, int, str, float], Record],
+) -> DatasetCatalog:
+    """``per_cell`` records of every cell of every spec, in spec, cell and
+    record order; each cell ages linearly from 100% to 80% SOH.
+    ``make(spec, cell, index, cell_id, soh_percent)`` makes one record."""
     if len(specs) < 2:
         raise BadSpec("dataset generation needs >= 2 cell specs for classification use")
-    if cells < 1 or per_cell < 1:
+    if cells_per_spec < 1 or per_cell < 1:
         raise BadSpec("cells_per_spec and records per cell must be >= 1")
     names = [s.name for s in specs]
     if len(set(names)) != len(names):
         raise BadSpec(f"spec names must be unique, got {names}")
-    for s in specs:
-        validate_spec(s)
+    soh_path = np.linspace(SOH_START, SOH_END, per_cell)
+    return build_catalog([
+        make(spec, cell, i, f"{spec.name}-c{cell:02d}", float(soh_path[i]))
+        for spec in specs
+        for cell in range(cells_per_spec)
+        for i in range(per_cell)
+    ])
 
 
 def gen_dataset(
@@ -220,25 +237,12 @@ def gen_dataset(
     n_points: int = 512,
 ) -> DatasetCatalog:
     """Cycle corpus: every cell ages linearly from 100% to 80% SOH."""
-    _check_dataset_args(specs, cells_per_spec, cycles_per_cell)
-    soh_path = np.linspace(SOH_START, SOH_END, cycles_per_cell)
-    records: List[CycleRecord] = []
-    for spec in specs:
-        for cell in range(cells_per_spec):
-            cell_id = f"{spec.name}-c{cell:02d}"
-            for cyc in range(cycles_per_cell):
-                records.append(
-                    gen_cycle(
-                        spec,
-                        soh_percent=float(soh_path[cyc]),
-                        n_points=n_points,
-                        seed=child_seed(seed, "cycle", spec.name, cell, cyc),
-                        cell_id=cell_id,
-                        cycle_index=cyc,
-                        dataset_id="synth-dca",
-                    )
-                )
-    return build_catalog(records)
+    def cycle(spec, cell, cyc, cell_id, soh):
+        return gen_cycle(spec, soh_percent=soh, n_points=n_points,
+                         seed=child_seed(seed, "cycle", spec.name, cell, cyc),
+                         cell_id=cell_id, cycle_index=cyc, dataset_id="synth-dca")
+
+    return _corpus(specs, cells_per_spec, cycles_per_cell, cycle)
 
 
 def gen_eis_dataset(
@@ -249,29 +253,14 @@ def gen_eis_dataset(
     n_freq: int = 128,
 ) -> DatasetCatalog:
     """Sweep corpus with per-sweep SOC in [20, 90] and temperature in [5, 45]."""
-    _check_dataset_args(specs, cells_per_spec, sweeps_per_cell)
-    soh_path = np.linspace(SOH_START, SOH_END, sweeps_per_cell)
-    records: List[EisSpectrum] = []
-    for spec in specs:
-        for cell in range(cells_per_spec):
-            cell_id = f"{spec.name}-c{cell:02d}"
-            for sweep in range(sweeps_per_cell):
-                s = child_seed(seed, "sweep", spec.name, cell, sweep)
-                cond = rng_from(s, "condition")
-                records.append(
-                    gen_eis(
-                        spec,
-                        soc_percent=float(cond.uniform(20.0, 90.0)),
-                        temperature_c=float(cond.uniform(5.0, 45.0)),
-                        n_freq=n_freq,
-                        seed=s,
-                        cell_id=cell_id,
-                        cycle_index=sweep,
-                        dataset_id="synth-eis",
-                        soh_percent=float(soh_path[sweep]),
-                    )
-                )
-    return build_catalog(records)
+    def sweep(spec, cell, index, cell_id, soh):
+        s = child_seed(seed, "sweep", spec.name, cell, index)
+        cond = rng_from(s, "condition")
+        return gen_eis(spec, soc_percent=float(cond.uniform(20.0, 90.0)),
+                       temperature_c=float(cond.uniform(5.0, 45.0)), n_freq=n_freq, seed=s,
+                       cell_id=cell_id, cycle_index=index, dataset_id="synth-eis", soh_percent=soh)
+
+    return _corpus(specs, cells_per_spec, sweeps_per_cell, sweep)
 
 
 def demo_specs(noise_std: float = 0.02) -> Tuple[SyntheticCellSpec, ...]:
@@ -281,133 +270,73 @@ def demo_specs(noise_std: float = 0.02) -> Tuple[SyntheticCellSpec, ...]:
     share an architecture so architecture labels (3 classes) and model
     labels (5 classes) give genuinely different tasks.
     """
-    drift = SohDrift(peak_shift_v_per_percent=0.001, amplitude_fade_per_percent=0.004)
-    window = (3.0, 4.2)
+    cell = partial(
+        SyntheticCellSpec,
+        voltage_window=(3.0, 4.2),
+        noise_std=noise_std,
+        soh_drift=SohDrift(peak_shift_v_per_percent=0.001, amplitude_fade_per_percent=0.004),
+    )
     return (
-        SyntheticCellSpec(
-            name="alpha",
-            architecture="layered-oxide",
-            dca_peaks=((3.45, 2.0, 0.04), (3.75, 1.2, 0.05), (4.05, 0.8, 0.04)),
-            voltage_window=window,
-            randles=(0.015, 0.030, 1.2, 0.003),
-            noise_std=noise_std,
-            soh_drift=drift,
-        ),
-        SyntheticCellSpec(
-            name="bravo",
-            architecture="layered-oxide",
-            dca_peaks=((3.55, 1.6, 0.05), (3.95, 1.5, 0.04)),
-            voltage_window=window,
-            randles=(0.022, 0.045, 0.9, 0.005),
-            noise_std=noise_std,
-            soh_drift=drift,
-        ),
-        SyntheticCellSpec(
-            name="charlie",
-            architecture="olivine",
-            dca_peaks=((3.30, 2.4, 0.03), (3.42, 1.0, 0.06)),
-            voltage_window=window,
-            randles=(0.030, 0.060, 0.6, 0.007),
-            noise_std=noise_std,
-            soh_drift=drift,
-        ),
-        SyntheticCellSpec(
-            name="delta",
-            architecture="olivine",
-            dca_peaks=((3.35, 1.4, 0.05), (3.60, 0.9, 0.04), (3.85, 1.1, 0.05)),
-            voltage_window=window,
-            randles=(0.026, 0.075, 0.7, 0.009),
-            noise_std=noise_std,
-            soh_drift=drift,
-        ),
-        SyntheticCellSpec(
-            name="echo",
-            architecture="spinel",
-            dca_peaks=((3.65, 2.2, 0.04), (4.10, 1.8, 0.03)),
-            voltage_window=window,
-            randles=(0.018, 0.090, 1.5, 0.004),
-            noise_std=noise_std,
-            soh_drift=drift,
-        ),
+        cell(name="alpha", architecture="layered-oxide",
+             dca_peaks=((3.45, 2.0, 0.04), (3.75, 1.2, 0.05), (4.05, 0.8, 0.04)),
+             randles=(0.015, 0.030, 1.2, 0.003)),
+        cell(name="bravo", architecture="layered-oxide",
+             dca_peaks=((3.55, 1.6, 0.05), (3.95, 1.5, 0.04)),
+             randles=(0.022, 0.045, 0.9, 0.005)),
+        cell(name="charlie", architecture="olivine",
+             dca_peaks=((3.30, 2.4, 0.03), (3.42, 1.0, 0.06)),
+             randles=(0.030, 0.060, 0.6, 0.007)),
+        cell(name="delta", architecture="olivine",
+             dca_peaks=((3.35, 1.4, 0.05), (3.60, 0.9, 0.04), (3.85, 1.1, 0.05)),
+             randles=(0.026, 0.075, 0.7, 0.009)),
+        cell(name="echo", architecture="spinel",
+             dca_peaks=((3.65, 2.2, 0.04), (4.10, 1.8, 0.03)),
+             randles=(0.018, 0.090, 1.5, 0.004)),
     )
 
 
 # === spec files ===
 
-def spec_to_json_dict(spec: SyntheticCellSpec) -> dict:
-    return {
-        "name": spec.name,
-        "architecture": spec.architecture,
-        "dca_peaks": [list(p) for p in spec.dca_peaks],
-        "voltage_window": list(spec.voltage_window),
-        "randles": {
-            "r0": spec.randles[0],
-            "rct": spec.randles[1],
-            "cdl": spec.randles[2],
-            "warburg_sigma": spec.randles[3],
-        },
-        "noise_std": spec.noise_std,
-        "soh_drift": {
-            "peak_shift_v_per_percent": spec.soh_drift.peak_shift_v_per_percent,
-            "amplitude_fade_per_percent": spec.soh_drift.amplitude_fade_per_percent,
-        },
-        "dca_baseline": spec.dca_baseline,
-    }
+_RANDLES = ("r0", "rct", "cdl", "warburg_sigma")
 
 
-_SPEC_KEYS = {
-    "name", "architecture", "dca_peaks", "voltage_window",
-    "randles", "noise_std", "soh_drift", "dca_baseline",
-}
-_RANDLES_KEYS = {"r0", "rct", "cdl", "warburg_sigma"}
-_DRIFT_KEYS = {"peak_shift_v_per_percent", "amplitude_fade_per_percent"}
+def _object(value, keys: Sequence[str], what: str) -> dict:
+    if not isinstance(value, dict) or not set(value) <= set(keys):
+        raise BadSpec(f"{what} must be an object with keys {sorted(keys)}")
+    return value
 
 
 def spec_from_json_dict(data: dict) -> SyntheticCellSpec:
+    """A cell spec from its JSON object. Its keys, which of them are
+    required and their defaults are the fields of ``SyntheticCellSpec``
+    and ``SohDrift``; ``randles`` holds the ``_RANDLES`` keys, 0 if absent."""
     if not isinstance(data, dict):
         raise BadSpec(f"cell spec must be an object, got {type(data).__name__}")
-    unknown = set(data) - _SPEC_KEYS
+    spec_fields = fields(SyntheticCellSpec)
+    unknown = set(data) - {f.name for f in spec_fields}
     if unknown:
         raise BadSpec(f"unknown cell-spec keys: {sorted(unknown)}")
-    missing = {"name", "architecture", "dca_peaks", "voltage_window", "randles"} - set(data)
+    required = {f.name for f in spec_fields if f.default is MISSING and f.default_factory is MISSING}
+    missing = required - set(data)
     if missing:
         raise BadSpec(f"cell spec missing keys: {sorted(missing)}")
     try:
-        peaks = tuple((float(m), float(a), float(w)) for m, a, w in data["dca_peaks"])
-        window = tuple(float(v) for v in data["voltage_window"])
-        if len(window) != 2:
-            raise BadSpec("voltage_window must have exactly 2 entries")
-        r = data["randles"]
-        if not isinstance(r, dict) or set(r) - _RANDLES_KEYS:
-            raise BadSpec(f"randles must be an object with keys {sorted(_RANDLES_KEYS)}")
-        randles = tuple(float(r.get(k, 0.0)) for k in ("r0", "rct", "cdl", "warburg_sigma"))
-        d = data.get("soh_drift", {})
-        if not isinstance(d, dict) or set(d) - _DRIFT_KEYS:
-            raise BadSpec(f"soh_drift must be an object with keys {sorted(_DRIFT_KEYS)}")
-        drift = SohDrift(
-            peak_shift_v_per_percent=float(d.get("peak_shift_v_per_percent", 0.0)),
-            amplitude_fade_per_percent=float(d.get("amplitude_fade_per_percent", 0.0)),
-        )
-        spec = SyntheticCellSpec(
+        # the optional scalars are the fields with a float default
+        scalars = {f.name: float(data[f.name]) for f in spec_fields
+                   if isinstance(f.default, float) and f.name in data}
+        randles = _object(data["randles"], _RANDLES, "randles")
+        drift = _object(data.get("soh_drift", {}), [f.name for f in fields(SohDrift)], "soh_drift")
+        return SyntheticCellSpec(
             name=str(data["name"]),
             architecture=str(data["architecture"]),
-            dca_peaks=peaks,
-            voltage_window=window,        # type: ignore[arg-type]
-            randles=randles,              # type: ignore[arg-type]
-            noise_std=float(data.get("noise_std", 0.0)),
-            soh_drift=drift,
-            dca_baseline=float(data.get("dca_baseline", 0.05)),
+            dca_peaks=tuple((float(m), float(a), float(w)) for m, a, w in data["dca_peaks"]),
+            voltage_window=tuple(float(v) for v in data["voltage_window"]),  # type: ignore[arg-type]
+            randles=tuple(float(randles.get(k, 0.0)) for k in _RANDLES),    # type: ignore[arg-type]
+            soh_drift=SohDrift(**{k: float(v) for k, v in drift.items()}),
+            **scalars,
         )
-    except BadSpec:
-        raise
     except (TypeError, ValueError) as exc:
         raise BadSpec(f"malformed cell spec: {exc}") from exc
-    validate_spec(spec)
-    return spec
-
-
-def specs_to_json(specs: Sequence[SyntheticCellSpec]) -> str:
-    return json.dumps([spec_to_json_dict(s) for s in specs], sort_keys=True, indent=2) + "\n"
 
 
 def specs_from_json(text: str) -> Tuple[SyntheticCellSpec, ...]:

@@ -11,6 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from conftest import deadline
+from reference import specs_to_json
 
 import batteryauth
 from batteryauth import cli
@@ -42,7 +43,6 @@ from batteryauth.synth import (
     gen_eis,
     gen_eis_dataset,
     specs_from_json,
-    specs_to_json,
 )
 
 _DRIFT = SohDrift(peak_shift_v_per_percent=0.001, amplitude_fade_per_percent=0.004)

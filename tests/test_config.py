@@ -139,9 +139,14 @@ class TestSectionValidation:
         ("dca", {"eps_volts": 0}, "dca.eps_volts: must be > 0, got 0.0"),
         ("dca", {"savgol_polyorder": -1}, "dca.savgol_polyorder: must be in [0, savgol_window), got -1"),
         ("eis", {"resample_m": 7}, "eis.resample_m: must be >= 8, got 7"),
-    ], ids=["eps-nan", "eps-zero", "polyorder", "resample-m"])
+        ("dca", {"resample_n": 10**10}, "dca.resample_n: must be <= 4096, got 10000000000"),
+        ("eis", {"resample_m": 4097}, "eis.resample_m: must be <= 4096, got 4097"),
+        ("dca", {"savgol_window": 1003}, "dca.savgol_window: must be <= 1001, got 1003"),
+    ], ids=["eps-nan", "eps-zero", "polyorder", "resample-m", "resample-n-max", "resample-m-max",
+            "window-max"])
     def test_processing_bounds_name_the_field(self, section, values, message):
-        # NaN passed the old "value <= 0" test
+        # NaN passed the old "value <= 0" test; with no upper bound, resample_n
+        # 10**10 asked numpy for 74.5 GiB when a sample was scored
         with pytest.raises(ConfigError) as err:
             config_from_json_dict(_base(**{section: values}))
         assert str(err.value) == message
@@ -194,6 +199,16 @@ class TestSectionValidation:
         with pytest.raises(ConfigError) as err:
             config_from_json_dict(_base(synth={"cells_per_spec": 0}))
         assert "synth.cells_per_spec" in str(err.value)
+
+    @pytest.mark.parametrize("make,message", [
+        (lambda: SynthConfig(cells_per_spec=0), "cells_per_spec: must be > 0, got 0"),
+        (lambda: SynthConfig(n_freq=-4), "n_freq: must be > 0, got -4"),
+        (lambda: SynthConfig(seed=-1), "seed: must be >= 0, got -1"),
+    ], ids=["cells", "n-freq", "seed"])
+    def test_synth_settings_check_their_bounds_when_made(self, make, message):
+        with pytest.raises(ValueError) as err:
+            make()
+        assert str(err.value) == message
 
     @pytest.mark.parametrize("overrides,field", [
         ({"eval": {"seed": -1}}, "eval.seed"),

@@ -14,10 +14,11 @@ import random
 import pytest
 
 import csv_reference
+from reference import records_equal
 from batteryauth import io_csv
 from batteryauth.errors import BatteryAuthError, MalformedCsv, MissingColumn, NonFiniteValue
 from batteryauth.io_csv import parse_cycle_csv, parse_eis_csv
-from batteryauth.records import SampleMeta, records_equal
+from batteryauth.records import SampleMeta
 
 _META = ("dataset_id", "cell_id", "battery_model", "architecture",
          "soc_percent", "soh_percent", "temperature_c", "cycle_index")

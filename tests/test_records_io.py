@@ -1,6 +1,7 @@
 """Record construction, validation rules, and CSV round trips."""
 import numpy as np
 import pytest
+from reference import records_equal
 
 from batteryauth.errors import (
     EmptyDataset,
@@ -22,7 +23,6 @@ from batteryauth.records import (
     build_catalog,
     make_cycle,
     make_spectrum,
-    records_equal,
     validate_cycle,
     validate_spectrum,
 )

@@ -3,11 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from reference import records_equal, spec_to_json_dict, specs_to_json
 
 from batteryauth.dca import DcaConfig, process_cycle
 from batteryauth.errors import BadSpec
 from batteryauth.io_csv import write_cycle_csv
-from batteryauth.records import records_equal
 from batteryauth.synth import (
     SohDrift,
     SyntheticCellSpec,
@@ -20,10 +20,7 @@ from batteryauth.synth import (
     gen_eis_dataset,
     randles_impedance,
     spec_from_json_dict,
-    spec_to_json_dict,
     specs_from_json,
-    specs_to_json,
-    validate_spec,
 )
 
 
@@ -41,28 +38,41 @@ def _spec(**overrides):
 
 
 class TestSpecValidation:
+    """A spec checks itself when it is made, so a bad one never exists."""
+
     def test_demo_specs_all_valid(self):
         specs = demo_specs()
         assert len(specs) == 5
-        for s in specs:
-            validate_spec(s)
         assert len({s.architecture for s in specs}) == 3
 
     def test_inverted_window(self):
         with pytest.raises(BadSpec):
-            validate_spec(_spec(voltage_window=(4.2, 3.0)))
+            _spec(voltage_window=(4.2, 3.0))
 
     def test_peak_outside_window(self):
         with pytest.raises(BadSpec):
-            validate_spec(_spec(dca_peaks=((5.0, 1.0, 0.05),)))
+            _spec(dca_peaks=((5.0, 1.0, 0.05),))
 
     def test_nonpositive_width(self):
         with pytest.raises(BadSpec):
-            validate_spec(_spec(dca_peaks=((3.5, 1.0, 0.0),)))
+            _spec(dca_peaks=((3.5, 1.0, 0.0),))
 
     def test_negative_circuit_parameter(self):
         with pytest.raises(BadSpec):
-            validate_spec(_spec(randles=(-0.01, 0.05, 1.0, 0.004)))
+            _spec(randles=(-0.01, 0.05, 1.0, 0.004))
+
+    @pytest.mark.parametrize("overrides,message", [
+        ({"voltage_window": (3.0, 3.5, 4.2)}, "voltage_window must have exactly 2 entries"),
+        ({"dca_peaks": ((3.5, -1.0, 0.05),)}, "peak amplitude must be >= 0, got -1.0"),
+        ({"noise_std": -0.01}, "noise_std must be >= 0"),
+        ({"dca_baseline": -0.05}, "dca_baseline must be >= 0"),
+        ({"noise_std": math.nan}, "noise_std must be >= 0"),
+        ({"dca_peaks": ((3.5, 1.0, math.nan),)}, "peak width must be > 0, got nan"),
+    ], ids=["window-length", "amplitude", "noise", "baseline", "noise-nan", "width-nan"])
+    def test_bad_spec_raises_when_made(self, overrides, message):
+        with pytest.raises(BadSpec, match=message) as err:
+            _spec(**overrides)
+        assert str(err.value).startswith("probe: ")
 
 
 class TestGenCycle:
