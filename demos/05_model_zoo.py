@@ -9,6 +9,7 @@ was not built for. This script tunes two kinds on the same task and
 round-trips the better one through disk.
 """
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -46,8 +47,10 @@ print(f"\ntask: identify the cell type, {len(names)} classes, "
 winners = {}
 for kind in ("KNN", "DecisionTree"):
     spec = make_spec(kind, seed=3)
-    model, cv = grid_search(spec, matrix.values[train_idx], y[train_idx], k=5,
-                            class_names=names, catalog_version=matrix.catalog_version)
+    model, cv = grid_search(spec, matrix.values[train_idx], y[train_idx], k=5)
+    # a run stamps its winners with their provenance; outside a run, do it by hand
+    model = replace(model, class_names=names, catalog_version=matrix.catalog_version,
+                    processing=matrix.processing)
     winners[kind] = model
     held_out = macro_f1(y[test_idx], predict(model, matrix.values[test_idx]))
     print(f"\n{kind}: winner {model.hyperparams}, held-out macro-F1 {held_out:.3f}")

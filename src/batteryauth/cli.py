@@ -151,13 +151,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     with open(os.path.join(cfg.output_dir, "report.csv"), "w", encoding="utf-8") as fh:
         fh.write(report_to_csv(report))
 
-    # each file pins the processing its training features went through
-    processing = cfg.dca if cfg.pipeline == "dca" else cfg.eis
     saved = [(r, None) for r in report.ident_results]
     saved += [(r, r.legit_label) for r in report.auth_results if r.balance == SAVED_BALANCE]
     for r, label in saved:
         path = os.path.join(cfg.output_dir, _model_file_name(r.task, r.kind, label))
-        save_model(replace(r.model, processing=processing), path)
+        save_model(r.model, path)
 
     for r in report.ident_results:
         print(f"{r.task} {r.kind}: macro_f1={r.metric_set.f1:.4f} accuracy={r.metric_set.accuracy:.4f}")

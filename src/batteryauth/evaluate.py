@@ -12,7 +12,7 @@ so reruns are byte-identical.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -428,6 +428,8 @@ def _run_task(
 
     Optionally screen the features, split stratified, grid-search each
     spec on the train part and score its predictions on the test part.
+    Each winner is stamped with its provenance: the mask, the matrix's
+    catalog version and processing, the trained class names and the task.
     """
     results: list = []
     selection_kept: Dict[str, int] = {}
@@ -448,17 +450,11 @@ def _run_task(
             # fall wholly into the test part
             trained_names = tuple(class_names[c] for c in np.unique(y[train_idx]))
             for spec in specs:
-                model, cv = grid_search(
-                    spec,
-                    X[train_idx],
-                    y[train_idx],
-                    k=config.folds,
-                    threads=config.threads,
-                    mask=mask,
-                    catalog_version=matrix.catalog_version,
-                    class_names=trained_names,
-                    task=mode,
-                )
+                model, cv = grid_search(spec, X[train_idx], y[train_idx], k=config.folds,
+                                        threads=config.threads)
+                # the one place a model's provenance is set
+                model = replace(model, mask=mask, catalog_version=matrix.catalog_version,
+                                class_names=trained_names, task=mode, processing=matrix.processing)
                 y_hat = predict(model, X[test_idx])
                 common = dict(task=task, target=target, kind=spec.kind, hyperparams=model.hyperparams,
                               converged=model.converged, model=model)

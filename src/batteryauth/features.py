@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -326,6 +326,8 @@ class FeatureMatrix:
     model_names: Tuple[str, ...]       # class id -> label
     arch_names: Tuple[str, ...]
     imputed_counts: np.ndarray         # (n,)
+    # the processing that made the rows; None for a matrix built by hand
+    processing: Optional[Union[DcaConfig, EisConfig]] = None
 
     def __len__(self) -> int:
         return len(self.values)
@@ -344,6 +346,7 @@ def matrix_take(matrix: FeatureMatrix, idx: np.ndarray) -> FeatureMatrix:
         model_names=matrix.model_names,
         arch_names=matrix.arch_names,
         imputed_counts=matrix.imputed_counts[idx],
+        processing=matrix.processing,
     )
 
 
@@ -357,25 +360,21 @@ def labels_for(matrix: FeatureMatrix, target: str) -> Tuple[np.ndarray, Tuple[st
 
 
 def _build_matrix(
-    vectors: Sequence[FeatureVector], records, data_catalog: DatasetCatalog, feature_catalog
+    vectors: Sequence[FeatureVector], data: DatasetCatalog, catalog: FeatureCatalog,
+    processing: Union[DcaConfig, EisConfig],
 ) -> FeatureMatrix:
-    values = np.stack([fv.values for fv in vectors])
-    model_id = np.array(
-        [data_catalog.model_labels[r.meta.battery_model] for r in records], dtype=int
-    )
-    arch_id = np.array(
-        [data_catalog.arch_labels[r.meta.architecture] for r in records], dtype=int
-    )
+    metas = tuple(r.meta for r in data.records)
     return FeatureMatrix(
-        values=values,
-        model_id=model_id,
-        arch_id=arch_id,
-        metas=tuple(r.meta for r in records),
-        catalog_version=feature_catalog.version,
-        feature_names=feature_catalog.names,
-        model_names=tuple(data_catalog.model_names),
-        arch_names=tuple(data_catalog.arch_names),
+        values=np.stack([fv.values for fv in vectors]),
+        model_id=np.array([data.model_labels[m.battery_model] for m in metas], dtype=int),
+        arch_id=np.array([data.arch_labels[m.architecture] for m in metas], dtype=int),
+        metas=metas,
+        catalog_version=catalog.version,
+        feature_names=catalog.names,
+        model_names=tuple(data.model_names),
+        arch_names=tuple(data.arch_names),
         imputed_counts=np.array([fv.imputed_count for fv in vectors], dtype=int),
+        processing=processing,
     )
 
 
@@ -392,7 +391,7 @@ def matrix_from_cycles(
         return extract_features([series.dqdv], catalog)
 
     vectors = ordered_map(one, data.records, threads=threads)
-    return _build_matrix(vectors, data.records, data, catalog)
+    return _build_matrix(vectors, data, catalog, config)
 
 
 def matrix_from_spectra(
@@ -408,4 +407,4 @@ def matrix_from_spectra(
         return extract_features([ch.re_z, ch.neg_im_z], catalog)
 
     vectors = ordered_map(one, data.records, threads=threads)
-    return _build_matrix(vectors, data.records, data, catalog)
+    return _build_matrix(vectors, data, catalog, config)

@@ -142,16 +142,21 @@ class TrainedModel:
     kind: str
     hyperparams: dict
     standardizer: Standardizer
-    mask: Optional[np.ndarray]          # keep-mask over the full catalog, or None
     params: dict                        # kind-specific fitted state
     seed: int
-    catalog_version: str
     classes: np.ndarray                 # internal id -> original label id
-    class_names: Tuple[str, ...] = ()
     converged: bool = True
+    # provenance, which ``train`` leaves at these defaults and the run sets
+    mask: Optional[np.ndarray] = None   # keep-mask over the full catalog, or None
+    catalog_version: str = ""
+    class_names: Tuple[str, ...] = ()
     task: str = "identification"
     # the processing that made the training features; None when unknown
     processing: Optional[Union[DcaConfig, EisConfig]] = None
+
+    def __post_init__(self) -> None:
+        if self.class_names and len(self.class_names) != len(self.classes):
+            raise DimensionMismatch(f"{len(self.class_names)} class names for {len(self.classes)} classes")
 
     @property
     def input_width(self) -> int:
@@ -163,17 +168,12 @@ def train(
     hyperparams: dict,
     X: np.ndarray,
     y: np.ndarray,
-    mask: Optional[np.ndarray] = None,
-    catalog_version: str = "",
-    class_names: Tuple[str, ...] = (),
     seed: Optional[int] = None,
-    task: str = "identification",
 ) -> TrainedModel:
     """Fit one model at fixed hyperparameters.
 
-    X must already be masked to the selected features (the mask argument is
-    carried for provenance and re-applied to full-width inputs at predict
-    time). (spec, seed, data) fully determine the result.
+    X must already be masked to the selected features. (spec, seed, data)
+    fully determine the result. The provenance fields keep their defaults.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
@@ -186,27 +186,14 @@ def train(
     classes = np.unique(y)
     if len(X) < len(classes):
         raise DimensionMismatch(f"{len(X)} rows cannot cover {len(classes)} classes")
-    if class_names and len(class_names) != len(classes):
-        raise DimensionMismatch(f"{len(class_names)} class names for {len(classes)} classes")
     y_enc = np.searchsorted(classes, y)
     hp = normalize_hyperparams(spec.kind, hyperparams)
     model_seed = spec.seed if seed is None else seed
     standardizer = fit_standardizer(X)
     Xs = standardizer.transform(X)
     params, converged = _MODULES[spec.kind].fit(Xs, y_enc, len(classes), hp, model_seed)
-    return TrainedModel(
-        kind=spec.kind,
-        hyperparams=hp,
-        standardizer=standardizer,
-        mask=None if mask is None else np.asarray(mask, dtype=bool),
-        params=params,
-        seed=model_seed,
-        catalog_version=catalog_version,
-        classes=classes,
-        class_names=tuple(class_names),
-        converged=converged,
-        task=task,
-    )
+    return TrainedModel(kind=spec.kind, hyperparams=hp, standardizer=standardizer, params=params,
+                        seed=model_seed, classes=classes, converged=converged)
 
 
 def shared_dimensions(kind: str) -> Tuple[str, ...]:

@@ -20,9 +20,11 @@ grown int32 node ids stay int32. Dicts are walked. A tree ensemble
 dict with exactly those keys loads as a table, which derives its walk
 form again; an SVM's support vectors are one row block with one
 coefficient matrix. A missing or malformed field, among them each state
-field the kind declares in ``STATE`` and a standardizer or mask of
-contradicting widths, raises FormatVersionMismatch naming it, and so
-does an envelope of any other format version. A loaded model scores one
+field the kind declares in ``STATE``, a standardizer or mask of
+contradicting widths, a float array holding a NaN or an infinity and a
+standardizer scale entry that is not > 0, raises FormatVersionMismatch
+naming it. So do class names that are not one per class, and an
+envelope of any other format version. A loaded model scores one
 all-zero row of the standardizer's width with finite scores, one per
 class; a tree table must record importances for exactly that many
 features and class sums for that many classes (and be a well-formed
@@ -48,7 +50,7 @@ import numpy as np
 
 from ..dca import DcaConfig
 from ..eis import EisConfig
-from ..errors import FormatVersionMismatch, UnsupportedKind
+from ..errors import DimensionMismatch, FormatVersionMismatch, UnsupportedKind
 from .base import _MODULES, KINDS, Standardizer, TrainedModel, classify, normalize_hyperparams
 from .tree import NodeTable
 
@@ -84,10 +86,23 @@ def _decode(value):
     return value
 
 
+def _finite(value, name="array"):
+    """``value``, unless it is a float array holding a NaN or an infinity."""
+    if isinstance(value, np.ndarray) and value.dtype.kind == "f" and not np.isfinite(value).all():
+        raise ValueError(f"{name} holds non-finite values")
+    return value
+
+
+def _positive(array: np.ndarray) -> np.ndarray:
+    if not (array > 0).all():
+        raise ValueError(f"expected entries > 0, got {array.min()}")
+    return array
+
+
 def _vector(saved, size=None, mask=False) -> np.ndarray:
     """A saved 1-D array, bool when a ``mask``; with a ``size``, one of that
-    many entries, or a mask that keeps that many."""
-    array = _decode(saved)
+    many entries, or a mask that keeps that many. Floats must be finite."""
+    array = _finite(_decode(saved))
     if not isinstance(array, np.ndarray):
         raise TypeError(f"expected an array, got {type(array).__name__}")
     if array.ndim != 1 or (mask and array.dtype != bool):
@@ -168,28 +183,28 @@ def model_from_json_dict(data: dict) -> TrainedModel:
     def state(saved: dict) -> dict:
         for name in module.STATE:
             _field(data, f"parameters.state.{name}")
-        return _decode(saved)
+        return {name: _finite(value, name) for name, value in _decode(saved).items()}
 
-    model = TrainedModel(
-        kind=kind,
-        hyperparams=_field(data, "hyperparams", lambda hp: normalize_hyperparams(kind, hp)),
-        standardizer=Standardizer(
-            mean=(mean := _field(data, "standardizer.mean", _vector)),
-            scale=_field(data, "standardizer.scale", lambda s: _vector(s, len(mean))),
-        ),
-        mask=_field(data, "mask", lambda m: None if m is None else _vector(m, len(mean), mask=True), None),
-        params=_field(data, "parameters.state", state),
-        seed=_field(data, "seed", int),
-        catalog_version=_field(data, "catalog_version"),
-        classes=_field(data, "parameters.classes", _vector),
-        class_names=_field(data, "parameters.class_names", tuple, ()),
-        converged=_field(data, "parameters.converged", bool, True),
-        task=_field(data, "parameters.task", default="identification"),
-        processing=_field(data, "processing", _processing),
-    )
-    if model.class_names and len(model.class_names) != len(model.classes):
-        raise FormatVersionMismatch(f"model file has {len(model.class_names)} class names "
-                                    f"for {len(model.classes)} classes")
+    try:
+        model = TrainedModel(
+            kind=kind,
+            hyperparams=_field(data, "hyperparams", lambda hp: normalize_hyperparams(kind, hp)),
+            standardizer=Standardizer(
+                mean=(mean := _field(data, "standardizer.mean", _vector)),
+                scale=_field(data, "standardizer.scale", lambda s: _positive(_vector(s, len(mean)))),
+            ),
+            mask=_field(data, "mask", lambda m: None if m is None else _vector(m, len(mean), mask=True), None),
+            params=_field(data, "parameters.state", state),
+            seed=_field(data, "seed", int),
+            catalog_version=_field(data, "catalog_version"),
+            classes=_field(data, "parameters.classes", _vector),
+            class_names=_field(data, "parameters.class_names", tuple, ()),
+            converged=_field(data, "parameters.converged", bool, True),
+            task=_field(data, "parameters.task", default="identification"),
+            processing=_field(data, "processing", _processing),
+        )
+    except DimensionMismatch as exc:      # a class-name count that fits no class table
+        raise FormatVersionMismatch(f"model file has {exc}") from exc
     width, k = model.input_width, len(model.classes)
     try:
         for value in model.params.values():

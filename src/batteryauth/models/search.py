@@ -126,10 +126,6 @@ def grid_search(
     y: np.ndarray,
     k: int = DEFAULT_FOLDS,
     threads: int = 1,
-    mask: Optional[np.ndarray] = None,
-    catalog_version: str = "",
-    class_names: Tuple[str, ...] = (),
-    task: str = "identification",
 ) -> Tuple[TrainedModel, List[CandidateResult]]:
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
@@ -168,15 +164,5 @@ def grid_search(
     if not np.isfinite(results[best].mean_score):
         details = "; ".join(r.error or "?" for r in results)
         raise GridExhausted(f"every candidate failed: {details}")
-    winner = train(
-        spec,
-        candidates[best],
-        X,
-        y,
-        mask=mask,
-        catalog_version=catalog_version,
-        class_names=class_names,
-        seed=child_seed(spec.seed, "candidate", best),
-        task=task,
-    )
+    winner = train(spec, candidates[best], X, y, seed=child_seed(spec.seed, "candidate", best))
     return winner, results

@@ -454,8 +454,9 @@ def _check_table(table: NodeTable) -> None:
     has: one entry per node in each per-node array and one importance row
     per root; integer ids, roots inside the table and split features below
     the width of the importances; and a split node's children after it,
-    inside the table. Tables are in pre-order, and the last rule, which
-    pre-order keeps, also means that a walk from the roots ends."""
+    inside the table; finite thresholds, class sums and importances.
+    Tables are in pre-order, and the child rule, which pre-order keeps,
+    also means that a walk from the roots ends."""
     if not all(isinstance(getattr(table, f.name), np.ndarray) for f in fields(table)):
         raise ValueError("NodeTable fields must be arrays")
     n = len(table.feature)
@@ -467,6 +468,8 @@ def _check_table(table: NodeTable) -> None:
             or len(table.importances) != len(table.roots)):
         raise ValueError(f"NodeTable arrays disagree on the node or tree count: "
                          f"{', '.join(f'{f.name} {getattr(table, f.name).shape}' for f in fields(table))}")
+    if not all(np.isfinite(a).all() for a in (table.threshold, table.counts, table.importances)):
+        raise ValueError("NodeTable thresholds, class sums and importances must be finite")
     d = table.importances.shape[1]
     if table.feature.max(initial=-1) >= d:
         raise ValueError(f"NodeTable feature ids must be below the {d} features of "

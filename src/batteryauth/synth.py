@@ -61,6 +61,11 @@ class SohDrift:
     peak_shift_v_per_percent: float = 0.0
     amplitude_fade_per_percent: float = 0.0
 
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            if not np.isfinite(getattr(self, f.name)):
+                raise BadSpec(f"soh_drift.{f.name} must be finite, got {getattr(self, f.name)}")
+
 
 @dataclass(frozen=True)
 class SyntheticCellSpec:
@@ -76,7 +81,7 @@ class SyntheticCellSpec:
     dca_baseline: float = 0.05
 
     def __post_init__(self) -> None:
-        # each comparison is written so that NaN fails it
+        # each comparison is written so that NaN fails it; the last loop refuses infinities
         if len(self.voltage_window) != 2:
             raise BadSpec(f"{self.name}: voltage_window must have exactly 2 entries")
         v_lo, v_hi = self.voltage_window
@@ -95,6 +100,9 @@ class SyntheticCellSpec:
             raise BadSpec(f"{self.name}: noise_std must be >= 0")
         if not self.dca_baseline >= 0:
             raise BadSpec(f"{self.name}: dca_baseline must be >= 0")
+        for name in ("voltage_window", "dca_peaks", "randles", "noise_std", "dca_baseline"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise BadSpec(f"{self.name}: {name} must be finite, got {getattr(self, name)}")
 
 
 def dca_ground_truth(spec: SyntheticCellSpec, voltage: np.ndarray, soh_percent: float) -> np.ndarray:

@@ -3,6 +3,7 @@ import csv
 import fcntl
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -204,6 +205,28 @@ class TestRun:
             "batteryauth.errors.ConfigError: model labels 'cell a' and 'cell_a' both save their "
             "models as model_auth_model_authentication_cell_a_50_KNN.json; rename one"]
         assert os.listdir(tmp_path / "out") == []
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("voltage_window", [3.0, math.inf], "red: voltage_window must be finite, got (3.0, inf)"),
+        ("dca_peaks", [[3.4, math.inf, 0.05]], "red: dca_peaks must be finite, got ((3.4, inf, 0.05),)"),
+        ("randles", {"r0": math.inf}, "red: randles must be finite, got (inf, 0.0, 0.0, 0.0)"),
+        ("noise_std", math.inf, "red: noise_std must be finite, got inf"),
+        ("dca_baseline", math.inf, "red: dca_baseline must be finite, got inf"),
+        ("soh_drift", {"amplitude_fade_per_percent": math.inf},
+         "soh_drift.amplitude_fade_per_percent must be finite, got inf"),
+        ("soh_drift", {"peak_shift_v_per_percent": -math.inf},
+         "soh_drift.peak_shift_v_per_percent must be finite, got -inf"),
+    ], ids=["window", "peak", "randles", "noise", "baseline", "fade", "shift"])
+    def test_non_finite_spec_number_exits_2(self, tmp_path, capsys, key, value, message):
+        # an infinite window end failed later as a data error (exit 1); an
+        # infinite fade flattened every peak without a word
+        cells = json.loads(specs_to_json(SPECS))
+        cells[0][key] = value
+        spec_path = tmp_path / "cells.json"
+        spec_path.write_text(json.dumps(cells), encoding="utf-8")
+        cfg_path = _write(tmp_path, "cfg.json", _config(str(spec_path)))
+        assert main(["run", "--config", cfg_path, "--output-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"batteryauth.errors.BadSpec: {message}"]
 
     def test_config_output_dir_used_without_flag(self, spec_file, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -602,8 +625,8 @@ class TestApiModelClassIds:
         matrix = matrix_from_cycles(data)
         y = np.array([3 if m.cell_id.startswith("red") else 5 for m in matrix.metas])
         assert set(y) == {3, 5}
-        model = train(make_spec("KNN"), {"k": 1, "weights": "uniform"}, matrix.values, y,
-                      catalog_version=matrix.catalog_version, class_names=names)
+        model = replace(train(make_spec("KNN"), {"k": 1, "weights": "uniform"}, matrix.values, y),
+                        catalog_version=matrix.catalog_version, class_names=names)
         path = tmp_path / "model.json"
         save_model(model, str(path))
         assert main(["authenticate", "--model", str(path), "--sample", cycle_sample, "--json"]) == 0
@@ -621,8 +644,8 @@ class TestApiModelClassIds:
         matrix = matrix_from_cycles(data)
         y = np.array([0 if m.cell_id.startswith("red") else 1 for m in matrix.metas])
         with pytest.raises(DimensionMismatch, match="1 class names for 2 classes"):
-            train(make_spec("KNN"), {"k": 1, "weights": "uniform"}, matrix.values, y,
-                  catalog_version=matrix.catalog_version, class_names=("only",))
+            replace(train(make_spec("KNN"), {"k": 1, "weights": "uniform"}, matrix.values, y),
+                    catalog_version=matrix.catalog_version, class_names=("only",))
 
     def test_hand_edited_name_count_is_refused(self, cycle_sample, tmp_path, capsys):
         env = _knn_envelope()
@@ -807,8 +830,8 @@ def _set_field(rows, column, value):
 
 def _tiny_model(kind, hp):
     X = np.array([[0.0, 1.0], [0.2, 0.9], [3.0, 0.1], [3.1, 0.0]])
-    return train(make_spec(kind), hp, X, np.array([0, 0, 1, 1]), catalog_version="v1:ch1",
-                 class_names=("a", "b"))
+    return replace(train(make_spec(kind), hp, X, np.array([0, 0, 1, 1])), catalog_version="v1:ch1",
+                   class_names=("a", "b"))
 
 
 def _knn_envelope():
@@ -1007,3 +1030,49 @@ class TestCorruptModelFuzz:
             if not (code == 0 or code == 1 and len(err) == 1 and err[0].startswith("batteryauth.errors.")):
                 bad.append(f"{what}: exit {code}, {err}")
         assert not bad, "\n".join(bad)
+
+    @staticmethod
+    def _refused(env, path, sample, capsys, field, message):
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(env, fh)
+        assert main(["authenticate", "--model", path, "--sample", sample]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"batteryauth.errors.FormatVersionMismatch: model field '{field}'")
+        assert message in err[0]
+
+    @pytest.mark.parametrize("saved", _SAVED, ids=["ident", "auth-50"])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_non_finite_float_array_exits_1(self, every_kind_run, kind, saved, tmp_path, capsys):
+        # a NaN or an infinity in any float array, one array at a time; a NaN
+        # in KNN's train_x or the standardizer's mean used to load and score
+        out_dir, sample, _ = every_kind_run
+        with open(os.path.join(out_dir, saved.format(kind)), encoding="utf-8") as fh:
+            original = fh.read()
+        rng = np.random.default_rng([KINDS.index(kind), _SAVED.index(saved)])
+        floats = 0
+        for site in range(len(_array_sites(json.loads(original), []))):
+            env = json.loads(original)
+            holder, key = _array_sites(env, [])[site]
+            array = _decode(holder[key]).copy()
+            if array.dtype.kind != "f" or array.size == 0:
+                continue
+            floats += 1
+            array.reshape(-1)[rng.integers(array.size)] = [math.nan, math.inf, -math.inf][rng.integers(3)]
+            holder[key] = _encode(array)
+            field = f"standardizer.{key}" if holder is env["standardizer"] else "parameters.state"
+            self._refused(env, str(tmp_path / "bad.json"), sample, capsys, field, "finite")
+        assert floats >= 3          # the standardizer's mean and scale, and the state's
+
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_non_positive_scale_exits_1(self, every_kind_run, kind, value, tmp_path, capsys):
+        # with a scale of 0, `authenticate` warned and authenticated every sample
+        out_dir, sample, _ = every_kind_run
+        with open(os.path.join(out_dir, _SAVED[1].format(kind)), encoding="utf-8") as fh:
+            env = json.load(fh)
+        scale = _decode(env["standardizer"]["scale"]).copy()
+        scale[np.random.default_rng(KINDS.index(kind)).integers(len(scale))] = value
+        env["standardizer"]["scale"] = _encode(scale)
+        self._refused(env, str(tmp_path / "bad.json"), sample, capsys, "standardizer.scale",
+                      f"expected entries > 0, got {value}")

@@ -34,12 +34,16 @@ from batteryauth.evaluate import (
     report_to_json,
     run_authentication,
     run_identification,
+    _labelled_sets,
     split_train_test,
     undersample,
 )
-from batteryauth.features import FeatureMatrix, labels_for
+from batteryauth.dca import DcaConfig
+from batteryauth.features import FeatureMatrix, labels_for, matrix_from_cycles
 from batteryauth.models import load_model, make_spec, save_model
 from batteryauth.records import SampleMeta
+from batteryauth.selection import select_features
+from batteryauth.synth import demo_specs, gen_dataset
 
 
 def _matrix(model_sizes, n_features=6, seed=0, arch_of=None):
@@ -381,6 +385,31 @@ class TestRunners:
         model = row.model
         assert model.class_names == ("counterfeit", "a")
         assert model.task == "authentication"
+
+    @pytest.mark.parametrize("mode", ["identification", "authentication"])
+    def test_rows_carry_stamped_provenance(self, knn_spec, mode):
+        """Each row's model carries its labelled set's mask and trained class
+        names, the task, and the matrix's catalog version and processing,
+        replayed here from the selection and the split of each set."""
+        processing = DcaConfig(savgol_window=11, resample_n=256)
+        data = gen_dataset(demo_specs(), cells_per_spec=2, cycles_per_cell=6, seed=4, n_points=128)
+        matrix = matrix_from_cycles(data, processing)
+        assert matrix.processing is processing
+        config = EvalConfig(seed=5, folds=2, balances=(50,), selection_enabled=True)
+        report = (run_identification if mode == "identification" else run_authentication)(
+            matrix, [knn_spec], config)
+        rows = report.ident_results + report.auth_results
+        sets = [s for target in config.targets for s in _labelled_sets(matrix, config, target, mode)]
+        assert len(rows) == len(sets) >= 2
+        for row, (_, _, sub, y, class_names, split_seed) in zip(rows, sets):
+            model = row.model
+            keep = select_features(sub.values, y, fdr=config.selection_fdr).keep
+            train_idx, _ = split_train_test(y, ratio=config.train_ratio, seed=split_seed)
+            assert np.array_equal(model.mask, keep) and model.input_width == keep.sum()
+            assert model.class_names == tuple(class_names[c] for c in np.unique(y[train_idx]))
+            assert model.task == mode
+            assert model.catalog_version == matrix.catalog_version == "v1:ch1"
+            assert model.processing is processing
 
     def test_model_names_only_the_classes_it_was_trained_on(self, knn_spec, tmp_path):
         # legit "a" has 2 rows; at train_ratio 0.25 both fall into the test part

@@ -1,4 +1,6 @@
 """Feature attribution: impurity weights and permutation drops."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,8 @@ from batteryauth.models import make_spec, train
 
 
 def _fit(kind, hp, X, y, seed=0):
-    return train(make_spec(kind, seed=seed), hp, X, y, catalog_version="v1:ch1",
-                 class_names=("n", "p"), seed=seed)
+    return replace(train(make_spec(kind, seed=seed), hp, X, y, seed=seed), catalog_version="v1:ch1",
+                   class_names=("n", "p"))
 
 
 @pytest.fixture(scope="module")
@@ -59,8 +61,8 @@ class TestMdi:
         # single-class data grows a bare root everywhere: no split statistics
         X = np.random.default_rng(0).standard_normal((10, 4))
         y = np.zeros(10, dtype=int)
-        m = train(make_spec("DecisionTree"), {"criterion": "gini", "max_depth": None},
-                  X, y, class_names=("only",))
+        m = replace(train(make_spec("DecisionTree"), {"criterion": "gini", "max_depth": None}, X, y),
+                    class_names=("only",))
         imp = mdi_importance(m)
         assert np.allclose(imp.values, 0.25)
 

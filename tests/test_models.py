@@ -6,10 +6,12 @@ against itself.
 """
 import base64
 import hashlib
+import inspect
 import json
 import math
 import re
 from collections import deque
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,6 +35,7 @@ from batteryauth.models import (
     classify,
     enumerate_grid,
     fit_standardizer,
+    grid_search,
     load_model,
     make_spec,
     model_from_json_dict,
@@ -56,9 +59,9 @@ CATALOG = "v1:ch1"
 
 def _train(kind, hp, X, y, seed=0, names=None, task="identification", mask=None):
     names = names or tuple(f"c{i}" for i in range(int(np.max(y)) + 1))
-    return train(
-        make_spec(kind, seed=seed), hp, np.asarray(X, float), np.asarray(y),
-        mask=mask, catalog_version=CATALOG, class_names=names, seed=seed, task=task,
+    return replace(
+        train(make_spec(kind, seed=seed), hp, np.asarray(X, float), np.asarray(y), seed=seed),
+        mask=mask, catalog_version=CATALOG, class_names=names, task=task,
     )
 
 
@@ -738,7 +741,7 @@ class TestSingleClass:
         X, _ = _blobs(n_per=10)
         y = np.full(len(X), 3)
         hp = enumerate_grid(make_spec(kind))[0]
-        m = train(make_spec(kind), hp, X, y, catalog_version=CATALOG, class_names=("only",))
+        m = replace(train(make_spec(kind), hp, X, y), catalog_version=CATALOG, class_names=("only",))
         assert list(m.classes) == [3]
         assert (predict(m, X) == 3).all()
 
@@ -754,7 +757,7 @@ class TestKindContract:
         X, y = _blobs(n_per=10, centers=(0.0, 3.0, 6.0)[:n_classes])
         y = 2 * y + 3                  # ids that are not positions
         hp = enumerate_grid(make_spec(kind))[0]
-        m = train(make_spec(kind), hp, X, y, catalog_version=CATALOG)
+        m = replace(train(make_spec(kind), hp, X, y), catalog_version=CATALOG)
         probe = np.vstack([X, np.random.default_rng(2).standard_normal((5, 3)) * 4.0])
         labels, scores = classify(m, probe)
         assert isinstance(scores, np.ndarray) and scores.dtype == np.float64
@@ -786,6 +789,27 @@ class TestTrainValidation:
         X = np.array([[0.0], [np.nan]])
         with pytest.raises(NonFiniteValue):
             _train("DecisionTree", {"criterion": "gini", "max_depth": None}, X, np.array([0, 1]))
+
+
+class TestProvenanceFields:
+    """``train`` leaves the provenance at its defaults; a model checks its
+    class-name count whenever it is made, through ``replace`` too."""
+
+    def test_train_and_grid_search_only_fit(self):
+        assert list(inspect.signature(train).parameters) == ["spec", "hyperparams", "X", "y", "seed"]
+        assert list(inspect.signature(grid_search).parameters) == ["spec", "X", "y", "k", "threads"]
+        X, y = _blobs(n_per=6)
+        m = train(make_spec("KNN"), {"k": 1, "weights": "uniform"}, X, y)
+        assert (m.mask, m.catalog_version, m.class_names, m.task, m.processing) == \
+            (None, "", (), "identification", None)
+
+    @pytest.mark.parametrize("names", [("only",), ("a", "b", "c")], ids=["one", "three"])
+    def test_replace_with_a_wrong_name_count_raises(self, names):
+        X, y = _blobs(n_per=6)
+        m = train(make_spec("KNN"), {"k": 1, "weights": "uniform"}, X, y)
+        with pytest.raises(DimensionMismatch, match=f"{len(names)} class names for 2 classes"):
+            replace(m, class_names=names)
+        assert replace(m, class_names=("a", "b")).class_names == ("a", "b")
 
 
 class TestPersistence:

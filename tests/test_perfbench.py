@@ -4,10 +4,12 @@ perfbench wraps package functions by module and attribute name, and runs
 fixed `run` configs; its worker generates scoring samples through synth
 and io_csv. A rename in the package, or a config key or keyword it no
 longer accepts, would only surface when the benchmark runs; these tests
-read perfbench's tables and edit nothing.
+read perfbench's tables and edit nothing under perfbench/. One installs
+the tracer around a small `run` and puts every wrapped name back.
 """
 import importlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -15,7 +17,9 @@ import pytest
 from reference import records_equal
 
 from batteryauth import io_csv, synth
+from batteryauth.cli import main
 from batteryauth.config import config_from_json_dict, read_text
+from batteryauth.models import KINDS
 from batteryauth.synth import specs_from_json
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -70,3 +74,56 @@ def test_worker_sample_generation_calls_resolve(pipeline):
     assert len(data.records) == len(specs) * 2
     assert len(back) == len(data.records)
     assert all(records_equal(a, b) for a, b in zip(back, data.records))
+
+
+# one grid point per kind; QDA's shrinkage keeps every fit from failing
+_ONE_POINT = {
+    "AdaBoost": {"n_estimators": [10]},
+    "DecisionTree": {"criterion": ["gini"], "max_depth": [4]},
+    "GaussianNB": {"var_smoothing": [1e-9]},
+    "KNN": {"k": [1], "weights": ["uniform"]},
+    "NeuralNet": {"hidden": [8], "activation": ["relu"], "solver": ["adam"]},
+    "QDA": {"reg": [0.5]},
+    "RandomForest": {"criterion": ["gini"], "n_estimators": [5]},
+    "SVM": {"kernel": ["rbf"], "C": [1.0], "gamma": ["scale"]},
+}
+
+# span name -> the attributes layer_metrics reads from it
+_TRACED_ATTRS = {
+    "models.fit": {"kind", "converged"},
+    "models.grid_search": {"candidates", "failed"},
+    "features.extract": {"imputed"},
+    "models.save": {"bytes"},
+}
+
+
+def test_tracer_reads_every_call_of_a_run(tmp_path):
+    """The tracer's attribute extractors read the arguments and results of
+    the calls `run` makes (``train`` and ``grid_search`` by position), so a
+    signature change shows here and not only in a traced benchmark run."""
+    assert set(_ONE_POINT) == set(KINDS)
+    cfg = {
+        "pipeline": "dca",
+        "synth": {"specs": str(ROOT / run.PRESET), "cells_per_spec": 2, "records_per_cell": 4,
+                  "n_points": synth.MIN_CYCLE_POINTS, "seed": 3},
+        "models": [{"kind": k, "grid": g} for k, g in _ONE_POINT.items()],
+        "eval": {"seed": 1, "folds": 3, "targets": ["model"], "balances": [50]},
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert main(["run", "--config", str(cfg_path), "--output-dir", str(tmp_path / "out")]) == 0
+    finally:
+        tracer.uninstall()
+    assert [s for s in tracer.spans if "error" in s] == []
+    for name, attrs in _TRACED_ATTRS.items():
+        spans = [s for s in tracer.spans if s["name"] == name]
+        assert spans, name
+        assert all(attrs <= s.keys() for s in spans), name
+    assert {s["kind"] for s in tracer.spans if s["name"] == "models.fit"} == set(KINDS)
+    section = {"run_cpu_s": 1.0, "run_wall_s": 1.0, "threads": 1, "import_s": 0.0, "overhead_s": 0.0}
+    metrics = tracing.layer_metrics(tracer, section)
+    assert metrics["models.candidates"] > 0 and metrics["models.candidates_failed"] == 0
+    assert all(metrics[f"models.fits.{kind}"] > 0 for kind in KINDS)

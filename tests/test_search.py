@@ -9,6 +9,8 @@ import pytest
 
 from batteryauth.errors import ClassTooSmall, GridExhausted
 from batteryauth.models import (
+    DEFAULT_GRIDS,
+    KINDS,
     CandidateResult,
     enumerate_grid,
     grid_search,
@@ -195,18 +197,20 @@ class TestGridSearch:
         probe = np.random.default_rng(9).standard_normal((30, 2))
         assert np.array_equal(predict(w1, probe), predict(w4, probe))
 
-    def test_winner_carries_metadata(self):
-        X, y = _two_blob_data(seed=6)
-        mask = np.array([True, True])
-        spec = make_spec("GaussianNB", seed=1)
-        winner, _ = grid_search(
-            spec, X, y, k=5, mask=mask, catalog_version="v1:ch1",
-            class_names=("left", "right"), task="authentication",
-        )
-        assert winner.catalog_version == "v1:ch1"
-        assert winner.class_names == ("left", "right")
-        assert winner.task == "authentication"
-        assert np.array_equal(winner.mask, mask)
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_winner_equals_train_at_the_winning_point(self, kind):
+        # two candidates on the first dimension, the default's first value elsewhere
+        grid = {dim: values[:2] if i == 0 else values[:1]
+                for i, (dim, values) in enumerate(DEFAULT_GRIDS[kind].items())}
+        spec = make_spec(kind, grid=grid, seed=3)
+        X, y = _two_blob_data(n_per=12, seed=4)
+        winner, results = grid_search(spec, X, y, k=3)
+        best = max(range(len(results)), key=lambda i: (results[i].mean_score, -i))
+        alone = train(spec, results[best].hyperparams, X, y, seed=child_seed(spec.seed, "candidate", best))
+        assert winner.hyperparams == alone.hyperparams
+        assert winner.seed == alone.seed
+        # every array of the state, the standardizer and the class table, byte for byte
+        assert model_to_json_dict(winner) == model_to_json_dict(alone)
 
 
 def _adaboost_data(name):
