@@ -45,6 +45,7 @@ from .evaluate import (
 from .features import FeatureMatrix, catalog_default, labels_for, matrix_from_cycles, matrix_from_spectra
 from .io_csv import parse_cycle_csv, parse_eis_csv
 from .models import TrainedModel, classify, load_model, predict, save_model
+from .models.persist import write_atomic
 from .records import build_catalog
 from .synth import demo_specs, gen_dataset, gen_eis_dataset, specs_from_json
 
@@ -146,10 +147,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         "synth_seed": cfg.synth.seed if cfg.synth is not None else None,
     }
     report_json_path = os.path.join(cfg.output_dir, "report.json")
-    with open(report_json_path, "w", encoding="utf-8") as fh:
-        fh.write(report_to_json(report, provenance))
-    with open(os.path.join(cfg.output_dir, "report.csv"), "w", encoding="utf-8") as fh:
-        fh.write(report_to_csv(report))
+    write_atomic(report_json_path, report_to_json(report, provenance))
+    write_atomic(os.path.join(cfg.output_dir, "report.csv"), report_to_csv(report))
 
     saved = [(r, None) for r in report.ident_results]
     saved += [(r, r.legit_label) for r in report.auth_results if r.balance == SAVED_BALANCE]

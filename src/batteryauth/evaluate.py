@@ -8,25 +8,23 @@ split 80/20 stratified, grid-search each model spec, score on the held
 out part. Each result row carries the winner it scored. All randomness
 is derived from the config seed, and reports serialize with sorted keys,
 so reruns are byte-identical.
+
+Metrics are views of the fold scorer ``models.search.class_scores``; a
+0/0 reads 0 and is flagged as degenerate.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field, fields, replace
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import (
-    ClassTooSmall,
-    EmptyCounts,
-    InfeasibleBalance,
-    LabelAbsent,
-    SingleClass,
-)
+from .errors import (ClassTooSmall, DimensionMismatch, EmptyCounts, InfeasibleBalance, LabelAbsent,
+                     SingleClass)
 from .features import FeatureMatrix, labels_for, matrix_take
 from .models import ModelSpec, TrainedModel, grid_search, predict
-from .models.search import CandidateResult
+from .models.search import SCORES, CandidateResult, class_scores
 from .seeding import child_seed, rng_from
 from .selection import select_features
 
@@ -73,74 +71,42 @@ class MetricSet:
 
 def confusion_binary(y_true: np.ndarray, y_pred: np.ndarray) -> ConfusionCounts:
     """Binary counts with label 1 as the positive (legitimate) class."""
-    y_true = np.asarray(y_true)
-    y_pred = np.asarray(y_pred)
-    return ConfusionCounts(
-        tp=int(np.count_nonzero((y_true == 1) & (y_pred == 1))),
-        tn=int(np.count_nonzero((y_true == 0) & (y_pred == 0))),
-        fp=int(np.count_nonzero((y_true == 0) & (y_pred == 1))),
-        fn=int(np.count_nonzero((y_true == 1) & (y_pred == 0))),
-    )
+    (tn, fp), (fn, tp) = confusion_matrix(y_true, y_pred, 2).tolist()
+    return ConfusionCounts(tp=tp, tn=tn, fp=fp, fn=fn)
 
 
 def confusion_matrix(y_true: np.ndarray, y_pred: np.ndarray, k: int) -> np.ndarray:
     """k x k counts, rows = true class, columns = predicted class."""
-    pairs = k * np.asarray(y_true, dtype=np.intp) + np.asarray(y_pred, dtype=np.intp)
-    return np.bincount(pairs, minlength=k * k).reshape(k, k)
-
-
-def _ratio(num: float, den: float, name: str, flags: List[str]) -> float:
-    if den == 0:
-        flags.append(name)
-        return 0.0
-    return num / den
+    y_true, y_pred = np.asarray(y_true, dtype=np.intp), np.asarray(y_pred, dtype=np.intp)
+    if y_true.shape != y_pred.shape:
+        raise DimensionMismatch(f"labels of shape {y_true.shape} and predictions of shape {y_pred.shape}")
+    if np.any((np.minimum(y_true, y_pred) < 0) | (np.maximum(y_true, y_pred) >= k)):
+        raise LabelAbsent(f"labels and predictions must be class ids 0..{k - 1}")
+    return np.bincount(k * y_true + y_pred, minlength=k * k).reshape(k, k)
 
 
 def metrics(counts: ConfusionCounts) -> MetricSet:
-    """All six binary metrics; any 0/0 reports as 0 with a degenerate flag."""
+    """Binary metrics: class 1's precision, recall and F1; FAR and FRR are
+    the miss rates of classes 0 and 1."""
     if counts.total == 0:
         raise EmptyCounts("confusion counts sum to zero")
-    flags: List[str] = []
-    accuracy = (counts.tp + counts.tn) / counts.total
-    precision = _ratio(counts.tp, counts.tp + counts.fp, "precision", flags)
-    recall = _ratio(counts.tp, counts.tp + counts.fn, "recall", flags)
-    f1 = _ratio(2 * precision * recall, precision + recall, "f1", flags)
-    far = _ratio(counts.fp, counts.fp + counts.tn, "far", flags)
-    frr = _ratio(counts.fn, counts.fn + counts.tp, "frr", flags)
-    return MetricSet(
-        accuracy=accuracy,
-        precision=precision,
-        recall=recall,
-        f1=f1,
-        far=far,
-        frr=frr,
-        degenerate=tuple(flags),
-    )
+    scores, undefined = class_scores(np.array([[counts.tn, counts.fp], [counts.fn, counts.tp]]))
+    rates = np.append(scores[:3, 1], scores[3]).tolist()
+    flags = np.append(undefined[:3, 1], undefined[3])
+    return MetricSet((counts.tp + counts.tn) / counts.total, *rates,
+                     degenerate=tuple(name for name, flag in zip(METRIC_FIELDS[1:], flags) if flag))
 
 
 def metrics_from_matrix(cm: np.ndarray) -> MetricSet:
-    """Multiclass: per-class one-vs-rest, macro averaged; FAR/FRR omitted."""
+    """Multiclass: per-class one-vs-rest, macro averaged; FAR/FRR omitted.
+    A class's 0/0 is flagged as "name:class"."""
     total = int(cm.sum())
     if total == 0:
         raise EmptyCounts("confusion matrix is empty")
-    flags: List[str] = []
-    precisions, recalls, f1s = [], [], []
-    for c in range(len(cm)):
-        tp = float(cm[c, c])
-        fp = float(cm[:, c].sum() - tp)
-        fn = float(cm[c, :].sum() - tp)
-        p = _ratio(tp, tp + fp, f"precision:{c}", flags)
-        r = _ratio(tp, tp + fn, f"recall:{c}", flags)
-        f1s.append(_ratio(2 * p * r, p + r, f"f1:{c}", flags))
-        precisions.append(p)
-        recalls.append(r)
-    return MetricSet(
-        accuracy=float(np.trace(cm)) / total,
-        precision=float(np.mean(precisions)),
-        recall=float(np.mean(recalls)),
-        f1=float(np.mean(f1s)),
-        degenerate=tuple(flags),
-    )
+    scores, undefined = class_scores(cm)
+    precision, recall, f1, _ = (scores.sum(axis=1) / len(cm)).tolist()
+    return MetricSet(float(np.trace(cm)) / total, precision, recall, f1,
+                     degenerate=tuple(f"{SCORES[s]}:{c}" for c, s in np.argwhere(undefined[:3].T)))
 
 
 # === sampling operations ===
@@ -261,15 +227,8 @@ def make_auth_scenario(
 # === report structures ===
 
 def _cv_summary(cv: Sequence[CandidateResult]) -> list:
-    return [
-        {
-            "index": r.index,
-            "hyperparams": r.hyperparams,
-            "mean_macro_f1": r.mean_score if np.isfinite(r.mean_score) else None,
-            "error": r.error,
-        }
-        for r in cv
-    ]
+    return [{"index": r.index, "hyperparams": r.hyperparams, "error": r.error,
+             "mean_macro_f1": r.mean_score if np.isfinite(r.mean_score) else None} for r in cv]
 
 
 def _listed(value):
@@ -353,8 +312,9 @@ def _mean_metrics(cells: Sequence[AuthResult]) -> dict:
 def auth_averages(results: Sequence[AuthResult]) -> dict:
     """Arithmetic means over legit labels, over balances, and overall.
 
-    Every mean is recomputable from the stored per-cell results; this
-    helper is the single place the aggregation happens.
+    Every mean is recomputable from the stored per-cell results;
+    ``_mean_metrics``, which the CSV's mean rows use too, is the single
+    place the averaging happens.
     """
     out: dict = {"by_balance": {}, "by_label": {}, "overall": {}}
     combos = sorted({(r.task, r.kind) for r in results})
@@ -460,19 +420,13 @@ def _run_task(
                               converged=model.converged, model=model)
                 if mode == "identification":
                     cm = confusion_matrix(y[test_idx], y_hat, k=len(class_names))
-                    results.append(IdentResult(
-                        **common,
-                        metric_set=metrics_from_matrix(cm),
-                        confusion=tuple(tuple(int(v) for v in row) for row in cm),
-                        class_names=class_names,
-                        cv=tuple(_cv_summary(cv)),
-                    ))
+                    results.append(IdentResult(**common, metric_set=metrics_from_matrix(cm),
+                                               confusion=tuple(map(tuple, cm.tolist())),
+                                               class_names=class_names, cv=tuple(_cv_summary(cv))))
                 else:
                     counts = confusion_binary(y[test_idx], y_hat)
-                    results.append(AuthResult(
-                        **common, legit_label=legit, balance=int(balance), metric_set=metrics(counts),
-                        counts=counts,
-                    ))
+                    results.append(AuthResult(**common, legit_label=legit, balance=int(balance),
+                                              metric_set=metrics(counts), counts=counts))
     ident = mode == "identification"
     return EvalReport(
         schema_version=SCHEMA_VERSION,
@@ -546,8 +500,9 @@ def report_to_csv(report: EvalReport) -> str:
     lines += [row([r.task, r.target, r.kind, "", ""], vars(r.metric_set)) for r in report.ident_results]
     lines += [row([r.task, r.target, r.kind, r.legit_label, str(r.balance)], vars(r.metric_set))
               for r in report.auth_results]
-    for key, entry in sorted(auth_averages(report.auth_results)["by_balance"].items()):
-        task, kind, balance = key.rsplit(":", 2)
-        target = "architecture" if task.startswith("arch") else "model"
-        lines.append(row([task, target, kind, "mean", balance], entry))
+    groups: dict = {}
+    for r in report.auth_results:
+        groups.setdefault((r.task, r.kind, r.balance, r.target), []).append(r)
+    lines += [row([task, target, kind, "mean", str(balance)], _mean_metrics(group))
+              for (task, kind, balance, target), group in sorted(groups.items())]
     return "\n".join(lines) + "\n"

@@ -15,7 +15,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import BadInterval, DimensionMismatch
+from .errors import BadInterval, DimensionMismatch, EmptyDataset
 from .models import TrainedModel, predict, raw_importances
 from .models.search import macro_f1
 from .seeding import rng_from
@@ -73,8 +73,14 @@ def permutation_importance(
         raise DimensionMismatch(
             f"X has {X.shape[1] if X.ndim == 2 else 'non-2d'} columns, model expects {model.input_width}"
         )
+    if y.shape != (len(X),):
+        raise DimensionMismatch(f"labels of shape {y.shape} for {len(X)} rows")
+    if len(X) == 0:
+        raise EmptyDataset("permutation importance needs at least one row")
     if repeats < 1:
         raise BadInterval(f"repeats must be >= 1, got {repeats}")
+    if seed < 0:
+        raise BadInterval(f"seed must be >= 0, got {seed}")
     baseline = macro_f1(y, predict(model, X))
     drops = np.zeros(X.shape[1])
     for j in range(X.shape[1]):

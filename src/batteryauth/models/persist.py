@@ -33,10 +33,10 @@ fails any of these, e.g. a KNN ``train_x`` of other width, raises
 FormatVersionMismatch.
 
 ``save_model`` writes ``json.dumps(envelope, sort_keys=True)`` and a
-newline in one call of the C encoder. The file is written under a
-temporary name in the target directory and moved into place with
-``os.replace``, so an interrupted write leaves the previous file, never a
-truncated one.
+newline in one call of the C encoder. ``write_atomic``, which ``run``
+also uses for its reports, writes under a temporary name in the target
+directory and moves the file into place with ``os.replace``, so an
+interrupted write leaves the previous file, never a truncated one.
 """
 from __future__ import annotations
 
@@ -225,8 +225,9 @@ def model_from_json_dict(data: dict) -> TrainedModel:
     return model
 
 
-def save_model(model: TrainedModel, path: str) -> None:
-    text = json.dumps(model_to_json_dict(model), sort_keys=True) + "\n"
+def write_atomic(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` under a temporary name in the same folder,
+    then move it into place, so a failed write leaves the previous file."""
     folder, name = os.path.split(path)
     tmp = os.path.join(folder, f".{name}.{os.getpid()}-{threading.get_ident()}.tmp")
     try:
@@ -237,6 +238,10 @@ def save_model(model: TrainedModel, path: str) -> None:
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
+
+
+def save_model(model: TrainedModel, path: str) -> None:
+    write_atomic(path, json.dumps(model_to_json_dict(model), sort_keys=True) + "\n")
 
 
 def load_model(path: str) -> TrainedModel:

@@ -1,4 +1,7 @@
-"""Stratified k-fold cross-validation and exhaustive grid search.
+"""Per-class scores, stratified k-fold cross-validation and grid search.
+
+``class_scores`` is the one scorer: fold scores (``macro_f1``) and the
+report metrics in ``evaluate`` are views of it, so they agree to the bit.
 
 Every candidate is scored by mean macro-F1 over the k validation folds;
 the maximum wins, ties broken by enumeration position; the winner is
@@ -25,7 +28,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..errors import BatteryAuthError, ClassTooSmall, GridExhausted
+from ..errors import BatteryAuthError, ClassTooSmall, DimensionMismatch, EmptyCounts, GridExhausted
 from ..parallel import ordered_map
 from ..seeding import child_seed, rng_from
 from .base import (
@@ -41,23 +44,41 @@ from .base import (
 DEFAULT_FOLDS = 5
 
 
+SCORES = ("precision", "recall", "f1", "miss")
+# numerators, then denominators, of SCORES from a class's (tp, true, predicted)
+_MIX = np.array([[1, 0, 0], [1, 0, 0], [2, 0, 0], [-1, 1, 0],
+                 [0, 0, 1], [0, 1, 0], [0, 1, 1], [0, 1, 0]])
+
+
+def class_scores(cells: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Rows of ``SCORES`` (F1 = 2·tp/(true + predicted)) per class of an
+    integer count table: a row per true class, a column per predicted class
+    and optionally one last column of predictions outside the classes.
+    Also returns the mask of 0/0 scores, which read 0."""
+    k = len(cells)
+    margins = np.array((cells.diagonal(), np.add.reduce(cells, 1), np.add.reduce(cells[:, :k], 0)))
+    parts = _MIX @ margins
+    undefined = parts[4:] == 0
+    return parts[:4] / np.maximum(parts[4:], 1), undefined
+
+
 def macro_f1(y_true: np.ndarray, y_pred: np.ndarray) -> float:
-    """Unweighted mean of per-class one-vs-rest F1 over the classes of
-    ``y_true``. One ``bincount`` over (true, predicted) pairs counts every
-    class at once; a predicted label outside those classes goes to an
-    extra column, so it counts only as a false negative of the true class.
-    Every class occurs in ``y_true``, so no denominator is 0."""
-    y_true = np.asarray(y_true)
-    y_pred = np.asarray(y_pred)
+    """Unweighted mean of per-class F1 over the classes of ``y_true``. A
+    predicted label outside those classes goes to the table's extra
+    column. Every class occurs in ``y_true``, so no F1 is 0/0."""
+    y_true, y_pred = np.asarray(y_true), np.asarray(y_pred)
+    if y_true.ndim != 1 or y_true.shape != y_pred.shape:
+        raise DimensionMismatch(f"labels of shape {y_true.shape} and predictions of shape {y_pred.shape}")
+    if len(y_true) == 0:
+        raise EmptyCounts("macro-F1 of no labels")
     classes = np.unique(y_true)
     k = len(classes)
-    pred = np.searchsorted(classes, y_pred)
-    pred[classes[np.minimum(pred, k - 1)] != y_pred] = k
-    cells = np.bincount(np.searchsorted(classes, y_true) * (k + 1) + pred,
+    # the methods, as np.searchsorted's wrapper costs more than a fold-sized search
+    pred = classes.searchsorted(y_pred)
+    pred[classes.take(pred, mode="clip") != y_pred] = k
+    cells = np.bincount(classes.searchsorted(y_true) * (k + 1) + pred,
                         minlength=k * (k + 1)).reshape(k, k + 1)
-    tp = cells.diagonal()
-    denom = cells.sum(axis=1) + cells[:, :k].sum(axis=0)     # (tp + fn) + (tp + fp)
-    return float((2 * tp / denom).sum() / k)
+    return float(class_scores(cells)[0][2].sum() / k)      # the mean of the F1 row
 
 
 def stratified_kfold(

@@ -173,6 +173,26 @@ class TestRun:
                 first, third = (_without_config(json.loads(b)) for b in (first, third))
             assert first == third, name
 
+    def test_failed_report_move_keeps_old_report_and_no_temporary(self, spec_file, tmp_path,
+                                                                   monkeypatch, capsys):
+        out_dir = tmp_path / "out"
+        assert main(["run", "--config", _write(tmp_path, "cfg.json", _config(spec_file)),
+                     "--output-dir", str(out_dir)]) == 0
+        before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+        move = os.replace
+
+        def refuse_report(src, dst):
+            if os.path.basename(dst) == "report.json":
+                raise OSError("disk went away")
+            move(src, dst)
+
+        monkeypatch.setattr("batteryauth.models.persist.os.replace", refuse_report)
+        cfg = _config(spec_file, eval={"seed": 2, "folds": 3, "targets": ["model"], "balances": [50]})
+        assert main(["run", "--config", _write(tmp_path, "cfg2.json", cfg),
+                     "--output-dir", str(out_dir)]) == 1
+        assert "disk went away" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
+
     def test_label_with_colon_keeps_its_balanced_auth_model(self, tmp_path):
         # ":" is not a file name character; the label keeps its place in the name
         specs = (replace(SPECS[0], name="alpha:v2"), replace(SPECS[1], name="bravo"))

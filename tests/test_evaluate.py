@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from batteryauth.errors import (
     BatteryAuthError,
     ClassTooSmall,
+    DimensionMismatch,
     EmptyCounts,
     InfeasibleBalance,
     LabelAbsent,
@@ -40,7 +41,7 @@ from batteryauth.evaluate import (
 )
 from batteryauth.dca import DcaConfig
 from batteryauth.features import FeatureMatrix, labels_for, matrix_from_cycles
-from batteryauth.models import load_model, make_spec, save_model
+from batteryauth.models import load_model, macro_f1, make_spec, save_model
 from batteryauth.records import SampleMeta
 from batteryauth.selection import select_features
 from batteryauth.synth import demo_specs, gen_dataset
@@ -130,6 +131,16 @@ class TestMetricAlgebra:
         cm = confusion_matrix(y_true, y_pred, k)
         assert cm.dtype.kind == "i" and cm.tolist() == want
 
+    @pytest.mark.parametrize("y_pred", [[0, 2], [-1, 1]])
+    def test_labels_outside_the_classes_raise(self, y_pred):
+        # a label 2 would otherwise count as class 1 in the k = 2 table
+        with pytest.raises(LabelAbsent):
+            confusion_binary(np.array([0, 1]), np.array(y_pred))
+
+    def test_prediction_count_mismatch_raises(self):
+        with pytest.raises(DimensionMismatch):
+            confusion_matrix(np.array([0, 1, 2]), np.array([0, 1]), 3)
+
     def test_multiclass_macro_against_manual(self):
         cm = np.array([[5, 1, 0], [0, 4, 2], [1, 0, 3]])
         m = metrics_from_matrix(cm)
@@ -142,10 +153,23 @@ class TestMetricAlgebra:
     def test_multiclass_flags_name_the_class(self):
         cm = np.array([[3, 0], [2, 0]])   # nothing predicted as class 1
         m = metrics_from_matrix(cm)
-        # class 1 still has true rows, so recall is a real 0; the 0/0
-        # cases are its precision and f1
-        assert m.degenerate == ("precision:1", "f1:1")
+        # class 1 still has true rows, so recall is a real 0 and F1 is
+        # 0/(2 + 0); the one 0/0 is its precision
+        assert m.degenerate == ("precision:1",)
         assert m.recall == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_report_f1_is_the_fold_score(self, seed):
+        """Over labels covering 0..k-1 and predictions within them, the
+        report's macro F1 equals the fold scorer's to the bit."""
+        rng = np.random.default_rng(seed)
+        for _ in range(200):
+            k = int(rng.integers(1, 13))
+            extra = rng.integers(0, k, int(rng.integers(0, 60)))
+            y_true = rng.permutation(np.concatenate([np.arange(k), extra]))
+            y_pred = np.where(rng.random(len(y_true)) < 0.6, y_true, rng.integers(0, k, len(y_true)))
+            m = metrics_from_matrix(confusion_matrix(y_true, y_pred, k))
+            assert m.f1 == macro_f1(y_true, y_pred)
 
     def test_balance_name_format(self):
         assert balance_name(50) == "50/50 (legit 50%)"

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from batteryauth.errors import BadInterval, DimensionMismatch, UnsupportedKind
+from batteryauth.errors import BadInterval, DimensionMismatch, EmptyDataset, UnsupportedKind
 from batteryauth.explain import ImportanceResult, mdi_importance, permutation_importance
 from batteryauth.models import make_spec, train
 
@@ -103,6 +103,24 @@ class TestPermutation:
         m = _fit("KNN", {"k": 5, "weights": "uniform"}, X, y)
         with pytest.raises(BadInterval, match="repeats must be >= 1"):
             permutation_importance(m, X, y, repeats=0)
+
+    def test_zero_rows_raise(self, one_signal_data):
+        X, y = one_signal_data
+        m = _fit("KNN", {"k": 5, "weights": "uniform"}, X, y)
+        with pytest.raises(EmptyDataset):
+            permutation_importance(m, X[:0], y[:0])
+
+    def test_label_count_mismatch_raises(self, one_signal_data):
+        X, y = one_signal_data
+        m = _fit("KNN", {"k": 5, "weights": "uniform"}, X, y)
+        with pytest.raises(DimensionMismatch, match="labels"):
+            permutation_importance(m, X, y[:-1])
+
+    def test_negative_seed_raises(self, one_signal_data):
+        X, y = one_signal_data
+        m = _fit("KNN", {"k": 5, "weights": "uniform"}, X, y)
+        with pytest.raises(BadInterval, match="seed must be >= 0"):
+            permutation_importance(m, X, y, seed=-1)
 
 
 class TestTopK:

@@ -96,7 +96,7 @@ PINS = {
         "report.csv":
             "aa27f0197537175da2d55db0297a161d5f74efd2e2d352747f128baaf225bd13",
         "report.json":
-            "24a27c5a0c0460b417bbd7baecd2c1b265a4b3e86b1f3a1eb18efb8d29ab20d0",
+            "253543910a9db4bd3241f17fce17e22535794968c9c2373fdf83a72dd54d0c86",
     },
     "dca-trees": {
         "model_auth_arch_authentication_layered-oxide_50_DecisionTree.json":
@@ -182,7 +182,7 @@ PINS = {
         "report.csv":
             "b1abb115b3307372fb19cad66ffc09f2be9b0fa4bb44952650b6fb0908cb2cca",
         "report.json":
-            "dfef52c62c1a49a3c778d6d6e7c753ef049bf215f4a3be3bd54e8fe666199760",
+            "bac9d781233fec329c152d61be349daec9b5aaee276bf6bb6f93d0a35db72e05",
     },
     "eis-screen": {
         "model_auth_arch_authentication_layered-oxide_50_KNN.json":
@@ -204,7 +204,7 @@ PINS = {
         "report.csv":
             "2ce7f4e304b6bc7ff3fe1141cc7e655f2907bb8f91660f10542b02ffedb791a7",
         "report.json":
-            "9f9c9fd95d8fcb303fb4c155e2abd32769e5d77038029a37f437a2376431a4c4",
+            "a568225bf913127b69c6f327eaf3368373f2304a64b094f6d8a01152967a88b4",
     },
 }
 

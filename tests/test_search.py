@@ -7,7 +7,7 @@ independent replay rather than trusted internals.
 import numpy as np
 import pytest
 
-from batteryauth.errors import ClassTooSmall, GridExhausted
+from batteryauth.errors import ClassTooSmall, DimensionMismatch, EmptyCounts, GridExhausted
 from batteryauth.models import (
     DEFAULT_GRIDS,
     KINDS,
@@ -22,6 +22,7 @@ from batteryauth.models import (
     train,
 )
 from batteryauth.models import boost, dtree, neighbors
+from batteryauth.models.search import SCORES, class_scores
 from batteryauth.seeding import child_seed
 
 
@@ -55,6 +56,46 @@ class TestMacroF1:
         y_pred = np.array([0, 5, 1, 1])
         # class 0: tp=1 fp=0 fn=1 -> 2/3; class 1: tp=2 fp=0 fn=0 -> 1
         assert macro_f1(y_true, y_pred) == pytest.approx((2 / 3 + 1.0) / 2)
+
+
+    def test_empty_labels_raise(self):
+        with pytest.raises(EmptyCounts):
+            macro_f1(np.array([], dtype=int), np.array([], dtype=int))
+
+    def test_length_mismatch_raises(self):
+        with pytest.raises(DimensionMismatch):
+            macro_f1(np.array([0, 1, 1]), np.array([0, 1]))
+
+
+def _class_scores_loop(cells):
+    """Each class's scores as quotients of Python ints, one class at a time."""
+    rows = [[int(v) for v in row] for row in cells]
+    k = len(rows)
+    scores, undefined = [[] for _ in SCORES], [[] for _ in SCORES]
+    for c in range(k):
+        tp, true, pred = rows[c][c], sum(rows[c]), sum(rows[i][c] for i in range(k))
+        for s, (num, den) in enumerate([(tp, pred), (tp, true), (2 * tp, true + pred),
+                                        (true - tp, true)]):
+            scores[s].append(num / den if den else 0.0)
+            undefined[s].append(den == 0)
+    return scores, undefined
+
+
+class TestClassScoresOracle:
+    @pytest.mark.parametrize("extra_column", [False, True])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equal_to_loop(self, seed, extra_column):
+        """Random tables with empty rows and columns, so some scores are 0/0."""
+        rng = np.random.default_rng(seed)
+        for _ in range(100):
+            k = int(rng.integers(1, 10))
+            cells = rng.integers(0, 6, (k, k + extra_column)) * (rng.random((k, k + extra_column)) < 0.6)
+            cells[rng.random(k) < 0.25] = 0
+            cells[:, rng.random(k + extra_column) < 0.25] = 0
+            scores, undefined = class_scores(cells)
+            want_scores, want_undefined = _class_scores_loop(cells)
+            assert scores.tolist() == want_scores
+            assert undefined.tolist() == want_undefined
 
 
 def _macro_f1_loop(y_true, y_pred):
