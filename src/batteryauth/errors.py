@@ -71,7 +71,8 @@ class EmptySeries(BatteryAuthError):
     pass
 
 
-class BadInterval(BatteryAuthError):
+# also a ValueError, as numpy's own refusal of a negative seed is
+class BadInterval(BatteryAuthError, ValueError):
     pass
 
 
@@ -142,4 +143,11 @@ class BadSpec(BatteryAuthError):
 
 
 class ConfigError(BatteryAuthError):
+    pass
+
+
+# === output ===
+
+# a file that could not be written; an OSError too, as the failure it wraps
+class WriteFailed(BatteryAuthError, OSError):
     pass

@@ -100,6 +100,8 @@ def metrics(counts: ConfusionCounts) -> MetricSet:
 def metrics_from_matrix(cm: np.ndarray) -> MetricSet:
     """Multiclass: per-class one-vs-rest, macro averaged; FAR/FRR omitted.
     A class's 0/0 is flagged as "name:class"."""
+    if cm.ndim != 2 or cm.shape[0] != cm.shape[1]:
+        raise DimensionMismatch(f"confusion matrix must be square, got shape {cm.shape}")
     total = int(cm.sum())
     if total == 0:
         raise EmptyCounts("confusion matrix is empty")
@@ -156,8 +158,11 @@ def make_auth_scenario(
     """Binary scenario: legit label -> 1, a stratified counterfeit pool -> 0.
 
     The draw maximizes total size subject to availability while keeping
-    the legit share within one sample of ``balance`` percent; counterfeit
-    rows spread as evenly as possible across the other classes.
+    the legit share within one sample of ``balance`` percent. Each other
+    class gives min(its rows, L) counterfeit rows, at the largest L that
+    fits the draw; the rows still missing come one each from the lowest
+    class ids with rows left. Unless a class runs short, that is an even
+    split with the remainder on the lowest ids.
     """
     if balance not in BALANCE_LEVELS:
         raise InfeasibleBalance(f"balance must be one of {BALANCE_LEVELS}, got {balance}")
@@ -193,29 +198,18 @@ def make_auth_scenario(
     rng = rng_from(seed, "scenario")
     legit_rows = rng.choice(legit_pool, size=n_legit, replace=False)
 
-    # even quotas in class-id order, spillover redistributed deterministically
-    avail = {c: np.flatnonzero(y == c) for c in other_classes}
-    quotas = {c: n_counter // len(other_classes) for c in other_classes}
-    for i in range(n_counter % len(other_classes)):
-        quotas[other_classes[i]] += 1
-    deficit = 0
-    for c in other_classes:
-        if quotas[c] > len(avail[c]):
-            deficit += quotas[c] - len(avail[c])
-            quotas[c] = len(avail[c])
-    while deficit > 0:
-        progressed = False
-        for c in other_classes:
-            if deficit == 0:
-                break
-            if quotas[c] < len(avail[c]):
-                quotas[c] += 1
-                deficit -= 1
-                progressed = True
-        if not progressed:
-            raise InfeasibleBalance("counterfeit classes cannot supply the requested draw")
+    # quotas as in the docstring; the t_cap sizing makes the pools cover the
+    # draw. A level fits iff, for some k, the k smallest classes whole plus
+    # that many rows from each other class come to at most n_counter.
+    avail = [np.flatnonzero(y == c) for c in other_classes]
+    sizes = np.array([len(a) for a in avail])
+    m = len(sizes)
+    smallest = np.concatenate([[0], np.cumsum(np.sort(sizes))[:-1]])
+    level = int(np.max((n_counter - smallest) // (m - np.arange(m))))
+    quotas = np.minimum(sizes, level)
+    quotas[np.flatnonzero(sizes > level)[: n_counter - int(quotas.sum())]] += 1
     counter_rows = np.concatenate(
-        [rng.choice(avail[c], size=quotas[c], replace=False) for c in other_classes]
+        [rng.choice(a, size=q, replace=False) for a, q in zip(avail, quotas.tolist())]
     )
 
     rows = np.concatenate([legit_rows, counter_rows])

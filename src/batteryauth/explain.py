@@ -79,8 +79,6 @@ def permutation_importance(
         raise EmptyDataset("permutation importance needs at least one row")
     if repeats < 1:
         raise BadInterval(f"repeats must be >= 1, got {repeats}")
-    if seed < 0:
-        raise BadInterval(f"seed must be >= 0, got {seed}")
     baseline = macro_f1(y, predict(model, X))
     drops = np.zeros(X.shape[1])
     for j in range(X.shape[1]):

@@ -17,9 +17,9 @@ imputed to 0 and counted per vector.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .errors import (
     UnsupportedChannelCount,
 )
 from .parallel import ordered_map
-from .records import CycleRecord, DatasetCatalog, EisSpectrum, SampleMeta
+from .records import DatasetCatalog, EisSpectrum, Record, SampleMeta
 
 QUANTILE_QS = tuple(round(0.1 * i, 1) for i in range(1, 10))
 AUTOCORR_LAGS = (1, 2, 3, 5, 10, 20, 50)
@@ -80,7 +80,6 @@ class FeatureCatalog:
 @dataclass(frozen=True, eq=False)
 class FeatureVector:
     values: np.ndarray
-    catalog_version: str
     imputed_count: int
 
 
@@ -306,9 +305,7 @@ def extract_features(
     bad = ~np.isfinite(values)
     if bad.any():
         values = np.where(bad, 0.0, values)
-    return FeatureVector(
-        values=values, catalog_version=catalog.version, imputed_count=int(bad.sum())
-    )
+    return FeatureVector(values=values, imputed_count=int(bad.sum()))
 
 
 # === feature matrices ===
@@ -334,20 +331,12 @@ class FeatureMatrix:
 
 
 def matrix_take(matrix: FeatureMatrix, idx: np.ndarray) -> FeatureMatrix:
-    """Row subset / reorder; labels and metadata follow."""
+    """Row subset / reorder: the per-row fields follow ``idx``; every other
+    field is carried as it is."""
     idx = np.asarray(idx, dtype=int)
-    return FeatureMatrix(
-        values=matrix.values[idx],
-        model_id=matrix.model_id[idx],
-        arch_id=matrix.arch_id[idx],
-        metas=tuple(matrix.metas[i] for i in idx),
-        catalog_version=matrix.catalog_version,
-        feature_names=matrix.feature_names,
-        model_names=matrix.model_names,
-        arch_names=matrix.arch_names,
-        imputed_counts=matrix.imputed_counts[idx],
-        processing=matrix.processing,
-    )
+    return replace(matrix, values=matrix.values[idx], model_id=matrix.model_id[idx],
+                   arch_id=matrix.arch_id[idx], metas=tuple(matrix.metas[i] for i in idx),
+                   imputed_counts=matrix.imputed_counts[idx])
 
 
 def labels_for(matrix: FeatureMatrix, target: str) -> Tuple[np.ndarray, Tuple[str, ...]]:
@@ -359,10 +348,17 @@ def labels_for(matrix: FeatureMatrix, target: str) -> Tuple[np.ndarray, Tuple[st
     raise CatalogMismatch(f"unknown label target {target!r}")
 
 
-def _build_matrix(
-    vectors: Sequence[FeatureVector], data: DatasetCatalog, catalog: FeatureCatalog,
-    processing: Union[DcaConfig, EisConfig],
+def _matrix(
+    data: DatasetCatalog, processing: Union[DcaConfig, EisConfig], channels: int,
+    channels_of: Callable[[Record], Sequence[np.ndarray]], threads: int,
 ) -> FeatureMatrix:
+    """Extract the ``channels``-channel catalog from ``channels_of(record)``
+    for every record, in record order. The processing, extraction and map
+    functions are read from this module when called, so a wrapper set on
+    the module attribute sees every call."""
+    catalog = catalog_default(channels)
+    vectors = ordered_map(lambda rec: extract_features(channels_of(rec), catalog), data.records,
+                          threads=threads)
     metas = tuple(r.meta for r in data.records)
     return FeatureMatrix(
         values=np.stack([fv.values for fv in vectors]),
@@ -384,14 +380,7 @@ def matrix_from_cycles(
     threads: int = 1,
 ) -> FeatureMatrix:
     """Process every cycle record and extract the 1-channel catalog."""
-    catalog = catalog_default(1)
-
-    def one(rec: CycleRecord) -> FeatureVector:
-        series = process_cycle(rec, config)
-        return extract_features([series.dqdv], catalog)
-
-    vectors = ordered_map(one, data.records, threads=threads)
-    return _build_matrix(vectors, data, catalog, config)
+    return _matrix(data, config, 1, lambda rec: [process_cycle(rec, config).dqdv], threads)
 
 
 def matrix_from_spectra(
@@ -400,11 +389,8 @@ def matrix_from_spectra(
     threads: int = 1,
 ) -> FeatureMatrix:
     """Process every EIS sweep and extract the 2-channel catalog."""
-    catalog = catalog_default(2)
-
-    def one(rec: EisSpectrum) -> FeatureVector:
+    def channels_of(rec: EisSpectrum) -> List[np.ndarray]:
         ch = process_spectrum(rec, config)
-        return extract_features([ch.re_z, ch.neg_im_z], catalog)
+        return [ch.re_z, ch.neg_im_z]
 
-    vectors = ordered_map(one, data.records, threads=threads)
-    return _build_matrix(vectors, data, catalog, config)
+    return _matrix(data, config, 2, channels_of, threads)

@@ -6,8 +6,10 @@ comma-delimited, decimal point, UTF-8. Cycle files need ``voltage`` and
 All other columns are optional metadata; missing values fall back to the
 ``meta_defaults`` record supplied by the caller.
 
-The writers emit every column the parsers understand, so
-``parse(serialize(records))`` reproduces the records exactly.
+Both writers go through one row writer and emit every column the
+parsers understand, so ``parse(serialize(records))`` reproduces the
+records exactly. The parsers check records with the ``records``
+validators; ``min_len`` is the one limit a caller can relax.
 """
 from __future__ import annotations
 
@@ -15,6 +17,7 @@ import csv
 import io
 import itertools
 import math
+from dataclasses import replace
 from typing import List, NoReturn, Optional, Sequence, Tuple
 
 import numpy as np
@@ -23,9 +26,9 @@ from .errors import MalformedCsv, MissingColumn, NonFiniteValue
 from .records import (
     DEFAULT_MIN_CYCLE_LEN,
     DEFAULT_MIN_SWEEP_LEN,
-    DEFAULT_MONOTONIC_TOL,
     CycleRecord,
     EisSpectrum,
+    Record,
     SampleMeta,
     make_cycle,
     make_spectrum,
@@ -53,12 +56,6 @@ def _parse_float(value: Optional[str], column: str, row_num: int) -> float:
     if not math.isfinite(x):
         raise NonFiniteValue(f"row {row_num}: non-finite {column} value {value!r}")
     return x
-
-
-def _parse_opt_float(value: Optional[str], column: str, row_num: int) -> Optional[float]:
-    if value is None or value == "":
-        return None
-    return _parse_float(value, column, row_num)
 
 
 def _parse_opt_int(value: Optional[str], column: str, row_num: int) -> Optional[int]:
@@ -129,18 +126,14 @@ def _float_columns(columns: dict, names: Sequence[str]) -> Optional[List[np.ndar
 def _fields_meta(fields: dict, defaults: SampleMeta, row_num: int) -> Tuple[SampleMeta, Optional[int]]:
     """The meta and the cycle index that one row's metadata fields give."""
     cycle_index = _parse_opt_int(fields.get("cycle_index"), "cycle_index", row_num)
-    kwargs = {}
-    for col in _META_STR_COLS:
-        val = fields.get(col)
-        if val:
-            kwargs[col] = val
+    # an empty or absent field keeps the default
+    kwargs = {col: fields[col] for col in _META_STR_COLS if fields.get(col)}
     for col in _META_NUM_COLS:
-        val = _parse_opt_float(fields.get(col), col, row_num)
-        if val is not None:
-            kwargs[col] = val
+        if fields.get(col):
+            kwargs[col] = _parse_float(fields[col], col, row_num)
     if cycle_index is not None:
         kwargs["cycle_index"] = cycle_index
-    return (defaults.with_overrides(**kwargs) if kwargs else defaults), cycle_index
+    return (replace(defaults, **kwargs) if kwargs else defaults), cycle_index
 
 
 def _raise_first_error(columns: dict, numeric: Sequence[str], n: int) -> NoReturn:
@@ -207,7 +200,6 @@ def parse_cycle_csv(
     text: str,
     meta_defaults: SampleMeta = SampleMeta(),
     min_len: int = DEFAULT_MIN_CYCLE_LEN,
-    monotonic_tol: float = DEFAULT_MONOTONIC_TOL,
 ) -> List[CycleRecord]:
     """Parse cycle rows into one CycleRecord per (cell_id, cycle_index, cycle_kind).
 
@@ -219,11 +211,8 @@ def parse_cycle_csv(
         lambda fields, meta, cycle_index: (
             meta.cell_id, cycle_index, fields.get("cycle_kind") or "charge"),
     )
-    records = []
-    for (_, _, kind), meta, (volts, caps) in groups:
-        rec = make_cycle(volts, caps, cycle_kind=kind, meta=meta)
-        records.append(validate_cycle(rec, min_len=min_len, monotonic_tol=monotonic_tol))
-    return records
+    return [validate_cycle(make_cycle(volts, caps, cycle_kind=kind, meta=meta), min_len=min_len)
+            for (_, _, kind), meta, (volts, caps) in groups]
 
 
 def parse_eis_csv(
@@ -241,11 +230,8 @@ def parse_eis_csv(
         lambda fields, meta, cycle_index: (
             fields.get("sweep_id") or "", meta.cell_id, cycle_index),
     )
-    spectra = []
-    for _, meta, (freqs, res, ims) in groups:
-        spec = make_spectrum(freqs, res, ims, meta=meta)
-        spectra.append(validate_spectrum(spec, min_len=min_len))
-    return spectra
+    return [validate_spectrum(make_spectrum(freqs, res, ims, meta=meta), min_len=min_len)
+            for _, meta, (freqs, res, ims) in groups]
 
 
 def _fmt(value) -> str:
@@ -256,39 +242,29 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _write_csv(records: Sequence[Record], head: Sequence[str], numeric: Sequence[str]) -> str:
+    """The header, then one row per sample. A ``head`` field is the
+    record's meta entry or ``cycle_kind`` of that name; ``sweep_id`` is
+    the record's position. A ``numeric`` field is the sample of the
+    record's array of that name, written with ``repr``."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow([*head, *numeric])
+    for i, rec in enumerate(records):
+        named = {**vars(rec.meta), "cycle_kind": getattr(rec, "cycle_kind", None), "sweep_id": f"s{i:05d}"}
+        lead = [_fmt(named[c]) for c in head]
+        columns = [map(repr, np.asarray(getattr(rec, c), dtype=float).tolist()) for c in numeric]
+        writer.writerows([*lead, *sample] for sample in zip(*columns))
+    return out.getvalue()
+
+
 def write_cycle_csv(records: Sequence[CycleRecord]) -> str:
     """Serialize cycles to the canonical CSV schema (one row per sample)."""
-    out = io.StringIO()
-    cols = list(_META_STR_COLS) + ["cycle_index", "cycle_kind"] + list(_META_NUM_COLS) + [
-        "voltage",
-        "capacity",
-    ]
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(cols)
-    for rec in records:
-        m = rec.meta
-        head = [m.dataset_id, m.cell_id, m.battery_model, m.architecture,
-                _fmt(m.cycle_index), rec.cycle_kind,
-                _fmt(m.soc_percent), _fmt(m.soh_percent), _fmt(m.temperature_c)]
-        for v, q in zip(rec.voltage, rec.capacity):
-            writer.writerow(head + [repr(float(v)), repr(float(q))])
-    return out.getvalue()
+    head = (*_META_STR_COLS, "cycle_index", "cycle_kind", *_META_NUM_COLS)
+    return _write_csv(records, head, _CYCLE_REQUIRED)
 
 
 def write_eis_csv(spectra: Sequence[EisSpectrum]) -> str:
     """Serialize sweeps to the canonical EIS CSV schema."""
-    out = io.StringIO()
-    cols = ["sweep_id"] + list(_META_STR_COLS) + ["cycle_index"] + list(_META_NUM_COLS) + [
-        "frequency",
-        "z_real",
-        "z_imag",
-    ]
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(cols)
-    for i, spec in enumerate(spectra):
-        m = spec.meta
-        head = [f"s{i:05d}", m.dataset_id, m.cell_id, m.battery_model, m.architecture,
-                _fmt(m.cycle_index), _fmt(m.soc_percent), _fmt(m.soh_percent), _fmt(m.temperature_c)]
-        for f, zr, zi in zip(spec.frequency, spec.z_real, spec.z_imag):
-            writer.writerow(head + [repr(float(f)), repr(float(zr)), repr(float(zi))])
-    return out.getvalue()
+    head = ("sweep_id", *_META_STR_COLS, "cycle_index", *_META_NUM_COLS)
+    return _write_csv(spectra, head, _EIS_REQUIRED)

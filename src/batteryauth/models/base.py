@@ -54,6 +54,11 @@ class ModelSpec:
     grid: Optional[Dict[str, list]] = None
     seed: int = 0
 
+    def __post_init__(self):
+        if self.kind not in KINDS:
+            raise UnsupportedKind(f"unknown model kind {self.kind!r}; expected one of {KINDS}")
+        self.resolved_grid()
+
     def resolved_grid(self) -> Dict[str, list]:
         base = DEFAULT_GRIDS[self.kind]
         if self.grid is None:
@@ -69,12 +74,9 @@ class ModelSpec:
 
 
 def make_spec(kind: str, grid: Optional[dict] = None, seed: int = 0) -> ModelSpec:
-    if kind not in KINDS:
-        raise UnsupportedKind(f"unknown model kind {kind!r}; expected one of {KINDS}")
+    spec = ModelSpec(kind=kind, grid=grid, seed=seed)
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
-    spec = ModelSpec(kind=kind, grid=grid, seed=seed)
-    spec.resolved_grid()  # validate eagerly
     return spec
 
 

@@ -50,7 +50,7 @@ import numpy as np
 
 from ..dca import DcaConfig
 from ..eis import EisConfig
-from ..errors import DimensionMismatch, FormatVersionMismatch, UnsupportedKind
+from ..errors import DimensionMismatch, FormatVersionMismatch, UnsupportedKind, WriteFailed
 from .base import _MODULES, KINDS, Standardizer, TrainedModel, classify, normalize_hyperparams
 from .tree import NodeTable
 
@@ -227,16 +227,19 @@ def model_from_json_dict(data: dict) -> TrainedModel:
 
 def write_atomic(path: str, text: str) -> None:
     """Write ``text`` to ``path`` under a temporary name in the same folder,
-    then move it into place, so a failed write leaves the previous file."""
+    then move it into place, so a failed write leaves the previous file.
+    An ``OSError`` becomes ``WriteFailed``, naming the file."""
     folder, name = os.path.split(path)
     tmp = os.path.join(folder, f".{name}.{os.getpid()}-{threading.get_ident()}.tmp")
     try:
         with open(tmp, "x", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         if os.path.exists(tmp):
             os.remove(tmp)
+        if isinstance(exc, OSError):
+            raise WriteFailed(f"cannot write {path}: {exc}") from exc
         raise
 
 

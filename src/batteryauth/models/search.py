@@ -28,7 +28,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..errors import BatteryAuthError, ClassTooSmall, DimensionMismatch, EmptyCounts, GridExhausted
+from ..errors import (BadInterval, BatteryAuthError, ClassTooSmall, DimensionMismatch, EmptyCounts,
+                      GridExhausted)
 from ..parallel import ordered_map
 from ..seeding import child_seed, rng_from
 from .base import (
@@ -85,6 +86,8 @@ def stratified_kfold(
     y: np.ndarray, k: int = DEFAULT_FOLDS, seed: int = 0
 ) -> List[Tuple[np.ndarray, np.ndarray]]:
     """k (train_idx, val_idx) pairs; per-class fold counts differ by <= 1."""
+    if k < 2:
+        raise BadInterval(f"k-fold needs k >= 2, got {k}")
     y = np.asarray(y)
     rng = rng_from(seed, "kfold")
     fold_of = np.empty(len(y), dtype=int)

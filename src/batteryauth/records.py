@@ -6,11 +6,12 @@ with provenance and labels. DatasetCatalog collects records and assigns
 stable integer class ids to the model and architecture labels.
 
 Records are plain immutable containers; validation lives in separate
-functions so parsers can relax limits (e.g. minimum length) for tests.
+functions. ``min_len`` is the one limit that parsers relax, for tests;
+the monotonicity tolerance is fixed at ``DEFAULT_MONOTONIC_TOL``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -45,9 +46,6 @@ class SampleMeta:
     soh_percent: Optional[float] = None
     temperature_c: Optional[float] = None
     cycle_index: Optional[int] = None
-
-    def with_overrides(self, **kwargs) -> "SampleMeta":
-        return replace(self, **kwargs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,22 +129,19 @@ def make_spectrum(
     return EisSpectrum(frequency=f, z_real=zr, z_imag=zi, meta=meta)
 
 
-def validate_cycle(
-    record: CycleRecord,
-    min_len: int = DEFAULT_MIN_CYCLE_LEN,
-    monotonic_tol: float = DEFAULT_MONOTONIC_TOL,
-) -> CycleRecord:
+def validate_cycle(record: CycleRecord, min_len: int = DEFAULT_MIN_CYCLE_LEN) -> CycleRecord:
     """Check length and capacity-monotonicity invariants; return the record.
 
     Charge cycles must have non-decreasing capacity, discharge cycles
-    non-increasing, each up to ``monotonic_tol`` times the capacity range.
+    non-increasing, each up to ``DEFAULT_MONOTONIC_TOL`` times the
+    capacity range.
     """
     ctx = f"cycle {record.meta.cell_id}/{record.meta.cycle_index}"
     n = len(record)
     if n < min_len:
         raise TooShortCycle(f"{ctx}: {n} samples, need at least {min_len}")
     q = record.capacity
-    tol = monotonic_tol * float(q.max() - q.min())
+    tol = DEFAULT_MONOTONIC_TOL * float(q.max() - q.min())
     dq = np.diff(q)
     if record.cycle_kind == "charge":
         worst = float(dq.min(initial=0.0))

@@ -2,7 +2,8 @@
 
 Every random draw in the library flows from a user-supplied integer seed
 through named child streams, so results do not depend on scheduling or
-thread count. Tags may be strings (hashed stably via crc32) or integers.
+thread count. Tags may be strings (hashed stably via crc32) or integers;
+a negative seed or integer tag is refused with ``BadInterval``.
 ``rng_from`` builds one stream through ``numpy.random.SeedSequence``; a
 forest draws all of its trees from one such stream.
 """
@@ -11,6 +12,8 @@ from __future__ import annotations
 import zlib
 
 import numpy as np
+
+from .errors import BadInterval
 
 
 def _tag_to_int(tag) -> int:
@@ -22,7 +25,10 @@ def _tag_to_int(tag) -> int:
 
 
 def _entropy(seed: int, tags) -> tuple:
-    return (int(seed),) + tuple(_tag_to_int(t) for t in tags)
+    entropy = (int(seed),) + tuple(_tag_to_int(t) for t in tags)
+    if min(entropy) < 0:
+        raise BadInterval(f"seed must be >= 0, got {seed} with tags {tags}")
+    return entropy
 
 
 def child_seed(seed: int, *tags) -> int:

@@ -11,12 +11,12 @@ to it record for record and error for error.
 import csv
 import io
 import math
+from dataclasses import replace
 
 from batteryauth.errors import MissingColumn, NonFiniteValue
 from batteryauth.records import (
     DEFAULT_MIN_CYCLE_LEN,
     DEFAULT_MIN_SWEEP_LEN,
-    DEFAULT_MONOTONIC_TOL,
     SampleMeta,
     make_cycle,
     make_spectrum,
@@ -84,11 +84,10 @@ def _row_meta(row, defaults, row_num, cycle_index):
             kwargs[col] = val
     if cycle_index is not None:
         kwargs["cycle_index"] = cycle_index
-    return defaults.with_overrides(**kwargs) if kwargs else defaults
+    return replace(defaults, **kwargs) if kwargs else defaults
 
 
-def parse_cycle_csv(text, meta_defaults=SampleMeta(), min_len=DEFAULT_MIN_CYCLE_LEN,
-                    monotonic_tol=DEFAULT_MONOTONIC_TOL):
+def parse_cycle_csv(text, meta_defaults=SampleMeta(), min_len=DEFAULT_MIN_CYCLE_LEN):
     reader = _reader(text, _CYCLE_REQUIRED)
     groups = {}
     for row_num, row in enumerate(reader, start=2):
@@ -105,7 +104,7 @@ def parse_cycle_csv(text, meta_defaults=SampleMeta(), min_len=DEFAULT_MIN_CYCLE_
     records = []
     for meta, kind, volts, caps in groups.values():
         rec = make_cycle(volts, caps, cycle_kind=kind, meta=meta)
-        records.append(validate_cycle(rec, min_len=min_len, monotonic_tol=monotonic_tol))
+        records.append(validate_cycle(rec, min_len=min_len))
     return records
 
 

@@ -268,6 +268,7 @@ def test_criterion_5_classifier_oracles():
 # === 6: synthetic cycle identification ===
 
 
+@pytest.mark.slow
 def test_criterion_6_synthetic_identification(cycle_experiment):
     report = cycle_experiment["report"]
     elapsed = cycle_experiment["elapsed"]
@@ -286,6 +287,7 @@ def test_criterion_6_synthetic_identification(cycle_experiment):
 # === 7: synthetic authentication ===
 
 
+@pytest.mark.slow
 def test_criterion_7_synthetic_authentication(auth_experiment):
     cells = auth_experiment["report"].auth_results
     assert len(cells) == 20  # 5 legitimate labels x 4 balance levels
@@ -345,6 +347,7 @@ def test_criterion_8_impedance_path():
 # === 9: explanation sanity ===
 
 
+@pytest.mark.slow
 def test_criterion_9_explanation_sanity(cycle_experiment):
     rng = np.random.default_rng(9)
     n = 240
@@ -428,6 +431,7 @@ def test_criterion_10_determinism_and_identities():
 # === 11: inference latency ===
 
 
+@pytest.mark.slow
 def test_criterion_11_inference_latency(cycle_experiment):
     model = cycle_experiment["winner"]
     X = cycle_experiment["matrix"].values

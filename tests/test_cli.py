@@ -190,7 +190,9 @@ class TestRun:
         cfg = _config(spec_file, eval={"seed": 2, "folds": 3, "targets": ["model"], "balances": [50]})
         assert main(["run", "--config", _write(tmp_path, "cfg2.json", cfg),
                      "--output-dir", str(out_dir)]) == 1
-        assert "disk went away" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "disk went away" in err
+        assert "report.json" in err and not err.startswith("unexpected")
         assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
 
     def test_label_with_colon_keeps_its_balanced_auth_model(self, tmp_path):

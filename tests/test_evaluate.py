@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from batteryauth.errors import (
+    BadInterval,
     BatteryAuthError,
     ClassTooSmall,
     DimensionMismatch,
@@ -157,6 +158,11 @@ class TestMetricAlgebra:
         # 0/(2 + 0); the one 0/0 is its precision
         assert m.degenerate == ("precision:1",)
         assert m.recall == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("shape", [(3, 2), (2, 3)])
+    def test_non_square_table_refused(self, shape):
+        with pytest.raises(DimensionMismatch, match="square"):
+            metrics_from_matrix(np.ones(shape, dtype=int))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_report_f1_is_the_fold_score(self, seed):
@@ -308,6 +314,45 @@ class TestAuthScenario:
         assert np.array_equal(y_name, y_id)
         assert np.array_equal(sub_by_name.values, sub_by_id.values)
 
+    @staticmethod
+    def _fill(sizes, n):
+        """Quota oracle: n rows added one at a time, each to the class with
+        the fewest rows taken that still has rows; ties go to the lowest id."""
+        taken = [0] * len(sizes)
+        for _ in range(n):
+            c = min((c for c in range(len(sizes)) if taken[c] < sizes[c]), key=lambda c: (taken[c], c))
+            taken[c] += 1
+        return taken
+
+    @staticmethod
+    def _quotas(mat, balance, seed):
+        """Counterfeit rows drawn per class of a scenario for label "L"."""
+        sub, y_bin = make_auth_scenario(mat, "L", balance, seed=seed, target="model")
+        return np.bincount(sub.model_id[y_bin == 0], minlength=len(mat.model_names))[1:].tolist()
+
+    def test_exhausted_class_leaves_the_others_even(self):
+        # 7 counterfeit rows from classes of 10, 10 and 1
+        mat = _matrix({"L": 7, "x": 10, "y": 10, "z": 1}, n_features=1)
+        assert self._quotas(mat, 50, 0) == [3, 3, 1]
+
+    def test_quotas_equal_the_one_row_at_a_time_oracle(self):
+        rng = np.random.default_rng(2024)
+        for case in range(80):
+            sizes = rng.integers(1, 41, size=int(rng.integers(2, 7))).tolist()
+            n_legit = int(rng.integers(2, 121))
+            mat = _matrix({"L": n_legit, **{f"c{i}": s for i, s in enumerate(sizes)}}, n_features=1)
+            for balance in BALANCE_LEVELS:
+                want = self._walk(n_legit, sum(sizes), balance)
+                if want is None:
+                    continue
+                n = want[1]
+                got = self._quotas(mat, balance, case)
+                assert got == self._fill(sizes, n), (sizes, n_legit, balance)
+                # with no class short, the even split with the remainder on the lowest ids
+                even = [n // len(sizes) + (i < n % len(sizes)) for i in range(len(sizes))]
+                if all(q <= s for q, s in zip(even, sizes)):
+                    assert got == even, (sizes, n_legit, balance)
+
 
 def _auth_cell(task, kind, label, balance, counts):
     ms = metrics(counts)
@@ -377,6 +422,10 @@ class TestRunners:
         assert cm.shape == (3, 3)
         assert cm.sum() == 18          # 90 rows balanced, 20% held out
         assert report.selection_kept["model_identification"] == -1
+
+    def test_negative_seed_is_a_library_error(self, small_matrix, knn_spec):
+        with pytest.raises(BadInterval, match="seed must be >= 0"):
+            run_identification(small_matrix, [knn_spec], EvalConfig(seed=-1))
 
     def test_identification_both_targets(self, small_matrix, knn_spec):
         config = EvalConfig(seed=5, folds=3)

@@ -31,6 +31,7 @@ from batteryauth.errors import (
 from batteryauth.models import (
     DEFAULT_GRIDS,
     KINDS,
+    ModelSpec,
     TrainedModel,
     classify,
     enumerate_grid,
@@ -76,6 +77,11 @@ class TestSpecAndGrid:
     def test_unsupported_kind(self):
         with pytest.raises(UnsupportedKind):
             make_spec("GradientBoost")
+
+    def test_spec_refuses_an_unknown_kind_when_made(self):
+        # not a builtins KeyError later, from grid_search or train
+        with pytest.raises(UnsupportedKind, match="unknown model kind 'Bogus'"):
+            ModelSpec("Bogus")
 
     def test_bad_grid_dimension(self):
         with pytest.raises(ConfigError):

@@ -1,4 +1,6 @@
 """Record construction, validation rules, and CSV round trips."""
+import hashlib
+
 import numpy as np
 import pytest
 from reference import records_equal
@@ -26,6 +28,7 @@ from batteryauth.records import (
     validate_cycle,
     validate_spectrum,
 )
+from batteryauth.synth import demo_specs, gen_dataset, gen_eis_dataset
 
 
 def _meta(cell="c1", cyc=0, model="m1", arch="a1"):
@@ -184,3 +187,21 @@ class TestEisCsv:
     def test_missing_column(self):
         with pytest.raises(MissingColumn):
             parse_eis_csv("cell_id,frequency,z_real\nc1,1.0,0.2\n")
+
+
+class TestWriterPins:
+    """sha256 of the writers' text on a small fixed synthetic corpus; a
+    change to any written byte (column order, number format, sweep ids)
+    shows here."""
+
+    def test_cycle_csv_bytes(self):
+        data = gen_dataset(demo_specs(), cells_per_spec=1, cycles_per_cell=2, seed=3, n_points=64)
+        text = write_cycle_csv(data.records)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "7c3737ce6105134ca787f2c0dcd1b70551161a3759b93d90672c98b7969df973")
+
+    def test_eis_csv_bytes(self):
+        data = gen_eis_dataset(demo_specs(), cells_per_spec=1, sweeps_per_cell=2, seed=3, n_freq=16)
+        text = write_eis_csv(data.records)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "54d53238216ea88416cc3300a0dcbc40c47474e201bc2d45bb945c10baeb9730")

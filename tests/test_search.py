@@ -7,11 +7,12 @@ independent replay rather than trusted internals.
 import numpy as np
 import pytest
 
-from batteryauth.errors import ClassTooSmall, DimensionMismatch, EmptyCounts, GridExhausted
+from batteryauth.errors import BadInterval, ClassTooSmall, DimensionMismatch, EmptyCounts, GridExhausted
 from batteryauth.models import (
     DEFAULT_GRIDS,
     KINDS,
     CandidateResult,
+    ModelSpec,
     enumerate_grid,
     grid_search,
     macro_f1,
@@ -159,6 +160,11 @@ class TestStratifiedKfold:
         with pytest.raises(ClassTooSmall):
             stratified_kfold(y, k=3, seed=0)
 
+    @pytest.mark.parametrize("k", [0, 1, -2])
+    def test_fewer_than_two_folds_refused(self, k):
+        with pytest.raises(BadInterval, match="k >= 2"):
+            stratified_kfold(np.repeat([0, 1], 10), k=k, seed=0)
+
     def test_seed_changes_assignment(self):
         y = np.repeat([0, 1], 20)
         a = stratified_kfold(y, k=4, seed=0)
@@ -175,6 +181,11 @@ class TestStratifiedKfold:
 
 
 class TestGridSearch:
+    def test_negative_seed_is_a_library_error(self):
+        X, y = _two_blob_data()
+        with pytest.raises(BadInterval, match="seed must be >= 0"):
+            grid_search(ModelSpec("KNN", seed=-1), X, y)
+
     def test_winner_matches_brute_force_replay(self):
         X, y = _two_blob_data()
         spec = make_spec("KNN", grid={"k": [1, 5], "weights": ["uniform", "distance"]}, seed=11)

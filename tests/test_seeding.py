@@ -10,6 +10,7 @@ import zlib
 import numpy as np
 import pytest
 
+from batteryauth.errors import BadInterval
 from batteryauth.seeding import child_seed, rng_from
 
 SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96 + 12345,
@@ -39,3 +40,11 @@ def test_numpy_integer_tags_read_as_ints():
 def test_negative_entropy_raises_like_seed_sequence():
     with pytest.raises(ValueError):
         rng_from(-1, "tree", 0)
+
+
+@pytest.mark.parametrize("seed, tags", [(-1, ("tree", 0)), (3, ("tree", -2)), (-5, ())])
+def test_negative_seed_or_tag_is_a_library_error(seed, tags):
+    with pytest.raises(BadInterval, match="seed must be >= 0"):
+        rng_from(seed, *tags)
+    with pytest.raises(BadInterval, match="seed must be >= 0"):
+        child_seed(seed, *tags)
