@@ -4,6 +4,10 @@ Validation is strict and total before any work starts: unknown keys are
 rejected at every nesting level, and every error names the offending
 field by dotted path, so a typo like "eval.ballances" fails fast
 instead of silently running with defaults.
+
+Bounds live on the settings types, which refuse a bad value when made;
+this module reads keys, checks their JSON types and names each refusal
+by its dotted path.
 """
 from __future__ import annotations
 
@@ -13,8 +17,8 @@ from typing import Optional, Tuple
 
 from .dca import DcaConfig
 from .eis import EisConfig
-from .errors import BatteryAuthError, ConfigError
-from .evaluate import BALANCE_LEVELS, TARGETS, EvalConfig
+from .errors import BadInterval, BatteryAuthError, ConfigError
+from .evaluate import EvalConfig, check_choices
 from .models import ModelSpec, enumerate_grid, make_spec
 
 PIPELINES = ("dca", "eis")
@@ -36,9 +40,9 @@ class SynthConfig:
         # the bounds of every SynthConfig; NaN fails them
         for key in ("cells_per_spec", "records_per_cell", "n_points", "n_freq"):
             if not getattr(self, key) > 0:
-                raise ValueError(f"{key}: must be > 0, got {getattr(self, key)}")
+                raise BadInterval(f"{key}: must be > 0, got {getattr(self, key)}")
         if not self.seed >= 0:
-            raise ValueError(f"seed: must be >= 0, got {self.seed}")
+            raise BadInterval(f"seed: must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -77,19 +81,9 @@ def _get(data: dict, key: str, kind, path: str, default=None, required: bool = F
     value = data[key]
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
         value = float(value)
-    if kind is not None and not isinstance(value, kind):
-        want = kind.__name__ if not isinstance(kind, tuple) else "/".join(k.__name__ for k in kind)
-        raise ConfigError(f"{path}{key}: expected {want}, got {type(value).__name__}")
-    if kind is int and isinstance(value, bool):
-        raise ConfigError(f"{path}{key}: expected int, got bool")
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ConfigError(f"{path}{key}: expected {kind.__name__}, got {type(value).__name__}")
     return value
-
-
-def _seed(data: dict, path: str, default: int) -> int:
-    seed = _get(data, "seed", int, path, default)
-    if seed < 0:
-        raise ConfigError(f"{path}seed: must be >= 0, got {seed}")
-    return seed
 
 
 def _settings(cls, data: dict, section: str):
@@ -118,10 +112,12 @@ def _parse_models(items, base_seed: int) -> Tuple[ModelSpec, ...]:
         _reject_unknown(item, {"kind", "grid", "seed"}, path)
         kind = _get(item, "kind", str, path + ".", required=True)
         grid = _get(item, "grid", dict, path + ".", None)
-        seed = _seed(item, path + ".", base_seed)
+        seed = _get(item, "seed", int, path + ".", base_seed)
         try:
             spec = make_spec(kind, grid=grid, seed=seed)
             enumerate_grid(spec)  # every grid point converts and is in bounds
+        except BadInterval as exc:      # a field's bound, "<field>: <reason>"
+            raise ConfigError(f"{path}.{exc}") from exc
         except BatteryAuthError as exc:
             raise ConfigError(f"{path}: {exc}") from exc
         # runs keep one winner per kind, so a second spec of a kind would
@@ -133,50 +129,39 @@ def _parse_models(items, base_seed: int) -> Tuple[ModelSpec, ...]:
     return tuple(specs)
 
 
-def _choices(data: dict, key: str, allowed: tuple, default: tuple) -> tuple:
-    """eval.<key> as a non-empty tuple of distinct members of ``allowed``."""
-    values = _get(data, key, list, "eval.", list(default))
-    for v in values:
-        if v not in allowed:
-            raise ConfigError(f"eval.{key}: {v!r} not in {list(allowed)}")
-    if not values:
-        raise ConfigError(f"eval.{key}: must not be empty")
-    if len(set(values)) < len(values):
-        raise ConfigError(f"eval.{key}: duplicate entries in {values}")
-    return tuple(values)
-
-
-def _parse_eval(
-    data: dict, selection: dict, pipeline: str, threads: int, snapshot: dict
-) -> Tuple[Tuple[str, ...], EvalConfig]:
-    """The tasks to run, and the protocol settings of the eval and selection sections."""
+def _parse_eval(doc: dict, pipeline: str) -> Tuple[Tuple[str, ...], EvalConfig]:
+    """The tasks to run, and the eval and selection settings with the thread count."""
     path, d = "eval.", EvalConfig()
+    data, selection = _get(doc, "eval", dict, "", {}), _get(doc, "selection", dict, "", {})
     _reject_unknown(data, {"seed", "train_ratio", "folds", "balances", "tasks", "targets"}, "eval")
     _reject_unknown(selection, {"enabled", "fdr"}, "selection")
     ratio = _get(data, "train_ratio", float, path, d.train_ratio)
-    if not 0.5 <= ratio < 1.0:
+    # a run trains on at least half of each class, so every class of two or
+    # more rows keeps a training row; EvalConfig itself allows (0, 1)
+    if not ratio >= 0.5:
         raise ConfigError(f"eval.train_ratio: must be in [0.5, 1), got {ratio}")
-    folds = _get(data, "folds", int, path, d.folds)
-    if folds < 2:
-        raise ConfigError(f"eval.folds: must be >= 2, got {folds}")
-    # impedance features benefit from pruning; differential-capacity runs
-    # keep the full catalog unless asked otherwise
-    enabled = _get(selection, "enabled", bool, "selection.", pipeline == "eis")
-    fdr = _get(selection, "fdr", float, "selection.", d.selection_fdr)
-    if not 0.0 < fdr < 1.0:
-        raise ConfigError(f"selection.fdr: must be in (0, 1), got {fdr}")
-    balances = _choices(data, "balances", BALANCE_LEVELS, d.balances)
-    return _choices(data, "tasks", TASKS, TASKS), EvalConfig(
-        seed=_seed(data, path, d.seed),
-        train_ratio=ratio,
-        folds=folds,
-        targets=_choices(data, "targets", TARGETS, d.targets),
-        balances=tuple(int(b) for b in balances),
-        selection_enabled=enabled,
-        selection_fdr=fdr,
-        threads=threads,
-        snapshot=snapshot,
-    )
+    tasks = tuple(_get(data, "tasks", list, path, list(TASKS)))
+    balances = _get(data, "balances", list, path, list(d.balances))
+    try:
+        check_choices("tasks", tasks, TASKS)
+        return tasks, EvalConfig(
+            seed=_get(data, "seed", int, path, d.seed),
+            train_ratio=ratio,
+            folds=_get(data, "folds", int, path, d.folds),
+            targets=tuple(_get(data, "targets", list, path, list(d.targets))),
+            # a level given as 50.0 is the int 50, as the report prints it
+            balances=tuple(int(b) if isinstance(b, float) and b.is_integer() else b for b in balances),
+            # impedance features benefit from pruning; differential-capacity
+            # runs keep the full catalog unless asked otherwise
+            selection_enabled=_get(selection, "enabled", bool, "selection.", pipeline == "eis"),
+            selection_fdr=_get(selection, "fdr", float, "selection.", d.selection_fdr),
+            threads=_get(doc, "threads", int, "", d.threads),
+            snapshot=doc,
+        )
+    except ValueError as exc:           # a field's bound, "<field>: <reason>"
+        name, _, reason = str(exc).partition(": ")
+        where = {"selection_fdr": "selection.fdr", "threads": "threads"}.get(name, path + name)
+        raise ConfigError(f"{where}: {reason}") from exc
 
 
 _TOP_KEYS = {
@@ -193,9 +178,6 @@ def config_from_json_dict(data: dict) -> RunConfig:
     if pipeline not in PIPELINES:
         raise ConfigError(f"pipeline: must be one of {list(PIPELINES)}, got {pipeline!r}")
     output_dir = _get(data, "output_dir", str, "", "out")
-    threads = _get(data, "threads", int, "", EvalConfig().threads)
-    if threads < 1:
-        raise ConfigError(f"threads: must be >= 1, got {threads}")
 
     input_block = _get(data, "input", dict, "", None)
     input_path = None
@@ -209,13 +191,7 @@ def config_from_json_dict(data: dict) -> RunConfig:
     if input_path is not None and synth is not None:
         raise ConfigError("'input' and 'synth' sections are mutually exclusive")
 
-    tasks, eval_cfg = _parse_eval(
-        _get(data, "eval", dict, "", {}) or {},
-        _get(data, "selection", dict, "", {}) or {},
-        pipeline,
-        threads,
-        data,
-    )
+    tasks, eval_cfg = _parse_eval(data, pipeline)
     models_items = data.get("models", [{"kind": k} for k in DEFAULT_MODEL_KINDS])
     return RunConfig(
         pipeline=pipeline,

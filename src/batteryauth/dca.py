@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import AllPointsDropped, BadWindow, DegenerateVoltageRange, TooShortCycle
+from .errors import AllPointsDropped, BadInterval, BadWindow, DegenerateVoltageRange, TooShortCycle
 from .records import CycleRecord, SampleMeta
 
 DEFAULT_EPS_VOLTS = 1e-4
@@ -45,18 +45,18 @@ class DcaConfig:
         # the bounds of every DcaConfig, from a run config or a model file;
         # each comparison is written so that NaN fails it
         if not self.eps_volts > 0:
-            raise ValueError(f"eps_volts: must be > 0, got {self.eps_volts}")
+            raise BadInterval(f"eps_volts: must be > 0, got {self.eps_volts}")
         if not (self.savgol_window >= 3 and self.savgol_window % 2 == 1):
-            raise ValueError(f"savgol_window: must be odd and >= 3, got {self.savgol_window}")
+            raise BadInterval(f"savgol_window: must be odd and >= 3, got {self.savgol_window}")
         if not self.savgol_window <= MAX_SAVGOL_WINDOW:
-            raise ValueError(f"savgol_window: must be <= {MAX_SAVGOL_WINDOW}, got {self.savgol_window}")
+            raise BadInterval(f"savgol_window: must be <= {MAX_SAVGOL_WINDOW}, got {self.savgol_window}")
         if not 0 <= self.savgol_polyorder < self.savgol_window:
-            raise ValueError(f"savgol_polyorder: must be in [0, savgol_window), "
-                             f"got {self.savgol_polyorder}")
+            raise BadInterval(f"savgol_polyorder: must be in [0, savgol_window), "
+                              f"got {self.savgol_polyorder}")
         if not self.resample_n >= 8:
-            raise ValueError(f"resample_n: must be >= 8, got {self.resample_n}")
+            raise BadInterval(f"resample_n: must be >= 8, got {self.resample_n}")
         if not self.resample_n <= MAX_RESAMPLE_N:
-            raise ValueError(f"resample_n: must be <= {MAX_RESAMPLE_N}, got {self.resample_n}")
+            raise BadInterval(f"resample_n: must be <= {MAX_RESAMPLE_N}, got {self.resample_n}")
 
 
 @dataclass(frozen=True, eq=False)

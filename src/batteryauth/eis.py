@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateFrequencyRange
+from .errors import BadInterval, DegenerateFrequencyRange
 from .records import EisSpectrum, SampleMeta
 
 DEFAULT_RESAMPLE_M = 128
@@ -26,9 +26,9 @@ class EisConfig:
     def __post_init__(self):
         # the bounds of every EisConfig, from a run config or a model file
         if not self.resample_m >= 8:
-            raise ValueError(f"resample_m: must be >= 8, got {self.resample_m}")
+            raise BadInterval(f"resample_m: must be >= 8, got {self.resample_m}")
         if not self.resample_m <= MAX_RESAMPLE_M:
-            raise ValueError(f"resample_m: must be <= {MAX_RESAMPLE_M}, got {self.resample_m}")
+            raise BadInterval(f"resample_m: must be <= {MAX_RESAMPLE_M}, got {self.resample_m}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -146,6 +146,11 @@ class ConfigError(BatteryAuthError):
     pass
 
 
+# a model spec's negative seed: a bound, and a mistake in the spec as a bad grid is
+class NegativeSeed(ConfigError, BadInterval):
+    pass
+
+
 # === output ===
 
 # a file that could not be written; an OSError too, as the failure it wraps

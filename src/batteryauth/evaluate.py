@@ -20,8 +20,8 @@ from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import (ClassTooSmall, DimensionMismatch, EmptyCounts, InfeasibleBalance, LabelAbsent,
-                     SingleClass)
+from .errors import (BadInterval, ClassTooSmall, DimensionMismatch, EmptyCounts, InfeasibleBalance,
+                     LabelAbsent, SingleClass)
 from .features import FeatureMatrix, labels_for, matrix_take
 from .models import ModelSpec, TrainedModel, grid_search, predict
 from .models.search import SCORES, CandidateResult, class_scores
@@ -115,6 +115,8 @@ def metrics_from_matrix(cm: np.ndarray) -> MetricSet:
 
 def split_train_test(y: np.ndarray, ratio: float = 0.8, seed: int = 0) -> Tuple[np.ndarray, np.ndarray]:
     """Disjoint, exhaustive (train, test) indices, split per class (80/20 by default)."""
+    if not 0.0 < ratio < 1.0:
+        raise BadInterval(f"ratio must be in (0, 1), got {ratio}")
     y = np.asarray(y)
     rng = rng_from(seed, "split")
     test_parts = []
@@ -327,6 +329,17 @@ def auth_averages(results: Sequence[AuthResult]) -> dict:
 
 # === task runners ===
 
+def check_choices(name: str, values: tuple, allowed: tuple) -> None:
+    """Refuse ``values`` unless they are distinct members of ``allowed``, at least one."""
+    for v in values:
+        if v not in allowed:
+            raise BadInterval(f"{name}: {v!r} not in {list(allowed)}")
+    if not values:
+        raise BadInterval(f"{name}: must not be empty")
+    if len(set(values)) < len(values):
+        raise BadInterval(f"{name}: duplicate entries in {list(values)}")
+
+
 @dataclass(frozen=True)
 class EvalConfig:
     seed: int = 0
@@ -338,6 +351,17 @@ class EvalConfig:
     selection_fdr: float = 0.05
     threads: int = 1
     snapshot: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        # the bounds of every EvalConfig, from a run config or a caller; NaN fails them
+        for key, low in (("threads", 1), ("folds", 2), ("seed", 0)):
+            if not getattr(self, key) >= low:
+                raise BadInterval(f"{key}: must be >= {low}, got {getattr(self, key)}")
+        for key in ("train_ratio", "selection_fdr"):
+            if not 0.0 < getattr(self, key) < 1.0:
+                raise BadInterval(f"{key}: must be in (0, 1), got {getattr(self, key)}")
+        check_choices("balances", self.balances, BALANCE_LEVELS)
+        check_choices("targets", self.targets, TARGETS)
 
 
 def task_name(target: str, mode: str) -> str:

@@ -29,6 +29,7 @@ from .errors import (
     BadInterval,
     BadWidth,
     CatalogMismatch,
+    DimensionMismatch,
     EmptySeries,
     IndexOutOfRange,
     UnsupportedChannelCount,
@@ -255,6 +256,8 @@ def _channel_block(x: np.ndarray) -> np.ndarray:
     and CWT read off whole arrays. Each entry equals its single-value
     calculator bit for bit.
     """
+    if x.ndim != 1:
+        raise DimensionMismatch(f"a channel must be 1-D, got shape {x.shape}")
     n = len(x)
     if n == 0:
         raise EmptySeries("cannot extract features from an empty channel")
@@ -333,7 +336,10 @@ class FeatureMatrix:
 def matrix_take(matrix: FeatureMatrix, idx: np.ndarray) -> FeatureMatrix:
     """Row subset / reorder: the per-row fields follow ``idx``; every other
     field is carried as it is."""
-    idx = np.asarray(idx, dtype=int)
+    idx, n = np.asarray(idx), len(matrix)
+    if idx.size and not (idx.dtype.kind in "iu" and 0 <= idx.min() and idx.max() < n):
+        raise IndexOutOfRange(f"row indices must be integers in [0, {n}), got {idx.dtype} indices")
+    idx = idx.astype(int)
     return replace(matrix, values=matrix.values[idx], model_id=matrix.model_id[idx],
                    arch_id=matrix.arch_id[idx], metas=tuple(matrix.metas[i] for i in idx),
                    imputed_counts=matrix.imputed_counts[idx])

@@ -18,7 +18,7 @@ import numpy as np
 
 from ..dca import DcaConfig
 from ..eis import EisConfig
-from ..errors import ConfigError, DimensionMismatch, EmptyDataset, NonFiniteValue, UnsupportedKind
+from ..errors import ConfigError, DimensionMismatch, EmptyDataset, NegativeSeed, NonFiniteValue, UnsupportedKind
 from . import boost, dtree, forest, naive_bayes, neighbors, neural, qda, svm
 
 # The one table keyed by kind name. A kind module declares what is
@@ -57,6 +57,8 @@ class ModelSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise UnsupportedKind(f"unknown model kind {self.kind!r}; expected one of {KINDS}")
+        if not self.seed >= 0:
+            raise NegativeSeed(f"seed: must be >= 0, got {self.seed}")
         self.resolved_grid()
 
     def resolved_grid(self) -> Dict[str, list]:
@@ -74,10 +76,7 @@ class ModelSpec:
 
 
 def make_spec(kind: str, grid: Optional[dict] = None, seed: int = 0) -> ModelSpec:
-    spec = ModelSpec(kind=kind, grid=grid, seed=seed)
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
-    return spec
+    return ModelSpec(kind=kind, grid=grid, seed=seed)
 
 
 def enumerate_grid(spec: ModelSpec) -> List[dict]:
@@ -218,6 +217,8 @@ def _prepare_input(model: TrainedModel, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X.reshape(1, -1)
+    if not np.isfinite(X).all():
+        raise NonFiniteValue("rows to score hold non-finite values; impute first")
     if X.shape[1] == model.input_width:
         return model.standardizer.transform(X)
     if model.mask is not None and X.shape[1] == len(model.mask):

@@ -424,7 +424,7 @@ class TestRunners:
         assert report.selection_kept["model_identification"] == -1
 
     def test_negative_seed_is_a_library_error(self, small_matrix, knn_spec):
-        with pytest.raises(BadInterval, match="seed must be >= 0"):
+        with pytest.raises(BadInterval, match="seed: must be >= 0"):
             run_identification(small_matrix, [knn_spec], EvalConfig(seed=-1))
 
     def test_identification_both_targets(self, small_matrix, knn_spec):

@@ -88,7 +88,7 @@ class TestSpecAndGrid:
             make_spec("KNN", grid={"neighbors": [3]})
 
     def test_negative_seed(self):
-        with pytest.raises(ConfigError, match="seed must be >= 0"):
+        with pytest.raises(ConfigError, match="seed: must be >= 0"):
             make_spec("KNN", seed=-1)
 
     def test_grid_override_merges(self):

@@ -183,7 +183,7 @@ class TestStratifiedKfold:
 class TestGridSearch:
     def test_negative_seed_is_a_library_error(self):
         X, y = _two_blob_data()
-        with pytest.raises(BadInterval, match="seed must be >= 0"):
+        with pytest.raises(BadInterval, match="seed: must be >= 0"):
             grid_search(ModelSpec("KNN", seed=-1), X, y)
 
     def test_winner_matches_brute_force_replay(self):
