@@ -147,7 +147,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         "synth_seed": cfg.synth.seed if cfg.synth is not None else None,
     }
     report_json_path = os.path.join(cfg.output_dir, "report.json")
-    write_atomic(report_json_path, report_to_json(report, provenance))
+    sections = {"config": cfg.snapshot, "provenance": provenance}
+    write_atomic(report_json_path, report_to_json(report, sections))
     write_atomic(os.path.join(cfg.output_dir, "report.csv"), report_to_csv(report))
 
     saved = [(r, None) for r in report.ident_results]

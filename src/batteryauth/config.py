@@ -19,7 +19,7 @@ from .dca import DcaConfig
 from .eis import EisConfig
 from .errors import BadInterval, BatteryAuthError, ConfigError
 from .evaluate import EvalConfig, check_choices
-from .models import ModelSpec, enumerate_grid, make_spec
+from .models import ModelSpec, make_spec
 
 PIPELINES = ("dca", "eis")
 TASKS = ("identification", "authentication")
@@ -55,15 +55,12 @@ class RunConfig:
     eis: EisConfig
     models: Tuple[ModelSpec, ...]
     tasks: Tuple[str, ...]
-    eval: EvalConfig    # the "eval" and "selection" sections, the thread count and the snapshot
+    eval: EvalConfig    # the "eval" and "selection" sections and the thread count
+    snapshot: dict      # the config document itself, which report.json repeats
 
     @property
     def threads(self) -> int:
         return self.eval.threads
-
-    @property
-    def snapshot(self) -> dict:
-        return self.eval.snapshot
 
 
 def _reject_unknown(data: dict, allowed: set, path: str) -> None:
@@ -115,7 +112,6 @@ def _parse_models(items, base_seed: int) -> Tuple[ModelSpec, ...]:
         seed = _get(item, "seed", int, path + ".", base_seed)
         try:
             spec = make_spec(kind, grid=grid, seed=seed)
-            enumerate_grid(spec)  # every grid point converts and is in bounds
         except BadInterval as exc:      # a field's bound, "<field>: <reason>"
             raise ConfigError(f"{path}.{exc}") from exc
         except BatteryAuthError as exc:
@@ -141,7 +137,6 @@ def _parse_eval(doc: dict, pipeline: str) -> Tuple[Tuple[str, ...], EvalConfig]:
     if not ratio >= 0.5:
         raise ConfigError(f"eval.train_ratio: must be in [0.5, 1), got {ratio}")
     tasks = tuple(_get(data, "tasks", list, path, list(TASKS)))
-    balances = _get(data, "balances", list, path, list(d.balances))
     try:
         check_choices("tasks", tasks, TASKS)
         return tasks, EvalConfig(
@@ -149,14 +144,12 @@ def _parse_eval(doc: dict, pipeline: str) -> Tuple[Tuple[str, ...], EvalConfig]:
             train_ratio=ratio,
             folds=_get(data, "folds", int, path, d.folds),
             targets=tuple(_get(data, "targets", list, path, list(d.targets))),
-            # a level given as 50.0 is the int 50, as the report prints it
-            balances=tuple(int(b) if isinstance(b, float) and b.is_integer() else b for b in balances),
+            balances=tuple(_get(data, "balances", list, path, list(d.balances))),
             # impedance features benefit from pruning; differential-capacity
             # runs keep the full catalog unless asked otherwise
             selection_enabled=_get(selection, "enabled", bool, "selection.", pipeline == "eis"),
             selection_fdr=_get(selection, "fdr", float, "selection.", d.selection_fdr),
             threads=_get(doc, "threads", int, "", d.threads),
-            snapshot=doc,
         )
     except ValueError as exc:           # a field's bound, "<field>: <reason>"
         name, _, reason = str(exc).partition(": ")
@@ -203,6 +196,7 @@ def config_from_json_dict(data: dict) -> RunConfig:
         models=_parse_models(models_items, eval_cfg.seed),
         tasks=tasks,
         eval=eval_cfg,
+        snapshot=data,
     )
 
 

@@ -14,6 +14,8 @@ Metrics are views of the fold scorer ``models.search.class_scores``; a
 """
 from __future__ import annotations
 
+import csv
+import io
 import json
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Dict, Optional, Sequence, Tuple, Union
@@ -277,18 +279,16 @@ class AuthResult:
 
 @dataclass(frozen=True)
 class EvalReport:
-    schema_version: str
     tasks: Tuple[str, ...]
     ident_results: Tuple[IdentResult, ...]
     auth_results: Tuple[AuthResult, ...]
     seed: int
     catalog_version: str
     selection_kept: Dict[str, int]      # per task-target key, -1 when off
-    config_snapshot: dict
 
     def to_json_dict(self) -> dict:
         return {
-            "schema_version": self.schema_version,
+            "schema_version": SCHEMA_VERSION,
             "tasks": list(self.tasks),
             "identification": [r.to_json_dict() for r in self.ident_results],
             "authentication": [r.to_json_dict() for r in self.auth_results],
@@ -296,7 +296,6 @@ class EvalReport:
             "seed": self.seed,
             "catalog_version": self.catalog_version,
             "selection_kept": dict(self.selection_kept),
-            "config": self.config_snapshot,
         }
 
 
@@ -305,26 +304,26 @@ def _mean_metrics(cells: Sequence[AuthResult]) -> dict:
     return {**means, "cells": len(cells)}
 
 
+def _groups(results: Sequence, *names: str) -> dict:
+    """The results keyed by their values of ``names``, in key order; each
+    group keeps the order of ``results``, which fixes the bits of its means."""
+    groups: dict = {}
+    for r in results:
+        groups.setdefault(tuple(getattr(r, n) for n in names), []).append(r)
+    return dict(sorted(groups.items()))
+
+
 def auth_averages(results: Sequence[AuthResult]) -> dict:
-    """Arithmetic means over legit labels, over balances, and overall.
+    """Arithmetic means per task and kind: over legit labels, over balances, and overall.
 
     Every mean is recomputable from the stored per-cell results;
-    ``_mean_metrics``, which the CSV's mean rows use too, is the single
-    place the averaging happens.
+    ``_mean_metrics`` over ``_groups``, which the CSV's mean rows use too,
+    is the single place the averaging happens.
     """
-    out: dict = {"by_balance": {}, "by_label": {}, "overall": {}}
-    combos = sorted({(r.task, r.kind) for r in results})
-    for task, kind in combos:
-        cells = [r for r in results if r.task == task and r.kind == kind]
-        key = f"{task}:{kind}"
-        out["overall"][key] = _mean_metrics(cells)
-        for balance in sorted({r.balance for r in cells}, reverse=True):
-            sub = [r for r in cells if r.balance == balance]
-            out["by_balance"][f"{key}:{balance}"] = _mean_metrics(sub)
-        for label in sorted({r.legit_label for r in cells}):
-            sub = [r for r in cells if r.legit_label == label]
-            out["by_label"][f"{key}:{label}"] = _mean_metrics(sub)
-    return out
+    views = {"by_balance": ("balance",), "by_label": ("legit_label",), "overall": ()}
+    return {view: {":".join(map(str, key)): _mean_metrics(cells)
+                   for key, cells in _groups(results, "task", "kind", *by).items()}
+            for view, by in views.items()}
 
 
 # === task runners ===
@@ -350,7 +349,6 @@ class EvalConfig:
     selection_enabled: bool = False
     selection_fdr: float = 0.05
     threads: int = 1
-    snapshot: dict = field(default_factory=dict)
 
     def __post_init__(self):
         # the bounds of every EvalConfig, from a run config or a caller; NaN fails them
@@ -362,6 +360,8 @@ class EvalConfig:
                 raise BadInterval(f"{key}: must be in (0, 1), got {getattr(self, key)}")
         check_choices("balances", self.balances, BALANCE_LEVELS)
         check_choices("targets", self.targets, TARGETS)
+        # a level given as 50.0 is the int 50: seed tags and the report take ints
+        object.__setattr__(self, "balances", tuple(int(b) for b in self.balances))
 
 
 def task_name(target: str, mode: str) -> str:
@@ -443,18 +443,16 @@ def _run_task(
                                                class_names=class_names, cv=tuple(_cv_summary(cv))))
                 else:
                     counts = confusion_binary(y[test_idx], y_hat)
-                    results.append(AuthResult(**common, legit_label=legit, balance=int(balance),
+                    results.append(AuthResult(**common, legit_label=legit, balance=balance,
                                               metric_set=metrics(counts), counts=counts))
     ident = mode == "identification"
     return EvalReport(
-        schema_version=SCHEMA_VERSION,
         tasks=tuple(task_name(t, mode) for t in config.targets),
         ident_results=tuple(results) if ident else (),
         auth_results=() if ident else tuple(results),
         seed=config.seed,
         catalog_version=matrix.catalog_version,
         selection_kept=selection_kept,
-        config_snapshot=dict(config.snapshot),
     )
 
 
@@ -477,50 +475,45 @@ def run_authentication(
 def merge_reports(a: EvalReport, b: EvalReport) -> EvalReport:
     """Combine an identification and an authentication report into one."""
     return EvalReport(
-        schema_version=SCHEMA_VERSION,
         tasks=a.tasks + b.tasks,
         ident_results=a.ident_results + b.ident_results,
         auth_results=a.auth_results + b.auth_results,
         seed=a.seed,
         catalog_version=a.catalog_version,
         selection_kept={**a.selection_kept, **b.selection_kept},
-        config_snapshot=a.config_snapshot or b.config_snapshot,
     )
 
 
 # === serialization ===
 
-def report_to_json(report: EvalReport, provenance: Optional[dict] = None) -> str:
+def report_to_json(report: EvalReport, extra: Optional[dict] = None) -> str:
     """The canonical report text: sorted keys, two-space indent, a final
-    newline; ``provenance``, when given, is added under that key."""
-    payload = report.to_json_dict()
-    if provenance is not None:
-        payload["provenance"] = provenance
+    newline; ``extra`` holds the top-level sections a run adds, such as
+    its config document and provenance."""
+    payload = {**report.to_json_dict(), **(extra or {})}
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return f"{value:.6f}"
-    return str(value)
+def _csv_cell(value):
+    """A float to six decimals; the writer makes None an empty cell."""
+    return f"{value:.6f}" if isinstance(value, float) else value
 
 
 def report_to_csv(report: EvalReport) -> str:
     """Flat table: kind x metrics for identification, plus kind x balance
-    rows (per label and averaged) for authentication."""
+    rows (per label and averaged) for authentication. A cell holding a
+    comma, a quote or a line break is quoted."""
 
-    def row(head: list, metrics: dict) -> str:
-        return ",".join(head + [_csv_cell(metrics[f]) for f in METRIC_FIELDS])
+    def row(head: list, metrics: dict) -> list:
+        return head + [_csv_cell(metrics[f]) for f in METRIC_FIELDS]
 
-    lines = [",".join(["task", "target", "kind", "legit_label", "balance", *METRIC_FIELDS])]
-    lines += [row([r.task, r.target, r.kind, "", ""], vars(r.metric_set)) for r in report.ident_results]
-    lines += [row([r.task, r.target, r.kind, r.legit_label, str(r.balance)], vars(r.metric_set))
-              for r in report.auth_results]
-    groups: dict = {}
-    for r in report.auth_results:
-        groups.setdefault((r.task, r.kind, r.balance, r.target), []).append(r)
-    lines += [row([task, target, kind, "mean", str(balance)], _mean_metrics(group))
-              for (task, kind, balance, target), group in sorted(groups.items())]
-    return "\n".join(lines) + "\n"
+    rows = [["task", "target", "kind", "legit_label", "balance", *METRIC_FIELDS]]
+    rows += [row([r.task, r.target, r.kind, "", ""], vars(r.metric_set)) for r in report.ident_results]
+    rows += [row([r.task, r.target, r.kind, r.legit_label, r.balance], vars(r.metric_set))
+             for r in report.auth_results]
+    rows += [row([task, target, kind, "mean", balance], _mean_metrics(group))
+             for (task, kind, balance, target), group
+             in _groups(report.auth_results, "task", "kind", "balance", "target").items()]
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()

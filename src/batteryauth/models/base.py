@@ -59,7 +59,7 @@ class ModelSpec:
             raise UnsupportedKind(f"unknown model kind {self.kind!r}; expected one of {KINDS}")
         if not self.seed >= 0:
             raise NegativeSeed(f"seed: must be >= 0, got {self.seed}")
-        self.resolved_grid()
+        enumerate_grid(self)  # every grid point converts and is in bounds
 
     def resolved_grid(self) -> Dict[str, list]:
         base = DEFAULT_GRIDS[self.kind]

@@ -116,6 +116,27 @@ def test_eval_config_and_run_config_refuse_alike(field, value):
         assert message == path + str(refused.value)[len(field):]
 
 
+# grid points out of their kind's bounds: the spec refuses them when made,
+# as the run config does at load, with the same reason under the model's path
+BAD_GRIDS = {
+    "svm-negative-C": ("SVM", {"C": [-1.0]}),
+    "knn-k-0": ("KNN", {"k": [0]}),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_GRIDS))
+def test_model_spec_and_run_config_refuse_grid_points_alike(case):
+    kind, grid = BAD_GRIDS[case]
+    with pytest.raises(ConfigError) as refused:
+        ModelSpec(kind, grid=grid)
+    with pytest.raises(ConfigError) as made:
+        make_spec(kind, grid=grid)
+    assert str(made.value) == str(refused.value)
+    with pytest.raises(ConfigError) as err:
+        config_from_json_dict({"pipeline": "dca", "synth": {}, "models": [{"kind": kind, "grid": grid}]})
+    assert str(err.value) == f"models[0]: {refused.value}"
+
+
 def test_train_ratio_floor_is_the_run_configs_own():
     assert EvalConfig(train_ratio=0.25).train_ratio == 0.25
     with pytest.raises(ConfigError, match=r"^eval.train_ratio: must be in \[0.5, 1\), got 0.25$"):

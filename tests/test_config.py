@@ -45,8 +45,8 @@ class TestTopLevel:
         assert cfg.synth == SynthConfig()
         # selection defaults by pipeline; the snapshot is the document itself
         assert cfg.eval.selection_enabled is (pipeline == "eis")
-        assert cfg.eval.snapshot is data
-        assert replace(cfg.eval, selection_enabled=False, snapshot={}) == EvalConfig()
+        assert cfg.snapshot is data
+        assert replace(cfg.eval, selection_enabled=False) == EvalConfig()
         assert cfg.tasks == ("identification", "authentication")
 
     def test_unknown_top_key(self):

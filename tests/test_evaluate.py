@@ -1,4 +1,6 @@
 """Splits, balance scenarios, metric algebra, and the task runners."""
+import csv
+import io
 import itertools
 import json
 
@@ -395,6 +397,55 @@ class TestAuthAverages:
         assert out["overall"]["model_authentication:KNN"]["accuracy"] == pytest.approx(0.9)
         assert out["overall"]["model_authentication:SVM"]["accuracy"] == pytest.approx(0.5)
 
+    def test_every_view_equals_a_per_key_filter(self):
+        # brute-force oracle for the one grouping: each key's cells are the
+        # results that match it, taken in result order, so every mean is the
+        # same bits as a mean over that filter
+        rng = np.random.default_rng(11)
+        targets = {"model_authentication": "model", "arch_authentication": "architecture"}
+        for case in range(40):
+            cells = []
+            for _ in range(int(rng.integers(1, 60))):
+                task = str(rng.choice(list(targets)))
+                counts = ConfusionCounts(*(int(c) for c in rng.integers(0, 9, size=4)))
+                if counts.total == 0:
+                    continue
+                cells.append(AuthResult(
+                    task=task, target=targets[task], kind=str(rng.choice(["KNN", "SVM", "QDA"])),
+                    legit_label=str(rng.choice(["a", "b", "c", "d"])),
+                    balance=int(rng.choice(BALANCE_LEVELS)), hyperparams={},
+                    metric_set=metrics(counts), counts=counts, converged=True,
+                ))
+
+            def filtered(**want):
+                return [c for c in cells if all(getattr(c, k) == v for k, v in want.items())]
+
+            def means(group):
+                return {f: float(np.mean([getattr(c.metric_set, f) for c in group]))
+                        for f in ("accuracy", "precision", "recall", "f1", "far", "frr")}
+
+            out = auth_averages(cells)
+            for view, names in (("overall", ("task", "kind")),
+                                ("by_balance", ("task", "kind", "balance")),
+                                ("by_label", ("task", "kind", "legit_label"))):
+                keys = sorted({tuple(getattr(c, n) for n in names) for c in cells})
+                assert list(out[view]) == [":".join(map(str, k)) for k in keys], (case, view)
+                for key in keys:
+                    group = filtered(**dict(zip(names, key)))
+                    got = out[view][":".join(map(str, key))]
+                    assert got == {**means(group), "cells": len(group)}, (case, view, key)
+
+            report = EvalReport(tasks=tuple(targets), ident_results=(), auth_results=tuple(cells),
+                                seed=0, catalog_version="v1:ch1", selection_kept={})
+            mean_rows = [r for r in csv.reader(io.StringIO(report_to_csv(report))) if r[3] == "mean"]
+            names = ("task", "kind", "balance", "target")
+            keys = sorted({tuple(getattr(c, n) for n in names) for c in cells})
+            assert len(mean_rows) == len(keys), case
+            for row, (task, kind, balance, target) in zip(mean_rows, keys):
+                group = filtered(task=task, kind=kind, balance=balance, target=target)
+                assert row[:5] == [task, target, kind, "mean", str(balance)], case
+                assert row[5:] == [f"{v:.6f}" for v in means(group).values()], case
+
 
 @pytest.fixture(scope="module")
 def small_matrix():
@@ -409,7 +460,7 @@ def knn_spec():
 
 class TestRunners:
     def test_identification_report(self, small_matrix, knn_spec):
-        config = EvalConfig(seed=5, folds=3, targets=("model",), snapshot={"note": "t"})
+        config = EvalConfig(seed=5, folds=3, targets=("model",))
         report = run_identification(small_matrix, [knn_spec], config)
         assert report.tasks == ("model_identification",)
         assert len(report.ident_results) == 1
@@ -560,11 +611,37 @@ class TestRunners:
         assert ident_row[3] == "" and ident_row[4] == ""      # no label/balance
         assert ident_row[10] == ""                            # multiclass has no frr
 
+    def test_csv_quotes_a_label_with_a_comma(self, knn_spec):
+        labels = ("Acme, 18650", 'Bolt "B"', "c")
+        mat = _matrix(dict.fromkeys(labels, 30), seed=2)
+        config = EvalConfig(seed=5, folds=3, targets=("model",), balances=(50,))
+        report = run_authentication(mat, [knn_spec], config)
+        rows = list(csv.reader(io.StringIO(report_to_csv(report))))
+        assert {len(row) for row in rows} == {11}
+        assert [row[3] for row in rows[1:4]] == list(labels)
+
+    def test_float_balance_level_is_the_int(self, small_matrix, knn_spec):
+        def report(balance):
+            config = EvalConfig(seed=5, folds=3, targets=("model",), balances=(balance,))
+            return report_to_json(run_authentication(small_matrix, [knn_spec], config))
+
+        assert report(50.0) == report(50)
+        with pytest.raises(BadInterval):
+            report(50.5)
+
+    def test_run_sections_are_top_level(self, small_matrix, knn_spec):
+        config = EvalConfig(seed=5, folds=3, targets=("model",))
+        report = run_identification(small_matrix, [knn_spec], config)
+        doc, provenance = {"pipeline": "dca", "synth": {}}, {"eval_seed": 5}
+        payload = json.loads(report_to_json(report, {"config": doc, "provenance": provenance}))
+        assert payload["config"] == doc and payload["provenance"] == provenance
+        assert payload.keys() - {"config", "provenance"} == json.loads(report_to_json(report)).keys()
+
     def test_report_envelope_keys(self, small_matrix, knn_spec):
         config = EvalConfig(seed=5, folds=3, targets=("model",))
         payload = json.loads(report_to_json(run_identification(small_matrix, [knn_spec], config)))
         assert set(payload) == {
             "schema_version", "tasks", "identification", "authentication",
             "authentication_averages", "seed", "catalog_version",
-            "selection_kept", "config",
+            "selection_kept",
         }
