@@ -116,7 +116,11 @@ def metrics_from_matrix(cm: np.ndarray) -> MetricSet:
 # === sampling operations ===
 
 def split_train_test(y: np.ndarray, ratio: float = 0.8, seed: int = 0) -> Tuple[np.ndarray, np.ndarray]:
-    """Disjoint, exhaustive (train, test) indices, split per class (80/20 by default)."""
+    """Disjoint, exhaustive (train, test) indices, split per class (80/20 by default).
+
+    Every class keeps at least one training and one test row, or the split
+    is refused with ``ClassTooSmall``.
+    """
     if not 0.0 < ratio < 1.0:
         raise BadInterval(f"ratio must be in (0, 1), got {ratio}")
     y = np.asarray(y)
@@ -124,10 +128,12 @@ def split_train_test(y: np.ndarray, ratio: float = 0.8, seed: int = 0) -> Tuple[
     test_parts = []
     for c in np.unique(y):
         members = np.flatnonzero(y == c)
-        if len(members) < 2:
-            raise ClassTooSmall(f"class {c!r} has {len(members)} sample(s); stratified split needs 2")
-        members = members[rng.permutation(len(members))]
         n_test = int(round((1.0 - ratio) * len(members)))
+        if not 0 < n_test < len(members):
+            part = "test" if n_test == 0 else "training"
+            raise ClassTooSmall(f"class {c.item()!r} has {len(members)} sample(s); train ratio {ratio} "
+                                f"would leave its {part} part empty")
+        members = members[rng.permutation(len(members))]
         test_parts.append(members[:n_test])
     test_idx = np.sort(np.concatenate(test_parts)) if test_parts else np.array([], dtype=int)
     train_mask = np.ones(len(y), dtype=bool)
@@ -424,8 +430,7 @@ def _run_task(
             selection_kept[key] = int(mask.sum()) if mask is not None else -1
             X = sub.values[:, mask] if mask is not None else sub.values
             train_idx, test_idx = split_train_test(y, ratio=config.train_ratio, seed=split_seed)
-            # a model names the classes it was trained on; a small class can
-            # fall wholly into the test part
+            # a model names the classes it was trained on
             trained_names = tuple(class_names[c] for c in np.unique(y[train_idx]))
             for spec in specs:
                 model, cv = grid_search(spec, X[train_idx], y[train_idx], k=config.folds,

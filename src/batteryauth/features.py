@@ -14,6 +14,13 @@ Entry order is fixed and channel blocks are concatenated with ch0_/ch1_
 prefixes when two channels are extracted, so a catalog version plus a
 channel count fully determines vector layout. Non-finite results are
 imputed to 0 and counted per vector.
+
+Extraction works on stacks of channels: one block computes every entry of
+every row of a (rows, n) stack with reductions along the last axis, so a
+record's two EIS channels share one pass and a matrix builder extracts
+its records a row block at a time. Each value equals, bit for bit, what
+the single-value calculator gives on its channel alone. A channel holding
+NaN or +/-inf is refused before any arithmetic.
 """
 from __future__ import annotations
 
@@ -32,6 +39,7 @@ from .errors import (
     DimensionMismatch,
     EmptySeries,
     IndexOutOfRange,
+    NonFiniteValue,
     UnsupportedChannelCount,
 )
 from .parallel import ordered_map
@@ -192,123 +200,200 @@ def ricker_kernel(width: float) -> np.ndarray:
     return kernel
 
 
+@lru_cache(maxsize=64)
 def cwt_positions(n: int, count: int = CWT_POSITIONS) -> np.ndarray:
-    """`count` sample indices spread evenly over a length-n series."""
-    return np.round(np.linspace(0, n - 1, count)).astype(int)
+    """`count` sample indices spread evenly over a length-n series.
+
+    The returned array is read-only and shared.
+    """
+    positions = np.round(np.linspace(0, n - 1, count)).astype(int)
+    positions.setflags(write=False)
+    return positions
 
 
-# === whole-channel extraction ===
+# === whole-stack extraction ===
 
 # Skewness and kurtosis divide by var**1.5 and var**2. Outside this range
 # those powers underflow to 0 or overflow, so both are left undefined
 # (nan, imputed like the zero-variance case).
 _MOMENT_VAR_MIN = float(np.sqrt(np.finfo(float).tiny))
 _MOMENT_VAR_MAX = float(np.sqrt(np.finfo(float).max))
-_QUANTILE_Q = np.array(QUANTILE_QS)
+# Samples (rows x length) one stacked block holds; bounds a block's
+# temporaries to about 1 MB, whatever the corpus size.
+BLOCK_ELEMENTS = 1 << 14
 
 
-def _basic_block(x: np.ndarray, mu: float, var: float, centered: np.ndarray) -> List[float]:
-    n = len(x)
-    std = float(np.sqrt(var))
-    if _MOMENT_VAR_MIN <= var <= _MOMENT_VAR_MAX:
-        m3 = float((centered**3).mean())
-        m4 = float((centered**4).mean())
-        skew = m3 / var**1.5
-        kurt = m4 / var**2 - 3.0
-    else:
-        skew = float("nan")
-        kurt = float("nan")
-    diffs = np.abs(np.diff(x))
-    mac = float(diffs.mean()) if n > 1 else 0.0
-    if n > 1:
-        t = np.arange(n, dtype=float)
-        tc = t - t.mean()
-        slope = float(np.dot(tc, centered) / np.dot(tc, tc))
-    else:
-        slope = 0.0
-    return [
-        mu, std, var, skew, kurt,
-        float(x.min()), float(x.max()), float(np.median(x)),
-        float(np.dot(x, x)), mac, slope,
-        float(np.count_nonzero(x > mu)), float(np.count_nonzero(x < mu)),
-    ]
+@lru_cache(maxsize=64)
+def _centred_time(n: int) -> Tuple[np.ndarray, float]:
+    """The sample indices 0..n-1 less their mean, and their sum of squares."""
+    t = np.arange(n, dtype=float)
+    tc = t - t.mean()
+    tc.setflags(write=False)
+    return tc, np.dot(tc, tc)
 
 
-def _quantiles(x: np.ndarray) -> List[float]:
-    """feature_quantile for every q, in one call where that keeps the bits.
+def _order_statistics(X: np.ndarray, S: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """np.median and feature_quantile (every q) of each row of X: (rows,)
+    and (rows, 9), read off S, the stack sorted along its rows.
 
-    Partitioning for all q at once can leave a different one of several
-    equal samples at a given rank than partitioning for one q. Equal
-    samples differ in their bits only as -0.0 and 0.0, so a series holding
-    both takes one call per q.
+    The arithmetic is numpy's: the median averages the middle one or two
+    samples, and the linear quantile sits at virtual index (n - 1) q and
+    interpolates from the lower neighbour below gamma 0.5 and from the
+    upper one from 0.5. A sort puts the same values at each rank as the
+    partition numpy uses, but may write -0.0 as 0.0 (numpy's SIMD sort
+    does), so a row of X holding -0.0 takes numpy's own calls, one per q.
     """
-    zero_signs = np.signbit(x[x == 0])
-    if zero_signs.any() and not zero_signs.all():
-        return [float(np.quantile(x, q, method="linear")) for q in QUANTILE_QS]
-    return np.quantile(x, _QUANTILE_Q, method="linear").tolist()
+    n = X.shape[1]
+    median = (S[:, n // 2 - 1] + S[:, n // 2]) / 2.0 if n % 2 == 0 else S[:, n // 2].copy()
+    virtual = (n - 1) * np.array(QUANTILE_QS)
+    below = np.floor(virtual).astype(np.intp)
+    above = below + 1
+    below[virtual >= n - 1] = above[virtual >= n - 1] = -1
+    gamma = virtual - below
+    a, b = S[:, below], S[:, above]
+    diff = b - a
+    quantiles = np.where(gamma >= 0.5, b - diff * (1 - gamma), a + diff * gamma)
+    zero = X == 0
+    if zero.any():
+        for r in np.flatnonzero((zero & np.signbit(X)).any(axis=1)):
+            median[r] = np.median(X[r])
+            quantiles[r] = [np.quantile(X[r], q, method="linear") for q in QUANTILE_QS]
+    return median, quantiles
 
 
-def _channel_block(x: np.ndarray) -> np.ndarray:
-    """The 137 values of one channel, in catalog order (nan where undefined).
+def _block(X: np.ndarray) -> np.ndarray:
+    """The 137 values of every row of a (rows, n) stack of finite channels,
+    in catalog order (nan where undefined).
 
-    One pass: the moments and the centred series feed the basic block and
-    every autocorrelation lag, one quantile call covers all q, and the FFT
-    and CWT read off whole arrays. Each entry equals its single-value
-    calculator bit for bit.
+    One pass: reductions run along the last axis for all rows at once, and
+    one sort serves the median, the quantiles and the range counts. Rows
+    are visited one by one only where that keeps the bits: ``np.dot``
+    (abs_energy, slope, autocorrelation lags), ``np.convolve`` (CWT),
+    ``searchsorted`` (range counts, as ``np.histogram`` counts), and the
+    Python-float powers that normalise skewness and kurtosis. Each entry
+    equals its single-value calculator on the row alone, bit for bit.
     """
-    if x.ndim != 1:
-        raise DimensionMismatch(f"a channel must be 1-D, got shape {x.shape}")
-    n = len(x)
-    if n == 0:
-        raise EmptySeries("cannot extract features from an empty channel")
-    mu = float(x.mean())
-    var = float(x.var())
-    centered = x - mu
-    out: List[float] = _basic_block(x, mu, var, centered)
-    out.extend(_quantiles(x))
-    out.extend(
-        float(np.dot(centered[:-lag], centered[lag:])) / ((n - lag) * var)
-        if lag < n and var != 0 else float("nan")
-        for lag in AUTOCORR_LAGS
-    )
-    out.extend(float(feature_number_peaks(x, s)) for s in PEAK_SUPPORTS)
-    lo, hi = float(x.min()), float(x.max())
-    if hi > lo:
-        edges = np.linspace(lo, hi, RANGE_BINS + 1)
+    rows, n = X.shape
+    out = np.empty((rows, FEATURES_PER_CHANNEL))
+    # np.mean and np.var: sums along the row over n
+    mu = X.sum(axis=1) / n
+    C = X - mu[:, None]
+    var = (C * C).sum(axis=1) / n
+    lo, hi = X.min(axis=1), X.max(axis=1)
+    moments = np.flatnonzero((var >= _MOMENT_VAR_MIN) & (var <= _MOMENT_VAR_MAX))
+    Cm = C if len(moments) == rows else C[moments]
+    m3, m4 = (Cm**3).mean(axis=1).tolist(), (Cm**4).mean(axis=1).tolist()
+    skew, kurt = np.full(rows, np.nan), np.full(rows, np.nan)
+    for j, r in enumerate(moments.tolist()):
+        v = float(var[r])
+        skew[r], kurt[r] = m3[j] / v**1.5, m4[j] / v**2 - 3.0
+    S = np.sort(X, axis=1)
+    median, quantiles = _order_statistics(X, S)
+    tc, tt = _centred_time(n)
+    out[:, :13] = np.column_stack([
+        mu, np.sqrt(var), var, skew, kurt, lo, hi, median,
+        [np.dot(x, x) for x in X],
+        np.abs(X[:, 1:] - X[:, :-1]).sum(axis=1) / (n - 1) if n > 1 else np.zeros(rows),
+        [np.dot(tc, c) / tt for c in C] if n > 1 else np.zeros(rows),
+        np.count_nonzero(X > mu[:, None], axis=1), np.count_nonzero(X < mu[:, None], axis=1),
+    ])
+    out[:, 13:22] = quantiles
+    col = 22
+    out[:, col:col + len(AUTOCORR_LAGS)] = np.nan
+    for j, lag in enumerate(AUTOCORR_LAGS):
+        if lag < n:
+            dots = [np.dot(a, b) for a, b in zip(C[:, :-lag], C[:, lag:])]
+            np.divide(dots, (n - lag) * var, out=out[:, col + j], where=var != 0)
+    col += len(AUTOCORR_LAGS)
+    # A peak of support s beats the largest of its s neighbours on each
+    # side. The largest of s consecutive samples is the larger of two
+    # overlapping windows of the widest power of two p <= s, and window
+    # maxima of width p double from width 1.
+    window_max = {1: X}
+    while 2 * max(window_max) <= max(PEAK_SUPPORTS):
+        w = max(window_max)
+        window_max[2 * w] = np.maximum(window_max[w][:, :-w], window_max[w][:, w:])
+    for j, s in enumerate(PEAK_SUPPORTS):
+        out[:, col + j] = 0
+        if n > 2 * s:
+            p = 1 << (s.bit_length() - 1)
+            M = window_max[p]
+            W = np.maximum(M[:, :n - s + 1], M[:, s - p:n - p + 1])     # W[:, k] = max of X[:, k:k + s]
+            core = X[:, s:n - s]
+            out[:, col + j] = np.count_nonzero((core > W[:, :n - 2 * s]) & (core > W[:, s + 1:]), axis=1)
+    col += len(PEAK_SUPPORTS)
+    out[:, col:col + RANGE_BINS] = np.nan
+    spread = np.flatnonzero(hi > lo)
+    if len(spread):
+        # np.linspace(lo, hi, RANGE_BINS + 1) of each row, as numpy computes
+        # it: i * step + lo, or i / bins * delta + lo where the step underflows
+        delta = hi[spread] - lo[spread]
+        step = delta / RANGE_BINS
+        i = np.arange(RANGE_BINS + 1.0)
+        edges = np.where((step == 0)[:, None], (i / RANGE_BINS) * delta[:, None],
+                         i * step[:, None]) + lo[spread, None]
         # last bin closed on the right so the bins partition every sample
-        edges[-1] = np.nextafter(hi, np.inf)
-        counts, _ = np.histogram(x, bins=edges)
-        out.extend(float(c) for c in counts)
-    else:
-        out.extend([float("nan")] * RANGE_BINS)
-    coeffs = np.fft.fft(x)[: len(FFT_KS)]
-    missing = [float("nan")] * (len(FFT_KS) - len(coeffs))
-    out.extend(np.abs(coeffs).tolist() + missing)
-    out.extend(np.angle(coeffs).tolist() + missing)
+        edges[:, -1] = np.nextafter(hi[spread], np.inf)
+        # np.histogram's counts: the samples below each edge, differenced
+        below = np.array([S[r].searchsorted(e) for r, e in zip(spread, edges)])
+        out[spread, col:col + RANGE_BINS] = np.diff(below, axis=1)
+    col += RANGE_BINS
+    k = len(FFT_KS)
+    coeffs = np.fft.fft(X, axis=1)[:, :k]
+    out[:, col:col + 2 * k] = np.nan
+    out[:, col:col + coeffs.shape[1]] = np.abs(coeffs)
+    out[:, col + k:col + k + coeffs.shape[1]] = np.angle(coeffs)
+    col += 2 * k
     positions = cwt_positions(n)
-    for w in CWT_WIDTHS:
-        out.extend(np.convolve(x, ricker_kernel(w), mode="same")[positions].tolist())
-    return np.asarray(out, dtype=float)
+    for r, x in enumerate(X):
+        out[r, col:] = np.concatenate(
+            [np.convolve(x, ricker_kernel(w), mode="same")[positions] for w in CWT_WIDTHS])
+    return out
+
+
+def _channel(ch, i: int, where: str = "") -> np.ndarray:
+    """Channel i as a 1-D float array, refused unless non-empty and finite."""
+    x = np.asarray(ch, dtype=float)
+    if x.ndim != 1:
+        raise DimensionMismatch(f"{where}channel {i} must be 1-D, got shape {x.shape}")
+    if len(x) == 0:
+        raise EmptySeries(f"{where}channel {i} is empty; cannot extract features")
+    if not np.isfinite(x).all():
+        raise NonFiniteValue(f"{where}channel {i} holds NaN or +/-inf; features need finite samples")
+    return x
+
+
+def _rows(channels: Sequence[np.ndarray]) -> np.ndarray:
+    """(len(channels), 137) values: channels of one length share one block."""
+    lengths = [len(x) for x in channels]
+    out = np.empty((len(channels), FEATURES_PER_CHANNEL))
+    for n in set(lengths):
+        idx = [i for i, m in enumerate(lengths) if m == n]
+        out[idx] = _block(np.stack([channels[i] for i in idx]))
+    return out
+
+
+def _impute(values: np.ndarray) -> np.ndarray:
+    """Set non-finite values to 0 in place; the count per row (last axis)."""
+    bad = ~np.isfinite(values)
+    values[bad] = 0.0
+    return np.count_nonzero(bad, axis=-1)
 
 
 def extract_features(
     channels: Sequence[np.ndarray], catalog: FeatureCatalog
 ) -> FeatureVector:
-    """Extract the catalog's features from the given channels, in order."""
+    """Extract the catalog's features from the given channels, in order.
+
+    A channel that is not 1-D, is empty or holds NaN or +/-inf is refused
+    before any arithmetic.
+    """
     if len(channels) != catalog.channels:
         raise CatalogMismatch(
             f"catalog {catalog.version} expects {catalog.channels} channels, got {len(channels)}"
         )
-    blocks = [_channel_block(np.asarray(ch, dtype=float)) for ch in channels]
-    values = np.concatenate(blocks)
-    if len(values) != len(catalog):
-        raise CatalogMismatch(
-            f"extracted {len(values)} values for a {len(catalog)}-entry catalog"
-        )
-    bad = ~np.isfinite(values)
-    if bad.any():
-        values = np.where(bad, 0.0, values)
-    return FeatureVector(values=values, imputed_count=int(bad.sum()))
+    values = _rows([_channel(ch, i) for i, ch in enumerate(channels)]).ravel()
+    return FeatureVector(values=values, imputed_count=int(_impute(values)))
 
 
 # === feature matrices ===
@@ -359,15 +444,28 @@ def _matrix(
     channels_of: Callable[[Record], Sequence[np.ndarray]], threads: int,
 ) -> FeatureMatrix:
     """Extract the ``channels``-channel catalog from ``channels_of(record)``
-    for every record, in record order. The processing, extraction and map
-    functions are read from this module when called, so a wrapper set on
-    the module attribute sees every call."""
+    for every record, in record order.
+
+    Processing runs through ``ordered_map``; extraction then takes the
+    records' channels as stacks of up to ``BLOCK_ELEMENTS`` samples. The
+    processing and map functions are read from this module when called, so
+    a wrapper set on the module attribute sees every call."""
     catalog = catalog_default(channels)
-    vectors = ordered_map(lambda rec: extract_features(channels_of(rec), catalog), data.records,
-                          threads=threads)
+
+    def process(rec: Record) -> List[np.ndarray]:
+        return [_channel(ch, i, f"record {rec.meta.cell_id}/{rec.meta.cycle_index}: ")
+                for i, ch in enumerate(channels_of(rec))]
+
+    processed = ordered_map(process, data.records, threads=threads)
+    values = np.empty((len(processed), len(catalog)))
+    step = max(1, BLOCK_ELEMENTS // sum(len(x) for x in processed[0])) if processed else 1
+    for s in range(0, len(processed), step):
+        block = _rows([x for chans in processed[s:s + step] for x in chans])
+        values[s:s + step] = block.reshape(-1, len(catalog))
+    imputed = _impute(values)
     metas = tuple(r.meta for r in data.records)
     return FeatureMatrix(
-        values=np.stack([fv.values for fv in vectors]),
+        values=values,
         model_id=np.array([data.model_labels[m.battery_model] for m in metas], dtype=int),
         arch_id=np.array([data.arch_labels[m.architecture] for m in metas], dtype=int),
         metas=metas,
@@ -375,7 +473,7 @@ def _matrix(
         feature_names=catalog.names,
         model_names=tuple(data.model_names),
         arch_names=tuple(data.arch_names),
-        imputed_counts=np.array([fv.imputed_count for fv in vectors], dtype=int),
+        imputed_counts=imputed.astype(int),
         processing=processing,
     )
 

@@ -4,7 +4,9 @@
   format ``batteryauth.synth.specs_from_json`` reads;
 - ``records_equal`` compares two records field by field, arrays exactly;
 - ``feature_range_count`` and ``feature_cwt_coefficient`` compute one
-  catalog entry each, the oracles of the one-pass channel block.
+  catalog entry each, the oracles of the stacked feature block;
+- ``clean_keep_mask`` is the cleaning scan as ``dca.clean_dca`` first
+  wrote it, over numpy scalars.
 """
 import json
 from dataclasses import asdict
@@ -66,3 +68,19 @@ def feature_cwt_coefficient(x, width: float, position: int) -> float:
         raise IndexOutOfRange(f"position {position} out of range for length {len(x)}")
     conv = np.convolve(x, ricker_kernel(width), mode="same")
     return float(conv[position])
+
+
+# === processing ===
+
+def clean_keep_mask(voltage, eps_volts: float) -> np.ndarray:
+    """The samples ``dca.clean_dca`` keeps: each one at least eps_volts
+    from the last kept sample, the first always kept."""
+    v = np.asarray(voltage)
+    keep = np.zeros(len(v), dtype=bool)
+    keep[0] = True
+    last = v[0]
+    for i in range(1, len(v)):
+        if abs(v[i] - last) >= eps_volts:
+            keep[i] = True
+            last = v[i]
+    return keep

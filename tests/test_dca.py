@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import clean_keep_mask
 
 from batteryauth.dca import (
     DcaConfig,
@@ -47,6 +48,33 @@ class TestCleaning:
     def test_all_points_dropped(self):
         with pytest.raises(AllPointsDropped):
             clean_dca(make_cycle([3.0, 3.0, 3.0], [0.0, 0.1, 0.2]), eps_volts=1e-4)
+
+    def test_keeps_the_samples_of_the_numpy_scalar_scan(self):
+        # eps a power of two, so steps of exactly eps are exact in binary
+        eps = 2.0**-13
+        rng = np.random.default_rng(11)
+        runs = [
+            3.0 + eps * np.arange(20),                               # steps exactly at eps
+            3.0 + (eps - np.spacing(3.0)) * np.arange(20),           # steps one ulp below eps
+            4.0 - eps * np.arange(20),                               # descending, exactly eps
+            np.full(15, 3.5),                                        # flat
+            3.0 + np.cumsum(rng.choice([0.0, 0.5, 1.0, 1.5], 200)) * eps,   # mixed steps
+            3.0 + np.cumsum(rng.normal(0.0, eps, 300)),              # up and down
+        ]
+        for seed in range(20):
+            parts = np.random.default_rng(seed).permutation(len(runs))
+            v = np.concatenate([runs[i] for i in parts])
+            want = clean_keep_mask(v, eps)
+            if want.sum() < 2:
+                continue
+            cleaned = clean_dca(make_cycle(v, np.arange(len(v), dtype=float)), eps_volts=eps)
+            assert np.array_equal(cleaned.capacity, np.flatnonzero(want))
+            assert np.array_equal(cleaned.voltage, v[want])
+        # a step of exactly eps is kept, one just below is not
+        exact = clean_dca(make_cycle(runs[0], np.arange(20.0)), eps_volts=eps)
+        assert len(exact) == 20
+        below = clean_dca(make_cycle(runs[1], np.arange(20.0)), eps_volts=eps)
+        assert list(below.capacity) == list(range(0, 20, 2))
 
     def test_idempotent(self):
         v = np.linspace(3.0, 4.2, 50)

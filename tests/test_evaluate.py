@@ -44,7 +44,7 @@ from batteryauth.evaluate import (
 )
 from batteryauth.dca import DcaConfig
 from batteryauth.features import FeatureMatrix, labels_for, matrix_from_cycles
-from batteryauth.models import load_model, macro_f1, make_spec, save_model
+from batteryauth.models import macro_f1, make_spec
 from batteryauth.records import SampleMeta
 from batteryauth.selection import select_features
 from batteryauth.synth import demo_specs, gen_dataset
@@ -205,6 +205,20 @@ class TestSplit:
     def test_class_too_small(self):
         with pytest.raises(ClassTooSmall):
             split_train_test(np.array([0, 1, 1, 1]), ratio=0.8, seed=0)
+
+    def test_class_with_no_test_row_is_refused(self):
+        # 30 rows at ratio 0.99: round(0.3) = 0 test rows
+        y = np.repeat([0, 1], 30)
+        with pytest.raises(ClassTooSmall, match=r"class 0 has 30 sample\(s\); "
+                                                r"train ratio 0.99 would leave its test part empty"):
+            split_train_test(y, ratio=0.99, seed=0)
+
+    def test_class_with_no_training_row_is_refused(self):
+        # 2 rows at ratio 0.1: round(1.8) = 2 test rows
+        y = np.array([0, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1])
+        with pytest.raises(ClassTooSmall, match=r"has 2 sample\(s\); train ratio 0.1 "
+                                                r"would leave its training part empty"):
+            split_train_test(y, ratio=0.1, seed=0)
 
     def test_seeded_reproducibility(self):
         y = np.repeat([0, 1], 25)
@@ -535,18 +549,13 @@ class TestRunners:
             assert model.catalog_version == matrix.catalog_version == "v1:ch1"
             assert model.processing is processing
 
-    def test_model_names_only_the_classes_it_was_trained_on(self, knn_spec, tmp_path):
-        # legit "a" has 2 rows; at train_ratio 0.25 both fall into the test part
+    def test_legit_class_with_no_training_row_is_refused(self, knn_spec):
+        # legit "a" has 2 rows; at train_ratio 0.25 both would fall into the
+        # test part, and a model would be trained without the legit class
         mat = _matrix({"a": 2, "b": 30, "c": 30}, seed=2)
         config = EvalConfig(seed=5, folds=2, targets=("model",), balances=(20,), train_ratio=0.25)
-        rows = {r.legit_label: r for r in run_authentication(mat, [knn_spec], config).auth_results}
-        dropped = rows["a"].model
-        assert dropped.classes.tolist() == [0]
-        assert dropped.class_names == ("counterfeit",)
-        path = str(tmp_path / "model.json")
-        save_model(dropped, path)
-        assert load_model(path).class_names == ("counterfeit",)
-        assert rows["b"].model.class_names == ("counterfeit", "b")
+        with pytest.raises(ClassTooSmall, match="has 2 sample.*training part empty"):
+            run_authentication(mat, [knn_spec], config)
 
     def test_empty_training_split_is_a_library_error(self, knn_spec):
         # with 2 rows per class at train_ratio 0.25, both go to the test part

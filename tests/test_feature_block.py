@@ -1,10 +1,13 @@
-"""The one-pass channel block against the single-value calculators.
+"""The stacked feature block against the single-value calculators.
 
-``_channel_block`` computes a channel's 137 values together. Each entry
-must equal, bit for bit, what the matching single-value calculator gives
-for the same series; the basic statistics must equal the per-statistic
-formulas the block used before it shared its moments. The feature
-matrices of the benchmark preset are pinned by sha256.
+``_block`` computes the 137 values of every row of a (rows, n) stack of
+channels together. Each entry of each row must equal, bit for bit, what
+the matching single-value calculator gives for that row alone; the basic
+statistics must equal the per-statistic formulas of a one-channel pass.
+Stacks mix the special series (constant, signed zeros, powers that
+overflow or underflow) with ordinary ones. The feature matrices of the
+benchmark preset are pinned by sha256, however they are cut into row
+blocks.
 """
 import hashlib
 import math
@@ -14,12 +17,14 @@ import numpy as np
 import pytest
 from reference import feature_cwt_coefficient, feature_range_count
 
+from batteryauth import features
 from batteryauth.dca import process_cycle
 from batteryauth.eis import process_spectrum
 from batteryauth.features import (
-    _channel_block,
+    _block,
     catalog_default,
     cwt_positions,
+    extract_features,
     feature_autocorrelation,
     feature_fft_coefficient,
     feature_number_peaks,
@@ -89,6 +94,8 @@ def _reference(x, entry):
             return nan
         edges = np.linspace(lo, hi, bins + 1)
         edges[-1] = np.nextafter(hi, np.inf)
+        if not edges[b] < edges[b + 1]:
+            return 0.0      # over a range of a few subnormal steps, edges coincide
         return float(feature_range_count(x, edges[b], edges[b + 1]))
     if entry.family in ("fft_abs", "fft_angle"):
         k = entry.params[0]
@@ -109,14 +116,16 @@ def _assert_same(got, want, label):
             label, got, want)
 
 
-def _check_block(x):
-    block = _channel_block(x)
+def _check_rows(X):
+    """Every entry of every row of ``_block(X)`` against its row alone."""
+    block = _block(X)
     entries = catalog_default(1).entries
-    assert block.shape == (len(entries),)
-    basic = _basic_reference(x)
-    for i, entry in enumerate(entries):
-        want = basic[i] if i < len(basic) else _reference(x, entry)
-        _assert_same(float(block[i]), float(want), (entry.name, len(x)))
+    assert block.shape == (len(X), len(entries))
+    for x, values in zip(X, block):
+        basic = _basic_reference(x)
+        for i, entry in enumerate(entries):
+            want = basic[i] if i < len(basic) else _reference(x, entry)
+            _assert_same(float(values[i]), float(want), (entry.name, len(x)))
 
 
 def _series(preset_data):
@@ -140,22 +149,95 @@ def _series(preset_data):
     return out
 
 
+def _special_stack(n, seed):
+    """Ordinary rows and every special series, padded to length n, in one
+    stack, so that no row's branch can leak into another's."""
+    rng = np.random.default_rng(seed)
+    underflow = np.zeros(n)
+    underflow[-1] = 2.4e-107
+    # max - min is two subnormal steps: np.linspace's step underflows to 0
+    tiny_range = np.zeros(n)
+    tiny_range[n // 2] = 1e-323
+    rows = [
+        rng.standard_normal(n),
+        np.full(n, 2.5),                                            # constant
+        np.resize([0.0, -0.0, 1.0, -0.0, 0.0, 2.0, -1.0, -0.0], n),  # both signed zeros
+        np.resize([-0.0, 1.0, -2.0, 3.0], n),                       # -0.0, no 0.0
+        np.resize([-0.0, -0.0, 1.0, -1.0, -0.0], n),                # -0.0 at the middle ranks
+        np.where(rng.random(n) < 0.5, 0.0, -0.0) * (rng.random(n) < 0.7)
+        + np.round(rng.standard_normal(n)),                         # signed zeros at random
+        np.round(rng.standard_normal(n)),                           # ties, both zeros likely
+        rng.standard_normal(n) * 1e200,                             # powers overflow
+        underflow,                                                  # powers underflow
+        tiny_range,
+        np.cumsum(rng.standard_normal(n)),
+        np.tile([1.0, -1.0], n)[:n],                                # alternating
+        np.minimum(np.arange(n), np.arange(n)[::-1]) * 1.0,         # one peak of every support
+    ]
+    return np.stack([rows[i] for i in rng.permutation(len(rows))])
+
+
 def test_every_entry_equals_its_calculator(preset_data):
     series = _series(preset_data)
     assert len(series) >= 145
     with np.errstate(over="ignore", invalid="ignore"):      # the 1e200 series
         for x in series:
-            _check_block(np.asarray(x, dtype=float))
+            _check_rows(np.asarray(x, dtype=float)[None])
+
+
+def test_every_row_of_a_stack_equals_its_calculators(preset_data):
+    # the preset's channels, one stack per length, as a matrix builder cuts them
+    by_length = {}
+    for x in _series(preset_data):
+        by_length.setdefault(len(x), []).append(x)
+    assert max(len(v) for v in by_length.values()) >= 60
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rows in by_length.values():
+            _check_rows(np.stack(rows))
+        # 3, 7, 11 and 21 fit one peak of support 1, 3, 5 and 10 exactly
+        for seed, n in enumerate((1, 2, 3, 5, 7, 11, 16, 21, 51, 128, 512)):
+            _check_rows(_special_stack(n, seed))
+        # rounding leaves -0.0 and 0.0 at random ranks, quantile ranks among them
+        rng = np.random.default_rng(7)
+        for n in (32, 177, 235):
+            _check_rows(np.round(rng.standard_normal((30, n)) * 2))
+
+
+def test_a_record_equals_its_channels_extracted_alone(preset_data):
+    _, eis = preset_data
+    one, two = catalog_default(1), catalog_default(2)
+    a, b = np.sin(np.linspace(0, 6, 96)), np.cos(np.linspace(0, 5, 50))   # unequal lengths too
+    pairs = [(ch.re_z, ch.neg_im_z) for ch in map(process_spectrum, eis.records)] + [(a, b)]
+    for re_z, neg_im_z in pairs:
+        both = extract_features([re_z, neg_im_z], two)
+        alone = [extract_features([x], one) for x in (re_z, neg_im_z)]
+        assert np.array_equal(both.values, np.concatenate([v.values for v in alone]))
+        assert both.imputed_count == sum(v.imputed_count for v in alone)
 
 
 def test_cached_kernels_are_read_only():
     with pytest.raises(ValueError):
         ricker_kernel(5)[0] = 0
+    with pytest.raises(ValueError):
+        cwt_positions(64)[0] = 1
+
+
+def _sha(matrix):
+    values = np.ascontiguousarray(matrix.values, dtype="<f8")
+    return hashlib.sha256(values.tobytes()).hexdigest()
 
 
 def test_preset_feature_matrices_are_pinned(preset_data):
     dca, eis = preset_data
-    for matrix, sha in ((matrix_from_cycles(dca), DCA_MATRIX_SHA),
-                        (matrix_from_spectra(eis), EIS_MATRIX_SHA)):
-        values = np.ascontiguousarray(matrix.values, dtype="<f8")
-        assert hashlib.sha256(values.tobytes()).hexdigest() == sha
+    assert _sha(matrix_from_cycles(dca)) == DCA_MATRIX_SHA
+    assert _sha(matrix_from_spectra(eis)) == EIS_MATRIX_SHA
+
+
+@pytest.mark.parametrize("elements", [1, 600, 5000])
+def test_row_blocks_leave_the_matrices_alone(preset_data, monkeypatch, elements):
+    # one record per block, a few per block, and blocks that end mid-corpus
+    monkeypatch.setattr(features, "BLOCK_ELEMENTS", elements)
+    dca, eis = preset_data
+    cycles, spectra = matrix_from_cycles(dca), matrix_from_spectra(eis, threads=2)
+    assert _sha(cycles) == DCA_MATRIX_SHA and _sha(spectra) == EIS_MATRIX_SHA
+    assert not cycles.imputed_counts.any() and not spectra.imputed_counts.any()

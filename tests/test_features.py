@@ -1,6 +1,7 @@
 """Feature catalog and calculators, checked against hand math and
 scipy/numpy reference formulas computed independently in the tests."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from batteryauth.errors import (
     BadWidth,
     CatalogMismatch,
     IndexOutOfRange,
+    NonFiniteValue,
     UnsupportedChannelCount,
 )
 from batteryauth.features import (
@@ -223,6 +225,17 @@ class TestExtraction:
         by_name = {e.name: vec.values[i] for i, e in enumerate(cat.entries)}
         assert by_name["skewness"] == 0.0 and by_name["kurtosis"] == 0.0
         assert vec.imputed_count >= 2
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_channel_is_refused_by_name(self, bad):
+        # at no point may numpy warn: the channel is refused before any arithmetic
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteValue, match="channel 0 holds NaN"):
+                extract_features([np.array([0.0, 1.0, bad])], catalog_default(1))
+            with pytest.raises(NonFiniteValue, match="channel 1 holds NaN"):
+                extract_features([np.linspace(0.0, 1.0, 3), np.array([0.0, 1.0, bad])],
+                                 catalog_default(2))
 
     def test_channel_count_mismatch(self):
         with pytest.raises(CatalogMismatch):

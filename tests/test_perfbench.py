@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 from reference import records_equal
 
-from batteryauth import io_csv, synth
+from batteryauth import dca, features, io_csv, synth
 from batteryauth.cli import main
 from batteryauth.config import config_from_json_dict, read_text
 from batteryauth.models import KINDS
@@ -99,8 +99,11 @@ _TRACED_ATTRS = {
 
 def test_tracer_reads_every_call_of_a_run(tmp_path):
     """The tracer's attribute extractors read the arguments and results of
-    the calls `run` makes (``train`` and ``grid_search`` by position), so a
-    signature change shows here and not only in a traced benchmark run."""
+    the calls `run` makes (``train`` and ``grid_search`` by position) and of
+    the scoring path's ``extract_features``, so a signature change shows
+    here and not only in a traced benchmark run. `run` extracts a whole
+    matrix at once, so the one ``extract_features`` call is made as
+    perfbench's worker makes it for a scoring request."""
     assert set(_ONE_POINT) == set(KINDS)
     cfg = {
         "pipeline": "dca",
@@ -115,6 +118,10 @@ def test_tracer_reads_every_call_of_a_run(tmp_path):
     tracer.install()
     try:
         assert main(["run", "--config", str(cfg_path), "--output-dir", str(tmp_path / "out")]) == 0
+        rec = synth.gen_dataset(specs_from_json(read_text(str(ROOT / run.PRESET), "cell-spec file")),
+                                cells_per_spec=1, cycles_per_cell=1, seed=3,
+                                n_points=synth.MIN_CYCLE_POINTS).records[0]
+        features.extract_features([dca.process_cycle(rec).dqdv], features.catalog_default(1))
     finally:
         tracer.uninstall()
     assert [s for s in tracer.spans if "error" in s] == []
