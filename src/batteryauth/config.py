@@ -20,9 +20,9 @@ from .eis import EisConfig
 from .errors import BadInterval, BatteryAuthError, ConfigError
 from .evaluate import EvalConfig, check_choices
 from .models import ModelSpec, make_spec
+from .models.base import TASKS
 
 PIPELINES = ("dca", "eis")
-TASKS = ("identification", "authentication")
 DEFAULT_MODEL_KINDS = ("RandomForest",)
 
 

@@ -446,8 +446,10 @@ def _matrix(
     """Extract the ``channels``-channel catalog from ``channels_of(record)``
     for every record, in record order.
 
-    Processing runs through ``ordered_map``; extraction then takes the
-    records' channels as stacks of up to ``BLOCK_ELEMENTS`` samples. The
+    Records are processed through ``ordered_map`` and extracted one row
+    block at a time, so only one block's channels are held at once. The
+    first block is the first record, and the channel samples of a block's
+    first record size the next to at most ``BLOCK_ELEMENTS``. The
     processing and map functions are read from this module when called, so
     a wrapper set on the module attribute sees every call."""
     catalog = catalog_default(channels)
@@ -456,12 +458,12 @@ def _matrix(
         return [_channel(ch, i, f"record {rec.meta.cell_id}/{rec.meta.cycle_index}: ")
                 for i, ch in enumerate(channels_of(rec))]
 
-    processed = ordered_map(process, data.records, threads=threads)
-    values = np.empty((len(processed), len(catalog)))
-    step = max(1, BLOCK_ELEMENTS // sum(len(x) for x in processed[0])) if processed else 1
-    for s in range(0, len(processed), step):
-        block = _rows([x for chans in processed[s:s + step] for x in chans])
-        values[s:s + step] = block.reshape(-1, len(catalog))
+    values = np.empty((len(data.records), len(catalog)))
+    s, step = 0, 1
+    while s < len(values):
+        processed = ordered_map(process, data.records[s:s + step], threads=threads)
+        values[s:s + len(processed)] = _rows([x for c in processed for x in c]).reshape(-1, len(catalog))
+        s, step = s + len(processed), max(1, BLOCK_ELEMENTS // sum(len(x) for x in processed[0]))
     imputed = _impute(values)
     metas = tuple(r.meta for r in data.records)
     return FeatureMatrix(

@@ -23,9 +23,10 @@ from . import boost, dtree, forest, naive_bayes, neighbors, neural, qda, svm
 
 # The one table keyed by kind name. A kind module declares what is
 # particular to it: ``fit``; ``predict(params, Xs, k, hp)``, which returns
-# encoded labels and an (n, k) float array of scores; ``GRID``, its default
-# grid, whose key order is the dimension order; ``STATE``, the names of the
-# fields its fitted state saves; and, where they apply,
+# only an (n, k) float array of scores, since ``classify`` alone turns
+# scores into labels; ``GRID``, its default grid, whose key order is the
+# dimension order; ``STATE``, the names of the fields its fitted state
+# saves; and, where they apply,
 # ``COUNTS`` (hyperparameters that are ints >= 1), ``check`` (other bounds),
 # ``check_state(params, k)`` (what a loaded state must hold beyond scoring
 # an all-zero row), ``SHARED`` with ``derive``, and ``raw_importances``.
@@ -45,6 +46,7 @@ _MODULES = {
     "SVM": svm,
 }
 KINDS = tuple(_MODULES)
+TASKS = ("identification", "authentication")   # what a model was trained for
 DEFAULT_GRIDS: Dict[str, Dict[str, list]] = {kind: m.GRID for kind, m in _MODULES.items()}
 
 
@@ -151,7 +153,7 @@ class TrainedModel:
     mask: Optional[np.ndarray] = None   # keep-mask over the full catalog, or None
     catalog_version: str = ""
     class_names: Tuple[str, ...] = ()
-    task: str = "identification"
+    task: str = "identification"       # one of TASKS
     # the processing that made the training features; None when unknown
     processing: Optional[Union[DcaConfig, EisConfig]] = None
 
@@ -233,12 +235,11 @@ def classify(model: TrainedModel, X: np.ndarray) -> Tuple[np.ndarray, np.ndarray
     """Class labels (original ids) and per-class scores, shape (n, k) in the
     order of ``model.classes``, from one call of the kind's predict.
     Full-width rows are masked automatically. Scores are probabilities
-    summing to 1 per row, except SVM's one-vs-rest decision margins."""
+    summing to 1 per row, except SVM's one-vs-rest decision margins. Every
+    kind's label is its highest-scoring class, the lowest one on a tie."""
     Xs = _prepare_input(model, X)
-    labels_enc, scores = _MODULES[model.kind].predict(
-        model.params, Xs, len(model.classes), model.hyperparams
-    )
-    return model.classes[labels_enc], scores
+    scores = _MODULES[model.kind].predict(model.params, Xs, len(model.classes), model.hyperparams)
+    return model.classes[scores.argmax(axis=1)], scores
 
 
 def predict(model: TrainedModel, X: np.ndarray) -> np.ndarray:

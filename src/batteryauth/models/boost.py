@@ -79,14 +79,11 @@ def predict(params: dict, Xs: np.ndarray, k: int, hp: dict):
     alphas = params["alphas"]
     labels = params["stumps"].labels(Xs)                         # (n, stumps)
     if alphas.sum() <= 0.0:
-        scores = np.zeros((len(Xs), k))
-        scores[np.arange(len(Xs)), labels[:, 0]] = 1.0
-        return labels[:, 0], scores
+        return np.eye(k)[labels[:, 0]]
     # a running sum over the stump axis adds each class's alphas in stump order
     votes = np.where(labels[:, None, :] == np.arange(k)[:, None], alphas, 0.0)   # (n, k, stumps)
     scores = np.cumsum(votes, axis=2)[:, :, -1]
-    scores = scores / scores.sum(axis=1, keepdims=True)
-    return np.argmax(scores, axis=1), scores
+    return scores / scores.sum(axis=1, keepdims=True)
 
 
 def raw_importances(params: dict) -> np.ndarray:

@@ -47,8 +47,7 @@ def predict(params: dict, Xs: np.ndarray, k: int, hp: dict):
     tree = params["tree"]
     counts = tree.counts[tree.apply(Xs)[:, 0]]
     totals = counts.sum(axis=1, keepdims=True)
-    scores = counts / np.where(totals > 0, totals, 1.0)
-    return np.argmax(counts, axis=1), scores
+    return counts / np.where(totals > 0, totals, 1.0)
 
 
 def raw_importances(params: dict) -> np.ndarray:

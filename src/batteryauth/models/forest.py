@@ -40,8 +40,7 @@ def fit(Xs: np.ndarray, y: np.ndarray, k: int, hp: dict, seed: int):
 def predict(params: dict, Xs: np.ndarray, k: int, hp: dict):
     labels = params["trees"].labels(Xs)                          # (n, trees)
     votes = (labels[:, :, None] == np.arange(k)).sum(axis=1).astype(float)
-    scores = votes / votes.sum(axis=1, keepdims=True)
-    return np.argmax(votes, axis=1), scores
+    return votes / votes.sum(axis=1, keepdims=True)
 
 
 def raw_importances(params: dict) -> np.ndarray:

@@ -1,11 +1,11 @@
 """k-nearest neighbors on standardized features (Euclidean metric).
 
 The model stores its training matrix. Neighbor order breaks distance
-ties by training index (stable argsort), and uniform voting breaks vote
-ties by the lowest class id. With distance weighting, an exact match
-(distance zero) outvotes everything else. Predict votes for all rows at
-once. The fit does not depend on (k, weights), so grid search fits once
-per fold and scores every (k, weights) on that fit.
+ties by training index (stable argsort), and a vote tie goes to the
+lowest class id, as every label tie does. With distance weighting, an
+exact match (distance zero) outvotes everything else. Predict votes for
+all rows at once. The fit does not depend on (k, weights), so grid
+search fits once per fold and scores every (k, weights) on that fit.
 """
 from __future__ import annotations
 
@@ -79,5 +79,4 @@ def predict(params: dict, Xs: np.ndarray, k: int, hp: dict):
     cells = (rows * k + train_y[order]).ravel()
     votes = np.bincount(cells, weights=w, minlength=len(Xs) * k).astype(float, copy=False)
     votes = votes.reshape(-1, k)
-    scores = votes / votes.sum(axis=1, keepdims=True)
-    return np.argmax(scores, axis=1), scores
+    return votes / votes.sum(axis=1, keepdims=True)

@@ -146,6 +146,5 @@ def fit(Xs: np.ndarray, y: np.ndarray, k: int, hp: dict, seed: int):
 
 def predict(params: dict, Xs: np.ndarray, k: int, hp: dict):
     a1 = _act(Xs @ params["w1"] + params["b1"], params["activation"])
-    scores = softmax(a1 @ params["w2"] + params["b2"])
-    return np.argmax(scores, axis=1), scores
+    return softmax(a1 @ params["w2"] + params["b2"])
 

@@ -19,18 +19,20 @@ grown int32 node ids stay int32. Dicts are walked. A tree ensemble
 (``tree.NodeTable``) is written as a dict of its seven fields, and a
 dict with exactly those keys loads as a table, which derives its walk
 form again; an SVM's support vectors are one row block with one
-coefficient matrix. A missing or malformed field, among them each state
-field the kind declares in ``STATE``, a standardizer or mask of
-contradicting widths, a float array holding a NaN or an infinity and a
-standardizer scale entry that is not > 0, raises FormatVersionMismatch
-naming it. So do class names that are not one per class, and an
-envelope of any other format version. A loaded model scores one
-all-zero row of the standardizer's width with finite scores, one per
-class; a tree table must record importances for exactly that many
-features and class sums for that many classes (and be a well-formed
-``NodeTable``), and a kind's ``check_state`` may ask more. A state that
-fails any of these, e.g. a KNN ``train_x`` of other width, raises
-FormatVersionMismatch.
+coefficient matrix. Every field is required and read as written; only
+``TrainedModel`` holds defaults. ``catalog_version`` must be a string,
+``parameters.converged`` a JSON bool and ``parameters.task`` one of
+``TASKS``. A missing or malformed field, among them each state field the
+kind declares in ``STATE``, a standardizer or mask of contradicting
+widths, a float array holding a NaN or an infinity and a standardizer
+scale entry that is not > 0, raises FormatVersionMismatch naming it. So
+do class names that are not one per class, and an envelope of any other
+format version. A loaded model scores one all-zero row of the
+standardizer's width with finite scores, one per class; a tree table
+must record importances for exactly that many features and class sums
+for that many classes (and be a well-formed ``NodeTable``), and a kind's
+``check_state`` may ask more. A state that fails any of these, e.g. a
+KNN ``train_x`` of other width, raises FormatVersionMismatch.
 
 ``save_model`` writes ``json.dumps(envelope, sort_keys=True)`` and a
 newline in one call of the C encoder. ``write_atomic``, which ``run``
@@ -51,7 +53,7 @@ import numpy as np
 from ..dca import DcaConfig
 from ..eis import EisConfig
 from ..errors import DimensionMismatch, FormatVersionMismatch, UnsupportedKind, WriteFailed
-from .base import _MODULES, KINDS, Standardizer, TrainedModel, classify, normalize_hyperparams
+from .base import _MODULES, KINDS, TASKS, Standardizer, TrainedModel, classify, normalize_hyperparams
 from .tree import NodeTable
 
 FORMAT_VERSION = "3"
@@ -150,19 +152,22 @@ def model_to_json_dict(model: TrainedModel) -> dict:
     }
 
 
-_ABSENT = object()
+def _exactly(kind: type, choices: tuple = ()):
+    """A converter that passes on only a value of type ``kind`` exactly (no
+    int for a bool), and only one of ``choices`` where any are given."""
+    def convert(value):
+        if type(value) is not kind or choices and value not in choices:
+            raise ValueError(f"expected {f'one of {choices}' if choices else f'a JSON {kind.__name__}'}, got {value!r}")
+        return value
+    return convert
 
 
-def _field(data: dict, path: str, convert=lambda v: v, default=_ABSENT):
-    """``convert`` of the value at the dotted ``path`` (``default`` when the
-    last key is absent and a default is given)."""
+def _field(data: dict, path: str, convert=lambda v: v):
+    """``convert`` of the value at the dotted ``path``."""
     try:
-        *parents, last = path.split(".")
-        for key in parents:
+        for key in path.split("."):
             data = data[key]
-        if default is not _ABSENT and last not in data:
-            return default
-        return convert(data[last])
+        return convert(data)
     except (LookupError, TypeError, ValueError) as exc:
         raise FormatVersionMismatch(
             f"model field {path!r} is missing or malformed ({type(exc).__name__}: {exc})"
@@ -193,14 +198,14 @@ def model_from_json_dict(data: dict) -> TrainedModel:
                 mean=(mean := _field(data, "standardizer.mean", _vector)),
                 scale=_field(data, "standardizer.scale", lambda s: _positive(_vector(s, len(mean)))),
             ),
-            mask=_field(data, "mask", lambda m: None if m is None else _vector(m, len(mean), mask=True), None),
+            mask=_field(data, "mask", lambda m: None if m is None else _vector(m, len(mean), mask=True)),
             params=_field(data, "parameters.state", state),
             seed=_field(data, "seed", int),
-            catalog_version=_field(data, "catalog_version"),
+            catalog_version=_field(data, "catalog_version", _exactly(str)),
             classes=_field(data, "parameters.classes", _vector),
-            class_names=_field(data, "parameters.class_names", tuple, ()),
-            converged=_field(data, "parameters.converged", bool, True),
-            task=_field(data, "parameters.task", default="identification"),
+            class_names=_field(data, "parameters.class_names", tuple),
+            converged=_field(data, "parameters.converged", _exactly(bool)),
+            task=_field(data, "parameters.task", _exactly(str, TASKS)),
             processing=_field(data, "processing", _processing),
         )
     except DimensionMismatch as exc:      # a class-name count that fits no class table

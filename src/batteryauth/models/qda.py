@@ -75,6 +75,5 @@ def log_posteriors(params: dict, Xs: np.ndarray) -> np.ndarray:
 
 
 def predict(params: dict, Xs: np.ndarray, k: int, hp: dict):
-    logpost = log_posteriors(params, Xs)
-    return np.argmax(logpost, axis=1), softmax(logpost)
+    return softmax(log_posteriors(params, Xs))
 

@@ -129,6 +129,4 @@ def fit(Xs: np.ndarray, y: np.ndarray, k: int, hp: dict, seed: int):
 def predict(params: dict, Xs: np.ndarray, k: int, hp: dict):
     kk = _kernel(Xs, params["sv"], hp["kernel"], params["gamma_value"])
     f = kk @ params["coef"].T + params["b"]
-    if k == 2:
-        f = np.hstack([-f, f])
-    return np.argmax(f, axis=1), f
+    return np.hstack([-f, f]) if k == 2 else f

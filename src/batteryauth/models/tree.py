@@ -19,25 +19,26 @@ number, so a tree grown in a batch equals the tree grown alone bit for
 bit.
 
 Split search is exact: the candidate columns of each node are argsorted
-and every boundary between distinct adjacent values is scored by
-impurity decrease (gini or entropy), vectorized over nodes, positions,
-features and classes. It runs in two stages. The sort stage
-(``_sort_nodes``) does what no sample weight changes: it gathers the
-columns, argsorts them (stable), and keeps the sorted values, the mask of
-boundaries between distinct values and the class-major one-hot layout of
-the sorted rows. The score stage (``_score_splits``) takes the weights:
-prefix class sums, both sides' sums and impurities, and the best
-position. ``grow_trees`` runs the two back to back; ``Stumps`` sorts once
-and scores once per weight vector. Nodes of different sizes are padded
-to the largest: padded rows hold +inf and weight zero, so they sort last
-and leave every real prefix sum untouched, and positions at or past a
-node's last row are masked out. Class sums are added in numpy's own
-order for a per-node sum (``_class_sum``), so every number equals the one
-a search of that node alone computes. Ties go to the earliest split
-position, then the lowest candidate feature, so a tree is a pure function
-of (data, parameters, rng stream). A node whose candidate features are
-all locally constant retries on the full feature set before it becomes a
-leaf.
+and every boundary between distinct adjacent values is scored by impurity
+decrease (gini or entropy), vectorized over nodes, positions, features
+and classes. It runs in two stages. The sort stage (``_sort_nodes``) does
+what no sample weight changes: it gathers the columns, argsorts them
+(stable), and keeps the sorted values, the mask of boundaries between
+distinct values and the class-major one-hot layout of the sorted rows.
+The score stage (``_score_splits``) takes the weights: prefix class sums,
+both sides' sums and impurities, and the best position. Only the score
+stage says that a node has no split: a node with no boundary between
+distinct values scores no position, also in a batch where no node has
+one. ``grow_trees`` runs the two back to back; ``Stumps`` sorts once and
+scores once per weight vector. Nodes of different sizes are padded to the
+largest: padded rows hold +inf and weight zero, so they sort last and
+leave every real prefix sum untouched, and positions at or past a node's
+last row are masked out. Class sums are added in numpy's own order for a
+per-node sum (``_class_sum``), so every number equals the one a search of
+that node alone computes. Ties go to the earliest split position, then
+the lowest candidate feature, so a tree is a pure function of (data,
+parameters, rng stream). A node whose candidate features are all locally
+constant retries on the full feature set before it becomes a leaf.
 
 A node's rows are a slice of the permutation (bootstrap draws composed
 with the partitions above it), and a search gathers only the candidate
@@ -150,16 +151,12 @@ def _best_splits(X, y, w, rows, feats, k, criterion, parent_imp):
             for s in range(0, B, step)
         ]
         return tuple(np.concatenate(col) for col in zip(*parts))
-    nodes = _sort_nodes(X, y, rows, feats, k)
-    if nodes is None:
-        return np.zeros(B, dtype=bool), np.zeros(B, dtype=np.intp), np.zeros(B), np.zeros(B), np.zeros(B)
-    return _score_splits(nodes, w, criterion, parent_imp)
+    return _score_splits(_sort_nodes(X, y, rows, feats, k), w, criterion, parent_imp)
 
 
 def _sort_nodes(X, y, rows, feats, k):
     """Sort stage: what a split search of these nodes needs that no sample
-    weight changes, or None when no candidate column has two distinct
-    values in any node.
+    weight changes.
 
     Returns (R, sv, valid, onehot, feats): the rows in sorted order and
     their sorted values, each (B, n, m); the boundaries between distinct
@@ -187,8 +184,6 @@ def _sort_nodes(X, y, rows, feats, k):
     if padded:
         # +inf pads sort last, so a node's real rows are its first sizes[b]
         valid &= real[:, 1:, None]
-    if not valid.any():
-        return None
     R = R[nodes, order]
     onehot = y[R] == np.arange(k)[:, None, None, None]
     if padded:
@@ -199,7 +194,8 @@ def _sort_nodes(X, y, rows, feats, k):
 def _score_splits(nodes, w, criterion, parent_imp):
     """Score stage: the best split of every node of a sort stage under the
     sample weights ``w`` (None: every row weighs 1), as ``_best_splits``
-    returns it. ``nodes`` is only read, so one sort serves many weights."""
+    returns it. ``nodes`` is only read, so one sort serves many weights. A
+    node with no boundary between distinct values is not found."""
     R, sv, valid, onehot, feats = nodes
     k, B, n, m = onehot.shape
     # cum and sides are the only large arrays made here; later steps write
@@ -391,7 +387,7 @@ class Stumps:
         X, y, k = self.X, self.y, self.k
         counts = np.bincount(y, weights=w, minlength=k)[None]
         weight = counts.sum(axis=1)
-        if (counts != 0).sum() > 1 and weight[0] > 0 and self.nodes is not None:
+        if (counts != 0).sum() > 1 and weight[0] > 0:
             parent_imp = _impurity(counts.T, weight, "gini")
             found, feature, lo, hi, decrease = _score_splits(self.nodes, w, "gini", parent_imp)
             if found[0]:

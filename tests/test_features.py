@@ -1,6 +1,7 @@
 """Feature catalog and calculators, checked against hand math and
 scipy/numpy reference formulas computed independently in the tests."""
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference import feature_cwt_coefficient, feature_range_count
 
+from batteryauth import features
 from batteryauth.errors import (
     BadInterval,
     BadWidth,
@@ -33,10 +35,12 @@ from batteryauth.features import (
     feature_quantile,
     labels_for,
     matrix_from_cycles,
+    matrix_from_spectra,
     matrix_take,
     ricker_kernel,
 )
-from batteryauth.synth import demo_specs, gen_dataset
+from batteryauth.parallel import ordered_map
+from batteryauth.synth import demo_specs, gen_dataset, gen_eis_dataset
 
 
 class TestCatalogStructure:
@@ -174,6 +178,33 @@ class TestCwt:
         with pytest.raises(BadWidth):
             ricker_kernel(0.0)
 
+    @staticmethod
+    def _zero_padded_sums(x, width):
+        """The CWT coefficients at the catalog's positions, each the sum of
+        x[j] * kernel[p - j + half] over the samples the kernel covers."""
+        ker = ricker_kernel(width)
+        half = len(ker) // 2
+        return [sum(x[j] * ker[p - j + half] for j in range(len(x)) if 0 <= p - j + half < len(ker))
+                for p in cwt_positions(len(x))]
+
+    def _check_against_zero_padded_sums(self, n):
+        x = np.random.default_rng(n).standard_normal(n)
+        catalog = catalog_default(1)
+        got = dict(zip(catalog.names, extract_features([x], catalog).values))
+        for w in CWT_WIDTHS:
+            want = self._zero_padded_sums(x, w)
+            assert [got[f"cwt_w{w}_p{p}"] for p in range(16)] == pytest.approx(want, rel=1e-9, abs=1e-9), w
+
+    def test_channel_longer_than_every_kernel_reads_zero_padded_sums(self):
+        self._check_against_zero_padded_sums(512)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "np.convolve(mode='same') centres its output on the longer input, so for a channel "
+        "shorter than the kernel (widths 10 and 20 at the EIS length 128) the coefficient "
+        "is read at the wrong offset"))
+    def test_channel_shorter_than_a_kernel_reads_zero_padded_sums(self):
+        self._check_against_zero_padded_sums(128)
+
     def test_positions_are_rounded_linspace(self):
         assert list(cwt_positions(512, 16)) == [
             int(round(v)) for v in np.linspace(0, 511, 16)
@@ -298,3 +329,36 @@ class TestMatrix:
         assert sub.values.shape == (3, 137)
         assert list(sub.model_id) == [int(matrix.model_id[i]) for i in (0, 5, 7)]
         assert sub.model_names == matrix.model_names
+
+    def test_records_are_processed_a_row_block_at_a_time(self, monkeypatch):
+        # the first record alone, then blocks of BLOCK_ELEMENTS samples; a
+        # 60-record EIS corpus of 2 x 128 samples is then one more map call
+        calls = []
+
+        def counted(fn, items, threads=1):
+            calls.append(len(items))
+            return ordered_map(fn, items, threads=threads)
+
+        monkeypatch.setattr(features, "ordered_map", counted)
+        data = gen_eis_dataset(demo_specs(0.01)[:3], cells_per_spec=4, sweeps_per_cell=5, seed=5)
+        assert len(matrix_from_spectra(data, threads=2)) == 60
+        assert calls == [1, 59]
+        calls.clear()
+        data = gen_dataset(demo_specs(0.01)[:3], cells_per_spec=2, cycles_per_cell=12, seed=5, n_points=128)
+        matrix_from_cycles(data)
+        step = features.BLOCK_ELEMENTS // 512
+        assert calls == [1, step, step, 72 - 1 - 2 * step]
+
+    def test_matrix_memory_does_not_grow_with_the_corpus(self):
+        # the processed channels of one row block are held at a time: the
+        # 1000-record corpus peaked at 6.9 MB while every record's channels
+        # were held until extraction
+        data = gen_dataset(demo_specs(noise_std=0.02), 10, 20, seed=7)
+        tracemalloc.start()
+        try:
+            matrix = matrix_from_cycles(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(matrix) == 1000
+        assert peak < 4 * 2**20

@@ -291,6 +291,19 @@ class TestAdaBoost:
             assert np.array_equal(predict(cut, probe), predict(alone, probe))
             assert np.array_equal(predict_scores(cut, probe), predict_scores(alone, probe))
 
+    def test_constant_features_keep_one_leaf_stump(self):
+        # no split position exists, so round 1's leaf errs on exactly half
+        # the weight, gets alpha 0 and stays alone; its raw vote labels
+        # every row with the lower of the two tied classes
+        X = np.full((8, 2), 0.7)
+        y = np.repeat([0, 1], 4)
+        m = _train("AdaBoost", {"n_estimators": 50}, X, y)
+        assert m.params["stumps"].feature.tolist() == [-1]
+        assert m.params["alphas"].tolist() == [0.0]
+        probe = np.random.default_rng(1).standard_normal((4, 2))
+        assert predict_scores(m, probe).tolist() == [[1.0, 0.0]] * 4
+        assert predict(m, probe).tolist() == [0] * 4
+
     def test_scores_normalized(self):
         X, y = _blobs(centers=(0.0, 2.0, 4.0))
         m = _train("AdaBoost", {"n_estimators": 10}, X, y)
@@ -341,6 +354,12 @@ class TestKnn:
         y = np.array([1, 0])
         m = _train("KNN", {"k": 2, "weights": "uniform"}, X, y, names=("a", "b"))
         assert predict(m, np.array([[0.0]]))[0] == 0
+        # every row gets one vote per class: an exact score tie, which
+        # classify gives to the lowest class id, not the lowest position
+        m = train(make_spec("KNN"), {"k": 2, "weights": "uniform"}, X, np.array([9, 4]))
+        labels, scores = classify(m, np.array([[-3.0], [-1.0], [0.0], [1.0], [5.0]]))
+        assert scores.tolist() == [[0.5, 0.5]] * 5
+        assert labels.tolist() == [4] * 5
 
     def test_distance_weight_zero_distance_dominates(self):
         X = np.array([[0.0], [0.1], [0.2]])
@@ -664,7 +683,7 @@ class TestSvm:
         (coef,), (b,) = params["coef"], params["b"]
         assert coef @ params["sv"][:, 0] == pytest.approx(1.0, abs=1e-12)
         assert b == pytest.approx(0.0, abs=1e-12)
-        _, margins = svm.predict(params, X, 2, hp)
+        margins = svm.predict(params, X, 2, hp)
         assert np.allclose(margins[:, 1], [-1.0, 1.0], atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(50))
@@ -725,9 +744,10 @@ class TestSvm:
         # golden data repeats rows 30-35 as 40-45, so equal rows can recur
         assert np.array_equal(m.params["sv"], Xs[used]) and len(m.params["sv"]) <= len(X)
         assert m.params["coef"].shape == (3, used.sum())
-        labels, margins = svm.predict(m.params, probe, 3, hp)
+        margins = svm.predict(m.params, probe, 3, hp)
         assert np.allclose(margins, ref, rtol=0.0, atol=1e-12)
-        assert np.array_equal(labels, np.argmax(ref, axis=1))
+        # classify labels a row by its largest margin
+        assert np.array_equal(margins.argmax(axis=1), ref.argmax(axis=1))
 
     @pytest.mark.parametrize("label", [1.0, -1.0])
     def test_one_class_machine_has_a_finite_bias(self, label):
@@ -753,9 +773,9 @@ class TestSingleClass:
 
 
 class TestKindContract:
-    """Every kind's predict gives labels and an (n, k) float array of
-    scores, with one class as with several, and ``classify`` hands both
-    over from one call."""
+    """Every kind's predict gives only an (n, k) float array of scores, with
+    one class as with several; ``classify`` labels each row with its
+    highest-scoring class, the lowest on a tie, from one predict call."""
 
     @pytest.mark.parametrize("n_classes", [1, 2, 3])
     @pytest.mark.parametrize("kind", KINDS)
@@ -773,6 +793,17 @@ class TestKindContract:
         assert scores.tobytes() == predict_scores(m, probe).tobytes()
         # the label is the class of the row's largest score
         assert np.array_equal(scores.argmax(axis=1), np.searchsorted(m.classes, labels))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_kind_predict_returns_only_the_scores(self, kind):
+        X, y = _blobs(n_per=10, centers=(0.0, 3.0, 6.0))
+        hp = enumerate_grid(make_spec(kind))[0]
+        m = train(make_spec(kind), hp, X, 2 * y + 3)
+        probe = np.vstack([X, np.random.default_rng(7).standard_normal((9, 3)) * 4.0])
+        scores = _MODULES[kind].predict(m.params, m.standardizer.transform(probe), 3, m.hyperparams)
+        assert isinstance(scores, np.ndarray) and scores.shape == (len(probe), 3)
+        assert scores.tobytes() == predict_scores(m, probe).tobytes()
+        assert np.array_equal(predict(m, probe), m.classes[scores.argmax(axis=1)])
 
 
 class TestTrainValidation:
@@ -872,6 +903,45 @@ class TestPersistence:
         del env["parameters"]["state"][field]
         with pytest.raises(FormatVersionMismatch, match=f"'parameters.state.{field}'"):
             model_from_json_dict(env)
+
+    @pytest.mark.parametrize("path,value", [
+        ("mask", ...),
+        ("parameters.class_names", ...),
+        ("parameters.converged", ...),
+        ("parameters.task", ...),
+        ("catalog_version", ...),
+        ("parameters.task", "Authentication"),
+        ("parameters.task", None),
+        ("parameters.converged", "no"),
+        ("parameters.converged", 1),
+        ("catalog_version", 3),
+        ("catalog_version", None),
+    ], ids=lambda v: "missing" if v is ... else str(v))
+    def test_missing_or_mistyped_provenance_field_is_named(self, path, value):
+        # a missing mask, class-name list, convergence flag or task tag
+        # loaded as its default, so the file scored as an identification
+        # model; "no" and 1 loaded as converged
+        X, y = _blobs(n_per=8)
+        env = model_to_json_dict(_train("GaussianNB", {"var_smoothing": 1e-9}, X, y,
+                                        task="authentication"))
+        *parents, last = path.split(".")
+        holder = env
+        for key in parents:
+            holder = holder[key]
+        if value is ...:
+            del holder[last]
+        else:
+            holder[last] = value
+        with pytest.raises(FormatVersionMismatch, match=rf"model field '{path}' is missing or malformed"):
+            model_from_json_dict(env)
+
+    @pytest.mark.parametrize("task", ["identification", "authentication"])
+    @pytest.mark.parametrize("converged", [True, False])
+    def test_provenance_fields_load_as_written(self, task, converged):
+        X, y = _blobs(n_per=8)
+        m = replace(_train("GaussianNB", {"var_smoothing": 1e-9}, X, y, task=task), converged=converged)
+        back = model_from_json_dict(json.loads(json.dumps(model_to_json_dict(m))))
+        assert (back.task, back.converged, back.catalog_version) == (task, converged, CATALOG)
 
     @pytest.mark.parametrize("version", ["1", "2", "99"])
     def test_unknown_format_version(self, version):
@@ -1753,6 +1823,24 @@ class TestTreeEngineOracle:
         tree = grow_trees(X, np.array(y), 2, [np.arange(4)], sample_weight=np.array(w))
         assert tree.feature[0] == 0
         assert tree.threshold[0] == threshold
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_batch_with_no_boundary_finds_no_split(self, weighted):
+        # only column 2 varies, and no node is offered it: neither the
+        # equal-sized nor the padded batch has a boundary to score
+        rng = np.random.default_rng(11)
+        X = np.zeros((12, 3))
+        X[:, 0], X[:, 1], X[:, 2] = 1.0, -0.5, rng.standard_normal(12)
+        y = np.arange(12) % 3
+        w = rng.uniform(0.5, 2.0, 12) if weighted else None
+        for rows in ([np.arange(12), np.arange(12)[::-1]], [np.arange(12), np.arange(7), np.arange(3, 5)]):
+            counts = np.array([np.bincount(y[r], weights=None if w is None else w[r], minlength=3)
+                               for r in rows])
+            parent_imp = _impurity(counts.T, counts.sum(axis=1), "gini")
+            for feats in (np.array([[0, 1]] * len(rows)), np.array([[1]] * len(rows))):
+                found = _best_splits(X, y, w, rows, feats, 3, "gini", parent_imp)[0]
+                assert found.tolist() == [False] * len(rows)
+            assert _best_splits(X, y, w, rows, None, 3, "gini", parent_imp)[0].all()
 
     def test_class_sums_follow_numpy_order(self):
         # the search adds class slabs in the order numpy's pairwise sum adds
